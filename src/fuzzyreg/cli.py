@@ -407,8 +407,6 @@ def _make_parser() -> argparse.ArgumentParser:
     common.add_argument("--delta", type=int, help="override the band cutoff")
     common.add_argument("--threshold", type=float,
                         help="render threshold on entry magnitude")
-    common.add_argument("--seedless", action="store_true",
-                        help="reserved; all current paths are deterministic")
     common.add_argument("--format", choices=("csv", "bin", "svg"),
                         help="artifact format (default bin)")
     parser = argparse.ArgumentParser(

@@ -12,6 +12,11 @@ index (n*S + a, m*S + b).
 Grids q(n, m) are affine in (n, m): q(n,m) = c0 + cn*n + cm*m, 0-based, with
 q(0,0) = q1 and the formula reaching q2 at (N, N) (one step past the last
 stored index, so the stored diagonal values fill [q1, q2) from the left).
+
+Regularized matrices are stored dense but are banded, with bandwidth
+(cutoff+1)*S.  Every product of them (commutators here, the product and
+Poisson residuals in `verify`) is therefore taken through `as_csr`, which
+costs O(dim * bandwidth^2) per product instead of the dense O(dim^3).
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import DomainError, StructureError
 from .fourier import FourierFunction, MatrixFourierFunction
@@ -171,7 +177,10 @@ def _band_values(coeff, grid: DiscretizingGrid, band: int) -> np.ndarray:
     length = grid.N - abs(band)
     rows = np.arange(length) + max(0, -band)
     cols = rows + band
-    return np.asarray(coeff(grid.q(rows, cols)), dtype=complex)
+    vals = np.asarray(coeff(grid.q(rows, cols)), dtype=complex)
+    if not np.all(np.isfinite(vals)):
+        raise DomainError(f"coefficient of band {band} is not finite on the grid")
+    return vals
 
 
 def regularize_scalar(f: FourierFunction, grid: DiscretizingGrid) -> FuzzyMatrix:
@@ -270,10 +279,21 @@ def interior_max_entry(M: FuzzyMatrix, delta) -> float:
     return float(np.max(np.abs(core)))
 
 
+def as_csr(M: FuzzyMatrix) -> csr_array:
+    """M as a CSR array: the form every product of regularized matrices
+    is taken in.  The conversion is one O(dim^2) scan of the dense data."""
+    return csr_array(M.data)
+
+
 def commutator(A: FuzzyMatrix, B: FuzzyMatrix) -> FuzzyMatrix:
+    """[A, B] = AB - BA, multiplied in CSR and returned as a dense matrix.
+
+    The layout (N, S) is kept when both operands share it.
+    """
     if A.dim != B.dim:
         raise StructureError(f"dimension mismatch {A.dim} vs {B.dim}")
-    data = A.data @ B.data - B.data @ A.data
+    a, b = as_csr(A), as_csr(B)
+    data = (a @ b - b @ a).toarray()
     N, S = (A.N, A.S) if A.same_layout(B) else (A.dim, 1)
     return FuzzyMatrix(data, N, S)
 

@@ -16,9 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .fourier import FourierFunction, MatrixFourierFunction, mul, poisson_bracket
+from .fourier import (
+    FourierFunction,
+    MatrixFourierFunction,
+    _check_same_interval,
+    mul,
+    poisson_bracket,
+)
 from .regularize import (
     FuzzyMatrix,
+    as_csr,
     commutator,
     interior_max_entry,
     make_grid,
@@ -87,6 +94,11 @@ class SweepReport:
         ]
         if self.scaling_note:
             lines.append(f"scaling:   {self.scaling_note}")
+        row_sums = self.extras.get("row_sum_norm")
+        if row_sums:
+            rising = len(row_sums) > 1 and all(b > a for a, b in zip(row_sums, row_sums[1:]))
+            values = " ".join(f"{v:.6e}" for v in row_sums)
+            lines.append(f"row sums:  {values} ({'rising' if rising else 'not rising'})")
         lines.append(f"{'N':>8}  {'value':>14}  verdict")
         for k, (n, v) in enumerate(zip(self.schedule, self.values)):
             verdict = "pass" if self.verdicts[k] else "FAIL"
@@ -173,7 +185,7 @@ def _product_residual(f, g, rule, N, delta):
     Qf = regularize_scalar(f, grid)
     Qg = regularize_scalar(g, grid)
     Qfg = regularize_scalar(mul(f, g), grid)
-    resid = FuzzyMatrix(Qf.data @ Qg.data - Qfg.data, N, 1)
+    resid = FuzzyMatrix((as_csr(Qf) @ as_csr(Qg)).toarray() - Qfg.data, N, 1)
     return within_border_norm(resid, delta)
 
 
@@ -244,7 +256,7 @@ def semiclassical_residual(f, g, rule="symmetric", N=64, delta=None) -> float:
     Qfg = regularize_scalar(mul(f, g), grid)
     corr_fn = mul(f.d_phi(), g.d_q()) * grid.beta_left - mul(f.d_q(), g.d_phi()) * grid.beta_right
     Qcorr = regularize_scalar(corr_fn, grid)
-    resid = Qf.data @ Qg.data - Qfg.data + (1j / N) * Qcorr.data
+    resid = (as_csr(Qf) @ as_csr(Qg)).toarray() - Qfg.data + (1j / N) * Qcorr.data
     return within_border_norm(FuzzyMatrix(resid, N, 1), delta)
 
 
@@ -285,8 +297,7 @@ def check_commutator_decay(space_builder, Ns, delta=5, label=None) -> SweepRepor
 
 def matrix_fn_commutator_sup(F: MatrixFourierFunction, G: MatrixFourierFunction, samples=64) -> float:
     """Sup of the pointwise commutator's operator norm over a (q, phi) grid."""
-    if F.interval != G.interval:
-        raise DomainError("functions live on different intervals")
+    _check_same_interval(F, G)
     samples = int(samples)
     qs = np.linspace(F.interval[0], F.interval[1], samples)
     phis = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)

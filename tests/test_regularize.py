@@ -13,7 +13,10 @@ from fuzzyreg import (
     FuzzySpace,
     MatrixFourierFunction,
     StructureError,
+    VertexParams,
     border_mask,
+    build_circle_to_eight,
+    build_string_vertex,
     commutator,
     hermitianize,
     interior_max_entry,
@@ -108,6 +111,12 @@ class TestRegularizeScalar:
         left = regularize_scalar(f, make_grid(8, IV, "left"))
         assert not left.is_hermitian(1e-14)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        f = FourierFunction(IV, {0: 1.0, 1: bad})
+        with pytest.raises(DomainError):
+            regularize_scalar(f, make_grid(8, IV))
+
 
 class TestRegularizeMatrix:
     def test_flat_layout_of_block_entries(self):
@@ -135,6 +144,13 @@ class TestRegularizeMatrix:
         A = regularize_matrix(MatrixFourierFunction.from_scalar(f), g)
         B = regularize_scalar(f, g)
         assert np.array_equal(A.data, B.data)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        good = FourierFunction.cosine(IV, 1, 1.0)
+        F = MatrixFourierFunction.diagonal([good, FourierFunction(IV, {-1: bad})])
+        with pytest.raises(DomainError):
+            regularize_matrix(F, make_grid(8, IV))
 
 
 class TestToeplitzBasis:
@@ -233,6 +249,24 @@ class TestCommutator:
             rhs = regularize_scalar(f.d_phi() * (-1j), g)
             scale = (g.beta_left + g.beta_right) / g.N
             np.testing.assert_allclose(lhs.data, -scale * rhs.data, atol=1e-14)
+
+    @pytest.mark.parametrize("pair", ["random", "eight", "vertex"])
+    def test_matches_the_dense_products(self, pair):
+        if pair == "random":
+            rng = np.random.default_rng(7)
+            A, B = (FuzzyMatrix(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)), 6, 1)
+                    for _ in range(2))
+        elif pair == "eight":
+            A, B = build_circle_to_eight(1024).coordinates[:2]
+        else:
+            A, B = build_string_vertex(VertexParams(N=30)).coordinates[:2]
+        AB, BA = A.data @ B.data, B.data @ A.data
+        C = commutator(A, B)
+        scale = max(np.abs(AB).max(), np.abs(BA).max())
+        assert np.abs(C.data - (AB - BA)).max() <= 1e-13 * scale
+        assert (C.N, C.S) == (A.N, A.S)
+        assert C.data.dtype == complex
+        assert not C.data.flags.writeable
 
     def test_dimension_mismatch(self):
         A = FuzzyMatrix(np.eye(4, dtype=complex), 4, 1)

@@ -23,9 +23,11 @@ from fuzzyreg import (
     check_norm_convergence,
     check_poisson_convergence,
     check_product_convergence,
+    circle_to_eight_functions,
     make_grid,
     matrix_fn_commutator_sup,
     mul,
+    poisson_bracket,
     regularize_scalar,
     semiclassical_residual,
     within_border_norm,
@@ -79,6 +81,18 @@ class TestSweepReport:
         failing = make_report(passed=False, verdicts=(True, True, False)).to_text()
         assert failing.strip().endswith("FAIL")
         assert "FAIL" in failing.splitlines()[-2]
+
+    def test_row_sum_trend_line(self):
+        def row_sum_line(row_sums):
+            lines = make_report(extras={"row_sum_norm": row_sums}).to_text().splitlines()
+            found = [k for k, line in enumerate(lines) if line.startswith("row sums:")]
+            assert len(found) == 1 and found[0] < lines.index(f"{'N':>8}  {'value':>14}  verdict")
+            return lines[found[0]]
+
+        assert row_sum_line((1.1, 1.3, 1.5)) == (
+            "row sums:  1.100000e+00 1.300000e+00 1.500000e+00 (rising)")
+        assert row_sum_line((1.5, 1.3, 1.4)).endswith("(not rising)")
+        assert "row sums:" not in make_report().to_text()
 
 
 class TestNormConvergence:
@@ -135,6 +149,17 @@ class TestProductConvergence:
         scaled = [val * N for val, N in zip(v, rep.schedule)]
         assert max(scaled) / min(scaled) < 1.25
 
+    def test_eight_matches_the_dense_formula(self):
+        x, y, _ = circle_to_eight_functions()
+        Ns = (256, 512)
+        rep = check_product_convergence(x, y, Ns=Ns)
+        for N, value in zip(Ns, rep.values):
+            grid = make_grid(N, x.interval)
+            Qx, Qy = regularize_scalar(x, grid), regularize_scalar(y, grid)
+            Qxy = regularize_scalar(mul(x, y), grid)
+            dense = within_border_norm(Qxy.replace_data(Qx.data @ Qy.data - Qxy.data), rep.delta)
+            assert value == pytest.approx(dense, rel=1e-9)
+
 
 class TestPoissonConvergence:
     def test_height_and_phase_pair_is_exact(self):
@@ -147,6 +172,20 @@ class TestPoissonConvergence:
         f, _ = scalar_pair(IV, {1: AffineProfile(1.0, 0.5)}, {})
         rep = check_poisson_convergence(f, f, Ns=(8, 16))
         assert max(rep.values) <= 1e-13
+
+    def test_eight_matches_the_dense_formula(self):
+        x, y, _ = circle_to_eight_functions()
+        Ns = (256, 512)
+        rep = check_poisson_convergence(x, y, Ns=Ns)
+        for N, value in zip(Ns, rep.values):
+            grid = make_grid(N, x.interval)
+            Qx, Qy = regularize_scalar(x, grid), regularize_scalar(y, grid)
+            comm = Qx.data @ Qy.data - Qy.data @ Qx.data
+            s = N / (grid.beta_left + grid.beta_right)
+            target = regularize_scalar(poisson_bracket(x, y), grid)
+            dense = within_border_norm(
+                target.replace_data(1j * s * comm - target.data), rep.delta)
+            assert value == pytest.approx(dense, rel=1e-9)
 
     def test_generic_pair_passes(self):
         f, g = scalar_pair(IV, {1: 0.5, -1: 0.5}, {0: PolyProfile([0.0, 0.0, 1.0])})
@@ -189,6 +228,20 @@ class TestSemiclassicalResidual:
         corr_norm = within_border_norm(regularize_scalar(corr, grid), delta)
         R = semiclassical_residual(f, g, "symmetric", N=N, delta=delta)
         assert R <= r + corr_norm / N + 1e-12
+
+    def test_eight_matches_the_dense_formula(self):
+        x, y, _ = circle_to_eight_functions()
+        N = 256
+        grid = make_grid(N, x.interval)
+        Qx, Qy = regularize_scalar(x, grid), regularize_scalar(y, grid)
+        Qxy = regularize_scalar(mul(x, y), grid)
+        corr = mul(x.d_phi(), y.d_q()) * grid.beta_left \
+            - mul(x.d_q(), y.d_phi()) * grid.beta_right
+        Qcorr = regularize_scalar(corr, grid)
+        resid = Qx.data @ Qy.data - Qxy.data + (1j / N) * Qcorr.data
+        delta = x.cutoff + y.cutoff
+        dense = within_border_norm(Qxy.replace_data(resid), delta)
+        assert semiclassical_residual(x, y, N=N) == pytest.approx(dense, rel=1e-9)
 
 
 class TestCommutatorDecay:
@@ -252,3 +305,16 @@ class TestMatrixCommutatorSup:
         G = MatrixFourierFunction.diagonal([g, g])
         with pytest.raises(DomainError):
             matrix_fn_commutator_sup(F, G)
+
+    def test_interval_tolerance_matches_matmul(self):
+        def diag_on(q2):
+            f = FourierFunction((0.0, q2), {1: 1.0})
+            return MatrixFourierFunction.diagonal([f, f])
+
+        F, near, far = diag_on(1.0), diag_on(1.0 + 1e-13), diag_on(1.0 + 1e-9)
+        F.matmul(near)
+        assert matrix_fn_commutator_sup(F, near) <= 1e-12
+        with pytest.raises(DomainError):
+            F.matmul(far)
+        with pytest.raises(DomainError):
+            matrix_fn_commutator_sup(F, far)
