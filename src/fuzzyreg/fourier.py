@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapabilityError, DomainError
-from .profiles import ComplexProfile, profile_from_dict
+from .profiles import ComplexProfile
 
 _INTERVAL_TOL = 1e-12
 
@@ -179,12 +179,7 @@ class FourierFunction:
 
     @classmethod
     def from_dict(cls, d):
-        table = {
-            int(entry["n"]): ComplexProfile(
-                profile_from_dict(entry["re"]), profile_from_dict(entry["im"])
-            )
-            for entry in d["coeffs"]
-        }
+        table = {int(entry["n"]): ComplexProfile.from_dict(entry) for entry in d["coeffs"]}
         return cls(tuple(d["interval"]), table)
 
     def __repr__(self):

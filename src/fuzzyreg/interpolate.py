@@ -185,14 +185,13 @@ def interpolated_angle_function(f1_table, f2_table, profile: InterpolationProfil
 
 
 def _interp_coeff_profile(f1_table, f2_table, profile, m) -> ComplexProfile:
-    def _re(q):
-        return interp_fourier_coeff(f1_table, f2_table, profile, m, q).real
+    """The mode-m blended coefficient as a profile of q.
 
-    def _im(q):
-        return interp_fourier_coeff(f1_table, f2_table, profile, m, q).imag
-
-    return ComplexProfile(
-        CallableProfile(_re, f"Re f_{m}"), CallableProfile(_im, f"Im f_{m}")
+    One `interp_fourier_coeff` call per evaluation, of the profile or of its
+    conjugate; its .re/.im views (read by `mirror_concat`) call it once each.
+    """
+    return ComplexProfile.from_callable(
+        lambda q: interp_fourier_coeff(f1_table, f2_table, profile, m, q), f"f_{m}"
     )
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
-from .errors import CapabilityError
+from .errors import CapabilityError, DomainError, FuzzyRegError
 
 
 def _asfloat(q):
@@ -153,9 +153,11 @@ class SplineProfile(Profile):
         self.knots_y = np.asarray(knots_y, dtype=float)
         self.slopes = np.asarray(slopes, dtype=float)
         if self.knots_x.ndim != 1 or len(self.knots_x) < 2:
-            raise ValueError("need at least two knots")
+            raise DomainError("need at least two knots")
         if not (len(self.knots_x) == len(self.knots_y) == len(self.slopes)):
-            raise ValueError("knots_x, knots_y, slopes must have equal length")
+            raise DomainError("knots_x, knots_y, slopes must have equal length")
+        if not np.all(np.diff(self.knots_x) > 0):
+            raise DomainError("knots_x must be strictly increasing")
         self._spl = CubicHermiteSpline(self.knots_x, self.knots_y, self.slopes)
 
     @classmethod
@@ -369,26 +371,37 @@ class CallableProfile(Profile):
 
 
 def profile_from_dict(d: dict) -> Profile:
-    kind = d["kind"]
-    if kind == "constant":
-        return ConstantProfile(d["value"])
-    if kind == "affine":
-        return AffineProfile(d["a0"], d["a1"])
-    if kind == "poly":
-        return PolyProfile(d["coeffs"])
-    if kind == "cubic-spline":
-        return SplineProfile(d["knots_x"], d["knots_y"], d["slopes"])
-    if kind == "composed":
-        return ComposedProfile(profile_from_dict(d["outer"]), d["scale"], d["shift"])
-    if kind == "sum":
-        return SumProfile(tuple(profile_from_dict(t) for t in d["terms"]))
-    if kind == "product":
-        return ProductProfile(profile_from_dict(d["left"]), profile_from_dict(d["right"]))
-    if kind == "scaled":
-        return ScaledProfile(d["factor"], profile_from_dict(d["base"]))
-    if kind == "mirror":
-        return MirrorProfile(profile_from_dict(d["base"]), d["pivot"])
-    raise ValueError(f"unknown profile kind {kind!r}")
+    """Inverse of `Profile.to_dict`.  Malformed input raises DomainError."""
+    try:
+        kind = d["kind"]
+        if kind == "constant":
+            return ConstantProfile(d["value"])
+        if kind == "affine":
+            return AffineProfile(d["a0"], d["a1"])
+        if kind == "poly":
+            return PolyProfile(d["coeffs"])
+        if kind == "cubic-spline":
+            return SplineProfile(d["knots_x"], d["knots_y"], d["slopes"])
+        if kind == "composed":
+            return ComposedProfile(profile_from_dict(d["outer"]), d["scale"], d["shift"])
+        if kind == "sum":
+            return SumProfile(tuple(profile_from_dict(t) for t in d["terms"]))
+        if kind == "product":
+            return ProductProfile(profile_from_dict(d["left"]), profile_from_dict(d["right"]))
+        if kind == "scaled":
+            return ScaledProfile(d["factor"], profile_from_dict(d["base"]))
+        if kind == "mirror":
+            return MirrorProfile(profile_from_dict(d["base"]), d["pivot"])
+        if kind in ("spline-derivative", "mirror-derivative"):
+            base = profile_from_dict(d["base"])
+            if isinstance(base, SplineProfile if kind == "spline-derivative" else MirrorProfile):
+                return base.derivative()
+            raise DomainError(f"{kind!r} profile over a {type(base).__name__}")
+    except FuzzyRegError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed serialized profile: {type(exc).__name__} {exc}") from exc
+    raise DomainError(f"unknown profile kind {kind!r}")
 
 
 def as_profile(value) -> Profile:
@@ -406,13 +419,28 @@ def is_zero_profile(p: Profile) -> bool:
 
 
 class ComplexProfile:
-    """A complex-valued function of q stored as a (re, im) profile pair."""
+    """A complex-valued function of q stored as a (re, im) profile pair.
 
-    __slots__ = ("re", "im")
+    `from_callable` wraps one complex callable instead: calling the result or
+    its conjugate calls it once, and re/im are evaluation-only views of the
+    real and imaginary part of a call each.
+    """
+
+    __slots__ = ("re", "im", "fn", "label")
 
     def __init__(self, re: Profile, im: Profile | None = None):
         self.re = as_profile(re)
         self.im = as_profile(im) if im is not None else ConstantProfile(0.0)
+        self.fn = None
+
+    @classmethod
+    def from_callable(cls, fn, label: str = "") -> "ComplexProfile":
+        """Wrap a vectorized complex callable of q.  Evaluation only."""
+        out = cls(CallableProfile(lambda q: np.real(fn(q)), f"Re {label}"),
+                  CallableProfile(lambda q: np.imag(fn(q)), f"Im {label}"))
+        out.fn = fn
+        out.label = label
+        return out
 
     @classmethod
     def from_const(cls, z) -> "ComplexProfile":
@@ -432,12 +460,19 @@ class ComplexProfile:
         return self.re.differentiable and self.im.differentiable
 
     def __call__(self, q):
-        return self.re(q) + 1j * self.im(q)
+        if self.fn is None:
+            return self.re(q) + 1j * self.im(q)
+        v = self.fn(_asfloat(q))
+        # recombined from the parts, so signed zeros match re(q) + 1j * im(q)
+        return v.real + 1j * v.imag
 
     def derivative(self) -> "ComplexProfile":
         return ComplexProfile(self.re.derivative(), self.im.derivative())
 
     def conjugate(self) -> "ComplexProfile":
+        if self.fn is not None:
+            fn = self.fn
+            return ComplexProfile.from_callable(lambda q: np.conj(fn(q)), f"conj {self.label}")
         return ComplexProfile(self.re, -self.im)
 
     def __add__(self, other):
@@ -474,7 +509,11 @@ class ComplexProfile:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(profile_from_dict(d["re"]), profile_from_dict(d["im"]))
+        try:
+            re, im = d["re"], d["im"]
+        except KeyError as exc:
+            raise DomainError(f"serialized complex profile lacks {exc}") from None
+        return cls(profile_from_dict(re), profile_from_dict(im))
 
 
 _H_KNOTS_X = (-1.0, -0.5, 0.0, 0.5, 1.0)

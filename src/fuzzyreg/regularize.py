@@ -27,7 +27,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import DomainError, StructureError
-from .fourier import FourierFunction, MatrixFourierFunction
+from .fourier import FourierFunction, MatrixFourierFunction, _check_same_interval
 
 
 @dataclass(frozen=True)
@@ -118,16 +118,16 @@ class BorderSpec:
 
 @dataclass(frozen=True)
 class FuzzyMatrix:
-    """Dense square complex matrix plus regularization metadata.
+    """Dense square complex matrix with its block layout: N blocks of size S.
 
-    The wrapped array is immutable; take a copy before mutating.
+    The wrapped array is immutable; take a copy before mutating.  Hermiticity
+    is a property of the data, checked by `is_hermitian` (and, for a whole
+    space, by `FuzzySpace.validate`), not a stored flag.
     """
 
     data: np.ndarray
     N: int
     S: int = 1
-    hermitian: bool | None = None
-    source: str = ""
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.data, dtype=complex)
@@ -148,7 +148,7 @@ class FuzzyMatrix:
         return float(np.max(np.abs(self.data - self.data.conj().T))) <= tol
 
     def dagger(self) -> "FuzzyMatrix":
-        return FuzzyMatrix(self.data.conj().T.copy(), self.N, self.S, self.hermitian, self.source)
+        return FuzzyMatrix(self.data.conj().T.copy(), self.N, self.S)
 
     def same_layout(self, other: "FuzzyMatrix") -> bool:
         return self.N == other.N and self.S == other.S
@@ -158,22 +158,12 @@ class FuzzyMatrix:
         S = self.S
         return self.data[n * S : (n + 1) * S, m * S : (m + 1) * S]
 
-    def replace_data(self, data, hermitian=None, source=None) -> "FuzzyMatrix":
-        return FuzzyMatrix(
-            np.array(data, dtype=complex),
-            self.N,
-            self.S,
-            self.hermitian if hermitian is None else hermitian,
-            self.source if source is None else source,
-        )
+    def replace_data(self, data) -> "FuzzyMatrix":
+        return FuzzyMatrix(np.array(data, dtype=complex), self.N, self.S)
 
 
 def _band_values(coeff, grid: DiscretizingGrid, band: int) -> np.ndarray:
-    """Evaluate one coefficient profile along matrix band m-n = band.
-
-    Shared by the scalar and the matrix regularizer so that structurally
-    equal inputs produce bitwise equal matrices.
-    """
+    """Evaluate one coefficient profile along matrix band m-n = band."""
     length = grid.N - abs(band)
     rows = np.arange(length) + max(0, -band)
     cols = rows + band
@@ -184,23 +174,17 @@ def _band_values(coeff, grid: DiscretizingGrid, band: int) -> np.ndarray:
 
 
 def regularize_scalar(f: FourierFunction, grid: DiscretizingGrid) -> FuzzyMatrix:
-    """N x N matrix with entries f_{m-n}(q(n,m))."""
-    _require_matching_interval(f, grid)
-    if f.cutoff >= grid.N:
-        raise DomainError(f"cutoff {f.cutoff} must stay below N = {grid.N}")
-    N = grid.N
-    out = np.zeros((N, N), dtype=complex)
-    for band in sorted(f.coeffs):
-        vals = _band_values(f.coeffs[band], grid, band)
-        idx = np.arange(len(vals)) + max(0, -band)
-        out[idx, idx + band] = vals
-    herm = bool(grid.cn == grid.cm) and f.is_real_valued()
-    return FuzzyMatrix(out, N, 1, hermitian=herm or None)
+    """N x N matrix with entries f_{m-n}(q(n,m)): `regularize_matrix` at S = 1."""
+    return regularize_matrix(MatrixFourierFunction.from_scalar(f), grid)
 
 
 def regularize_matrix(F: MatrixFourierFunction, grid: DiscretizingGrid) -> FuzzyMatrix:
-    """N*S x N*S matrix; block entry (a,b), band n, lands at (n*S+a, m*S+b)."""
-    _require_matching_interval(F, grid)
+    """N*S x N*S matrix; block entry (a,b), band n, lands at (n*S+a, m*S+b).
+
+    Each coefficient profile is evaluated once, on its own band; nothing else
+    is sampled (Hermiticity is checked on the matrices, by `FuzzySpace.validate`).
+    """
+    _check_same_interval(F, grid)
     if F.cutoff >= grid.N:
         raise DomainError(f"cutoff {F.cutoff} must stay below N = {grid.N}")
     N, S = grid.N, F.S
@@ -212,16 +196,7 @@ def regularize_matrix(F: MatrixFourierFunction, grid: DiscretizingGrid) -> Fuzzy
                 vals = _band_values(entry.coeffs[band], grid, band)
                 idx = np.arange(len(vals)) + max(0, -band)
                 out[idx * S + a, (idx + band) * S + b] = vals
-    herm = bool(grid.cn == grid.cm) and F.is_hermitian()
-    return FuzzyMatrix(out, N, S, hermitian=herm or None)
-
-
-def _require_matching_interval(f, grid: DiscretizingGrid):
-    tol = 1e-12
-    if abs(f.interval[0] - grid.interval[0]) > tol or abs(f.interval[1] - grid.interval[1]) > tol:
-        raise DomainError(
-            f"function interval {f.interval} does not match grid interval {grid.interval}"
-        )
+    return FuzzyMatrix(out, N, S)
 
 
 def toeplitz_basis(a: int, N: int) -> FuzzyMatrix:
@@ -236,7 +211,7 @@ def toeplitz_basis(a: int, N: int) -> FuzzyMatrix:
         out[idx, idx + a] = 1.0
     else:
         out[idx - a, idx] = 1.0
-    return FuzzyMatrix(out, N, 1, hermitian=(a == 0) or None)
+    return FuzzyMatrix(out, N, 1)
 
 
 def border_mask(M: FuzzyMatrix, delta) -> FuzzyMatrix:
@@ -251,32 +226,28 @@ def border_mask(M: FuzzyMatrix, delta) -> FuzzyMatrix:
     out[-d:, :] = 0.0
     out[:, :d] = 0.0
     out[:, -d:] = 0.0
-    return M.replace_data(out, hermitian=None)
+    return M.replace_data(out)
 
 
-def within_border_norm(M: FuzzyMatrix, delta) -> float:
-    """Max absolute row sum over the interior block (rows/cols delta..dim-delta).
-
-    delta = 0 gives the plain max-row-sum norm.
-    """
+def _interior_abs(M: FuzzyMatrix, delta) -> np.ndarray:
+    """|entries| of the interior block (rows/cols delta..dim-delta)."""
     spec = BorderSpec.coerce(delta)
     spec.check_against(M.dim)
     d = spec.delta
-    core = M.data[d : M.dim - d, d : M.dim - d] if d else M.data
-    if core.size == 0:
-        return 0.0
-    return float(np.max(np.sum(np.abs(core), axis=1)))
+    return np.abs(M.data[d : M.dim - d, d : M.dim - d] if d else M.data)
+
+
+def within_border_norm(M: FuzzyMatrix, delta) -> float:
+    """Max absolute row sum over the interior block; delta = 0 gives the
+    plain max-row-sum norm."""
+    core = _interior_abs(M, delta)
+    return float(np.max(np.sum(core, axis=1))) if core.size else 0.0
 
 
 def interior_max_entry(M: FuzzyMatrix, delta) -> float:
     """Max |entry| over the interior block; the entrywise companion norm."""
-    spec = BorderSpec.coerce(delta)
-    spec.check_against(M.dim)
-    d = spec.delta
-    core = M.data[d : M.dim - d, d : M.dim - d] if d else M.data
-    if core.size == 0:
-        return 0.0
-    return float(np.max(np.abs(core)))
+    core = _interior_abs(M, delta)
+    return float(np.max(core)) if core.size else 0.0
 
 
 def as_csr(M: FuzzyMatrix) -> csr_array:
@@ -300,7 +271,7 @@ def commutator(A: FuzzyMatrix, B: FuzzyMatrix) -> FuzzyMatrix:
 
 def hermitianize(M: FuzzyMatrix) -> FuzzyMatrix:
     """(M + M†)/2.  Never applied implicitly; callers opt in."""
-    return M.replace_data(0.5 * (M.data + M.data.conj().T), hermitian=True)
+    return M.replace_data(0.5 * (M.data + M.data.conj().T))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .fourier import FourierFunction, MatrixFourierFunction
+from .fourier import FourierFunction, MatrixFourierFunction, _check_same_interval
 from .profiles import (
     AffineProfile,
     ComposedProfile,
@@ -85,7 +85,7 @@ def build_generalized_cylinder(curve: CurveSpec, N: int, z_offset: float = 0.0) 
     xhat = _toeplitz_from_series(curve.x_series, N)
     yhat = _toeplitz_from_series(curve.y_series, N)
     zvals = z_offset + curve.z_beta * (np.arange(1, N + 1) / N)
-    zhat = FuzzyMatrix(np.diag(zvals.astype(complex)), N, 1, hermitian=True)
+    zhat = FuzzyMatrix(np.diag(zvals.astype(complex)), N, 1)
     return FuzzySpace("generalized-cylinder", (xhat, yhat, zhat))
 
 
@@ -97,13 +97,12 @@ def build_immersed_cylinder(
     rule: str = "symmetric",
 ) -> FuzzySpace:
     """Regularize a surface given by real series x, y and a height profile z."""
-    if abs(x.interval[0] - y.interval[0]) > 1e-12 or abs(x.interval[1] - y.interval[1]) > 1e-12:
-        raise DomainError("x and y must share one interval")
+    _check_same_interval(x, y)
     z = as_profile(z)
     grid = make_grid(N, x.interval, rule)
     xhat = regularize_scalar(x, grid)
     yhat = regularize_scalar(y, grid)
-    zhat = FuzzyMatrix(np.diag(z(grid.diagonal_values()).astype(complex)), N, 1, hermitian=True)
+    zhat = FuzzyMatrix(np.diag(z(grid.diagonal_values()).astype(complex)), N, 1)
     generators = (
         MatrixFourierFunction.from_scalar(x),
         MatrixFourierFunction.from_scalar(y),
@@ -168,9 +167,9 @@ def build_circle_to_eight(N: int, convention: str = "symmetric") -> FuzzySpace:
     ym = banded(((1, (1.0 - 0.5 * hv) * 0.5), (3, 0.25 * hv)), 1j)
     zvals = (1.0 + qrow) / 2.0
     coords = (
-        FuzzyMatrix(xm, N, 1, hermitian=True),
-        FuzzyMatrix(ym, N, 1, hermitian=True),
-        FuzzyMatrix(np.diag(zvals.astype(complex)), N, 1, hermitian=True),
+        FuzzyMatrix(xm, N, 1),
+        FuzzyMatrix(ym, N, 1),
+        FuzzyMatrix(np.diag(zvals.astype(complex)), N, 1),
     )
     return FuzzySpace("circle-to-eight", coords)
 
@@ -238,7 +237,7 @@ def build_double_cylinder(spec: DoubleCylinderSpec, N: int):
     """Two fuzzy cylinders sharing the diagonal z = q(n,n); returns a pair."""
     grid = make_grid(N, spec.interval, "symmetric")
     zvals = grid.diagonal_values().astype(complex)
-    zhat = FuzzyMatrix(np.diag(zvals), N, 1, hermitian=True)
+    zhat = FuzzyMatrix(np.diag(zvals), N, 1)
     zfn = FourierFunction.from_profile(spec.interval, AffineProfile(0.0, 1.0))
     out = []
     for i in (1, 2):
@@ -281,11 +280,11 @@ def build_clifford_torus(a: float, b: float, N: int) -> FuzzySpace:
         raise DomainError("need N >= 2")
     e1 = toeplitz_basis(1, N).data
     em1 = toeplitz_basis(-1, N).data
-    x1 = FuzzyMatrix(0.5 * a * (e1 + em1), N, 1, hermitian=True)
-    y1 = FuzzyMatrix(0.5j * a * (e1 - em1), N, 1, hermitian=True)
+    x1 = FuzzyMatrix(0.5 * a * (e1 + em1), N, 1)
+    y1 = FuzzyMatrix(0.5j * a * (e1 - em1), N, 1)
     angles = 2.0 * np.pi * np.arange(1, N + 1) / N
-    x2 = FuzzyMatrix(np.diag(b * np.cos(angles)).astype(complex), N, 1, hermitian=True)
-    y2 = FuzzyMatrix(np.diag(b * np.sin(angles)).astype(complex), N, 1, hermitian=True)
+    x2 = FuzzyMatrix(np.diag(b * np.cos(angles)).astype(complex), N, 1)
+    y2 = FuzzyMatrix(np.diag(b * np.sin(angles)).astype(complex), N, 1)
     return FuzzySpace("clifford-torus", (x1, y1, x2, y2))
 
 
@@ -372,6 +371,6 @@ def build_graph_vertex(spec: GraphVertexSpec, N: int | None = None) -> FuzzySpac
         z[:n0] = (np.arange(n0) + 1.0) / D
         for t in range(spec.lower_blocks):
             z[n0 + 2 * t : n0 + 2 * t + 2] = (n0 + 2 * t + 1.5) / D
-    zhat = FuzzyMatrix(np.diag(z.astype(complex)), D, 1, hermitian=True)
+    zhat = FuzzyMatrix(np.diag(z.astype(complex)), D, 1)
     fhat = FuzzyMatrix(F, D, 1)
     return FuzzySpace("graph-vertex", (fhat, zhat))

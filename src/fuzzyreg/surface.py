@@ -3,6 +3,8 @@
 Samples a tuple of matrix-valued coordinate functions on a (q, phi) grid,
 diagonalizes the sheet structure pointwise, and emits one CSV row per sheet
 and sample with the coordinate values plus a diagonality figure of merit.
+The work is done on whole sample arrays: coefficients are evaluated once per
+q, and every sample that needs an eigenbasis goes into one batched `eigh`.
 
 Only makes sense when the coordinate functions commute to good accuracy as
 matrix functions; the export refuses otherwise.
@@ -66,6 +68,11 @@ def _pick_resolving(values: np.ndarray) -> int:
     return 0
 
 
+def _offdiag_abs(M: np.ndarray) -> np.ndarray:
+    """|M - diag(M)| for a stack of square matrices on the last two axes."""
+    return np.abs(M - np.einsum("...ss->...s", M)[..., None] * np.eye(M.shape[-1]))
+
+
 def export_classical_surface(coords: Sequence[MatrixFourierFunction],
                              grid: Tuple[int, int] = (33, 32),
                              bound: float = 1e-2,
@@ -87,29 +94,19 @@ def export_classical_surface(coords: Sequence[MatrixFourierFunction],
             raise DomainError("coordinate functions must share block size and interval")
     check_commutation(coords, bound, samples=commutator_samples)
     qs, phis = _sample_grid(interval, grid)
-    Q, P = np.meshgrid(qs, phis, indexing="ij")
-    values = np.stack([c.eval(Q, P) for c in coords])  # (d, nq, nphi, S, S)
-    d = len(coords)
-    anchor = _pick_resolving(values)
-    header = ["sheet", "q", "phi"] + [f"x{k + 1}" for k in range(d)] + ["offdiag"]
-    rows = []
-    for iq in range(len(qs)):
-        for ip in range(len(phis)):
-            A = values[anchor, iq, ip]
-            off = A - np.diag(np.diagonal(A))
-            if np.max(np.abs(off)) <= _DIAG_TOL:
-                V = np.eye(S)
-            else:
-                _, V = np.linalg.eigh(A)
-            rotated = np.einsum("as,kab,bt->kst", V.conj(), values[:, iq, ip], V)
-            diag_entries = rotated[:, np.arange(S), np.arange(S)]  # (d, S)
-            offmax = float(np.max(np.abs(
-                rotated - diag_entries[:, :, None] * np.eye(S))))
-            diag = np.real(diag_entries)
-            for s in range(S):
-                rows.append((float(s), float(qs[iq]), float(phis[ip]),
-                             *[float(diag[k, s]) for k in range(d)], offmax))
-    return header, rows
+    # (d, nq, nphi, S, S); coefficients are evaluated once per q, not per sample
+    values = np.stack([c.eval(qs[:, None], phis[None, :]) for c in coords])
+    A = values[_pick_resolving(values)]
+    resolve = np.max(_offdiag_abs(A), axis=(-2, -1)) > _DIAG_TOL
+    V = np.broadcast_to(np.eye(S), A.shape).astype(complex)
+    V[resolve] = np.linalg.eigh(A[resolve])[1]
+    rotated = np.einsum("...as,k...ab,...bt->k...st", V.conj(), values, V)
+    offmax = np.max(_offdiag_abs(rotated), axis=(0, -2, -1))
+    diag = np.real(np.einsum("...ss->...s", rotated))  # (d, nq, nphi, S)
+    columns = np.broadcast_arrays(np.arange(S), qs[:, None, None], phis[:, None], *diag,
+                                  offmax[..., None])
+    header = ["sheet", "q", "phi"] + [f"x{k + 1}" for k in range(len(coords))] + ["offdiag"]
+    return header, [tuple(r) for r in np.stack(columns, -1).reshape(-1, len(header)).tolist()]
 
 
 def surface_csv(header, rows) -> str:

@@ -80,7 +80,7 @@ def z_order(M: FuzzyMatrix, S: int) -> FuzzyMatrix:
         return M
     N = M.dim // S
     perm = _z_perm(N, S)
-    return FuzzyMatrix(M.data[np.ix_(perm, perm)], N, S, M.hermitian, M.source)
+    return FuzzyMatrix(M.data[np.ix_(perm, perm)], N, S)
 
 
 def z_order_inverse(M: FuzzyMatrix, S: int) -> FuzzyMatrix:
@@ -91,7 +91,7 @@ def z_order_inverse(M: FuzzyMatrix, S: int) -> FuzzyMatrix:
         return M
     N = M.dim // S
     inv = np.argsort(_z_perm(N, S))
-    return FuzzyMatrix(M.data[np.ix_(inv, inv)], M.dim, 1, M.hermitian, M.source)
+    return FuzzyMatrix(M.data[np.ix_(inv, inv)], M.dim, 1)
 
 
 def lift_constant_unitary(U: SmallUnitary, N: int) -> FuzzyMatrix:
@@ -104,7 +104,7 @@ def conjugate(M: FuzzyMatrix, V: FuzzyMatrix) -> FuzzyMatrix:
     """V† M V."""
     if M.dim != V.dim:
         raise StructureError("dimension mismatch")
-    return FuzzyMatrix(V.data.conj().T @ M.data @ V.data, M.N, M.S, None, M.source)
+    return FuzzyMatrix(V.data.conj().T @ M.data @ V.data, M.N, M.S)
 
 
 def interlace(space: FuzzySpace) -> FuzzySpace:
@@ -165,8 +165,7 @@ def block_transform(M: FuzzyMatrix, U: SmallUnitary, n0: int) -> FuzzyMatrix:
     if n0 < N:
         data[n0 * S :, n0 * S :] = np.kron(np.eye(N - n0), U.matrix)
     V = FuzzyMatrix(data, N, S)
-    out = conjugate(FuzzyMatrix(M.data, N, S, M.hermitian, M.source), V)
-    return out
+    return conjugate(FuzzyMatrix(M.data, N, S), V)
 
 
 def function_unitary_conjugate(

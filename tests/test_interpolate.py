@@ -232,6 +232,32 @@ class TestVertexAssembly:
         with pytest.raises(DomainError, match="cutoff"):
             build_string_vertex(VertexParams(N=4, cutoff=4))
 
+    def test_each_blended_coefficient_is_evaluated_once_per_band(self, monkeypatch):
+        import fuzzyreg.interpolate as interpolate
+        from fuzzyreg.fourier import MatrixFourierFunction as MFF
+
+        calls = {"coeff": 0, "probe": 0}
+        coeff = interpolate.interp_fourier_coeff
+        probe = MFF.is_hermitian
+
+        def counted_coeff(*args):
+            calls["coeff"] += 1
+            return coeff(*args)
+
+        def counted_probe(*args, **kwargs):
+            calls["probe"] += 1
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(interpolate, "interp_fourier_coeff", counted_coeff)
+        monkeypatch.setattr(MFF, "is_hermitian", counted_probe)
+        space = build_string_vertex(VertexParams(N=30))
+        c = space.generators[0].cutoff
+        for F in space.generators[:2]:
+            assert sorted(F.entry(0, 1).coeffs) == list(range(-c, c + 1))
+            assert sorted(F.entry(1, 0).coeffs) == list(range(-c, c + 1))
+        # x01, x10, y01, y10: one call per (entry, band)
+        assert calls == {"coeff": 4 * (2 * c + 1), "probe": 0}
+
     def test_space_shape_and_hermiticity(self):
         space = build_string_vertex(VertexParams(N=12))
         assert space.dim == 24

@@ -9,6 +9,8 @@ from fuzzyreg import (
     ComplexProfile,
     ComposedProfile,
     ConstantProfile,
+    DomainError,
+    FourierFunction,
     MirrorProfile,
     PolyProfile,
     SplineProfile,
@@ -174,6 +176,52 @@ class TestSerialization:
         with pytest.raises(ValueError):
             profile_from_dict({"kind": "wavelet"})
 
+    @pytest.mark.parametrize(
+        "coeff",
+        [smooth_step(), MirrorProfile(PolyProfile([0.0, 1.0, 2.0]), 1.0),
+         ComposedProfile(MirrorProfile(smooth_step(), 0.2), 2.0, -0.5)],
+    )
+    def test_derivative_kinds_round_trip(self, coeff):
+        f = FourierFunction((-1.5, 1.5), {0: coeff, 2: ComplexProfile(0.5, coeff)})
+        df = f.d_q()
+        clone = FourierFunction.from_dict(df.to_dict())
+        qs = np.linspace(-1.5, 1.5, 13)
+        assert sorted(clone.coeffs) == sorted(df.coeffs)
+        for n, c in df.coeffs.items():
+            np.testing.assert_array_equal(clone.coeffs[n](qs), c(qs))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"kind": "wavelet"},
+            {"kind": "affine", "a0": 1.0},
+            {"value": 1.0},
+            {"kind": "sum", "terms": [{"kind": "constant"}]},
+            {"kind": "spline-derivative", "base": {"kind": "constant", "value": 1.0}},
+            {"kind": "mirror-derivative", "base": smooth_step().to_dict()},
+            {"kind": "cubic-spline", "knots_x": [0.0], "knots_y": [1.0], "slopes": [0.0]},
+        ],
+    )
+    def test_malformed_input_raises_domain_error(self, bad):
+        with pytest.raises(DomainError):
+            profile_from_dict(bad)
+
+    def test_complex_profile_needs_both_parts(self):
+        with pytest.raises(DomainError):
+            ComplexProfile.from_dict({"re": {"kind": "constant", "value": 1.0}})
+
+    @pytest.mark.parametrize(
+        "knots",
+        [
+            ([0.0], [1.0], [0.0]),
+            ([0.0, 1.0], [1.0], [0.0, 0.0]),
+            ([1.0, 0.0], [0.0, 1.0], [0.0, 0.0]),
+        ],
+    )
+    def test_bad_spline_knots_raise_domain_error(self, knots):
+        with pytest.raises(DomainError):
+            SplineProfile(*knots)
+
 
 def test_as_profile_coercion():
     p = as_profile(2.5)
@@ -214,3 +262,47 @@ class TestComplexProfile:
         clone = ComplexProfile.from_dict(c.to_dict())
         qs = np.linspace(0, 1, 5)
         np.testing.assert_allclose(clone(qs), c(qs))
+
+
+class TestFromCallable:
+    # parts with every sign of zero, indexed by q = 0..5
+    RE = np.array([0.0, -0.0, -0.0, 1.5, -2.0, 0.0])
+    IM = np.array([0.0, -0.0, 1.0, -0.0, 0.0, -3.0])
+
+    def make(self):
+        vals = np.empty(len(self.RE), dtype=complex)
+        vals.real, vals.imag = self.RE, self.IM
+        calls = []
+
+        def fn(q):
+            calls.append(np.shape(q))
+            return vals[np.asarray(q, dtype=int)]
+
+        return ComplexProfile.from_callable(fn, "f"), calls
+
+    def test_call_is_bitwise_the_pair_sum_and_calls_once(self):
+        c, calls = self.make()
+        qs = np.arange(6.0)
+        got = c(qs)
+        assert len(calls) == 1
+        want = c.re(qs) + 1j * c.im(qs)
+        assert got.tobytes() == want.tobytes()
+        pair = ComplexProfile(CallableProfile(lambda q: self.RE[q.astype(int)]),
+                              CallableProfile(lambda q: self.IM[q.astype(int)]))
+        assert got.tobytes() == pair(qs).tobytes()
+
+    def test_conjugate_is_bitwise_and_calls_once(self):
+        c, calls = self.make()
+        qs = np.arange(6.0)
+        conj = c.conjugate()
+        got = conj(qs)
+        assert len(calls) == 1
+        want = ComplexProfile(c.re, -c.im)(qs)
+        assert got.tobytes() == want.tobytes()
+        assert conj.conjugate()(qs).tobytes() == c(qs).tobytes()
+
+    def test_evaluation_only(self):
+        c, _ = self.make()
+        assert not c.differentiable
+        with pytest.raises(CapabilityError):
+            c.to_dict()

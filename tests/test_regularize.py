@@ -301,7 +301,7 @@ class TestFuzzyMatrix:
         assert M.same_layout(M.dagger())
 
     def test_replace_data(self):
-        M = FuzzyMatrix(np.eye(4, dtype=complex), 4, 1, hermitian=True)
+        M = FuzzyMatrix(np.eye(4, dtype=complex), 4, 1)
         M2 = M.replace_data(2.0 * np.eye(4, dtype=complex))
         assert M2.N == 4 and M2.data[0, 0] == 2.0
 

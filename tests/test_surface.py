@@ -1,5 +1,6 @@
 """Classical surface export."""
 
+import numpy as np
 import pytest
 
 from fuzzyreg import (
@@ -9,6 +10,9 @@ from fuzzyreg import (
     DoubleCylinderSpec,
     FourierFunction,
     MatrixFourierFunction,
+    VertexParams,
+    build_string_vertex,
+    circle_to_eight_functions,
     export_classical_surface,
     surface_csv,
 )
@@ -86,6 +90,52 @@ class TestExport:
         X, _, _ = diagonal_coords()
         with pytest.raises(DomainError, match="at least one sample"):
             export_classical_surface([X], grid=(0, 8))
+
+
+def per_sample_rows(coords, grid):
+    """Export rows from one eigh per (q, phi) sample, anchored on coords[0].
+
+    The coordinates are sampled on the full (q, phi) mesh, one array call
+    each; scalar calls would differ from array ones at rounding level.
+    """
+    (q1, q2), S = coords[0].interval, coords[0].S
+    qs = np.linspace(q1, q2, grid[0])
+    phis = np.linspace(0.0, 2.0 * np.pi, grid[1], endpoint=False)
+    Q, P = np.meshgrid(qs, phis, indexing="ij")
+    mesh = np.stack([c.eval(Q, P) for c in coords])  # (d, nq, nphi, S, S)
+    rows, diagonal = [], 0
+    for iq, q in enumerate(qs):
+        for ip, phi in enumerate(phis):
+            vals = mesh[:, iq, ip]
+            A = vals[0]
+            if np.max(np.abs(A - np.diag(np.diagonal(A)))) <= 1e-12:
+                V = np.eye(S)
+                diagonal += 1
+            else:
+                V = np.linalg.eigh(A)[1]
+            rot = np.einsum("as,kab,bt->kst", V.conj(), vals, V)
+            diag = rot[:, np.arange(S), np.arange(S)]
+            offmax = float(np.max(np.abs(rot - diag[:, :, None] * np.eye(S))))
+            for s in range(S):
+                rows.append((float(s), float(q), float(phi), *np.real(diag[:, s]).tolist(), offmax))
+    return rows, diagonal
+
+
+class TestBatchedExport:
+    def test_string_vertex_matches_per_sample_eigh(self):
+        coords = build_string_vertex(VertexParams(N=30)).generators
+        want, diagonal = per_sample_rows(coords, (9, 8))
+        assert 0 < diagonal < 9 * 8  # both branches of the mask are exercised
+        _, rows = export_classical_surface(coords, grid=(9, 8), bound=2.0)
+        assert rows == want
+
+    def test_immersed_eight_matches_per_sample_eigh(self):
+        x, y, z = circle_to_eight_functions()
+        coords = [MatrixFourierFunction.from_scalar(f)
+                  for f in (x, y, FourierFunction.from_profile(x.interval, z))]
+        want, _ = per_sample_rows(coords, (17, 16))
+        _, rows = export_classical_surface(coords, grid=(17, 16))
+        assert rows == want
 
 
 class TestCsv:
