@@ -37,10 +37,8 @@ from .profiles import (
     as_profile,
     profile_from_dict,
     smooth_step,
-    spline_h,
 )
 from .regularize import (
-    BorderSpec,
     DiscretizingGrid,
     FuzzyMatrix,
     FuzzySpace,
@@ -72,7 +70,6 @@ from .surface import export_classical_surface, surface_csv
 from .transforms import (
     DiagonalizationReport,
     SmallUnitary,
-    TransformReport,
     block_transform,
     conjugate,
     diagonalize_coordinate,
@@ -96,86 +93,3 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AffineProfile",
-    "BorderSpec",
-    "CallableProfile",
-    "CapabilityError",
-    "ComplexProfile",
-    "ComposedProfile",
-    "ConstantProfile",
-    "CurveSpec",
-    "DiagonalizationReport",
-    "DiscretizingGrid",
-    "DomainError",
-    "DoubleCylinderSpec",
-    "FourierFunction",
-    "FuzzyMatrix",
-    "FuzzyRegError",
-    "FuzzySpace",
-    "GraphVertexSpec",
-    "InterpolationProfile",
-    "MatrixFourierFunction",
-    "MirrorProfile",
-    "PolyProfile",
-    "Profile",
-    "SmallUnitary",
-    "SplineProfile",
-    "StructureError",
-    "SweepReport",
-    "TransformReport",
-    "VertexParams",
-    "as_profile",
-    "block_transform",
-    "border_mask",
-    "build_circle_to_eight",
-    "build_clifford_torus",
-    "build_double_cylinder",
-    "build_generalized_cylinder",
-    "build_graph_vertex",
-    "build_immersed_cylinder",
-    "build_string_vertex",
-    "check_commutator_decay",
-    "check_norm_convergence",
-    "check_poisson_convergence",
-    "check_product_convergence",
-    "circle_to_eight_functions",
-    "close_caps",
-    "commutator",
-    "conjugate",
-    "default_vertex_cutoff",
-    "diagonalize_coordinate",
-    "direct_sum",
-    "export_classical_surface",
-    "function_unitary_conjugate",
-    "hermitianize",
-    "interior_max_entry",
-    "interlace",
-    "interlaced_double_cylinder_function",
-    "interlacing_unitary",
-    "interp_fourier_coeff",
-    "interpolated_angle_function",
-    "lift_constant_unitary",
-    "make_grid",
-    "make_profile",
-    "matrix_fn_commutator_sup",
-    "matrix_poly_transform",
-    "mirror_concat",
-    "mul",
-    "poisson_bracket",
-    "profile_from_dict",
-    "read_matrix",
-    "regularize_matrix",
-    "regularize_scalar",
-    "render_dot_matrix",
-    "semiclassical_residual",
-    "smooth_step",
-    "spline_h",
-    "surface_csv",
-    "toeplitz_basis",
-    "within_border_norm",
-    "write_matrix",
-    "z_order",
-    "z_order_inverse",
-]

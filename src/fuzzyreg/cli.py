@@ -253,16 +253,14 @@ def cmd_transform(args) -> int:
     space = build_space(cfg.get("space", {}), n=args.n)
     steps = cfg.get("transforms", [])
     log = []
-    singular = []
     batch = []
 
     def flush():
         nonlocal space
         if not batch:
             return
-        space, rep = matrix_poly_transform(space, list(batch), return_report=True)
-        log.extend(rep.steps)
-        singular.extend(rep.singular_rows)
+        space, done = matrix_poly_transform(space, list(batch))
+        log.extend(done)
         batch.clear()
 
     for step in steps:
@@ -289,7 +287,8 @@ def cmd_transform(args) -> int:
     flush()
     written = write_space_artifacts(
         space, args.out, fmt=args.format, threshold=args.threshold,
-        extra_meta={"transform_log": log, "singular_rows": singular},
+        extra_meta={"transform_log": log,
+                    "singular_rows": [r for s in log for r in s.get("singular_rows", ())]},
     )
     _print_written(args.out, written)
     return 0

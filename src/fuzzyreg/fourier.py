@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError
+from .errors import DomainError
 from .profiles import ComplexProfile
 
 _INTERVAL_TOL = 1e-12
@@ -97,11 +97,6 @@ class FourierFunction:
             out = out + c(qa) * np.exp(1j * n * pa)
         return out
 
-    def coeff_values(self, q):
-        """Evaluate all coefficients at q; returns {n: complex array}."""
-        qa = self._check_q(q)
-        return {n: c(qa) for n, c in self.coeffs.items()}
-
     def is_real_valued(self, q_samples=None, tol=1e-12) -> bool:
         """Check conj(f_n) = f_{-n} on a sample grid."""
         if q_samples is None:
@@ -123,10 +118,7 @@ class FourierFunction:
         )
 
     def d_q(self) -> "FourierFunction":
-        """q-derivative of every coefficient profile (exact)."""
-        for n, c in self.coeffs.items():
-            if not c.differentiable:
-                raise CapabilityError(f"coefficient of mode {n} is not differentiable")
+        """Exact q-derivative of every coefficient (CapabilityError if one is evaluation-only)."""
         return FourierFunction(
             self.interval, {n: c.derivative() for n, c in self.coeffs.items()}
         )
@@ -164,10 +156,6 @@ class FourierFunction:
         return FourierFunction(
             self.interval, {n: c for n, c in self.coeffs.items() if abs(n) <= delta}
         )
-
-    def shift_modes(self, k: int) -> "FourierFunction":
-        """Multiply by e^{i k phi}: coefficient n moves to n+k."""
-        return FourierFunction(self.interval, {n + k: c for n, c in self.coeffs.items()})
 
     # --- serialization ----------------------------------------------------------
 

@@ -116,9 +116,7 @@ def _table_values(table, q):
     Profiles, ComplexProfiles, or vectorized callables."""
     out = {}
     for n, v in table.items():
-        if isinstance(v, (Profile, ComplexProfile)):
-            out[int(n)] = np.asarray(v(q), dtype=complex)
-        elif callable(v):
+        if callable(v):
             out[int(n)] = np.asarray(v(q), dtype=complex)
         else:
             out[int(n)] = np.asarray(complex(v) + 0.0 * np.asarray(q, float), dtype=complex)

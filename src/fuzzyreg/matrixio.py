@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import DomainError, StructureError
 from .regularize import FuzzyMatrix
 
 MAGIC = b"FZMB"
@@ -30,17 +30,32 @@ def matrix_to_csv(M: FuzzyMatrix) -> str:
 
 
 def matrix_from_csv(text: str) -> FuzzyMatrix:
-    rows = []
-    for line in text.strip().splitlines()[1:]:
-        i, j, re, im = line.split(",")
-        rows.append((int(i), int(j), float(re), float(im)))
+    """Inverse of `matrix_to_csv`; a malformed or incomplete dump raises StructureError."""
+    lines = text.strip().splitlines()
+    if not lines or lines[0] != "row,col,re,im":
+        raise StructureError("matrix dump lacks its row,col,re,im header")
+    rows, cols, res, ims = [], [], [], []
+    for k, line in enumerate(lines[1:], start=2):
+        try:
+            i, j, re, im = line.split(",")
+            rows.append(int(i))
+            cols.append(int(j))
+            res.append(float(re))
+            ims.append(float(im))
+        except ValueError as exc:
+            raise StructureError(f"malformed matrix dump line {k}: {exc}") from None
     if not rows:
         raise StructureError("empty matrix dump")
-    dim = max(max(r[0], r[1]) for r in rows) + 1
-    out = np.zeros((dim, dim), dtype=complex)
-    for i, j, re, im in rows:
-        out[i, j] = re + 1j * im
-    return FuzzyMatrix(out, dim, 1)
+    dim = max(max(rows), max(cols)) + 1
+    if min(min(rows), min(cols)) < 0 or len(rows) != dim * dim:
+        raise StructureError(f"matrix dump needs each of the {dim}x{dim} entries once")
+    flat = np.array(rows) * dim + np.array(cols)
+    if np.any(np.bincount(flat) != 1):
+        raise StructureError("matrix dump repeats an entry")
+    out = np.zeros(dim * dim, dtype=complex)
+    out.real[flat] = res
+    out.imag[flat] = ims
+    return FuzzyMatrix(out.reshape(dim, dim), dim, 1)
 
 
 def matrix_to_bytes(M: FuzzyMatrix) -> bytes:
@@ -76,7 +91,7 @@ def write_matrix(path, M: FuzzyMatrix, fmt: str = "bin"):
         with open(path, "wb") as fh:
             fh.write(matrix_to_bytes(M))
     else:
-        raise ValueError(f"unknown matrix format {fmt!r}")
+        raise DomainError(f"unknown matrix format {fmt!r}")
 
 
 def read_matrix(path) -> FuzzyMatrix:
@@ -84,4 +99,8 @@ def read_matrix(path) -> FuzzyMatrix:
         blob = fh.read()
     if blob[:4] == MAGIC:
         return matrix_from_bytes(blob)
-    return matrix_from_csv(blob.decode())
+    try:
+        text = blob.decode()
+    except UnicodeDecodeError as exc:
+        raise StructureError(f"{path} is neither an FZMB nor a UTF-8 CSV dump: {exc}") from None
+    return matrix_from_csv(text)

@@ -25,8 +25,6 @@ def _asfloat(q):
 class Profile:
     """Base class: a real function of q with an optional exact derivative."""
 
-    differentiable = True
-
     def __call__(self, q):
         raise NotImplementedError
 
@@ -217,10 +215,6 @@ class ComposedProfile(Profile):
         self.scale = float(scale)
         self.shift = float(shift)
 
-    @property
-    def differentiable(self):
-        return self.outer.differentiable
-
     def __call__(self, q):
         return self.outer(self.scale * _asfloat(q) + self.shift)
 
@@ -241,10 +235,6 @@ class SumProfile(Profile):
     def __init__(self, terms):
         self.terms = tuple(terms)
 
-    @property
-    def differentiable(self):
-        return all(t.differentiable for t in self.terms)
-
     def __call__(self, q):
         qa = _asfloat(q)
         out = np.zeros(qa.shape)
@@ -263,10 +253,6 @@ class ProductProfile(Profile):
     def __init__(self, left: Profile, right: Profile):
         self.left = left
         self.right = right
-
-    @property
-    def differentiable(self):
-        return self.left.differentiable and self.right.differentiable
 
     def __call__(self, q):
         qa = _asfloat(q)
@@ -289,10 +275,6 @@ class ScaledProfile(Profile):
         self.factor = float(factor)
         self.base = base
 
-    @property
-    def differentiable(self):
-        return self.base.differentiable
-
     def __call__(self, q):
         return self.factor * self.base(_asfloat(q))
 
@@ -309,10 +291,6 @@ class MirrorProfile(Profile):
     def __init__(self, base: Profile, pivot: float):
         self.base = base
         self.pivot = float(pivot)
-
-    @property
-    def differentiable(self):
-        return self.base.differentiable
 
     def _fold(self, qa):
         return np.where(qa <= self.pivot, qa, 2.0 * self.pivot - qa)
@@ -353,8 +331,6 @@ class CallableProfile(Profile):
     (e.g. interpolated vertex coefficients) where no exact derivative tree
     is available.
     """
-
-    differentiable = False
 
     def __init__(self, fn, label: str = ""):
         self.fn = fn
@@ -455,10 +431,6 @@ class ComplexProfile:
             return cls(value)
         return cls.from_const(value)
 
-    @property
-    def differentiable(self):
-        return self.re.differentiable and self.im.differentiable
-
     def __call__(self, q):
         if self.fn is None:
             return self.re(q) + 1j * self.im(q)
@@ -533,8 +505,3 @@ def smooth_step() -> SplineProfile:
     if _h_spline is None:
         _h_spline = SplineProfile.pchip(_H_KNOTS_X, _H_KNOTS_Y)
     return _h_spline
-
-
-def spline_h(q):
-    """Evaluate the transition spline h at q (clamped outside [-1, 1])."""
-    return smooth_step()(q)

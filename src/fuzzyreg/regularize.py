@@ -58,10 +58,6 @@ class DiscretizingGrid:
         """Mean step constant; equals (q2-q1)/2 for the symmetric rule."""
         return 0.5 * (self.beta_left + self.beta_right)
 
-    def with_size(self, N: int) -> "DiscretizingGrid":
-        """Same rule and interval at a different size."""
-        return make_grid(N, self.interval, self.rule, cn=self.cn, cm=self.cm, c0=self.c0)
-
     def diagonal_values(self):
         k = np.arange(self.N)
         return self.q(k, k)
@@ -96,27 +92,6 @@ def make_grid(N: int, interval, rule: str = "symmetric", cn=None, cm=None, c0=No
 
 
 @dataclass(frozen=True)
-class BorderSpec:
-    """Width of the outer border ignored by within-border norms."""
-
-    delta: int
-
-    def __post_init__(self):
-        if self.delta < 0:
-            raise DomainError("border width must be non-negative")
-
-    @classmethod
-    def coerce(cls, value) -> "BorderSpec":
-        if isinstance(value, cls):
-            return value
-        return cls(int(value))
-
-    def check_against(self, dim: int):
-        if 2 * self.delta >= dim and self.delta > 0:
-            raise DomainError(f"border {self.delta} too large for dimension {dim}")
-
-
-@dataclass(frozen=True)
 class FuzzyMatrix:
     """Dense square complex matrix with its block layout: N blocks of size S.
 
@@ -147,16 +122,8 @@ class FuzzyMatrix:
     def is_hermitian(self, tol=1e-12) -> bool:
         return float(np.max(np.abs(self.data - self.data.conj().T))) <= tol
 
-    def dagger(self) -> "FuzzyMatrix":
-        return FuzzyMatrix(self.data.conj().T.copy(), self.N, self.S)
-
     def same_layout(self, other: "FuzzyMatrix") -> bool:
         return self.N == other.N and self.S == other.S
-
-    def block(self, n, m) -> np.ndarray:
-        """The S x S block at block position (n, m)."""
-        S = self.S
-        return self.data[n * S : (n + 1) * S, m * S : (m + 1) * S]
 
     def replace_data(self, data) -> "FuzzyMatrix":
         return FuzzyMatrix(np.array(data, dtype=complex), self.N, self.S)
@@ -214,11 +181,20 @@ def toeplitz_basis(a: int, N: int) -> FuzzyMatrix:
     return FuzzyMatrix(out, N, 1)
 
 
+def _border_width(M: FuzzyMatrix, delta) -> int:
+    """Width of the outer border ignored by within-border norms, checked
+    against M: it must be non-negative and leave an interior."""
+    d = int(delta)
+    if d < 0:
+        raise DomainError("border width must be non-negative")
+    if d and 2 * d >= M.dim:
+        raise DomainError(f"border {d} too large for dimension {M.dim}")
+    return d
+
+
 def border_mask(M: FuzzyMatrix, delta) -> FuzzyMatrix:
     """Zero every row and column within delta of the matrix edge."""
-    spec = BorderSpec.coerce(delta)
-    spec.check_against(M.dim)
-    d = spec.delta
+    d = _border_width(M, delta)
     if d == 0:
         return M
     out = np.array(M.data)
@@ -231,9 +207,7 @@ def border_mask(M: FuzzyMatrix, delta) -> FuzzyMatrix:
 
 def _interior_abs(M: FuzzyMatrix, delta) -> np.ndarray:
     """|entries| of the interior block (rows/cols delta..dim-delta)."""
-    spec = BorderSpec.coerce(delta)
-    spec.check_against(M.dim)
-    d = spec.delta
+    d = _border_width(M, delta)
     return np.abs(M.data[d : M.dim - d, d : M.dim - d] if d else M.data)
 
 

@@ -60,8 +60,3 @@ def render_dot_matrix(M: FuzzyMatrix, threshold: float = 0.1, cell: float = 10.0
             )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def write_svg(path, svg: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)

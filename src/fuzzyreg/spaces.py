@@ -37,15 +37,13 @@ class CurveSpec:
     x_series: FourierFunction
     y_series: FourierFunction
     z_beta: float = 1.0
-    closed: bool = True
 
     def __post_init__(self):
         for f in (self.x_series, self.y_series):
             if not _is_q_independent(f):
                 raise DomainError("curve series must be q-independent")
-        if self.closed:
-            if not (self.x_series.is_real_valued() and self.y_series.is_real_valued()):
-                raise StructureError("closed curves need real-valued x and y series")
+        if not (self.x_series.is_real_valued() and self.y_series.is_real_valued()):
+            raise StructureError("closed curves need real-valued x and y series")
 
     @classmethod
     def circle(cls, radius=1.0, interval=(0.0, 1.0)):
@@ -334,13 +332,8 @@ class GraphVertexSpec:
         return self._band(self.x_lower, self.lower_blocks, "x_lower")
 
 
-def build_graph_vertex(spec: GraphVertexSpec, N: int | None = None) -> FuzzySpace:
-    """Assemble the vertex band matrix and its diagonal z partner.
-
-    N, when given, must equal spec.dim (the flat dimension).
-    """
-    if N is not None and int(N) != spec.dim:
-        raise StructureError(f"N = {N} conflicts with spec.dim = {spec.dim}")
+def build_graph_vertex(spec: GraphVertexSpec) -> FuzzySpace:
+    """Assemble the vertex band matrix and its diagonal z partner."""
     D, n0 = spec.dim, spec.n0
     F = np.zeros((D, D), dtype=complex)
     ru = spec.upper_band()

@@ -115,11 +115,3 @@ def surface_csv(header, rows) -> str:
         cells = [f"{int(row[0])}"] + [f"{v:.10g}" for v in row[1:]]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def write_surface_csv(path, coords, grid=(33, 32), bound=1e-2):
-    header, rows = export_classical_surface(coords, grid=grid, bound=bound)
-    text = surface_csv(header, rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    return len(rows)

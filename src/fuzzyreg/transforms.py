@@ -9,7 +9,7 @@ sorted-eigenbasis transformation with a fixed phase convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,10 +62,13 @@ def direct_sum(s1: FuzzySpace, s2: FuzzySpace) -> FuzzySpace:
     return FuzzySpace(f"{s1.name}+{s2.name}", coords)
 
 
-def _z_perm(N: int, S: int) -> np.ndarray:
-    """perm[n*S + a] = a*N + n."""
+def _z_perm(dim: int, S: int) -> np.ndarray:
+    """perm[n*S + a] = a*N + n for dim = N*S; S must divide dim."""
+    if S < 1 or dim % S:
+        raise StructureError(f"dimension {dim} not divisible by S = {S}")
+    N = dim // S
     n = np.arange(N)
-    perm = np.empty(N * S, dtype=int)
+    perm = np.empty(dim, dtype=int)
     for a in range(S):
         perm[n * S + a] = a * N + n
     return perm
@@ -74,23 +77,17 @@ def _z_perm(N: int, S: int) -> np.ndarray:
 def z_order(M: FuzzyMatrix, S: int) -> FuzzyMatrix:
     """Reindex a direct-sum layout (a, n) into the interleaved layout (n, a)."""
     S = int(S)
-    if S < 1 or M.dim % S:
-        raise StructureError(f"dimension {M.dim} not divisible by S = {S}")
+    perm = _z_perm(M.dim, S)
     if S == 1:
         return M
-    N = M.dim // S
-    perm = _z_perm(N, S)
-    return FuzzyMatrix(M.data[np.ix_(perm, perm)], N, S)
+    return FuzzyMatrix(M.data[np.ix_(perm, perm)], M.dim // S, S)
 
 
 def z_order_inverse(M: FuzzyMatrix, S: int) -> FuzzyMatrix:
     S = int(S)
-    if S < 1 or M.dim % S:
-        raise StructureError(f"dimension {M.dim} not divisible by S = {S}")
+    inv = np.argsort(_z_perm(M.dim, S))
     if S == 1:
         return M
-    N = M.dim // S
-    inv = np.argsort(_z_perm(N, S))
     return FuzzyMatrix(M.data[np.ix_(inv, inv)], M.dim, 1)
 
 
@@ -184,25 +181,9 @@ def function_unitary_conjugate(
     return U.matmul(F).matmul(U.conjugate_transpose())
 
 
-@dataclass
-class TransformReport:
-    """What a recipe did: one record per step, with any singular rows."""
-
-    steps: list = field(default_factory=list)
-
-    def add(self, op: str, singular_rows=()):
-        self.steps.append({"op": op, "singular_rows": list(map(int, singular_rows))})
-
-    @property
-    def singular_rows(self):
-        out = []
-        for s in self.steps:
-            out.extend(s["singular_rows"])
-        return out
-
-
-def matrix_poly_transform(space: FuzzySpace, recipe, return_report: bool = False):
-    """Apply a list of coordinate-recipe steps and return the new space.
+def matrix_poly_transform(space: FuzzySpace, recipe):
+    """Apply a list of coordinate-recipe steps; return (new space, steps),
+    with one record {"op": ..., "singular_rows": [...]} per step.
 
     Step forms:
       {"op": "poly", "terms": [{"coeff": c, "indices": [i, ...]}, ...],
@@ -216,7 +197,7 @@ def matrix_poly_transform(space: FuzzySpace, recipe, return_report: bool = False
     Entrywise steps require the source coordinate to be diagonal.
     """
     coords = list(space.coordinates)
-    report = TransformReport()
+    steps = []
     for step in recipe:
         op = step.get("op")
         if op == "poly":
@@ -227,7 +208,7 @@ def matrix_poly_transform(space: FuzzySpace, recipe, return_report: bool = False
                     part = part @ coords[idx].data
                 acc += complex(term.get("coeff", 1.0)) * part
             new = FuzzyMatrix(acc, coords[0].N, coords[0].S)
-            report.add("poly")
+            bad = ()
         elif op == "reciprocal-diag":
             src = coords[step["source"]]
             offdiag = src.data - np.diag(np.diag(src.data))
@@ -242,18 +223,15 @@ def matrix_poly_transform(space: FuzzySpace, recipe, return_report: bool = False
             good = np.setdiff1d(np.arange(space.dim), bad)
             vals[good] = scale / denom[good]
             new = FuzzyMatrix(np.diag(vals), src.N, src.S)
-            report.add("reciprocal-diag", bad)
         else:
             raise DomainError(f"unknown recipe op {op!r}")
+        steps.append({"op": op, "singular_rows": [int(r) for r in bad]})
         target = step.get("target", "append")
         if target == "append":
             coords.append(new)
         else:
             coords[int(target)] = new
-    out = FuzzySpace(f"{space.name}*", tuple(coords), space.generators, space.grid)
-    if return_report:
-        return out, report
-    return out
+    return FuzzySpace(f"{space.name}*", tuple(coords), space.generators, space.grid), steps
 
 
 @dataclass(frozen=True)
@@ -261,7 +239,6 @@ class DiagonalizationReport:
     """Record of a sorted-eigenbasis transformation."""
 
     eigenvalues: np.ndarray
-    permutation: tuple
     policy: str
     residual: float
     identity: bool = False
@@ -297,10 +274,7 @@ def diagonalize_coordinate(space: FuzzySpace, index: int):
     diag = np.diag(A)
     offdiag_max = np.max(np.abs(A - np.diag(diag))) if M.dim > 1 else 0.0
     if offdiag_max == 0.0 and np.all(np.diff(diag.real) >= 0):
-        report = DiagonalizationReport(
-            diag.real.copy(), tuple(range(M.dim)), PHASE_POLICY, 0.0, identity=True
-        )
-        return space, report
+        return space, DiagonalizationReport(diag.real.copy(), PHASE_POLICY, 0.0, identity=True)
     if np.max(np.abs(A.imag)) < 1e-12:
         w, V = np.linalg.eigh(A.real)
         V = V.astype(complex)
@@ -315,5 +289,5 @@ def diagonalize_coordinate(space: FuzzySpace, index: int):
         raise StructureError(f"eigendecomposition residual too large: {residual:.2e}")
     P = FuzzyMatrix(V, M.N, M.S)
     coords = tuple(conjugate(c, P) for c in space.coordinates)
-    report = DiagonalizationReport(w, tuple(int(i) for i in order), PHASE_POLICY, residual)
+    report = DiagonalizationReport(w, PHASE_POLICY, residual)
     return space.with_coordinates(coords, name=f"diag({space.name})"), report

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import DomainError, StructureError
 from .fourier import (
-    FourierFunction,
     MatrixFourierFunction,
     _check_same_interval,
     mul,
@@ -180,34 +179,37 @@ def check_norm_convergence(builder, Ns, delta, label=None) -> SweepReport:
     )
 
 
-def _product_residual(f, g, rule, N, delta):
-    grid = make_grid(N, f.interval, rule)
-    Qf = regularize_scalar(f, grid)
-    Qg = regularize_scalar(g, grid)
-    Qfg = regularize_scalar(mul(f, g), grid)
-    resid = FuzzyMatrix((as_csr(Qf) @ as_csr(Qg)).toarray() - Qfg.data, N, 1)
-    return within_border_norm(resid, delta)
-
-
-def _auto_delta(f, g):
-    return f.cutoff + g.cutoff
-
-
-def check_product_convergence(f, g, rule="symmetric", Ns=(16, 32, 64), delta=None, label=None) -> SweepReport:
-    """Within-border norm of Q(f)Q(g) - Q(fg); first-order decay expected."""
-    delta = _auto_delta(f, g) if delta is None else int(delta)
-    values = [_product_residual(f, g, rule, int(n), delta) for n in Ns]
+def _first_order_sweep(kind, f, g, rule, Ns, delta, label, residual, scaling_note=""):
+    """Within-border norms of residual(grid, Q(f), Q(g)) over the schedule,
+    judged for first-order decay; delta defaults to the summed cutoffs."""
+    delta = f.cutoff + g.cutoff if delta is None else int(delta)
+    values = []
+    for n in Ns:
+        grid = make_grid(int(n), f.interval, rule)
+        Qf, Qg = regularize_scalar(f, grid), regularize_scalar(g, grid)
+        resid = FuzzyMatrix(residual(grid, Qf, Qg), grid.N, 1)
+        values.append(within_border_norm(resid, delta))
     verdicts = _ratio_verdicts(tuple(Ns), values, FIRST_ORDER_RATIO)
     return SweepReport(
-        builder_id=_builder_id(None, label or "product"),
-        criterion="product-convergence",
+        builder_id=str(label or kind),
+        criterion=f"{kind}-convergence",
         schedule=tuple(Ns),
         values=tuple(values),
         delta=delta,
         verdicts=tuple(verdicts),
         passed=all(verdicts),
         fitted_order=_fit_order(Ns, values),
+        scaling_note=scaling_note,
     )
+
+
+def check_product_convergence(f, g, rule="symmetric", Ns=(16, 32, 64), delta=None, label=None) -> SweepReport:
+    """Within-border norm of Q(f)Q(g) - Q(fg); first-order decay expected."""
+
+    def residual(grid, Qf, Qg):
+        return (as_csr(Qf) @ as_csr(Qg)).toarray() - regularize_scalar(mul(f, g), grid).data
+
+    return _first_order_sweep("product", f, g, rule, Ns, delta, label, residual)
 
 
 def check_poisson_convergence(f, g, rule="symmetric", Ns=(16, 32, 64), delta=None, label=None) -> SweepReport:
@@ -217,28 +219,15 @@ def check_poisson_convergence(f, g, rule="symmetric", Ns=(16, 32, 64), delta=Non
     prefactor -i (superdiagonal convention for e^{i phi}), so the rescaled
     combination above converges to zero; s(N) = N / (beta_left + beta_right).
     """
-    delta = _auto_delta(f, g) if delta is None else int(delta)
-    values = []
-    for n in Ns:
-        n = int(n)
-        grid = make_grid(n, f.interval, rule)
-        Qf = regularize_scalar(f, grid)
-        Qg = regularize_scalar(g, grid)
+
+    def residual(grid, Qf, Qg):
         comm = commutator(Qf, Qg)
-        s = n / (grid.beta_left + grid.beta_right)
+        s = grid.N / (grid.beta_left + grid.beta_right)
         target = regularize_scalar(poisson_bracket(f, g), grid)
-        resid = FuzzyMatrix(1j * s * comm.data - target.data, n, 1)
-        values.append(within_border_norm(resid, delta))
-    verdicts = _ratio_verdicts(tuple(Ns), values, FIRST_ORDER_RATIO)
-    return SweepReport(
-        builder_id=_builder_id(None, label or "poisson"),
-        criterion="poisson-convergence",
-        schedule=tuple(Ns),
-        values=tuple(values),
-        delta=delta,
-        verdicts=tuple(verdicts),
-        passed=all(verdicts),
-        fitted_order=_fit_order(Ns, values),
+        return 1j * s * comm.data - target.data
+
+    return _first_order_sweep(
+        "poisson", f, g, rule, Ns, delta, label, residual,
         scaling_note="s(N) = N/(beta_left+beta_right), bracket carried with -i/s(N)",
     )
 
@@ -248,7 +237,7 @@ def semiclassical_residual(f, g, rule="symmetric", N=64, delta=None) -> float:
     exact first-order term -(i/N) Q(beta_l f_phi g_q - beta_r f_q g_phi)
     (equal to -(i beta/N) Q({f, g}) on symmetric grids).  Second-order small
     for smooth coefficient profiles."""
-    delta = _auto_delta(f, g) if delta is None else int(delta)
+    delta = f.cutoff + g.cutoff if delta is None else int(delta)
     N = int(N)
     grid = make_grid(N, f.interval, rule)
     Qf = regularize_scalar(f, grid)
@@ -306,8 +295,3 @@ def matrix_fn_commutator_sup(F: MatrixFourierFunction, G: MatrixFourierFunction,
     comm = FV @ GV - GV @ FV
     svals = np.linalg.svd(comm, compute_uv=False)
     return float(np.max(svals))
-
-
-def scalar_pair(interval, f_coeffs, g_coeffs):
-    """Convenience: build two FourierFunctions on one interval from coeff dicts."""
-    return FourierFunction(interval, f_coeffs), FourierFunction(interval, g_coeffs)

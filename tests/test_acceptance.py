@@ -222,7 +222,7 @@ def test_criterion_10_parabola_pipeline():
             ],
             "target": 2,
         }]
-        bent = matrix_poly_transform(space, recipe)
+        bent, _ = matrix_poly_transform(space, recipe)
         target = bent.coordinates[2].data
         want_eigs = np.sort(np.linalg.eigvalsh(target))
         final, rep = diagonalize_coordinate(bent, 2)

@@ -48,12 +48,29 @@ class TestVertexCommand:
         assert meta["blocks"] == 10
         assert meta["interval"] == [-1.0, 3.0]
 
+    # every config under the subcommand it is written for, plus a build
+    DETERMINISM_JOBS = [
+        ["vertex", "--n", "8"],
+        ["vertex", "--config", "vertex_default.json"],
+        ["build", "--config", "eight_surface.json"],
+        ["transform", "--config", "parabola_transform.json"],
+        ["transform", "--config", "clifford_projection.json"],
+        ["sweep", "--config", "vertex_decay.json"],
+        ["surface", "--config", "eight_surface.json"],
+    ]
+
     def test_runs_are_byte_deterministic(self, tmp_path):
-        d1, d2 = tmp_path / "a", tmp_path / "b"
-        assert run_cli(["vertex", "--n", "8", "--out", str(d1)]) == 0
-        assert run_cli(["vertex", "--n", "8", "--out", str(d2)]) == 0
-        for name in os.listdir(d1):
-            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+        covered = {job[2] for job in self.DETERMINISM_JOBS if job[1] == "--config"}
+        assert covered == {p.name for p in CONFIGS.glob("*.json")}
+        for k, job in enumerate(self.DETERMINISM_JOBS):
+            argv = [str(CONFIGS / a) if a.endswith(".json") else a for a in job]
+            d1, d2 = tmp_path / f"{k}a", tmp_path / f"{k}b"
+            assert run_cli(argv + ["--out", str(d1)]) == 0, job
+            assert run_cli(argv + ["--out", str(d2)]) == 0, job
+            names = sorted(os.listdir(d1))
+            assert names == sorted(os.listdir(d2)) and len(names) >= 2, job
+            for name in names:
+                assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), (job, name)
 
 
 class TestBuildCommand:
@@ -207,6 +224,19 @@ class TestFailureModes:
         code = run_cli(["build", "--config", str(bad), "--out", str(tmp_path)])
         assert code == 1
         assert "config root" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        b"row,col,re,im\n0,0,1\n",
+        b"row,col,re,im\n0,0,x,0\n",
+        b"row,col,re,im\n0,0,\xff,0\n",
+    ], ids=["three-fields", "non-numeric", "not-utf8"])
+    def test_malformed_matrix_file(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        code = run_cli(["render", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_preset(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

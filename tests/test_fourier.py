@@ -11,7 +11,10 @@ from fuzzyreg import (
     DomainError,
     FourierFunction,
     MatrixFourierFunction,
+    MirrorProfile,
     PolyProfile,
+    VertexParams,
+    build_string_vertex,
     smooth_step,
 )
 from fuzzyreg.fourier import mul, poisson_bracket
@@ -105,10 +108,15 @@ class TestCalculus:
         fd = (f.eval(q + h, phi) - f.eval(q - h, phi)) / (2 * h)
         assert f.d_q().eval(q, phi) == pytest.approx(fd, abs=1e-5)
 
-    def test_d_q_requires_differentiable_profiles(self):
-        f = FourierFunction(IV, {0: ComplexProfile(CallableProfile(np.exp))})
+    @pytest.mark.parametrize("make", [
+        lambda: FourierFunction(IV, {0: ComplexProfile(CallableProfile(np.exp))}),
+        lambda: build_string_vertex(VertexParams(N=8)).generators[0].entry(0, 1),
+        lambda: FourierFunction(IV, {0: smooth_step().derivative()}),
+        lambda: FourierFunction(IV, {1: MirrorProfile(AffineProfile(0.0, 1.0), 0.5).derivative()}),
+    ], ids=["callable", "vertex-coefficient", "spline-derivative", "mirror-derivative"])
+    def test_d_q_requires_differentiable_profiles(self, make):
         with pytest.raises(CapabilityError):
-            f.d_q()
+            make().d_q()
 
     def test_d_phi_product_rule_is_exact(self):
         rng = np.random.default_rng(23)
@@ -209,15 +217,6 @@ class TestStructuralOps:
         for n in t.modes():
             assert abs(n) <= 2
             np.testing.assert_allclose(t.coeff(n)(0.5), f.coeff(n)(0.5))
-
-    def test_shift_modes(self):
-        rng = np.random.default_rng(15)
-        f = random_table(rng)
-        g = f.shift_modes(2)
-        qs, phis = grid_samples(IV)
-        np.testing.assert_allclose(
-            g.eval(qs, phis), f.eval(qs, phis) * np.exp(2j * phis), atol=1e-13
-        )
 
     def test_dict_round_trip(self):
         rng = np.random.default_rng(16)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fuzzyreg import (
+    DomainError,
     FuzzyMatrix,
     StructureError,
     read_matrix,
@@ -34,6 +35,10 @@ def test_csv_round_trip_is_lossless():
     back = matrix_from_csv(text)
     assert np.array_equal(back.data, M.data)
     assert back.dim == M.dim
+    special = np.array([[-0.0, complex(-0.0, -0.0)],
+                        [complex(1.0, np.inf), complex(np.nan, -np.inf)]])
+    back = matrix_from_csv(matrix_to_csv(FuzzyMatrix(special, 2, 1)))
+    assert back.data.tobytes() == special.tobytes()
 
 
 def test_csv_flattens_slot_structure():
@@ -89,5 +94,33 @@ def test_write_and_read_back(tmp_path, fmt):
 
 def test_write_matrix_rejects_unknown_format(tmp_path):
     rng = np.random.default_rng(47)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         write_matrix(tmp_path / "m.json", random_matrix(rng), "json")
+    assert isinstance(err.value, DomainError)
+    assert not (tmp_path / "m.json").exists()
+
+
+GOOD_CSV = b"row,col,re,im\n0,0,1,0\n0,1,2,0\n1,0,3,0\n1,1,4,0\n"
+
+
+@pytest.mark.parametrize("text", [
+    GOOD_CSV.replace(b"0,1,2,0", b"0,1,2"),
+    GOOD_CSV.replace(b"0,1,2,0", b"0,1,2,0,0"),
+    GOOD_CSV.replace(b"0,1,2,0", b"0,1,two,0"),
+    GOOD_CSV.replace(b"0,1,2,0", b"0,1.5,2,0"),
+    GOOD_CSV.replace(b"0,1,2,0", b"0,-1,2,0"),
+    GOOD_CSV.replace(b"0,1,2,0", b"0,1,\xff,0"),
+    GOOD_CSV.replace(b"row,col,re,im\n", b""),
+    GOOD_CSV.replace(b"0,1,2,0\n", b""),
+    GOOD_CSV.replace(b"0,1,2,0", b"0,0,2,0"),
+    GOOD_CSV.replace(b"0,1,2,0", b"0,99999999999999999999,2,0"),
+], ids=["three-fields", "five-fields", "non-numeric", "fractional-index", "negative-index",
+        "not-utf8", "no-header", "missing-entry", "duplicate-entry", "huge-index"])
+def test_malformed_csv_file_rejected(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text)
+    with pytest.raises(StructureError):
+        read_matrix(path)
+    if b"\xff" not in text:
+        with pytest.raises(StructureError):
+            matrix_from_csv(text.decode())

@@ -17,7 +17,6 @@ from fuzzyreg import (
     as_profile,
     profile_from_dict,
     smooth_step,
-    spline_h,
 )
 from fuzzyreg.profiles import CallableProfile
 
@@ -69,7 +68,7 @@ class TestSmoothStep:
             assert h(x) == pytest.approx(y, abs=1e-14)
 
     def test_value_between_knots(self):
-        assert spline_h(0.25) == pytest.approx(0.73, abs=1e-12)
+        assert smooth_step()(0.25) == pytest.approx(0.73, abs=1e-12)
 
     def test_clamped_outside(self):
         h = smooth_step()
@@ -78,7 +77,7 @@ class TestSmoothStep:
         np.testing.assert_array_equal(h(np.array([-2.0, 4.0])), [0.0, 1.0])
 
     def test_monotone(self):
-        vals = spline_h(np.linspace(-1, 1, 401))
+        vals = smooth_step()(np.linspace(-1, 1, 401))
         assert np.all(np.diff(vals) >= -1e-14)
 
     def test_derivative_matches_finite_differences(self):
@@ -147,7 +146,6 @@ class TestMirrorProfile:
 def test_callable_profile_evaluates_but_wont_differentiate():
     p = CallableProfile(lambda q: np.cos(q), label="cosine")
     assert p(0.0) == pytest.approx(1.0)
-    assert not p.differentiable
     with pytest.raises(CapabilityError):
         p.derivative()
 
@@ -303,6 +301,5 @@ class TestFromCallable:
 
     def test_evaluation_only(self):
         c, _ = self.make()
-        assert not c.differentiable
         with pytest.raises(CapabilityError):
             c.to_dict()

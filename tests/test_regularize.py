@@ -5,7 +5,6 @@ import pytest
 
 from fuzzyreg import (
     AffineProfile,
-    BorderSpec,
     ComplexProfile,
     DomainError,
     FourierFunction,
@@ -67,11 +66,8 @@ class TestMakeGrid:
         with pytest.raises(DomainError):
             make_grid(8, IV, "diagonal")
 
-    def test_with_size_and_diagonal_values(self):
+    def test_diagonal_values(self):
         g = make_grid(10, IV, "left")
-        g2 = g.with_size(20)
-        assert g2.N == 20 and g2.rule == "left"
-        assert g2.beta_left == pytest.approx(g.beta_left)
         np.testing.assert_allclose(g.diagonal_values(), np.arange(10) / 10.0)
 
 
@@ -187,7 +183,7 @@ class TestBorderHelpers:
         np.testing.assert_array_equal(out.data, np.diag([0.0, 1.0, 1.0, 0.0]))
 
     def test_mask_on_superdiagonal(self):
-        out = border_mask(toeplitz_basis(1, 5), BorderSpec(1))
+        out = border_mask(toeplitz_basis(1, 5), 1)
         expect = np.zeros((5, 5))
         expect[1, 2] = 1.0
         expect[2, 3] = 1.0
@@ -215,11 +211,13 @@ class TestBorderHelpers:
         assert interior_max_entry(M, 1) == 3.0
 
     def test_border_spec_validation(self):
-        with pytest.raises(DomainError):
-            BorderSpec(-1)
-        assert BorderSpec.coerce(3).delta == 3
-        spec = BorderSpec(2)
-        assert BorderSpec.coerce(spec) is spec
+        M = FuzzyMatrix(np.eye(6, dtype=complex), 6, 1)
+        for check in (border_mask, within_border_norm, interior_max_entry):
+            with pytest.raises(DomainError, match="non-negative"):
+                check(M, -1)
+            with pytest.raises(DomainError, match="too large"):
+                check(M, 3)
+        assert within_border_norm(M, 2.0) == 1.0
 
 
 class TestCommutator:
@@ -292,13 +290,6 @@ class TestFuzzyMatrix:
     def test_layout_validation(self):
         with pytest.raises(StructureError):
             FuzzyMatrix(np.eye(5, dtype=complex), 2, 2)
-
-    def test_block_and_dagger(self):
-        rng = np.random.default_rng(12)
-        M = FuzzyMatrix(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)), 3, 2)
-        np.testing.assert_array_equal(M.block(1, 2), M.data[2:4, 4:6])
-        np.testing.assert_allclose(M.dagger().data, M.data.conj().T)
-        assert M.same_layout(M.dagger())
 
     def test_replace_data(self):
         M = FuzzyMatrix(np.eye(4, dtype=complex), 4, 1)

@@ -12,7 +12,6 @@ from fuzzyreg import (
     regularize_scalar,
     render_dot_matrix,
 )
-from fuzzyreg.render import write_svg
 
 
 def matrix_of(data):
@@ -79,9 +78,3 @@ class TestRenderDotMatrix:
         data = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         M = matrix_of(data)
         assert render_dot_matrix(M) == render_dot_matrix(M)
-
-    def test_write_svg(self, tmp_path):
-        svg = render_dot_matrix(matrix_of(np.eye(3)))
-        path = tmp_path / "eye.svg"
-        write_svg(path, svg)
-        assert path.read_text(encoding="utf-8") == svg

@@ -22,7 +22,7 @@ from fuzzyreg import (
     interlaced_double_cylinder_function,
     make_grid,
     regularize_scalar,
-    spline_h,
+    smooth_step,
     within_border_norm,
 )
 
@@ -138,9 +138,10 @@ class TestCircleToEight:
         g = make_grid(N, (-1.0, 1.0))
         X = np.zeros((N, N), dtype=complex)
         Y = np.zeros((N, N), dtype=complex)
+        h = smooth_step()
         bands = (
-            (1, lambda q: 0.5 * (1 + 0.5 * spline_h(q)), lambda q: -0.5j * (1 - 0.5 * spline_h(q))),
-            (3, lambda q: 0.25 * spline_h(q), lambda q: -0.25j * spline_h(q)),
+            (1, lambda q: 0.5 * (1 + 0.5 * h(q)), lambda q: -0.5j * (1 - 0.5 * h(q))),
+            (3, lambda q: 0.25 * h(q), lambda q: -0.25j * h(q)),
         )
         for band, wx, wy in bands:
             for n in range(N - band):
@@ -169,11 +170,11 @@ class TestCircleToEight:
         space = build_circle_to_eight(N, "row-anchored")
         X, Y, Z = (c.data for c in space.coordinates)
         for n in range(N - 1):
-            h = spline_h(-1.0 + 2.0 * n / N)
+            h = smooth_step()(-1.0 + 2.0 * n / N)
             assert X[n, n + 1] == pytest.approx((1 + 0.5 * h) * 0.5, abs=1e-15)
             assert Y[n, n + 1] == pytest.approx(1j * (1 - 0.5 * h) * 0.5, abs=1e-15)
         for n in range(N - 3):
-            h = spline_h(-1.0 + 2.0 * n / N)
+            h = smooth_step()(-1.0 + 2.0 * n / N)
             assert X[n, n + 3] == pytest.approx(0.25 * h, abs=1e-15)
             assert Y[n, n + 3] == pytest.approx(0.25j * h, abs=1e-15)
         np.testing.assert_allclose(np.diag(Z).real, np.arange(N) / N, atol=1e-15)
@@ -342,8 +343,3 @@ class TestGraphVertex:
             build_graph_vertex(self.spec(r_upper=(1.0, 2.0)))
         space = build_graph_vertex(self.spec(r_upper=(1.0, 2.0, 3.0)))
         assert space.coordinates[0].data[1, 2] == 2.0
-
-    def test_size_argument_must_agree(self):
-        with pytest.raises(StructureError):
-            build_graph_vertex(self.spec(), N=10)
-        assert build_graph_vertex(self.spec(), N=12).dim == 12

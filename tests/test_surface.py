@@ -16,7 +16,7 @@ from fuzzyreg import (
     export_classical_surface,
     surface_csv,
 )
-from fuzzyreg.surface import check_commutation, write_surface_csv
+from fuzzyreg.surface import check_commutation
 
 IV = (-1.0, 3.0)
 
@@ -148,11 +148,10 @@ class TestCsv:
         assert lines[1] == "0,0.5,1.25,0.3333333333,1e-16"
         assert text.endswith("\n")
 
-    def test_write_surface_csv(self, tmp_path):
+    def test_write_surface_csv(self):
         X, Y, Z = diagonal_coords()
-        path = tmp_path / "sheets.csv"
-        count = write_surface_csv(path, (X, Y, Z), grid=(5, 4))
-        assert count == 5 * 4 * 2
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == count + 1
+        header, rows = export_classical_surface((X, Y, Z), grid=(5, 4))
+        assert len(rows) == 5 * 4 * 2
+        lines = surface_csv(header, rows).splitlines()
+        assert len(lines) == len(rows) + 1
         assert lines[0].startswith("sheet,")

@@ -32,7 +32,6 @@ from fuzzyreg import (
     semiclassical_residual,
     within_border_norm,
 )
-from fuzzyreg.verify import scalar_pair
 
 IV = (0.0, 1.0)
 
@@ -122,25 +121,27 @@ class TestNormConvergence:
 
 class TestProductConvergence:
     def test_angle_only_pair_is_exact(self):
-        f, g = scalar_pair(IV, {1: 0.5, -1: 0.5}, {1: -0.5j, -1: 0.5j})
+        f = FourierFunction(IV, {1: 0.5, -1: 0.5})
+        g = FourierFunction(IV, {1: -0.5j, -1: 0.5j})
         rep = check_product_convergence(f, g, Ns=(8, 16, 32))
         assert max(rep.values) <= 1e-15
         assert rep.passed
 
     def test_q_only_pair_is_exact(self):
-        f, g = scalar_pair(IV, {0: AffineProfile(0.0, 1.0)},
-                           {0: PolyProfile([0.0, 0.0, 1.0])})
+        f = FourierFunction(IV, {0: AffineProfile(0.0, 1.0)})
+        g = FourierFunction(IV, {0: PolyProfile([0.0, 0.0, 1.0])})
         rep = check_product_convergence(f, g, Ns=(8, 16, 32))
         assert max(rep.values) <= 1e-14
 
     def test_default_border_adds_the_cutoffs(self):
-        f, g = scalar_pair(IV, {1: AffineProfile(1.0, 1.0)}, {0: PolyProfile([0.0, 0.0, 1.0])})
+        f = FourierFunction(IV, {1: AffineProfile(1.0, 1.0)})
+        g = FourierFunction(IV, {0: PolyProfile([0.0, 0.0, 1.0])})
         rep = check_product_convergence(f, g, Ns=(8, 16))
         assert rep.delta == 1
 
     def test_first_order_decay(self):
-        f, g = scalar_pair(IV, {1: AffineProfile(1.0, 1.0)},
-                           {0: PolyProfile([0.0, 0.0, 1.0])})
+        f = FourierFunction(IV, {1: AffineProfile(1.0, 1.0)})
+        g = FourierFunction(IV, {0: PolyProfile([0.0, 0.0, 1.0])})
         rep = check_product_convergence(f, g, Ns=(40, 80, 160), delta=3)
         assert rep.passed
         v = rep.values
@@ -163,13 +164,14 @@ class TestProductConvergence:
 
 class TestPoissonConvergence:
     def test_height_and_phase_pair_is_exact(self):
-        f, g = scalar_pair(IV, {0: AffineProfile(0.0, 1.0)}, {1: 1.0})
+        f = FourierFunction(IV, {0: AffineProfile(0.0, 1.0)})
+        g = FourierFunction(IV, {1: 1.0})
         rep = check_poisson_convergence(f, g, Ns=(8, 16, 32))
         assert max(rep.values) <= 1e-13
         assert rep.passed
 
     def test_bracket_of_a_function_with_itself(self):
-        f, _ = scalar_pair(IV, {1: AffineProfile(1.0, 0.5)}, {})
+        f = FourierFunction(IV, {1: AffineProfile(1.0, 0.5)})
         rep = check_poisson_convergence(f, f, Ns=(8, 16))
         assert max(rep.values) <= 1e-13
 
@@ -188,13 +190,15 @@ class TestPoissonConvergence:
             assert value == pytest.approx(dense, rel=1e-9)
 
     def test_generic_pair_passes(self):
-        f, g = scalar_pair(IV, {1: 0.5, -1: 0.5}, {0: PolyProfile([0.0, 0.0, 1.0])})
+        f = FourierFunction(IV, {1: 0.5, -1: 0.5})
+        g = FourierFunction(IV, {0: PolyProfile([0.0, 0.0, 1.0])})
         rep = check_poisson_convergence(f, g, Ns=(16, 32, 64))
         assert rep.passed
         assert "s(N)" in rep.scaling_note
 
     def test_verdicts_ignore_overall_scale(self):
-        f, g = scalar_pair(IV, {1: 0.5, -1: 0.5}, {0: PolyProfile([0.0, 0.0, 1.0])})
+        f = FourierFunction(IV, {1: 0.5, -1: 0.5})
+        g = FourierFunction(IV, {0: PolyProfile([0.0, 0.0, 1.0])})
         base = check_poisson_convergence(f, g, Ns=(16, 32, 64))
         big = check_poisson_convergence(f * 5.0, g, Ns=(16, 32, 64))
         assert big.verdicts == base.verdicts
@@ -203,19 +207,20 @@ class TestPoissonConvergence:
 
 class TestSemiclassicalResidual:
     def test_angle_only_pair_vanishes(self):
-        f, g = scalar_pair(IV, {1: 0.5, -1: 0.5}, {2: 0.25, -2: 0.25})
+        f = FourierFunction(IV, {1: 0.5, -1: 0.5})
+        g = FourierFunction(IV, {2: 0.25, -2: 0.25})
         assert semiclassical_residual(f, g, "symmetric", N=24) <= 1e-15
 
     def test_second_order_decay(self):
-        f, g = scalar_pair(IV, {1: AffineProfile(1.0, 1.0)},
-                           {0: PolyProfile([0.0, 0.0, 1.0])})
+        f = FourierFunction(IV, {1: AffineProfile(1.0, 1.0)})
+        g = FourierFunction(IV, {0: PolyProfile([0.0, 0.0, 1.0])})
         r32 = semiclassical_residual(f, g, "symmetric", N=32, delta=3)
         r64 = semiclassical_residual(f, g, "symmetric", N=64, delta=3)
         assert r64 <= 0.35 * r32
 
     def test_triangle_inequality_against_the_product_residual(self):
-        f, g = scalar_pair(IV, {1: AffineProfile(1.0, 1.0)},
-                           {0: PolyProfile([0.0, 0.0, 1.0])})
+        f = FourierFunction(IV, {1: AffineProfile(1.0, 1.0)})
+        g = FourierFunction(IV, {0: PolyProfile([0.0, 0.0, 1.0])})
         N, delta = 32, 3
         grid = make_grid(N, IV, "symmetric")
         Qf = regularize_scalar(f, grid)
