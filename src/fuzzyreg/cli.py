@@ -46,7 +46,10 @@ _EXTENSIONS = {"bin": "fzmb", "csv": "csv"}
 
 def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:
+            raise DomainError(f"config {path} is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise DomainError("config root must be a JSON object")
     return cfg
@@ -75,39 +78,49 @@ def function_from_config(d: dict) -> FourierFunction:
     """{"interval": [q1, q2], "modes": {"-1": ..., "0": ..., "2": ...}}."""
     try:
         interval = tuple(float(v) for v in d["interval"])
-        modes = d["modes"]
-    except (KeyError, TypeError) as exc:
-        raise DomainError("function spec needs interval and modes") from exc
-    coeffs = {int(k): _coeff_arg(v) for k, v in modes.items()}
+        coeffs = {int(k): _coeff_arg(v) for k, v in d["modes"].items()}
+    except FuzzyRegError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DomainError(
+            f"function spec needs an interval and integer modes with numeric "
+            f"coefficients: {type(exc).__name__} {exc}"
+        ) from exc
     return FourierFunction(interval, coeffs)
 
 
+def _int_entries(values, what) -> tuple:
+    """A config list whose entries must all be integers, as a tuple of ints."""
+    try:
+        out = tuple(int(v) for v in values)
+        if out == tuple(values):
+            return out
+    except (TypeError, ValueError):
+        pass
+    raise DomainError(f"{what} entries must be integers, got {values!r}")
+
+
+# vertex config key -> (VertexParams field, conversion)
+_VERTEX_FIELDS = {
+    "r1": ("r1", float),
+    "r": ("r", float),
+    "x0": ("x0", _profile_arg),
+    "grid": ("rule", str),
+    "interval": ("interval", lambda v: tuple(float(x) for x in v)),
+    "N": ("N", int),
+    "cutoff": ("cutoff", int),
+}
+
+
 def vertex_params_from_config(cfg: dict, n=None, delta=None) -> VertexParams:
-    kw = {}
-    if "r1" in cfg:
-        kw["r1"] = float(cfg["r1"])
-    if "r" in cfg:
-        kw["r"] = float(cfg["r"])
-    if "x0" in cfg:
-        kw["x0"] = _profile_arg(cfg["x0"])
-    prof_kw = {}
+    """VertexParams from a vertex config; n and delta override N and cutoff."""
+    kw = {field: conv(cfg[key]) for key, (field, conv) in _VERTEX_FIELDS.items() if key in cfg}
     window = cfg.get("alpha", {})
-    if "q2" in window:
-        prof_kw["q2"] = float(window["q2"])
-    if "q3" in window:
-        prof_kw["q3"] = float(window["q3"])
+    prof_kw = {k: float(window[k]) for k in ("q2", "q3") if k in window}
     if "theta2" in cfg:
         prof_kw["mode"] = str(cfg["theta2"])
     if prof_kw:
         kw["profile"] = make_profile(**prof_kw)
-    if "grid" in cfg:
-        kw["rule"] = str(cfg["grid"])
-    if "interval" in cfg:
-        kw["interval"] = tuple(float(v) for v in cfg["interval"])
-    if "N" in cfg:
-        kw["N"] = int(cfg["N"])
-    if "cutoff" in cfg:
-        kw["cutoff"] = int(cfg["cutoff"])
     if n is not None:
         kw["N"] = int(n)
     if delta is not None:
@@ -139,7 +152,7 @@ def build_space(spec: dict, n=None) -> FuzzySpace:
         interval = tuple(float(v) for v in spec.get("interval", (-1.0, 3.0)))
         x0 = _profile_arg(spec.get("x0", [0.7, 0.3]))
         r = _profile_arg(spec.get("r", 1.0))
-        pair = build_double_cylinder(DoubleCylinderSpec.symmetric(interval, x0, r), N)
+        pair = build_double_cylinder(DoubleCylinderSpec(interval, x0, r), N)
         member = int(spec.get("member", 1))
         if member not in (1, 2):
             raise DomainError("double-cylinder member must be 1 or 2")
@@ -232,8 +245,7 @@ def cmd_build(args) -> int:
 
 def cmd_vertex(args) -> int:
     cfg = load_config(args.config) if args.config else {}
-    params_cfg = cfg.get("interpolation", cfg)
-    params = vertex_params_from_config(params_cfg, n=args.n, delta=args.delta)
+    params = vertex_params_from_config(cfg, n=args.n, delta=args.delta)
     space = build_string_vertex(params)
     written = write_space_artifacts(
         space, args.out, fmt=args.format, threshold=args.threshold,
@@ -296,7 +308,7 @@ def cmd_transform(args) -> int:
 
 def _sweep_report(cfg: dict, n=None, delta=None):
     kind = cfg.get("kind", "commutator-decay")
-    schedule = tuple(int(v) for v in cfg.get("schedule", (16, 32, 64)))
+    schedule = _int_entries(cfg.get("schedule", (16, 32, 64)), "sweep schedule")
     if delta is None and "delta" in cfg:
         delta = int(cfg["delta"])
     label = cfg.get("label")
@@ -368,7 +380,7 @@ def cmd_surface(args) -> int:
             "surface export needs a preset that carries coordinate functions"
         )
     scfg = cfg.get("surface", {})
-    grid = tuple(int(v) for v in scfg.get("grid", (33, 32)))
+    grid = _int_entries(scfg.get("grid", (33, 32)), "surface grid")
     bound = float(scfg.get("bound", 1e-2))
     header, rows = export_classical_surface(space.generators, grid=grid, bound=bound)
     os.makedirs(args.out, exist_ok=True)

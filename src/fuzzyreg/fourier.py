@@ -42,14 +42,6 @@ class FourierFunction:
     # --- constructors --------------------------------------------------------
 
     @classmethod
-    def constant(cls, interval, value=1.0):
-        return cls(interval, {0: ComplexProfile.from_const(value)})
-
-    @classmethod
-    def single_mode(cls, interval, n, coeff=1.0):
-        return cls(interval, {n: ComplexProfile.coerce(coeff)})
-
-    @classmethod
     def from_profile(cls, interval, profile):
         """phi-independent function f(q) as a mode-0 series."""
         return cls(interval, {0: ComplexProfile.coerce(profile)})
@@ -97,15 +89,13 @@ class FourierFunction:
             out = out + c(qa) * np.exp(1j * n * pa)
         return out
 
-    def is_real_valued(self, q_samples=None, tol=1e-12) -> bool:
-        """Check conj(f_n) = f_{-n} on a sample grid."""
-        if q_samples is None:
-            q_samples = np.linspace(self.interval[0], self.interval[1], 17)
-        qa = np.asarray(q_samples, dtype=float)
+    def is_real_valued(self) -> bool:
+        """Check conj(f_n) = f_{-n} to 1e-12 on 17 evenly spaced q."""
+        qa = np.linspace(self.interval[0], self.interval[1], 17)
         for n in self.coeffs:
             a = self.coeff(n)(qa)
             b = self.coeff(-n)(qa)
-            if np.max(np.abs(np.conj(a) - b)) > tol:
+            if np.max(np.abs(np.conj(a) - b)) > 1e-12:
                 return False
         return True
 
@@ -149,12 +139,6 @@ class FourierFunction:
         """Pointwise complex conjugate: coefficient n becomes conj(f_{-n})."""
         return FourierFunction(
             self.interval, {-n: c.conjugate() for n, c in self.coeffs.items()}
-        )
-
-    def truncate(self, delta: int) -> "FourierFunction":
-        """Drop modes with |n| > delta (explicit, never silent)."""
-        return FourierFunction(
-            self.interval, {n: c for n, c in self.coeffs.items() if abs(n) <= delta}
         )
 
     # --- serialization ----------------------------------------------------------
@@ -253,11 +237,10 @@ class MatrixFourierFunction:
         ]
         return MatrixFourierFunction(self.interval, rows)
 
-    def is_hermitian(self, q_samples=None, tol=1e-12) -> bool:
-        """Coefficient-level check F_{ab,n} = conj(F_{ba,-n}) on sampled q."""
-        if q_samples is None:
-            q_samples = np.linspace(self.interval[0], self.interval[1], 17)
-        qa = np.asarray(q_samples, dtype=float)
+    def is_hermitian(self) -> bool:
+        """Coefficient-level check F_{ab,n} = conj(F_{ba,-n}) to 1e-12 on 17
+        evenly spaced q."""
+        qa = np.linspace(self.interval[0], self.interval[1], 17)
         for a in range(self.S):
             for b in range(self.S):
                 e = self.entries[a][b]
@@ -265,7 +248,7 @@ class MatrixFourierFunction:
                 for n in set(e.coeffs) | {-m for m in other.coeffs}:
                     lhs = e.coeff(n)(qa)
                     rhs = np.conj(other.coeff(-n)(qa))
-                    if np.max(np.abs(lhs - rhs)) > tol:
+                    if np.max(np.abs(lhs - rhs)) > 1e-12:
                         return False
         return True
 
@@ -306,21 +289,6 @@ class MatrixFourierFunction:
         return self.map_entries(lambda e: e * scalar)
 
     __rmul__ = __mul__
-
-    def truncate(self, delta: int) -> "MatrixFourierFunction":
-        return self.map_entries(lambda e: e.truncate(delta))
-
-    def to_dict(self):
-        return {
-            "interval": list(self.interval),
-            "S": self.S,
-            "entries": [[e.to_dict() for e in row] for row in self.entries],
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        rows = [[FourierFunction.from_dict(e) for e in row] for row in d["entries"]]
-        return cls(tuple(d["interval"]), rows)
 
     def __repr__(self):
         return f"MatrixFourierFunction(S={self.S}, interval={self.interval})"

@@ -23,7 +23,6 @@ from .profiles import (
     CallableProfile,
     ComposedProfile,
     ComplexProfile,
-    MirrorProfile,
     Profile,
     as_profile,
     smooth_step,
@@ -48,42 +47,34 @@ class InterpolationProfile:
     beta: Profile
     q2: float
     q3: float
-    mode: str = "explicit-spline"
 
 
 def _step_profile(q2: float) -> Profile:
     return CallableProfile(lambda q: (np.asarray(q, float) >= q2).astype(float), "step")
 
 
-def make_profile(
-    mode: str = "explicit-spline",
-    h: Profile | None = None,
-    q2: float = 1.0,
-    q3: float = 2.0,
-    beta: Profile | None = None,
-    gamma: Profile | None = None,
-) -> InterpolationProfile:
-    """Build the transition profiles over [q2, q3].
+def make_profile(mode: str = "explicit-spline", q2: float = 1.0,
+                 q3: float = 2.0) -> InterpolationProfile:
+    """Build the transition profiles over [q2, q3] from the smooth step h.
 
     explicit-spline: theta2 = h((2q - q2 - q3)/(q3 - q2)), theta1 = 1 - theta2.
     derived-lambda: theta1 = -lam sin(pi alpha), theta2 = lam cos(pi alpha)
     with lam = 1/(cos(pi alpha) - sin(pi alpha)); then theta1 + theta2 = 1
     identically.  In both modes alpha = (theta-ramp - 1)/2, so alpha is exactly
-    -1/2 below q2 and exactly 0 above q3.  A collapsed window (q2 == q3)
-    degenerates to a hard step.
+    -1/2 below q2 and exactly 0 above q3; beta = alpha, and gamma = -pi alpha
+    cancels the outer e^{i pi alpha} so both window ends come out exact.  A
+    collapsed window (q2 == q3) degenerates to a hard step.
     """
     q2 = float(q2)
     q3 = float(q3)
     if q3 < q2:
         raise DomainError(f"transition window is reversed: [{q2}, {q3}]")
-    if h is None:
-        h = smooth_step()
     if q3 == q2:
         ramp: Profile = _step_profile(q2)
     else:
         scale = 2.0 / (q3 - q2)
         shift = -(q2 + q3) / (q3 - q2)
-        ramp = ComposedProfile(h, scale, shift)
+        ramp = ComposedProfile(smooth_step(), scale, shift)
     alpha = 0.5 * ramp - 0.5
 
     def _lam(q):
@@ -99,16 +90,7 @@ def make_profile(
         theta2 = CallableProfile(lambda q: _lam(q) * np.cos(np.pi * alpha(q)), "theta2")
     else:
         raise DomainError(f"unknown profile mode {mode!r}")
-    if beta is None:
-        beta = alpha
-    else:
-        beta = as_profile(beta)
-    if gamma is None:
-        # cancels the outer e^{i pi alpha} so both window ends come out exact
-        gamma = (-np.pi) * alpha
-    else:
-        gamma = as_profile(gamma)
-    return InterpolationProfile(alpha, theta1, theta2, lam, gamma, beta, q2, q3, mode)
+    return InterpolationProfile(alpha, theta1, theta2, lam, (-np.pi) * alpha, alpha, q2, q3)
 
 
 def _table_values(table, q):
@@ -133,7 +115,8 @@ def interp_fourier_coeff(f1_table, f2_table, profile: InterpolationProfile, m: i
             theta1 f_{1,n} e^{i pi (1/2 + beta) n} sinc(n - m + 1/2 + alpha)
           + theta2 f_{2,n} e^{i pi beta n}         sinc(n - m + alpha) ]
 
-    With the defaults beta = alpha and gamma = -pi alpha this reduces, via
+    With beta = alpha and gamma = -pi alpha, as `make_profile` sets them, this
+    reduces, via
     (-1)^(n-m) sinc(n-m+1/2+alpha) = cos(pi alpha)/(pi (n-m+1/2+alpha)) and
     (-1)^(n-m) sinc(n-m+alpha) = sin(pi alpha)/(pi (n-m+alpha)), to the plain
     1/pi pole form; the sinc writing is the analytic-limit branch, so exact
@@ -185,8 +168,8 @@ def interpolated_angle_function(f1_table, f2_table, profile: InterpolationProfil
 def _interp_coeff_profile(f1_table, f2_table, profile, m) -> ComplexProfile:
     """The mode-m blended coefficient as a profile of q.
 
-    One `interp_fourier_coeff` call per evaluation, of the profile or of its
-    conjugate; its .re/.im views (read by `mirror_concat`) call it once each.
+    One `interp_fourier_coeff` call per evaluation of the profile, of its
+    conjugate or of its mirror (`mirror_concat`); .re/.im call it once each.
     """
     return ComplexProfile.from_callable(
         lambda q: interp_fourier_coeff(f1_table, f2_table, profile, m, q), f"f_{m}"
@@ -248,7 +231,7 @@ def _slot_tables(p: VertexParams):
     xs, ys, _zs = circle_to_eight_functions(
         scalar_interval, p.r1, tr_scale, tr_shift, z_offset=0.0, z_scale=1.0
     )
-    pair = DoubleCylinderSpec.symmetric(p.interval, p.x0, as_profile(p.r))
+    pair = DoubleCylinderSpec(p.interval, p.x0, p.r)
     x2, y2 = pair.functions(2)
 
     def half_table(f: FourierFunction):
@@ -341,13 +324,7 @@ def mirror_concat(space: FuzzySpace, q_E: float) -> FuzzySpace:
     new_interval = (q1, 2.0 * q_E - q1)
 
     def mirror_fn(f: FourierFunction) -> FourierFunction:
-        return FourierFunction(
-            new_interval,
-            {
-                n: ComplexProfile(MirrorProfile(c.re, q_E), MirrorProfile(c.im, q_E))
-                for n, c in f.coeffs.items()
-            },
-        )
+        return FourierFunction(new_interval, {n: c.mirror(q_E) for n, c in f.coeffs.items()})
 
     mirrored = tuple(
         MatrixFourierFunction(

@@ -285,6 +285,11 @@ class ScaledProfile(Profile):
         return {"kind": "scaled", "factor": self.factor, "base": self.base.to_dict()}
 
 
+def _fold(qa, pivot: float):
+    """Reflect the arguments above pivot back below it."""
+    return np.where(qa <= pivot, qa, 2.0 * pivot - qa)
+
+
 class MirrorProfile(Profile):
     """base(q) below the pivot, base(2*pivot - q) above it."""
 
@@ -292,11 +297,8 @@ class MirrorProfile(Profile):
         self.base = base
         self.pivot = float(pivot)
 
-    def _fold(self, qa):
-        return np.where(qa <= self.pivot, qa, 2.0 * self.pivot - qa)
-
     def __call__(self, q):
-        return self.base(self._fold(_asfloat(q)))
+        return self.base(_fold(_asfloat(q), self.pivot))
 
     def derivative(self):
         return _MirrorDerivativeProfile(self)
@@ -314,7 +316,7 @@ class _MirrorDerivativeProfile(Profile):
 
     def __call__(self, q):
         qa = _asfloat(q)
-        vals = self._dbase(self.mirror._fold(qa))
+        vals = self._dbase(_fold(qa, self.mirror.pivot))
         return np.where(qa <= self.mirror.pivot, vals, -vals)
 
     def derivative(self):
@@ -389,11 +391,6 @@ def as_profile(value) -> Profile:
     raise TypeError(f"cannot interpret {value!r} as a profile")
 
 
-def is_zero_profile(p: Profile) -> bool:
-    """Structural zero test (constants only; no symbolic simplification)."""
-    return isinstance(p, ConstantProfile) and p.value == 0.0
-
-
 class ComplexProfile:
     """A complex-valued function of q stored as a (re, im) profile pair.
 
@@ -447,6 +444,17 @@ class ComplexProfile:
             return ComplexProfile.from_callable(lambda q: np.conj(fn(q)), f"conj {self.label}")
         return ComplexProfile(self.re, -self.im)
 
+    def mirror(self, pivot: float) -> "ComplexProfile":
+        """self(q) below the pivot, self(2*pivot - q) above it.
+
+        A from-callable profile folds q and calls its function once; a pair
+        mirrors each part, so its derivative and serialization carry over.
+        """
+        if self.fn is None:
+            return ComplexProfile(MirrorProfile(self.re, pivot), MirrorProfile(self.im, pivot))
+        fn, pivot = self.fn, float(pivot)
+        return ComplexProfile.from_callable(lambda q: fn(_fold(q, pivot)), f"mirror {self.label}")
+
     def __add__(self, other):
         other = ComplexProfile.coerce(other)
         return ComplexProfile(self.re + other.re, self.im + other.im)
@@ -474,7 +482,8 @@ class ComplexProfile:
         return ComplexProfile(-self.im, self.re)
 
     def is_zero(self) -> bool:
-        return is_zero_profile(self.re) and is_zero_profile(self.im)
+        """Structural zero test (constants only; no symbolic simplification)."""
+        return all(isinstance(p, ConstantProfile) and p.value == 0.0 for p in (self.re, self.im))
 
     def to_dict(self):
         return {"re": self.re.to_dict(), "im": self.im.to_dict()}

@@ -53,23 +53,17 @@ class DiscretizingGrid:
     def beta_right(self) -> float:
         return self.cm * self.N
 
-    @property
-    def beta(self) -> float:
-        """Mean step constant; equals (q2-q1)/2 for the symmetric rule."""
-        return 0.5 * (self.beta_left + self.beta_right)
-
     def diagonal_values(self):
         k = np.arange(self.N)
         return self.q(k, k)
 
 
-def make_grid(N: int, interval, rule: str = "symmetric", cn=None, cm=None, c0=None) -> DiscretizingGrid:
+def make_grid(N: int, interval, rule: str = "symmetric") -> DiscretizingGrid:
     """Build a discretizing grid.
 
     Rules:
-      symmetric     q(n,m) = q1 + (q2-q1)(n+m)/(2N)   (beta = (q2-q1)/2)
-      left          q(n,m) = q1 + (q2-q1) n/N         (beta_left = q2-q1, beta_right = 0)
-      custom-affine explicit cn, cm, c0
+      symmetric  q(n,m) = q1 + (q2-q1)(n+m)/(2N)   (beta_left = beta_right = (q2-q1)/2)
+      left       q(n,m) = q1 + (q2-q1) n/N         (beta_left = q2-q1, beta_right = 0)
     """
     N = int(N)
     if N < 2:
@@ -83,11 +77,6 @@ def make_grid(N: int, interval, rule: str = "symmetric", cn=None, cm=None, c0=No
         return DiscretizingGrid(N, (q1, q2), rule, q1, step, step)
     if rule == "left":
         return DiscretizingGrid(N, (q1, q2), rule, q1, span / N, 0.0)
-    if rule == "custom-affine":
-        if cn is None or cm is None:
-            raise DomainError("custom-affine rule needs cn and cm")
-        c0 = q1 if c0 is None else float(c0)
-        return DiscretizingGrid(N, (q1, q2), rule, c0, float(cn), float(cm))
     raise DomainError(f"unknown grid rule {rule!r}")
 
 
@@ -121,9 +110,6 @@ class FuzzyMatrix:
 
     def is_hermitian(self, tol=1e-12) -> bool:
         return float(np.max(np.abs(self.data - self.data.conj().T))) <= tol
-
-    def same_layout(self, other: "FuzzyMatrix") -> bool:
-        return self.N == other.N and self.S == other.S
 
     def replace_data(self, data) -> "FuzzyMatrix":
         return FuzzyMatrix(np.array(data, dtype=complex), self.N, self.S)
@@ -239,7 +225,7 @@ def commutator(A: FuzzyMatrix, B: FuzzyMatrix) -> FuzzyMatrix:
         raise StructureError(f"dimension mismatch {A.dim} vs {B.dim}")
     a, b = as_csr(A), as_csr(B)
     data = (a @ b - b @ a).toarray()
-    N, S = (A.N, A.S) if A.same_layout(B) else (A.dim, 1)
+    N, S = (A.N, A.S) if (A.N, A.S) == (B.N, B.S) else (A.dim, 1)
     return FuzzyMatrix(data, N, S)
 
 
@@ -283,11 +269,3 @@ class FuzzySpace:
             if not c.is_hermitian(tol):
                 raise StructureError(f"coordinate {k} of {self.name!r} is not Hermitian")
         return self
-
-    def with_coordinates(self, coords, name=None) -> "FuzzySpace":
-        return FuzzySpace(
-            name if name is not None else self.name,
-            tuple(coords),
-            self.generators,
-            self.grid,
-        )

@@ -28,11 +28,11 @@ def render_dot_matrix(M: FuzzyMatrix, threshold: float = 0.1, cell: float = 10.0
     dots; the rest get radius (cell/2) * sqrt(|entry| / max|entry|).
     """
     threshold = float(threshold)
-    if threshold < 0:
-        raise DomainError("threshold must be nonnegative")
+    if not threshold >= 0:
+        raise DomainError(f"threshold must be a nonnegative number, got {threshold}")
     cell = float(cell)
-    if cell <= 0:
-        raise DomainError("cell size must be positive")
+    if not 0 < cell < np.inf:
+        raise DomainError(f"cell size must be positive and finite, got {cell}")
     dim = M.dim
     side = dim * cell
     mags = np.abs(M.data)

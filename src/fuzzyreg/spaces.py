@@ -7,7 +7,7 @@ the fuzzy Clifford torus, and the graph-vertex band matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,61 +174,26 @@ def build_circle_to_eight(N: int, convention: str = "symmetric") -> FuzzySpace:
 
 @dataclass(frozen=True)
 class DoubleCylinderSpec:
-    """Two cylinders over one interval: x_i = x_i0 + r_ix cos, y_i = y_i0 + r_iy sin."""
+    """A mirror pair of cylinders over one interval.
+
+    Cylinder 2 has centre x0 and radius r: x2 = x0 + r cos, y2 = r sin.
+    Cylinder 1 is its negative (centre -x0, radius -r).  An asymmetric pair
+    is the `direct_sum` of two `build_immersed_cylinder` spaces.
+    """
 
     interval: tuple
-    x10: Profile
-    x20: Profile
-    r1x: Profile
-    r2x: Profile
-    r1y: Profile
-    r2y: Profile
-    y10: Profile = field(default_factory=lambda: ConstantProfile(0.0))
-    y20: Profile = field(default_factory=lambda: ConstantProfile(0.0))
-    mirror_symmetric: bool = False
-
-    def __post_init__(self):
-        if self.mirror_symmetric:
-            probe = np.linspace(self.interval[0], self.interval[1], 9)
-            pairs = (
-                (self.x10, self.x20),
-                (self.r1x, self.r2x),
-                (self.r1y, self.r2y),
-                (self.y10, self.y20),
-            )
-            for p1, p2 in pairs:
-                if np.max(np.abs(p1(probe) + p2(probe))) > 1e-12:
-                    raise StructureError("mirror-symmetric spec needs negated profile pairs")
-
-    @classmethod
-    def symmetric(cls, interval, x0: Profile, r: Profile) -> "DoubleCylinderSpec":
-        """Mirror pair: cylinder 1 = negative of cylinder 2 (centers +-x0, radii r)."""
-        x0 = as_profile(x0)
-        r = as_profile(r)
-        return cls(
-            interval=tuple(interval),
-            x10=-x0,
-            x20=x0,
-            r1x=-r,
-            r2x=r,
-            r1y=-r,
-            r2y=r,
-            mirror_symmetric=True,
-        )
+    x0: Profile
+    r: Profile
 
     def functions(self, i: int):
         """(x_i, y_i) as FourierFunctions for cylinder i in {1, 2}."""
-        x0 = self.x10 if i == 1 else self.x20
-        y0 = self.y10 if i == 1 else self.y20
-        rx = self.r1x if i == 1 else self.r2x
-        ry = self.r1y if i == 1 else self.r2y
+        x0, r = as_profile(self.x0), as_profile(self.r)
+        if i == 1:
+            x0, r = -x0, -r
         x = FourierFunction.from_profile(self.interval, x0) + FourierFunction.cosine(
-            self.interval, 1, rx
+            self.interval, 1, r
         )
-        y = FourierFunction.from_profile(self.interval, y0) + FourierFunction.sine(
-            self.interval, 1, ry
-        )
-        return x, y
+        return x, FourierFunction.sine(self.interval, 1, r)
 
 
 def build_double_cylinder(spec: DoubleCylinderSpec, N: int):
@@ -251,12 +216,9 @@ def build_double_cylinder(spec: DoubleCylinderSpec, N: int):
 def interlaced_double_cylinder_function(spec: DoubleCylinderSpec) -> tuple:
     """The 2x2 off-diagonal form of a mirror pair of cylinders.
 
-    Requires the mirror-symmetric spec; returns (X, Y, Z) matrix-valued
-    functions with X, Y antidiagonal (both slots carry cylinder 2's real
-    function) and Z = q times the identity block.
+    Returns (X, Y, Z) matrix-valued functions with X, Y antidiagonal (both
+    slots carry cylinder 2's real function) and Z = q times the identity block.
     """
-    if not spec.mirror_symmetric:
-        raise StructureError("interlaced form is defined for mirror-symmetric specs")
     x2, y2 = spec.functions(2)
     interval = spec.interval
     zero = FourierFunction(interval, {})

@@ -24,23 +24,26 @@ _DIAG_TOL = 1e-12
 
 
 def _sample_grid(interval, shape):
+    if len(shape) != 2 or min(shape) < 1:
+        raise DomainError(f"surface grid must be (nq, nphi) with at least one sample "
+                          f"per axis, got {shape}")
     nq, nphi = shape
-    if nq < 1 or nphi < 1:
-        raise DomainError("surface grid must have at least one sample per axis")
     q1, q2 = interval
     qs = np.linspace(q1, q2, nq)
     phis = np.linspace(0.0, 2.0 * np.pi, nphi, endpoint=False)
     return qs, phis
 
 
-def check_commutation(coords: Sequence[MatrixFourierFunction], bound: float,
-                      samples: int = 48):
-    """Pairwise sup-norm commutators; raise with a diagnostic above bound."""
+def check_commutation(coords: Sequence[MatrixFourierFunction], bound: float):
+    """Pairwise sup-norm commutators on a 48 x 48 (q, phi) grid; raise with a
+    diagnostic above bound.  bound = inf only measures."""
+    if not bound >= 0:
+        raise DomainError(f"commutation bound must be a nonnegative number, got {bound}")
     worst = 0.0
     worst_pair = None
     for i in range(len(coords)):
         for j in range(i + 1, len(coords)):
-            sup = matrix_fn_commutator_sup(coords[i], coords[j], samples=samples)
+            sup = matrix_fn_commutator_sup(coords[i], coords[j], samples=48)
             if sup > worst:
                 worst = sup
                 worst_pair = (i, j)
@@ -75,8 +78,7 @@ def _offdiag_abs(M: np.ndarray) -> np.ndarray:
 
 def export_classical_surface(coords: Sequence[MatrixFourierFunction],
                              grid: Tuple[int, int] = (33, 32),
-                             bound: float = 1e-2,
-                             commutator_samples: int = 48):
+                             bound: float = 1e-2):
     """Rows (sheet, q, phi, x_1..x_d, offdiag) for the diagonalized sheets.
 
     Returns (header, rows) where rows is a list of float tuples.  The first
@@ -92,8 +94,8 @@ def export_classical_surface(coords: Sequence[MatrixFourierFunction],
     for c in coords[1:]:
         if c.S != S or c.interval != interval:
             raise DomainError("coordinate functions must share block size and interval")
-    check_commutation(coords, bound, samples=commutator_samples)
     qs, phis = _sample_grid(interval, grid)
+    check_commutation(coords, bound)
     # (d, nq, nphi, S, S); coefficients are evaluated once per q, not per sample
     values = np.stack([c.eval(qs[:, None], phis[None, :]) for c in coords])
     A = values[_pick_resolving(values)]

@@ -165,10 +165,8 @@ def block_transform(M: FuzzyMatrix, U: SmallUnitary, n0: int) -> FuzzyMatrix:
     return conjugate(FuzzyMatrix(M.data, N, S), V)
 
 
-def function_unitary_conjugate(
-    F: MatrixFourierFunction, U: MatrixFourierFunction, check_tol: float = 1e-10
-) -> MatrixFourierFunction:
-    """U F U† at coefficient level; U must be pointwise unitary on samples."""
+def function_unitary_conjugate(F: MatrixFourierFunction, U: MatrixFourierFunction):
+    """U F U† at coefficient level; U must be pointwise unitary (to 1e-10) on samples."""
     if U.S != F.S:
         raise StructureError("size mismatch between U and F")
     qs = np.linspace(F.interval[0], F.interval[1], 17)
@@ -176,7 +174,7 @@ def function_unitary_conjugate(
     vals = U.eval(qs[:, None], phis[None, :])
     gram = vals @ np.conj(np.swapaxes(vals, -1, -2))
     err = np.max(np.abs(gram - np.eye(U.S)))
-    if err > check_tol:
+    if err > 1e-10:
         raise StructureError(f"U is not pointwise unitary (deviation {err:.2e})")
     return U.matmul(F).matmul(U.conjugate_transpose())
 
@@ -290,4 +288,4 @@ def diagonalize_coordinate(space: FuzzySpace, index: int):
     P = FuzzyMatrix(V, M.N, M.S)
     coords = tuple(conjugate(c, P) for c in space.coordinates)
     report = DiagonalizationReport(w, PHASE_POLICY, residual)
-    return space.with_coordinates(coords, name=f"diag({space.name})"), report
+    return FuzzySpace(f"diag({space.name})", coords, space.generators, space.grid), report

@@ -55,6 +55,8 @@ class SweepReport:
 
     def __post_init__(self):
         sched = tuple(int(n) for n in self.schedule)
+        if not sched:
+            raise DomainError("sweep schedule must not be empty")
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise DomainError("sweep schedule must be strictly increasing")
         vals = tuple(float(v) for v in self.values)

@@ -8,16 +8,14 @@ vertex tests compare against independent code paths.
 
 import numpy as np
 
-from fuzzyreg import (
-    ComplexProfile,
+from fuzzyreg.fourier import FourierFunction
+from fuzzyreg.profiles import ComplexProfile
+from fuzzyreg.regularize import make_grid, regularize_matrix, regularize_scalar
+from fuzzyreg.spaces import (
     CurveSpec,
     DoubleCylinderSpec,
-    FourierFunction,
     circle_to_eight_functions,
     interlaced_double_cylinder_function,
-    make_grid,
-    regularize_matrix,
-    regularize_scalar,
 )
 
 
@@ -58,7 +56,7 @@ def scalar_zone_reference(p):
 
 def interlaced_zone_reference(p, grid):
     """Regularized interlaced double cylinder on the vertex grid."""
-    spec = DoubleCylinderSpec.symmetric(p.interval, p.x0, p.r)
+    spec = DoubleCylinderSpec(p.interval, p.x0, p.r)
     X, Y, Z = interlaced_double_cylinder_function(spec)
     return tuple(regularize_matrix(F, grid) for F in (X, Y, Z))
 

@@ -10,41 +10,45 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from fuzzyreg import (
-    AffineProfile,
-    CurveSpec,
-    FourierFunction,
-    FuzzySpace,
-    GraphVertexSpec,
-    MatrixFourierFunction,
-    PolyProfile,
+from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction, mul, poisson_bracket
+from fuzzyreg.interpolate import (
     VertexParams,
-    block_transform,
-    build_generalized_cylinder,
-    build_graph_vertex,
+    _slot_tables,
     build_string_vertex,
-    check_commutator_decay,
-    check_product_convergence,
-    commutator,
     default_vertex_cutoff,
-    diagonalize_coordinate,
-    interlace,
-    interlacing_unitary,
     interp_fourier_coeff,
-    make_grid,
     make_profile,
-    matrix_poly_transform,
-    mul,
-    poisson_bracket,
+)
+from fuzzyreg.profiles import AffineProfile, PolyProfile
+from fuzzyreg.regularize import (
+    FuzzySpace,
+    commutator,
+    make_grid,
     regularize_matrix,
     regularize_scalar,
-    semiclassical_residual,
     within_border_norm,
+)
+from fuzzyreg.spaces import (
+    CurveSpec,
+    GraphVertexSpec,
+    build_generalized_cylinder,
+    build_graph_vertex,
+)
+from fuzzyreg.transforms import (
+    block_transform,
+    diagonalize_coordinate,
+    direct_sum_matrices,
+    interlace,
+    interlacing_unitary,
+    matrix_poly_transform,
     z_order,
     z_order_inverse,
 )
-from fuzzyreg.interpolate import _slot_tables
-from fuzzyreg.transforms import direct_sum_matrices
+from fuzzyreg.verify import (
+    check_commutator_decay,
+    check_product_convergence,
+    semiclassical_residual,
+)
 
 from refs import (
     interlaced_zone_reference,

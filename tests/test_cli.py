@@ -238,6 +238,48 @@ class TestFailureModes:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text", [
+        '{"sweep": {"kind": "product", ',
+        '{"sweep": {"kind": "product", "f": {"interval": [0, 1], "modes": {"one": 1.0}}, '
+        '"g": {"interval": [0, 1], "modes": {"1": 1.0}}}}',
+        '{"sweep": {"kind": "product", "f": {"interval": [0, 1], "modes": {"1": "1+"}}, '
+        '"g": {"interval": [0, 1], "modes": {"1": 1.0}}}}',
+        '{"sweep": {"kind": "commutator-decay", "schedule": [16, "x"]}}',
+        '{"sweep": {"kind": "commutator-decay", "schedule": [16, 32.5]}}',
+        '{"sweep": {"kind": "commutator-decay", "schedule": []}}',
+    ], ids=["truncated-json", "non-integer-mode", "bad-coefficient", "non-integer-schedule",
+            "fractional-schedule", "empty-schedule"])
+    def test_malformed_sweep_config(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        code = run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
+
+    # the eight commutes, so only the grid can fail; the vertex (x-y sup 1.25)
+    # must not pass a NaN bound
+    @pytest.mark.parametrize("space, surface", [
+        ({"preset": "immersed-circle-to-eight", "n": 8}, {"grid": [3, 4, 5]}),
+        ({"preset": "string-vertex", "N": 8}, {"bound": float("nan")}),
+    ], ids=["three-entry-grid", "nan-bound"])
+    def test_malformed_surface_config(self, tmp_path, capsys, space, surface):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"space": space, "surface": surface}), encoding="utf-8")
+        code = run_cli(["surface", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
+
+    def test_nan_render_threshold(self, tmp_path, capsys):
+        assert run_cli(["build", "--n", "4", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        code = run_cli(["render", str(tmp_path / "generalized-cylinder-x1.fzmb"),
+                        "--threshold", "nan", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_preset(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"space": {"preset": "torus"}}), encoding="utf-8")

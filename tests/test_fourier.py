@@ -3,22 +3,18 @@
 import numpy as np
 import pytest
 
-from fuzzyreg import (
+from fuzzyreg.errors import CapabilityError, DomainError
+from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction, mul, poisson_bracket
+from fuzzyreg.interpolate import VertexParams, build_string_vertex
+from fuzzyreg.profiles import (
     AffineProfile,
-    CapabilityError,
+    CallableProfile,
     ComplexProfile,
     ComposedProfile,
-    DomainError,
-    FourierFunction,
-    MatrixFourierFunction,
     MirrorProfile,
     PolyProfile,
-    VertexParams,
-    build_string_vertex,
     smooth_step,
 )
-from fuzzyreg.fourier import mul, poisson_bracket
-from fuzzyreg.profiles import CallableProfile
 
 IV = (0.0, 1.0)
 
@@ -45,11 +41,11 @@ def random_table(rng, interval=IV, max_mode=3, n_modes=3, poly=False):
 
 class TestEvaluation:
     def test_constant(self):
-        f = FourierFunction.constant(IV, 2.0)
+        f = FourierFunction.from_profile(IV, 2.0)
         assert f.eval(0.3, 1.2) == pytest.approx(2.0)
 
     def test_single_mode_quarter_turn(self):
-        f = FourierFunction.single_mode(IV, 1)
+        f = FourierFunction(IV, {1: 1.0})
         assert f.eval(0.25, np.pi / 2) == pytest.approx(1j)
 
     def test_matches_direct_mode_sum(self):
@@ -80,7 +76,7 @@ class TestEvaluation:
             FourierFunction((1.0, 1.0), {})
 
     def test_eval_outside_interval_rejected(self):
-        f = FourierFunction.constant(IV)
+        f = FourierFunction.from_profile(IV, 1.0)
         with pytest.raises(DomainError):
             f.eval(1.5, 0.0)
 
@@ -163,7 +159,7 @@ class TestProducts:
 class TestPoissonBracket:
     def test_height_against_single_mode(self):
         qfn = FourierFunction.from_profile(IV, AffineProfile(0.0, 1.0))
-        e1 = FourierFunction.single_mode(IV, 1)
+        e1 = FourierFunction(IV, {1: 1.0})
         pb = poisson_bracket(qfn, e1)
         assert sorted(pb.modes()) == [1]
         assert pb.coeff(1)(0.4) == pytest.approx(-1j)
@@ -198,7 +194,7 @@ class TestStructuralOps:
         assert f.is_real_valued()
         qs, phis = grid_samples(IV, nq=64, nphi=64)
         assert np.max(np.abs(f.eval(qs, phis).imag)) < 1e-12
-        assert not FourierFunction.single_mode(IV, 1).is_real_valued()
+        assert not FourierFunction(IV, {1: 1.0}).is_real_valued()
 
     def test_conjugate(self):
         rng = np.random.default_rng(13)
@@ -208,15 +204,6 @@ class TestStructuralOps:
         np.testing.assert_allclose(fc.eval(qs, phis), np.conj(f.eval(qs, phis)), atol=1e-14)
         for n in f.modes():
             np.testing.assert_allclose(fc.coeff(-n)(0.3), np.conj(f.coeff(n)(0.3)))
-
-    def test_truncate(self):
-        rng = np.random.default_rng(14)
-        f = random_table(rng, max_mode=4, n_modes=5)
-        t = f.truncate(2)
-        assert t.cutoff <= 2
-        for n in t.modes():
-            assert abs(n) <= 2
-            np.testing.assert_allclose(t.coeff(n)(0.5), f.coeff(n)(0.5))
 
     def test_dict_round_trip(self):
         rng = np.random.default_rng(16)
@@ -228,7 +215,7 @@ class TestStructuralOps:
 
 class TestMatrixFourierFunction:
     def make_hermitian_pair(self):
-        f = FourierFunction.single_mode(IV, 1, ComplexProfile(AffineProfile(1.0, 0.5)))
+        f = FourierFunction(IV, {1: ComplexProfile(AffineProfile(1.0, 0.5))})
         zero = FourierFunction(IV, {})
         return MatrixFourierFunction(IV, [[zero, f], [f.conjugate(), zero]])
 
@@ -238,7 +225,7 @@ class TestMatrixFourierFunction:
             MatrixFourierFunction(IV, [[zero, zero], [zero]])
 
     def test_none_entries_mean_zero(self):
-        f = FourierFunction.constant(IV)
+        f = FourierFunction.from_profile(IV, 1.0)
         M = MatrixFourierFunction(IV, [[f, None], [None, f]])
         assert M.entry(0, 1).modes() == []
 
@@ -257,7 +244,7 @@ class TestMatrixFourierFunction:
         M = self.make_hermitian_pair()
         assert M.is_hermitian()
         skew = MatrixFourierFunction(
-            IV, [[None, FourierFunction.constant(IV)], [None, None]]
+            IV, [[None, FourierFunction.from_profile(IV, 1.0)], [None, None]]
         )
         assert not skew.is_hermitian()
 
@@ -278,16 +265,9 @@ class TestMatrixFourierFunction:
             A.matmul(B).eval(qs, phis), A.eval(qs, phis) @ B.eval(qs, phis), atol=1e-12
         )
 
-    def test_scalar_algebra_and_truncate(self):
+    def test_scalar_algebra(self):
         M = self.make_hermitian_pair()
         qs, phis = grid_samples(IV, nq=3, nphi=4)
         np.testing.assert_allclose((M * 2.0).eval(qs, phis), 2.0 * M.eval(qs, phis))
         np.testing.assert_allclose((M + M).eval(qs, phis), 2.0 * M.eval(qs, phis))
         np.testing.assert_allclose((M - M).eval(qs, phis), 0.0)
-        assert M.truncate(0).cutoff == 0
-
-    def test_dict_round_trip(self):
-        M = self.make_hermitian_pair()
-        clone = MatrixFourierFunction.from_dict(M.to_dict())
-        qs, phis = grid_samples(IV, nq=3, nphi=4)
-        np.testing.assert_allclose(clone.eval(qs, phis), M.eval(qs, phis), atol=1e-15)

@@ -4,28 +4,30 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from fuzzyreg import (
-    AffineProfile,
-    CapabilityError,
-    ComposedProfile,
-    ConstantProfile,
-    DomainError,
-    FuzzySpace,
-    PolyProfile,
+from fuzzyreg.errors import CapabilityError, DomainError
+from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction
+from fuzzyreg.interpolate import (
     VertexParams,
+    _slot_tables,
     build_string_vertex,
-    check_commutator_decay,
     close_caps,
     default_vertex_cutoff,
     interp_fourier_coeff,
     interpolated_angle_function,
     make_profile,
-    matrix_fn_commutator_sup,
     mirror_concat,
-    regularize_matrix,
+)
+from fuzzyreg.profiles import (
+    AffineProfile,
+    ComplexProfile,
+    ComposedProfile,
+    ConstantProfile,
+    MirrorProfile,
+    PolyProfile,
     smooth_step,
 )
-from fuzzyreg.interpolate import _slot_tables
+from fuzzyreg.regularize import FuzzySpace, regularize_matrix
+from fuzzyreg.verify import check_commutator_decay, matrix_fn_commutator_sup
 
 from refs import interlaced_zone_reference, scalar_zone_reference, zone_masks
 
@@ -403,6 +405,39 @@ class TestMirrorConcat:
             for m in f1.modes():
                 diff = np.abs(f1.coeffs[m](qs) - f2.coeffs[m](qs))
                 assert np.max(diff) == 0.0
+
+    def test_each_mirrored_coefficient_calls_the_blend_once(self, monkeypatch):
+        import fuzzyreg.interpolate as interpolate
+
+        v = self.make_vertex(N=30)
+        c = v.generators[0].cutoff
+        calls = []
+        coeff = interpolate.interp_fourier_coeff
+
+        def counted_coeff(*args):
+            calls.append(args[3])
+            return coeff(*args)
+
+        monkeypatch.setattr(interpolate, "interp_fourier_coeff", counted_coeff)
+        mirror_concat(v, 2.5)
+        # x01, x10, y01, y10: one call per (entry, band), as in the build
+        assert len(calls) == 4 * (2 * c + 1) == 44
+
+    def test_mirrored_coordinates_equal_the_mirrored_parts_bitwise(self):
+        v = self.make_vertex(N=30)
+        q_E = 2.5
+        mir = mirror_concat(v, q_E)
+
+        def mirror_parts(f):
+            return FourierFunction(mir.grid.interval, {
+                n: ComplexProfile(MirrorProfile(c.re, q_E), MirrorProfile(c.im, q_E))
+                for n, c in f.coeffs.items()})
+
+        for F, M in zip(v.generators, mir.coordinates):
+            G = MatrixFourierFunction(mir.grid.interval,
+                                      [[mirror_parts(e) for e in row] for row in F.entries])
+            want = regularize_matrix(G, mir.grid)
+            assert M.data.tobytes() == want.data.tobytes()
 
     def test_requires_generators_and_grid(self):
         v = self.make_vertex()

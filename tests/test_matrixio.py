@@ -5,20 +5,17 @@ import struct
 import numpy as np
 import pytest
 
-from fuzzyreg import (
-    DomainError,
-    FuzzyMatrix,
-    StructureError,
-    read_matrix,
-    write_matrix,
-)
+from fuzzyreg.errors import DomainError, StructureError
 from fuzzyreg.matrixio import (
     MAGIC,
     matrix_from_bytes,
     matrix_from_csv,
     matrix_to_bytes,
     matrix_to_csv,
+    read_matrix,
+    write_matrix,
 )
+from fuzzyreg.regularize import FuzzyMatrix
 
 
 def random_matrix(rng, N=7, S=1):

@@ -6,18 +6,20 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzyreg import (
+from fuzzyreg.fourier import FourierFunction
+from fuzzyreg.profiles import (
     AffineProfile,
     ComplexProfile,
     ComposedProfile,
     ConstantProfile,
-    FourierFunction,
     MirrorProfile,
     PolyProfile,
+    ProductProfile,
+    ScaledProfile,
     SplineProfile,
+    SumProfile,
     profile_from_dict,
 )
-from fuzzyreg.profiles import ProductProfile, ScaledProfile, SumProfile
 
 IV = (-2.0, 2.0)
 QS = np.linspace(-2.0, 2.0, 17)

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from fuzzyreg import (
+from fuzzyreg.errors import CapabilityError, DomainError
+from fuzzyreg.fourier import FourierFunction
+from fuzzyreg.profiles import (
     AffineProfile,
-    CapabilityError,
+    CallableProfile,
     ComplexProfile,
     ComposedProfile,
     ConstantProfile,
-    DomainError,
-    FourierFunction,
     MirrorProfile,
     PolyProfile,
     SplineProfile,
@@ -18,7 +18,6 @@ from fuzzyreg import (
     profile_from_dict,
     smooth_step,
 )
-from fuzzyreg.profiles import CallableProfile
 
 
 def fd(p, q, h=1e-6):
@@ -255,6 +254,15 @@ class TestComplexProfile:
         c = ComplexProfile(PolyProfile([0.0, 0.0, 1.0]), AffineProfile(0.0, 3.0))
         assert c.derivative()(2.0) == pytest.approx(4.0 + 3.0j)
 
+    def test_mirror_of_a_pair_keeps_derivative_and_serialization(self):
+        c = ComplexProfile(AffineProfile(1.0, 2.0), PolyProfile([0.0, 0.0, 1.0]))
+        m = c.mirror(1.0)
+        assert isinstance(m.re, MirrorProfile) and isinstance(m.im, MirrorProfile)
+        qs = np.array([0.25, 1.75])
+        np.testing.assert_allclose(m(qs), c(np.array([0.25, 0.25])), atol=1e-15)
+        np.testing.assert_allclose(m.derivative()(qs), [2.0 + 0.5j, -2.0 - 0.5j], atol=1e-15)
+        assert ComplexProfile.from_dict(m.to_dict()).to_dict() == m.to_dict()
+
     def test_dict_round_trip(self):
         c = ComplexProfile(AffineProfile(0.3, 0.7), ConstantProfile(-1.0))
         clone = ComplexProfile.from_dict(c.to_dict())
@@ -298,6 +306,18 @@ class TestFromCallable:
         want = ComplexProfile(c.re, -c.im)(qs)
         assert got.tobytes() == want.tobytes()
         assert conj.conjugate()(qs).tobytes() == c(qs).tobytes()
+
+    def test_mirror_is_bitwise_the_mirrored_parts_and_calls_once(self):
+        c, calls = self.make()
+        qs = np.arange(6.0)
+        mirrored = c.mirror(2.5)
+        got = mirrored(qs)
+        assert len(calls) == 1
+        # q = 3, 4, 5 fold back onto 2, 1, 0
+        want = ComplexProfile(MirrorProfile(c.re, 2.5), MirrorProfile(c.im, 2.5))(qs)
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == c(np.array([0.0, 1.0, 2.0, 2.0, 1.0, 0.0])).tobytes()
+        assert mirrored.conjugate()(qs).tobytes() == c.conjugate().mirror(2.5)(qs).tobytes()
 
     def test_evaluation_only(self):
         c, _ = self.make()

@@ -3,19 +3,14 @@
 import numpy as np
 import pytest
 
-from fuzzyreg import (
-    AffineProfile,
-    ComplexProfile,
-    DomainError,
-    FourierFunction,
+from fuzzyreg.errors import DomainError, StructureError
+from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction
+from fuzzyreg.interpolate import VertexParams, build_string_vertex
+from fuzzyreg.profiles import AffineProfile, ComplexProfile
+from fuzzyreg.regularize import (
     FuzzyMatrix,
     FuzzySpace,
-    MatrixFourierFunction,
-    StructureError,
-    VertexParams,
     border_mask,
-    build_circle_to_eight,
-    build_string_vertex,
     commutator,
     hermitianize,
     interior_max_entry,
@@ -25,6 +20,7 @@ from fuzzyreg import (
     toeplitz_basis,
     within_border_norm,
 )
+from fuzzyreg.spaces import build_circle_to_eight
 
 IV = (0.0, 1.0)
 
@@ -38,7 +34,6 @@ class TestMakeGrid:
         assert g.q(4, 7) == pytest.approx(g.q(7, 4))
         assert g.beta_left == pytest.approx(0.5)
         assert g.beta_right == pytest.approx(0.5)
-        assert g.beta == pytest.approx(0.5)
 
     def test_left_rule_values(self):
         g = make_grid(10, IV, "left")
@@ -51,12 +46,6 @@ class TestMakeGrid:
         g = make_grid(12, (-1.0, 3.0), "symmetric")
         for m, n, p in [(2, 3, 7), (5, 0, 11)]:
             assert g.q(m, p) == pytest.approx(g.q(m, n) + g.beta_right / g.N * (p - n))
-
-    def test_custom_affine_rule(self):
-        g = make_grid(8, IV, "custom-affine", cn=0.01, cm=0.02, c0=0.1)
-        assert g.q(3, 4) == pytest.approx(0.1 + 0.03 + 0.08)
-        with pytest.raises(DomainError):
-            make_grid(8, IV, "custom-affine")
 
     def test_rejects_degenerate_input(self):
         with pytest.raises(DomainError):
@@ -74,30 +63,30 @@ class TestMakeGrid:
 class TestRegularizeScalar:
     def test_identity_function(self):
         g = make_grid(12, IV)
-        Q = regularize_scalar(FourierFunction.constant(IV), g)
+        Q = regularize_scalar(FourierFunction.from_profile(IV, 1.0), g)
         np.testing.assert_array_equal(Q.data, np.eye(12))
 
     def test_single_mode_lands_on_first_superdiagonal(self):
         g = make_grid(8, IV)
-        Q = regularize_scalar(FourierFunction.single_mode(IV, 1), g)
+        Q = regularize_scalar(FourierFunction(IV, {1: 1.0}), g)
         np.testing.assert_array_equal(Q.data, np.eye(8, k=1))
 
     def test_band_entries_follow_the_grid(self):
         g = make_grid(9, (-1.0, 1.0))
         amp = AffineProfile(0.5, 0.25)
-        Q = regularize_scalar(FourierFunction.single_mode((-1.0, 1.0), 2, ComplexProfile(amp)), g)
+        Q = regularize_scalar(FourierFunction((-1.0, 1.0), {2: ComplexProfile(amp)}), g)
         for n in range(7):
             assert Q.data[n, n + 2] == pytest.approx(amp(g.q(n, n + 2)))
 
     def test_interval_mismatch_rejected(self):
         g = make_grid(8, IV)
-        f = FourierFunction.constant((0.0, 2.0))
+        f = FourierFunction.from_profile((0.0, 2.0), 1.0)
         with pytest.raises(DomainError):
             regularize_scalar(f, g)
 
     def test_cutoff_must_stay_below_n(self):
         g = make_grid(4, IV)
-        f = FourierFunction.single_mode(IV, 4)
+        f = FourierFunction(IV, {4: 1.0})
         with pytest.raises(DomainError):
             regularize_scalar(f, g)
 
@@ -117,7 +106,7 @@ class TestRegularizeScalar:
 class TestRegularizeMatrix:
     def test_flat_layout_of_block_entries(self):
         zero = FourierFunction(IV, {})
-        f = FourierFunction.single_mode(IV, 1, ComplexProfile(AffineProfile(0.2, 1.0)))
+        f = FourierFunction(IV, {1: ComplexProfile(AffineProfile(0.2, 1.0))})
         F = MatrixFourierFunction(IV, [[zero, f], [f.conjugate(), zero]])
         g = make_grid(6, IV)
         M = regularize_matrix(F, g)
@@ -315,9 +304,3 @@ class TestFuzzySpace:
         B = FuzzyMatrix(np.eye(6, dtype=complex), 6, 1)
         with pytest.raises(StructureError):
             FuzzySpace("bad", (A, B)).validate()
-
-    def test_with_coordinates(self):
-        A = FuzzyMatrix(np.eye(4, dtype=complex), 4, 1)
-        space = FuzzySpace("orig", (A,))
-        renamed = space.with_coordinates((A,), name="new")
-        assert renamed.name == "new"

@@ -5,13 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from fuzzyreg import (
-    DomainError,
-    FourierFunction,
-    make_grid,
-    regularize_scalar,
-    render_dot_matrix,
-)
+from fuzzyreg.errors import DomainError
+from fuzzyreg.fourier import FourierFunction
+from fuzzyreg.regularize import make_grid, regularize_scalar
+from fuzzyreg.render import render_dot_matrix
 
 
 def matrix_of(data):
@@ -72,6 +69,11 @@ class TestRenderDotMatrix:
             render_dot_matrix(M, threshold=-0.5)
         with pytest.raises(DomainError, match="positive"):
             render_dot_matrix(M, cell=0.0)
+        with pytest.raises(DomainError, match="nonnegative"):
+            render_dot_matrix(M, threshold=float("nan"))
+        for cell in (float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="finite"):
+                render_dot_matrix(M, cell=cell)
 
     def test_output_is_deterministic(self):
         rng = np.random.default_rng(5)

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from fuzzyreg import (
-    AffineProfile,
+from fuzzyreg.errors import DomainError, StructureError
+from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction
+from fuzzyreg.profiles import AffineProfile, smooth_step
+from fuzzyreg.regularize import commutator, make_grid, regularize_scalar, within_border_norm
+from fuzzyreg.spaces import (
     CurveSpec,
-    DomainError,
     DoubleCylinderSpec,
-    FourierFunction,
     GraphVertexSpec,
-    StructureError,
     build_circle_to_eight,
     build_clifford_torus,
     build_double_cylinder,
@@ -18,13 +18,9 @@ from fuzzyreg import (
     build_graph_vertex,
     build_immersed_cylinder,
     circle_to_eight_functions,
-    commutator,
     interlaced_double_cylinder_function,
-    make_grid,
-    regularize_scalar,
-    smooth_step,
-    within_border_norm,
 )
+from fuzzyreg.transforms import interlace_function
 
 from refs import random_closed_curve
 
@@ -43,7 +39,7 @@ class TestCurveSpec:
             CurveSpec(f, FourierFunction.sine(IV, 1))
 
     def test_closed_curves_must_be_real(self):
-        f = FourierFunction.single_mode(IV, 1)
+        f = FourierFunction(IV, {1: 1.0})
         with pytest.raises(StructureError):
             CurveSpec(f, FourierFunction.sine(IV, 1))
 
@@ -187,7 +183,7 @@ class TestCircleToEight:
 
 class TestDoubleCylinder:
     def spec(self):
-        return DoubleCylinderSpec.symmetric((-1.0, 3.0), AffineProfile(0.7, 0.3), 1.0)
+        return DoubleCylinderSpec((-1.0, 3.0), AffineProfile(0.7, 0.3), 1.0)
 
     def test_symmetric_spec_negates_the_planar_coordinates(self):
         s1, s2 = build_double_cylinder(self.spec(), 16)
@@ -201,24 +197,20 @@ class TestDoubleCylinder:
         np.testing.assert_allclose(np.diag(s1.coordinates[2].data).real, g.diagonal_values())
 
     def test_zero_radii_leave_only_the_centers(self):
-        spec = DoubleCylinderSpec.symmetric((-1.0, 3.0), AffineProfile(0.7, 0.3), 0.0)
+        spec = DoubleCylinderSpec((-1.0, 3.0), AffineProfile(0.7, 0.3), 0.0)
         s1, s2 = build_double_cylinder(spec, 12)
         for s in (s1, s2):
             xh = s.coordinates[0].data
             assert np.array_equal(xh, np.diag(np.diag(xh)))
 
     def test_mirror_validation(self):
-        with pytest.raises(StructureError):
-            DoubleCylinderSpec(
-                interval=(-1.0, 3.0),
-                x10=AffineProfile(0.7, 0.3),
-                x20=AffineProfile(0.7, 0.3),
-                r1x=AffineProfile(-1.0, 0.0),
-                r2x=AffineProfile(1.0, 0.0),
-                r1y=AffineProfile(-1.0, 0.0),
-                r2y=AffineProfile(1.0, 0.0),
-                mirror_symmetric=True,
-            )
+        # the type is the mirror pair: cylinder 1 is cylinder 2 negated, mode by mode
+        spec = DoubleCylinderSpec((-1.0, 3.0), AffineProfile(0.7, 0.3), AffineProfile(1.0, -0.2))
+        qs = np.linspace(-1.0, 3.0, 9)
+        for f1, f2 in zip(spec.functions(1), spec.functions(2)):
+            assert f1.modes() == f2.modes() != []
+            for n in f2.modes():
+                np.testing.assert_allclose(f1.coeffs[n](qs), -f2.coeffs[n](qs), atol=1e-15)
 
     def test_interlaced_form_is_antidiagonal(self):
         spec = self.spec()
@@ -235,17 +227,19 @@ class TestDoubleCylinder:
         assert X.is_hermitian() and Y.is_hermitian() and Z.is_hermitian()
 
     def test_interlaced_form_requires_mirror_symmetry(self):
-        plain = DoubleCylinderSpec(
-            interval=(-1.0, 3.0),
-            x10=AffineProfile(-0.5, 0.0),
-            x20=AffineProfile(0.7, 0.0),
-            r1x=AffineProfile(-1.0, 0.0),
-            r2x=AffineProfile(1.0, 0.0),
-            r1y=AffineProfile(-1.0, 0.0),
-            r2y=AffineProfile(1.0, 0.0),
-        )
-        with pytest.raises(StructureError):
-            interlaced_double_cylinder_function(plain)
+        # interlacing diag(x1, x2) gives the antidiagonal form because x1 = -x2
+        spec = self.spec()
+        X, Y, _ = interlaced_double_cylinder_function(spec)
+        qs = np.linspace(-1.0, 3.0, 5)[:, None]
+        phis = np.linspace(0.0, 2 * np.pi, 6, endpoint=False)[None, :]
+        for F, f1, f2 in zip((X, Y), spec.functions(1), spec.functions(2)):
+            D = interlace_function(MatrixFourierFunction.diagonal([f1, f2]))
+            np.testing.assert_allclose(D.eval(qs, phis), F.eval(qs, phis), atol=1e-14)
+        # a first cylinder that is not the mirror image leaves a diagonal part
+        x2 = spec.functions(2)[0]
+        other = DoubleCylinderSpec((-1.0, 3.0), AffineProfile(0.5, 0.0), 1.0).functions(1)[0]
+        D = interlace_function(MatrixFourierFunction.diagonal([other, x2]))
+        assert np.max(np.abs(D.eval(qs, phis)[..., 0, 0])) > 0.1
 
 
 class TestCliffordTorus:

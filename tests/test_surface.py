@@ -3,20 +3,12 @@
 import numpy as np
 import pytest
 
-from fuzzyreg import (
-    AffineProfile,
-    CapabilityError,
-    DomainError,
-    DoubleCylinderSpec,
-    FourierFunction,
-    MatrixFourierFunction,
-    VertexParams,
-    build_string_vertex,
-    circle_to_eight_functions,
-    export_classical_surface,
-    surface_csv,
-)
-from fuzzyreg.surface import check_commutation
+from fuzzyreg.errors import CapabilityError, DomainError
+from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction
+from fuzzyreg.interpolate import VertexParams, build_string_vertex
+from fuzzyreg.profiles import AffineProfile
+from fuzzyreg.spaces import DoubleCylinderSpec, circle_to_eight_functions
+from fuzzyreg.surface import check_commutation, export_classical_surface, surface_csv
 
 IV = (-1.0, 3.0)
 
@@ -26,7 +18,7 @@ def q_function():
 
 
 def diagonal_coords():
-    spec = DoubleCylinderSpec.symmetric(IV, AffineProfile(0.7, 0.3), 1.0)
+    spec = DoubleCylinderSpec(IV, AffineProfile(0.7, 0.3), 1.0)
     x1, y1 = spec.functions(1)
     x2, y2 = spec.functions(2)
     X = MatrixFourierFunction.diagonal([x1, x2])
@@ -71,6 +63,20 @@ class TestExport:
         X, Y, Z = diagonal_coords()
         assert check_commutation((X, Y, Z), bound=1e-2) <= 1e-12
 
+    @pytest.mark.parametrize("bound", [float("nan"), -1e-2])
+    def test_bound_must_be_a_nonnegative_number(self, bound):
+        X, Y, Z = diagonal_coords()
+        with pytest.raises(DomainError, match="nonnegative"):
+            check_commutation((X, Y, Z), bound)
+        with pytest.raises(DomainError, match="nonnegative"):
+            export_classical_surface([X, Y, Z], grid=(3, 2), bound=bound)
+
+    def test_infinite_bound_only_measures(self):
+        one = FourierFunction(IV, {0: 1.0})
+        F = MatrixFourierFunction(IV, [[None, one], [one, None]])
+        G = MatrixFourierFunction.diagonal([q_function(), q_function() * -1.0])
+        assert check_commutation((F, G), float("inf")) > 1.0
+
     def test_needs_at_least_one_coordinate(self):
         with pytest.raises(DomainError, match="at least one"):
             export_classical_surface([])
@@ -90,6 +96,8 @@ class TestExport:
         X, _, _ = diagonal_coords()
         with pytest.raises(DomainError, match="at least one sample"):
             export_classical_surface([X], grid=(0, 8))
+        with pytest.raises(DomainError, match="at least one sample"):
+            export_classical_surface([X], grid=(3, 4, 5))
 
 
 def per_sample_rows(coords, grid):

@@ -3,42 +3,40 @@
 import numpy as np
 import pytest
 
-from fuzzyreg import (
-    AffineProfile,
-    ComplexProfile,
-    CurveSpec,
-    DomainError,
-    FourierFunction,
+from fuzzyreg.errors import DomainError, StructureError
+from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction
+from fuzzyreg.profiles import AffineProfile, CallableProfile, ComplexProfile
+from fuzzyreg.regularize import (
     FuzzyMatrix,
     FuzzySpace,
+    make_grid,
+    regularize_matrix,
+    regularize_scalar,
+    within_border_norm,
+)
+from fuzzyreg.spaces import (
+    CurveSpec,
     GraphVertexSpec,
-    MatrixFourierFunction,
-    SmallUnitary,
-    StructureError,
-    block_transform,
     build_clifford_torus,
     build_generalized_cylinder,
     build_graph_vertex,
+)
+from fuzzyreg.transforms import (
+    PHASE_POLICY,
+    SmallUnitary,
+    block_transform,
     conjugate,
+    constant_conjugate_function,
     diagonalize_coordinate,
     direct_sum,
+    direct_sum_matrices,
     function_unitary_conjugate,
     interlace,
     interlacing_unitary,
     lift_constant_unitary,
-    make_grid,
     matrix_poly_transform,
-    regularize_matrix,
-    regularize_scalar,
-    within_border_norm,
     z_order,
     z_order_inverse,
-)
-from fuzzyreg.profiles import CallableProfile
-from fuzzyreg.transforms import (
-    PHASE_POLICY,
-    constant_conjugate_function,
-    direct_sum_matrices,
 )
 
 IV = (0.0, 1.0)
@@ -247,14 +245,14 @@ class TestFunctionUnitaryConjugate:
     def test_identity(self):
         rng = np.random.default_rng(12)
         F = MatrixFourierFunction(IV, [[random_table(rng), None], [None, random_table(rng)]])
-        I2 = MatrixFourierFunction.diagonal([FourierFunction.constant(IV)] * 2)
+        I2 = MatrixFourierFunction.diagonal([FourierFunction.from_profile(IV, 1.0)] * 2)
         G = function_unitary_conjugate(F, I2)
         qs = np.linspace(0, 1, 5)[:, None]
         phis = np.linspace(0, 2 * np.pi, 4, endpoint=False)[None, :]
         np.testing.assert_allclose(G.eval(qs, phis), F.eval(qs, phis), atol=1e-14)
 
     def test_phase_shift_twists_the_off_diagonal(self):
-        fa = FourierFunction.single_mode(IV, 1, ComplexProfile(AffineProfile(0.5, 1.0)))
+        fa = FourierFunction(IV, {1: ComplexProfile(AffineProfile(0.5, 1.0))})
         zero = FourierFunction(IV, {})
         F = MatrixFourierFunction(IV, [[zero, fa], [fa.conjugate(), zero]])
         p1, p2 = 1.1, -0.7
@@ -324,15 +322,15 @@ class TestFunctionUnitaryConjugate:
         )
 
     def test_non_unitary_rejected(self):
-        F = MatrixFourierFunction.diagonal([FourierFunction.constant(IV)] * 2)
+        F = MatrixFourierFunction.diagonal([FourierFunction.from_profile(IV, 1.0)] * 2)
         stretched = MatrixFourierFunction.diagonal(
-            [FourierFunction.constant(IV, 2.0), FourierFunction.constant(IV)]
+            [FourierFunction.from_profile(IV, 2.0), FourierFunction.from_profile(IV, 1.0)]
         )
         with pytest.raises(StructureError):
             function_unitary_conjugate(F, stretched)
 
     def test_height_dependent_conjugation_commutes_at_order_one_over_n(self):
-        fa = FourierFunction.single_mode(IV, 1, ComplexProfile(AffineProfile(1.0, 0.5)))
+        fa = FourierFunction(IV, {1: ComplexProfile(AffineProfile(1.0, 0.5))})
         zero = FourierFunction(IV, {})
         F = MatrixFourierFunction(IV, [[zero, fa], [fa.conjugate(), zero]])
         U = MatrixFourierFunction(
@@ -348,7 +346,7 @@ class TestFunctionUnitaryConjugate:
                     ),
                     zero,
                 ],
-                [zero, FourierFunction.constant(IV)],
+                [zero, FourierFunction.from_profile(IV, 1.0)],
             ],
         )
         G = function_unitary_conjugate(F, U)
@@ -448,6 +446,7 @@ class TestDiagonalize:
         B = FuzzyMatrix(0.5 * (raw2.data + raw2.data.conj().T), 10, 1)
         space = FuzzySpace("pair", (A, B))
         out, report = diagonalize_coordinate(space, 0)
+        assert out.name == "diag(pair)"
         wA = np.diag(out.coordinates[0].data).real
         assert np.all(np.diff(wA) >= -1e-12)
         np.testing.assert_allclose(wA, np.sort(np.linalg.eigvalsh(A.data)), atol=1e-9)

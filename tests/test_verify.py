@@ -5,32 +5,25 @@ import json
 import numpy as np
 import pytest
 
-from fuzzyreg import (
-    AffineProfile,
+from fuzzyreg.errors import DomainError, StructureError
+from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction, mul, poisson_bracket
+from fuzzyreg.interpolate import VertexParams, build_string_vertex
+from fuzzyreg.profiles import AffineProfile, PolyProfile
+from fuzzyreg.regularize import FuzzySpace, make_grid, regularize_scalar, within_border_norm
+from fuzzyreg.spaces import (
     CurveSpec,
-    DomainError,
-    FourierFunction,
-    FuzzySpace,
-    MatrixFourierFunction,
-    PolyProfile,
-    StructureError,
-    SweepReport,
-    VertexParams,
     build_circle_to_eight,
     build_generalized_cylinder,
-    build_string_vertex,
+    circle_to_eight_functions,
+)
+from fuzzyreg.verify import (
+    SweepReport,
     check_commutator_decay,
     check_norm_convergence,
     check_poisson_convergence,
     check_product_convergence,
-    circle_to_eight_functions,
-    make_grid,
     matrix_fn_commutator_sup,
-    mul,
-    poisson_bracket,
-    regularize_scalar,
     semiclassical_residual,
-    within_border_norm,
 )
 
 IV = (0.0, 1.0)
@@ -54,6 +47,18 @@ class TestSweepReport:
     def test_schedule_must_increase(self):
         with pytest.raises(DomainError):
             make_report(schedule=(8, 8, 32))
+
+    @pytest.mark.parametrize("check", [
+        lambda Ns: check_norm_convergence(lambda N: None, Ns, 0),
+        lambda Ns: check_product_convergence(FourierFunction.cosine(IV, 1),
+                                             FourierFunction.sine(IV, 1), Ns=Ns),
+        lambda Ns: check_poisson_convergence(FourierFunction.cosine(IV, 1),
+                                             FourierFunction.sine(IV, 1), Ns=Ns),
+        lambda Ns: check_commutator_decay(lambda N: None, Ns),
+    ], ids=["norm", "product", "poisson", "commutator-decay"])
+    def test_empty_schedule_is_rejected(self, check):
+        with pytest.raises(DomainError, match="must not be empty"):
+            check(())
 
     def test_values_must_be_nonnegative(self):
         with pytest.raises(DomainError):
