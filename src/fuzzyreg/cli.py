@@ -14,6 +14,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import matrixio
 from .errors import DomainError, FuzzyRegError
 from .fourier import FourierFunction
@@ -89,15 +91,30 @@ def function_from_config(d: dict) -> FourierFunction:
     return FourierFunction(interval, coeffs)
 
 
-def _int_entries(values, what) -> tuple:
-    """A config list whose entries must all be integers, as a tuple of ints."""
+def _integer(value) -> int:
+    """int(value) for a value that is an integer already ("16" and 16.5 are not)."""
+    out = int(value)
+    if out != value:
+        raise ValueError("not an integer")
+    return out
+
+
+def _integers(values) -> tuple:
+    return tuple(_integer(v) for v in values)
+
+
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
+def _config_value(conv, value, what):
+    """conv(value) for one config entry; a value conv rejects raises DomainError."""
     try:
-        out = tuple(int(v) for v in values)
-        if out == tuple(values):
-            return out
-    except (TypeError, ValueError):
-        pass
-    raise DomainError(f"{what} entries must be integers, got {values!r}")
+        return conv(value)
+    except FuzzyRegError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"config {what} = {value!r} is invalid: {exc}") from None
 
 
 # vertex config key -> (VertexParams field, conversion)
@@ -106,17 +123,19 @@ _VERTEX_FIELDS = {
     "r": ("r", float),
     "x0": ("x0", _profile_arg),
     "grid": ("rule", str),
-    "interval": ("interval", lambda v: tuple(float(x) for x in v)),
-    "N": ("N", int),
-    "cutoff": ("cutoff", int),
+    "interval": ("interval", _floats),
+    "N": ("N", _integer),
+    "cutoff": ("cutoff", _integer),
 }
 
 
 def vertex_params_from_config(cfg: dict, n=None, delta=None) -> VertexParams:
     """VertexParams from a vertex config; n and delta override N and cutoff."""
-    kw = {field: conv(cfg[key]) for key, (field, conv) in _VERTEX_FIELDS.items() if key in cfg}
+    kw = {field: _config_value(conv, cfg[key], key)
+          for key, (field, conv) in _VERTEX_FIELDS.items() if key in cfg}
     window = cfg.get("alpha", {})
-    prof_kw = {k: float(window[k]) for k in ("q2", "q3") if k in window}
+    prof_kw = {k: _config_value(float, window[k], f"alpha {k}")
+               for k in ("q2", "q3") if k in window}
     if "theta2" in cfg:
         prof_kw["mode"] = str(cfg["theta2"])
     if prof_kw:
@@ -128,48 +147,50 @@ def vertex_params_from_config(cfg: dict, n=None, delta=None) -> VertexParams:
     return VertexParams(**kw)
 
 
-def _spec_n(spec: dict, default: int) -> int:
-    return int(spec.get("n", spec.get("N", default)))
-
-
 def build_space(spec: dict, n=None) -> FuzzySpace:
     """Build one of the preset spaces from a JSON space section."""
+
+    def value(key, default, conv=float):
+        return _config_value(conv, spec.get(key, default), key)
+
     kind = spec.get("preset", "cylinder")
     if kind == "string-vertex":
         return build_string_vertex(vertex_params_from_config(spec, n=n))
-    N = int(n) if n is not None else _spec_n(spec, 16)
+    N = int(n) if n is not None else value("n" if "n" in spec else "N", 16, _integer)
     if kind == "cylinder":
-        curve = CurveSpec.circle(float(spec.get("radius", 1.0)))
+        curve = CurveSpec.circle(value("radius", 1.0))
         if "z_beta" in spec:
-            curve = dataclasses.replace(curve, z_beta=float(spec["z_beta"]))
-        return build_generalized_cylinder(curve, N, float(spec.get("z_offset", 0.0)))
+            curve = dataclasses.replace(curve, z_beta=value("z_beta", None))
+        return build_generalized_cylinder(curve, N, value("z_offset", 0.0))
     if kind == "circle-to-eight":
         return build_circle_to_eight(N, spec.get("convention", "symmetric"))
     if kind == "immersed-circle-to-eight":
         x, y, z = circle_to_eight_functions()
         return build_immersed_cylinder(x, y, z, N, spec.get("grid", "symmetric"))
     if kind == "double-cylinder":
-        interval = tuple(float(v) for v in spec.get("interval", (-1.0, 3.0)))
-        x0 = _profile_arg(spec.get("x0", [0.7, 0.3]))
-        r = _profile_arg(spec.get("r", 1.0))
+        interval = value("interval", (-1.0, 3.0), _floats)
+        x0 = value("x0", [0.7, 0.3], _profile_arg)
+        r = value("r", 1.0, _profile_arg)
         pair = build_double_cylinder(DoubleCylinderSpec(interval, x0, r), N)
-        member = int(spec.get("member", 1))
+        member = value("member", 1, _integer)
         if member not in (1, 2):
             raise DomainError("double-cylinder member must be 1 or 2")
         return pair[member - 1]
     if kind == "clifford-torus":
-        return build_clifford_torus(
-            float(spec.get("a", 1.0)), float(spec.get("b", 1.0)), N
-        )
+        return build_clifford_torus(value("a", 1.0), value("b", 1.0), N)
     if kind == "graph-vertex":
+
+        def band(v):
+            return np.asarray(v, dtype=complex)
+
         gspec = GraphVertexSpec(
-            dim=int(spec.get("dim", N)),
-            n0=int(spec["n0"]),
-            r_upper=spec.get("r_upper", 1.0),
-            r_junction=complex(spec.get("r_junction", 1.0)),
-            r_lower=spec.get("r_lower", 1.0),
-            x_lower=spec.get("x_lower", 0.0),
-            z_values=tuple(spec["z_values"]) if "z_values" in spec else None,
+            dim=value("dim", N, _integer),
+            n0=value("n0", None, _integer),
+            r_upper=value("r_upper", 1.0, band),
+            r_junction=value("r_junction", 1.0, complex),
+            r_lower=value("r_lower", 1.0, band),
+            x_lower=value("x_lower", 0.0, band),
+            z_values=value("z_values", None, _floats) if "z_values" in spec else None,
         )
         return build_graph_vertex(gspec)
     raise DomainError(f"unknown space preset {kind!r}")
@@ -234,7 +255,7 @@ def cmd_build(args) -> int:
     space = build_space(spec, n=args.n)
     threshold = args.threshold
     if threshold is None and "render" in cfg:
-        threshold = cfg["render"].get("threshold", 0.1)
+        threshold = _config_value(float, cfg["render"].get("threshold", 0.1), "render threshold")
     written = write_space_artifacts(
         space, args.out, fmt=args.format, threshold=threshold,
         extra_meta={"preset": spec.get("preset", "cylinder")},
@@ -308,9 +329,9 @@ def cmd_transform(args) -> int:
 
 def _sweep_report(cfg: dict, n=None, delta=None):
     kind = cfg.get("kind", "commutator-decay")
-    schedule = _int_entries(cfg.get("schedule", (16, 32, 64)), "sweep schedule")
+    schedule = _config_value(_integers, cfg.get("schedule", (16, 32, 64)), "sweep schedule")
     if delta is None and "delta" in cfg:
-        delta = int(cfg["delta"])
+        delta = _config_value(_integer, cfg["delta"], "sweep delta")
     label = cfg.get("label")
     if kind == "commutator-decay":
         spec = cfg.get("space", {})
@@ -352,8 +373,8 @@ def cmd_render(args) -> int:
     rcfg = cfg.get("render", {})
     threshold = args.threshold
     if threshold is None:
-        threshold = float(rcfg.get("threshold", 0.1))
-    cell = float(rcfg.get("cell", 10.0))
+        threshold = _config_value(float, rcfg.get("threshold", 0.1), "render threshold")
+    cell = _config_value(float, rcfg.get("cell", 10.0), "render cell")
     svg = render_dot_matrix(M, threshold=threshold, cell=cell)
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.matrix))[0]
@@ -380,8 +401,8 @@ def cmd_surface(args) -> int:
             "surface export needs a preset that carries coordinate functions"
         )
     scfg = cfg.get("surface", {})
-    grid = _int_entries(scfg.get("grid", (33, 32)), "surface grid")
-    bound = float(scfg.get("bound", 1e-2))
+    grid = _config_value(_integers, scfg.get("grid", (33, 32)), "surface grid")
+    bound = _config_value(float, scfg.get("bound", 1e-2), "surface bound")
     header, rows = export_classical_surface(space.generators, grid=grid, bound=bound)
     os.makedirs(args.out, exist_ok=True)
     name = f"{space.name}-surface.csv"

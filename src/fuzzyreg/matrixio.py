@@ -8,6 +8,7 @@ Both formats are byte-deterministic for a given matrix.
 
 from __future__ import annotations
 
+import itertools
 import struct
 
 import numpy as np
@@ -19,13 +20,16 @@ MAGIC = b"FZMB"
 _HEADER = struct.Struct("<4sIII")
 
 
+def _g17(x: np.ndarray) -> list:
+    """%.17g of each entry, formatted once per distinct bit pattern (-0.0 and 0.0 stay apart)."""
+    bits, index = np.unique(np.ascontiguousarray(x).view(np.int64), return_inverse=True)
+    return np.array(["%.17g" % v for v in bits.view(np.float64)], dtype=object)[index.ravel()].tolist()
+
+
 def matrix_to_csv(M: FuzzyMatrix) -> str:
-    lines = ["row,col,re,im"]
-    data = M.data
-    for i in range(M.dim):
-        for j in range(M.dim):
-            z = data[i, j]
-            lines.append("%d,%d,%.17g,%.17g" % (i, j, z.real, z.imag))
+    idx = [str(k) for k in range(M.dim)]
+    cells = zip(itertools.product(idx, idx), _g17(M.data.real), _g17(M.data.imag))
+    lines = ["row,col,re,im"] + [f"{i},{j},{re},{im}" for (i, j), re, im in cells]
     return "\n".join(lines) + "\n"
 
 
@@ -75,9 +79,7 @@ def matrix_from_bytes(blob: bytes) -> FuzzyMatrix:
     expected = _HEADER.size + dim * dim * 16
     if len(blob) != expected:
         raise StructureError(f"dump length {len(blob)} != expected {expected}")
-    flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    pairs = flat.reshape(dim, dim, 2)
-    data = pairs[..., 0] + 1j * pairs[..., 1]
+    data = np.frombuffer(blob, "<c16", offset=_HEADER.size).reshape(dim, dim).copy()
     if S < 1 or dim % S:
         raise StructureError(f"inconsistent S = {S} for dim = {dim}")
     return FuzzyMatrix(data, dim // S, S)

@@ -38,6 +38,14 @@ def render_dot_matrix(M: FuzzyMatrix, threshold: float = 0.1, cell: float = 10.0
     mags = np.abs(M.data)
     vmax = float(mags.max()) if mags.size else 0.0
     rmin = _MIN_RADIUS_FRACTION * cell
+    radius = np.full(mags.shape, rmin)
+    if vmax > 0.0:
+        big = mags >= threshold
+        radius[big] = np.maximum(0.5 * cell * np.sqrt(mags[big] / vmax), rmin)
+    # each distinct radius and cell centre is formatted once
+    values, index = np.unique(radius, return_inverse=True)
+    rs = np.array([_fmt(v) for v in values], dtype=object)[index.reshape(mags.shape)].tolist()
+    pos = [_fmt((k + 0.5) * cell) for k in range(dim)]
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -45,18 +53,7 @@ def render_dot_matrix(M: FuzzyMatrix, threshold: float = 0.1, cell: float = 10.0
         f'viewBox="0 0 {_fmt(side)} {_fmt(side)}">',
         f'<rect width="{_fmt(side)}" height="{_fmt(side)}" fill="white"/>',
     ]
-    for i in range(dim):
-        cy = (i + 0.5) * cell
-        for j in range(dim):
-            cx = (j + 0.5) * cell
-            v = mags[i, j]
-            if vmax > 0.0 and v >= threshold:
-                r = 0.5 * cell * float(np.sqrt(v / vmax))
-                r = max(r, rmin)
-            else:
-                r = rmin
-            lines.append(
-                f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="black"/>'
-            )
+    for cy, row in zip(pos, rs):
+        lines += [f'<circle cx="{cx}" cy="{cy}" r="{r}" fill="black"/>' for cx, r in zip(pos, row)]
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

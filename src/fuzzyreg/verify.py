@@ -54,11 +54,7 @@ class SweepReport:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        sched = tuple(int(n) for n in self.schedule)
-        if not sched:
-            raise DomainError("sweep schedule must not be empty")
-        if any(b <= a for a, b in zip(sched, sched[1:])):
-            raise DomainError("sweep schedule must be strictly increasing")
+        sched = _schedule(self.schedule)
         vals = tuple(float(v) for v in self.values)
         if any(v < 0 for v in vals):
             raise DomainError("recorded residuals must be nonnegative")
@@ -110,6 +106,17 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
+def _schedule(Ns) -> tuple:
+    """The sizes of a sweep as ints: at least two (a decay claim compares
+    sizes), strictly increasing."""
+    sched = tuple(int(n) for n in Ns)
+    if len(sched) < 2:
+        raise DomainError(f"sweep schedule must not be empty or a single size, got {sched}")
+    if any(b <= a for a, b in zip(sched, sched[1:])):
+        raise DomainError("sweep schedule must be strictly increasing")
+    return sched
+
+
 def _builder_id(builder, label=None) -> str:
     if label:
         return str(label)
@@ -156,9 +163,10 @@ def _monotone_verdicts(values, slack=MONOTONE_SLACK):
 def check_norm_convergence(builder, Ns, delta, label=None) -> SweepReport:
     """Record within-border norms of builder(N) and require the successive
     differences to settle (non-increasing over the last three steps)."""
+    Ns = _schedule(Ns)
     values = []
     for n in Ns:
-        M = builder(int(n))
+        M = builder(n)
         if not isinstance(M, FuzzyMatrix):
             raise StructureError("norm sweep builder must return a FuzzyMatrix")
         values.append(within_border_norm(M, delta))
@@ -166,12 +174,12 @@ def check_norm_convergence(builder, Ns, delta, label=None) -> SweepReport:
     tail = diffs[-3:]
     passed = all(b <= a * MONOTONE_SLACK + _ZERO for a, b in zip(tail, tail[1:]))
     verdicts = [True] * len(values)
-    if not passed and values:
+    if not passed:
         verdicts[-1] = False
     return SweepReport(
         builder_id=_builder_id(builder, label),
         criterion="norm-convergence",
-        schedule=tuple(Ns),
+        schedule=Ns,
         values=tuple(values),
         delta=int(delta),
         verdicts=tuple(verdicts),
@@ -185,17 +193,18 @@ def _first_order_sweep(kind, f, g, rule, Ns, delta, label, residual, scaling_not
     """Within-border norms of residual(grid, Q(f), Q(g)) over the schedule,
     judged for first-order decay; delta defaults to the summed cutoffs."""
     delta = f.cutoff + g.cutoff if delta is None else int(delta)
+    Ns = _schedule(Ns)
     values = []
     for n in Ns:
-        grid = make_grid(int(n), f.interval, rule)
+        grid = make_grid(n, f.interval, rule)
         Qf, Qg = regularize_scalar(f, grid), regularize_scalar(g, grid)
         resid = FuzzyMatrix(residual(grid, Qf, Qg), grid.N, 1)
         values.append(within_border_norm(resid, delta))
-    verdicts = _ratio_verdicts(tuple(Ns), values, FIRST_ORDER_RATIO)
+    verdicts = _ratio_verdicts(Ns, values, FIRST_ORDER_RATIO)
     return SweepReport(
         builder_id=str(label or kind),
         criterion=f"{kind}-convergence",
-        schedule=tuple(Ns),
+        schedule=Ns,
         values=tuple(values),
         delta=delta,
         verdicts=tuple(verdicts),
@@ -257,10 +266,11 @@ def check_commutator_decay(space_builder, Ns, delta=5, label=None) -> SweepRepor
     Passes when the sequence is non-increasing within 5% slack.  The row-sum
     norm of the same interior block is recorded alongside.
     """
+    Ns = _schedule(Ns)
     values = []
     row_sums = []
     for n in Ns:
-        space = space_builder(int(n))
+        space = space_builder(n)
         coords = space.coordinates
         if len(coords) < 2:
             raise StructureError("commutator decay needs at least two coordinates")
@@ -276,7 +286,7 @@ def check_commutator_decay(space_builder, Ns, delta=5, label=None) -> SweepRepor
     return SweepReport(
         builder_id=_builder_id(space_builder, label),
         criterion="commutator-decay",
-        schedule=tuple(Ns),
+        schedule=Ns,
         values=tuple(values),
         delta=int(delta),
         verdicts=tuple(verdicts),

@@ -1,19 +1,22 @@
-"""Shared reference constructions for the string-vertex tests.
+"""Shared reference constructions for the string-vertex and writer tests.
 
 The vertex blends two closed-form regularizations: a single figure-eight
 cross-section below the transition window and an interlaced pair of circles
 above it.  Both references are rebuilt here from their own builders so the
-vertex tests compare against independent code paths.
+vertex tests compare against independent code paths.  `oracle_matrices`
+holds the matrices the SVG and CSV writers are byte-compared on.
 """
 
 import numpy as np
 
 from fuzzyreg.fourier import FourierFunction
+from fuzzyreg.interpolate import VertexParams, build_string_vertex
 from fuzzyreg.profiles import ComplexProfile
-from fuzzyreg.regularize import make_grid, regularize_matrix, regularize_scalar
+from fuzzyreg.regularize import FuzzyMatrix, make_grid, regularize_matrix, regularize_scalar
 from fuzzyreg.spaces import (
     CurveSpec,
     DoubleCylinderSpec,
+    build_immersed_cylinder,
     circle_to_eight_functions,
     interlaced_double_cylinder_function,
 )
@@ -66,3 +69,22 @@ def zone_masks(grid, dim, q_lo, q_hi):
     ii, jj = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
     qarg = grid.q(ii // 2, jj // 2)
     return qarg <= q_lo, qarg >= q_hi
+
+
+def oracle_matrices():
+    """name -> matrix: the immersed eight's x at N = 64, an S = 2 vertex
+    coordinate, an all-zero matrix, and a random complex matrix holding
+    -0.0, +-inf and NaN parts."""
+    eight = build_immersed_cylinder(*circle_to_eight_functions(), 64, "symmetric")
+    vertex = build_string_vertex(VertexParams(N=8))
+    rng = np.random.default_rng(11)
+    special = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+    for part in (special.real, special.imag):
+        picks = rng.integers(0, 7, size=(12, 2))
+        part[picks[:, 0], picks[:, 1]] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=12)
+    return {
+        "eight-64": eight.coordinates[0],
+        "vertex-S2": vertex.coordinates[0],
+        "zeros": FuzzyMatrix(np.zeros((5, 5)), 5, 1),
+        "special": FuzzyMatrix(special, 7, 1),
+    }

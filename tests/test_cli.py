@@ -247,8 +247,9 @@ class TestFailureModes:
         '{"sweep": {"kind": "commutator-decay", "schedule": [16, "x"]}}',
         '{"sweep": {"kind": "commutator-decay", "schedule": [16, 32.5]}}',
         '{"sweep": {"kind": "commutator-decay", "schedule": []}}',
+        '{"sweep": {"kind": "commutator-decay", "schedule": [16]}}',
     ], ids=["truncated-json", "non-integer-mode", "bad-coefficient", "non-integer-schedule",
-            "fractional-schedule", "empty-schedule"])
+            "fractional-schedule", "empty-schedule", "one-entry-schedule"])
     def test_malformed_sweep_config(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text, encoding="utf-8")
@@ -269,6 +270,35 @@ class TestFailureModes:
         code = run_cli(["surface", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("vertex", {"N": "abc"}),
+        ("vertex", {"N": 16.5}),
+        ("vertex", {"alpha": {"q2": "low"}}),
+        ("build", {"space": {"preset": "cylinder", "radius": "big"}}),
+        ("build", {"space": {"preset": "cylinder", "n": "many"}}),
+        ("build", {"space": {"preset": "double-cylinder", "n": 4, "member": "one"}}),
+        ("build", {"space": {"preset": "graph-vertex", "dim": 8}}),
+        ("build", {"space": {"n": 4}, "render": {"threshold": "low"}}),
+        ("sweep", {"sweep": {"kind": "commutator-decay", "delta": "five"}}),
+        ("surface", {"space": {"preset": "immersed-circle-to-eight", "n": 8},
+                     "surface": {"bound": "tight"}}),
+        ("render", {"render": {"cell": "wide"}}),
+        ("render", {"render": {"threshold": [0.1]}}),
+    ], ids=["vertex-N", "vertex-fractional-N", "vertex-window", "build-radius", "build-n",
+            "build-member", "build-missing-n0", "build-render-threshold", "sweep-delta",
+            "surface-bound", "render-cell", "render-threshold"])
+    def test_unconvertible_config_value(self, tmp_path, capsys, command, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        if command == "render":
+            assert run_cli(["build", "--n", "4", "--out", str(tmp_path)]) == 0
+            capsys.readouterr()
+            argv.append(str(tmp_path / "generalized-cylinder-x1.fzmb"))
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err.startswith("error: config ")
         assert not (tmp_path / "out").exists()
 
     def test_nan_render_threshold(self, tmp_path, capsys):

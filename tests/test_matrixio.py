@@ -16,6 +16,11 @@ from fuzzyreg.matrixio import (
     write_matrix,
 )
 from fuzzyreg.regularize import FuzzyMatrix
+from refs import oracle_matrices
+
+SPECIAL = np.array([[-0.0, complex(-0.0, -0.0), complex(0.0, -0.0)],
+                    [complex(2.0, np.inf), complex(np.nan, -np.inf), complex(-np.inf, 1.0)],
+                    [complex(np.inf, np.nan), 0.0, complex(-1.5, np.nan)]])
 
 
 def random_matrix(rng, N=7, S=1):
@@ -87,6 +92,23 @@ def test_write_and_read_back(tmp_path, fmt):
     write_matrix(path, M, fmt)
     back = read_matrix(path)
     assert np.array_equal(back.data, M.data)
+    write_matrix(path, FuzzyMatrix(SPECIAL, 3, 1), fmt)
+    assert read_matrix(path).data.tobytes() == SPECIAL.tobytes()
+
+
+def csv_reference(M):
+    """The per-entry loop matrix_to_csv must match byte for byte."""
+    lines = ["row,col,re,im"]
+    for i in range(M.dim):
+        for j in range(M.dim):
+            z = M.data[i, j]
+            lines.append("%d,%d,%.17g,%.17g" % (i, j, z.real, z.imag))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name, M", sorted(oracle_matrices().items()))
+def test_csv_matches_the_per_entry_reference(name, M):
+    assert matrix_to_csv(M) == csv_reference(M)
 
 
 def test_write_matrix_rejects_unknown_format(tmp_path):

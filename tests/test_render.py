@@ -7,8 +7,14 @@ import pytest
 
 from fuzzyreg.errors import DomainError
 from fuzzyreg.fourier import FourierFunction
-from fuzzyreg.regularize import make_grid, regularize_scalar
+from fuzzyreg.regularize import FuzzyMatrix, make_grid, regularize_scalar
 from fuzzyreg.render import render_dot_matrix
+from refs import oracle_matrices
+
+ORACLE = oracle_matrices()
+# with no NaN the largest magnitude is inf, so the infinite entries get NaN radii
+_special = ORACLE["special"].data
+ORACLE["infinite"] = FuzzyMatrix(np.where(np.isnan(_special), np.inf, _special), 7, 1)
 
 
 def matrix_of(data):
@@ -80,3 +86,40 @@ class TestRenderDotMatrix:
         data = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         M = matrix_of(data)
         assert render_dot_matrix(M) == render_dot_matrix(M)
+
+
+def render_reference(M, threshold=0.1, cell=10.0):
+    """The per-entry loop render_dot_matrix must match byte for byte."""
+
+    def fmt(x):
+        return f"{x:.4f}".rstrip("0").rstrip(".")
+
+    side = M.dim * cell
+    mags = np.abs(M.data)
+    vmax = float(mags.max())
+    rmin = 0.04 * cell
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{fmt(side)}" height="{fmt(side)}" viewBox="0 0 {fmt(side)} {fmt(side)}">',
+        f'<rect width="{fmt(side)}" height="{fmt(side)}" fill="white"/>',
+    ]
+    for i in range(M.dim):
+        for j in range(M.dim):
+            v = mags[i, j]
+            r = rmin
+            if vmax > 0.0 and v >= threshold:
+                r = max(0.5 * cell * float(np.sqrt(v / vmax)), rmin)
+            lines.append(f'<circle cx="{fmt((j + 0.5) * cell)}" cy="{fmt((i + 0.5) * cell)}" '
+                         f'r="{fmt(r)}" fill="black"/>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("kw", [{}, {"threshold": 0.0}, {"threshold": 1e3}, {"cell": 7.5}],
+                         ids=["default", "threshold-0", "threshold-above-max", "cell-7.5"])
+@pytest.mark.parametrize("name", sorted(ORACLE))
+def test_matches_the_per_entry_reference(name, kw):
+    M = ORACLE[name]
+    assert render_dot_matrix(M, **kw) == render_reference(M, **kw)

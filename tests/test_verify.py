@@ -29,6 +29,17 @@ from fuzzyreg.verify import (
 IV = (0.0, 1.0)
 
 
+# each sweep check over a schedule; the builders would fail if ever called
+SWEEP_CHECKS = {
+    "norm": lambda Ns: check_norm_convergence(lambda N: None, Ns, 0),
+    "product": lambda Ns: check_product_convergence(FourierFunction.cosine(IV, 1),
+                                                    FourierFunction.sine(IV, 1), Ns=Ns),
+    "poisson": lambda Ns: check_poisson_convergence(FourierFunction.cosine(IV, 1),
+                                                    FourierFunction.sine(IV, 1), Ns=Ns),
+    "commutator-decay": lambda Ns: check_commutator_decay(lambda N: None, Ns),
+}
+
+
 def make_report(**over):
     kw = dict(
         builder_id="unit",
@@ -48,17 +59,15 @@ class TestSweepReport:
         with pytest.raises(DomainError):
             make_report(schedule=(8, 8, 32))
 
-    @pytest.mark.parametrize("check", [
-        lambda Ns: check_norm_convergence(lambda N: None, Ns, 0),
-        lambda Ns: check_product_convergence(FourierFunction.cosine(IV, 1),
-                                             FourierFunction.sine(IV, 1), Ns=Ns),
-        lambda Ns: check_poisson_convergence(FourierFunction.cosine(IV, 1),
-                                             FourierFunction.sine(IV, 1), Ns=Ns),
-        lambda Ns: check_commutator_decay(lambda N: None, Ns),
-    ], ids=["norm", "product", "poisson", "commutator-decay"])
+    @pytest.mark.parametrize("check", list(SWEEP_CHECKS.values()), ids=list(SWEEP_CHECKS))
     def test_empty_schedule_is_rejected(self, check):
         with pytest.raises(DomainError, match="must not be empty"):
             check(())
+
+    @pytest.mark.parametrize("check", list(SWEEP_CHECKS.values()), ids=list(SWEEP_CHECKS))
+    def test_one_entry_schedule_is_rejected(self, check):
+        with pytest.raises(DomainError, match="single size"):
+            check((16,))
 
     def test_values_must_be_nonnegative(self):
         with pytest.raises(DomainError):
