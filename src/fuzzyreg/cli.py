@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import matrixio
-from .errors import DomainError, FuzzyRegError
+from .errors import DomainError, FuzzyRegError, config_value
 from .fourier import FourierFunction
 from .interpolate import VertexParams, build_string_vertex, make_profile
 from .profiles import AffineProfile, ComplexProfile, as_profile, profile_from_dict
@@ -107,14 +107,15 @@ def _floats(values) -> tuple:
     return tuple(float(v) for v in values)
 
 
-def _config_value(conv, value, what):
-    """conv(value) for one config entry; a value conv rejects raises DomainError."""
-    try:
-        return conv(value)
-    except FuzzyRegError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"config {what} = {value!r} is invalid: {exc}") from None
+def _json_object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("not a JSON object")
+    return value
+
+
+def _section(cfg: dict, key: str) -> dict:
+    """cfg[key] as a JSON object, {} when absent."""
+    return config_value(_json_object, cfg.get(key, {}), key)
 
 
 # vertex config key -> (VertexParams field, conversion)
@@ -131,10 +132,10 @@ _VERTEX_FIELDS = {
 
 def vertex_params_from_config(cfg: dict, n=None, delta=None) -> VertexParams:
     """VertexParams from a vertex config; n and delta override N and cutoff."""
-    kw = {field: _config_value(conv, cfg[key], key)
+    kw = {field: config_value(conv, cfg[key], key)
           for key, (field, conv) in _VERTEX_FIELDS.items() if key in cfg}
-    window = cfg.get("alpha", {})
-    prof_kw = {k: _config_value(float, window[k], f"alpha {k}")
+    window = _section(cfg, "alpha")
+    prof_kw = {k: config_value(float, window[k], f"alpha {k}")
                for k in ("q2", "q3") if k in window}
     if "theta2" in cfg:
         prof_kw["mode"] = str(cfg["theta2"])
@@ -150,8 +151,10 @@ def vertex_params_from_config(cfg: dict, n=None, delta=None) -> VertexParams:
 def build_space(spec: dict, n=None) -> FuzzySpace:
     """Build one of the preset spaces from a JSON space section."""
 
+    spec = config_value(_json_object, spec, "space")
+
     def value(key, default, conv=float):
-        return _config_value(conv, spec.get(key, default), key)
+        return config_value(conv, spec.get(key, default), key)
 
     kind = spec.get("preset", "cylinder")
     if kind == "string-vertex":
@@ -255,7 +258,8 @@ def cmd_build(args) -> int:
     space = build_space(spec, n=args.n)
     threshold = args.threshold
     if threshold is None and "render" in cfg:
-        threshold = _config_value(float, cfg["render"].get("threshold", 0.1), "render threshold")
+        threshold = config_value(float, _section(cfg, "render").get("threshold", 0.1),
+                                 "render threshold")
     written = write_space_artifacts(
         space, args.out, fmt=args.format, threshold=threshold,
         extra_meta={"preset": spec.get("preset", "cylinder")},
@@ -284,7 +288,7 @@ def cmd_vertex(args) -> int:
 def cmd_transform(args) -> int:
     cfg = load_config(args.config)
     space = build_space(cfg.get("space", {}), n=args.n)
-    steps = cfg.get("transforms", [])
+    steps = config_value(list, cfg.get("transforms", []), "transforms")
     log = []
     batch = []
 
@@ -297,15 +301,17 @@ def cmd_transform(args) -> int:
         batch.clear()
 
     for step in steps:
+        step = config_value(_json_object, step, "transform step")
         op = step.get("op")
         if op in ("poly", "reciprocal-diag"):
             batch.append(step)
         elif op == "diagonalize":
             flush()
-            space, rep = diagonalize_coordinate(space, int(step["index"]))
+            index = config_value(_integer, step.get("index"), "diagonalize index")
+            space, rep = diagonalize_coordinate(space, index)
             log.append({
                 "op": "diagonalize",
-                "index": int(step["index"]),
+                "index": index,
                 "policy": rep.policy,
                 "identity": rep.identity,
                 "residual": rep.residual,
@@ -329,9 +335,9 @@ def cmd_transform(args) -> int:
 
 def _sweep_report(cfg: dict, n=None, delta=None):
     kind = cfg.get("kind", "commutator-decay")
-    schedule = _config_value(_integers, cfg.get("schedule", (16, 32, 64)), "sweep schedule")
+    schedule = config_value(_integers, cfg.get("schedule", (16, 32, 64)), "sweep schedule")
     if delta is None and "delta" in cfg:
-        delta = _config_value(_integer, cfg["delta"], "sweep delta")
+        delta = config_value(_integer, cfg["delta"], "sweep delta")
     label = cfg.get("label")
     if kind == "commutator-decay":
         spec = cfg.get("space", {})
@@ -343,8 +349,8 @@ def _sweep_report(cfg: dict, n=None, delta=None):
             builder, schedule, delta=5 if delta is None else delta, label=label
         )
     if kind in ("product", "poisson"):
-        f = function_from_config(cfg["f"])
-        g = function_from_config(cfg["g"])
+        f = function_from_config(cfg.get("f"))
+        g = function_from_config(cfg.get("g"))
         rule = cfg.get("rule", "symmetric")
         check = check_product_convergence if kind == "product" else check_poisson_convergence
         return check(f, g, rule=rule, Ns=schedule, delta=delta, label=label)
@@ -353,7 +359,7 @@ def _sweep_report(cfg: dict, n=None, delta=None):
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    report = _sweep_report(cfg.get("sweep", {}), n=args.n, delta=args.delta)
+    report = _sweep_report(_section(cfg, "sweep"), n=args.n, delta=args.delta)
     os.makedirs(args.out, exist_ok=True)
     stem = report.criterion
     json_path = os.path.join(args.out, f"{stem}-report.json")
@@ -370,11 +376,11 @@ def cmd_sweep(args) -> int:
 def cmd_render(args) -> int:
     M = matrixio.read_matrix(args.matrix)
     cfg = load_config(args.config) if args.config else {}
-    rcfg = cfg.get("render", {})
+    rcfg = _section(cfg, "render")
     threshold = args.threshold
     if threshold is None:
-        threshold = _config_value(float, rcfg.get("threshold", 0.1), "render threshold")
-    cell = _config_value(float, rcfg.get("cell", 10.0), "render cell")
+        threshold = config_value(float, rcfg.get("threshold", 0.1), "render threshold")
+    cell = config_value(float, rcfg.get("cell", 10.0), "render cell")
     svg = render_dot_matrix(M, threshold=threshold, cell=cell)
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.matrix))[0]
@@ -400,9 +406,9 @@ def cmd_surface(args) -> int:
         raise DomainError(
             "surface export needs a preset that carries coordinate functions"
         )
-    scfg = cfg.get("surface", {})
-    grid = _config_value(_integers, scfg.get("grid", (33, 32)), "surface grid")
-    bound = _config_value(float, scfg.get("bound", 1e-2), "surface bound")
+    scfg = _section(cfg, "surface")
+    grid = config_value(_integers, scfg.get("grid", (33, 32)), "surface grid")
+    bound = config_value(float, scfg.get("bound", 1e-2), "surface bound")
     header, rows = export_classical_surface(space.generators, grid=grid, bound=bound)
     os.makedirs(args.out, exist_ok=True)
     name = f"{space.name}-surface.csv"

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `config_value`, the one
+conversion of a config or recipe entry that fails with a DomainError."""
 
 
 class FuzzyRegError(Exception):
@@ -23,3 +24,14 @@ class StructureError(FuzzyRegError, ValueError):
     Examples: dimension mismatch, a non-unitary matrix passed where a unitary
     is required, a non-diagonal matrix fed into an entrywise diagonal map.
     """
+
+
+def config_value(conv, value, what):
+    """conv(value) for one config or recipe entry; a value conv rejects
+    (TypeError, ValueError or IndexError) raises DomainError."""
+    try:
+        return conv(value)
+    except FuzzyRegError:
+        raise
+    except (TypeError, ValueError, IndexError) as exc:
+        raise DomainError(f"config {what} = {value!r} is invalid: {exc}") from None

@@ -90,14 +90,9 @@ class FourierFunction:
         return out
 
     def is_real_valued(self) -> bool:
-        """Check conj(f_n) = f_{-n} to 1e-12 on 17 evenly spaced q."""
-        qa = np.linspace(self.interval[0], self.interval[1], 17)
-        for n in self.coeffs:
-            a = self.coeff(n)(qa)
-            b = self.coeff(-n)(qa)
-            if np.max(np.abs(np.conj(a) - b)) > 1e-12:
-                return False
-        return True
+        """Check conj(f_n) = f_{-n}: the S = 1 case of
+        `MatrixFourierFunction.is_hermitian`."""
+        return MatrixFourierFunction.from_scalar(self).is_hermitian()
 
     # --- coefficient algebra ---------------------------------------------------
 

@@ -3,7 +3,7 @@
 The transition from one string cross-section (half-angle mode content, the
 circle-to-eight) to two separate strings (plain periodic mode content) is
 performed by blending the two slot functions under a common phase
-e^{i alpha(q) phi + i gamma(q)} and reading off the integer Fourier modes of
+e^{i alpha(q) (phi - pi)} and reading off the integer Fourier modes of
 the blend over one angular period.  The mode integrals have closed form in
 terms of sinc factors; this module implements those coefficients, the
 profile functions steering the blend, the assembled 2x2 string-vertex space,
@@ -27,7 +27,10 @@ from .profiles import (
     as_profile,
     smooth_step,
 )
-from .regularize import FuzzySpace, make_grid, regularize_matrix
+from .regularize import FuzzySpace, make_grid, regularize_space
+# Kept as a module attribute: fzbench's tracer test checks that it rebinds
+# regularize_matrix at every import site, this one included.
+from .regularize import regularize_matrix  # noqa: F401
 from .spaces import DoubleCylinderSpec, circle_to_eight_functions
 
 
@@ -42,9 +45,6 @@ class InterpolationProfile:
     alpha: Profile
     theta1: Profile
     theta2: Profile
-    lam: Profile
-    gamma: Profile
-    beta: Profile
     q2: float
     q3: float
 
@@ -61,9 +61,8 @@ def make_profile(mode: str = "explicit-spline", q2: float = 1.0,
     derived-lambda: theta1 = -lam sin(pi alpha), theta2 = lam cos(pi alpha)
     with lam = 1/(cos(pi alpha) - sin(pi alpha)); then theta1 + theta2 = 1
     identically.  In both modes alpha = (theta-ramp - 1)/2, so alpha is exactly
-    -1/2 below q2 and exactly 0 above q3; beta = alpha, and gamma = -pi alpha
-    cancels the outer e^{i pi alpha} so both window ends come out exact.  A
-    collapsed window (q2 == q3) degenerates to a hard step.
+    -1/2 below q2 and exactly 0 above q3.  A collapsed window (q2 == q3)
+    degenerates to a hard step.
     """
     q2 = float(q2)
     q3 = float(q3)
@@ -81,7 +80,6 @@ def make_profile(mode: str = "explicit-spline", q2: float = 1.0,
         a = np.pi * alpha(q)
         return 1.0 / (np.cos(a) - np.sin(a))
 
-    lam = CallableProfile(_lam, "lambda")
     if mode == "explicit-spline":
         theta2: Profile = ramp
         theta1: Profile = 1.0 - ramp
@@ -90,7 +88,7 @@ def make_profile(mode: str = "explicit-spline", q2: float = 1.0,
         theta2 = CallableProfile(lambda q: _lam(q) * np.cos(np.pi * alpha(q)), "theta2")
     else:
         raise DomainError(f"unknown profile mode {mode!r}")
-    return InterpolationProfile(alpha, theta1, theta2, lam, (-np.pi) * alpha, alpha, q2, q3)
+    return InterpolationProfile(alpha, theta1, theta2, q2, q3)
 
 
 def _table_values(table, q):
@@ -111,12 +109,12 @@ def interp_fourier_coeff(f1_table, f2_table, profile: InterpolationProfile, m: i
     f1_table holds the half-angle coefficients (mode n means angular frequency
     2n+1 in the half-angle variable), f2_table the plain periodic ones.
 
-    f_m = e^{i(gamma + pi alpha)} sum_n (-1)^(n-m) [
-            theta1 f_{1,n} e^{i pi (1/2 + beta) n} sinc(n - m + 1/2 + alpha)
-          + theta2 f_{2,n} e^{i pi beta n}         sinc(n - m + alpha) ]
+    f_m = sum_n (-1)^(n-m) [
+            theta1 f_{1,n} e^{i pi (1/2 + alpha) n} sinc(n - m + 1/2 + alpha)
+          + theta2 f_{2,n} e^{i pi alpha n}         sinc(n - m + alpha) ]
 
-    With beta = alpha and gamma = -pi alpha, as `make_profile` sets them, this
-    reduces, via
+    (the outer phase e^{-i pi alpha} of the blend cancels the e^{i pi alpha}
+    the mode integrals produce).  This reduces, via
     (-1)^(n-m) sinc(n-m+1/2+alpha) = cos(pi alpha)/(pi (n-m+1/2+alpha)) and
     (-1)^(n-m) sinc(n-m+alpha) = sin(pi alpha)/(pi (n-m+alpha)), to the plain
     1/pi pole form; the sinc writing is the analytic-limit branch, so exact
@@ -127,20 +125,18 @@ def interp_fourier_coeff(f1_table, f2_table, profile: InterpolationProfile, m: i
     q = np.asarray(q, dtype=float)
     m = int(m)
     a = np.asarray(profile.alpha(q), float)
-    b = np.asarray(profile.beta(q), float)
-    g = np.asarray(profile.gamma(q), float)
     t1 = np.asarray(profile.theta1(q), float)
     t2 = np.asarray(profile.theta2(q), float)
     v1 = _table_values(f1_table, q)
     v2 = _table_values(f2_table, q)
     acc = np.zeros(np.broadcast(q, a).shape, dtype=complex)
     for n, val in v1.items():
-        acc = acc + t1 * val * ((-1.0) ** (n - m)) * np.exp(1j * np.pi * (0.5 + b) * n) \
+        acc = acc + t1 * val * ((-1.0) ** (n - m)) * np.exp(1j * np.pi * (0.5 + a) * n) \
             * np.sinc(n - m + 0.5 + a)
     for n, val in v2.items():
-        acc = acc + t2 * val * ((-1.0) ** (n - m)) * np.exp(1j * np.pi * b * n) \
+        acc = acc + t2 * val * ((-1.0) ** (n - m)) * np.exp(1j * np.pi * a * n) \
             * np.sinc(n - m + a)
-    return np.exp(1j * (g + np.pi * a)) * acc
+    return acc
 
 
 def interpolated_angle_function(f1_table, f2_table, profile: InterpolationProfile, q, phi):
@@ -153,16 +149,14 @@ def interpolated_angle_function(f1_table, f2_table, profile: InterpolationProfil
     q = np.asarray(q, dtype=float)
     phi = np.asarray(phi, dtype=float)
     a = profile.alpha(q)
-    b = profile.beta(q)
-    g = profile.gamma(q)
     t1 = np.asarray(profile.theta1(q), float)
     t2 = np.asarray(profile.theta2(q), float)
     v1 = _table_values(f1_table, q)
     v2 = _table_values(f2_table, q)
-    f1 = sum(val * np.exp(1j * (n + 0.5) * phi + 1j * np.pi * (0.5 + b) * n)
+    f1 = sum(val * np.exp(1j * (n + 0.5) * phi + 1j * np.pi * (0.5 + a) * n)
              for n, val in v1.items())
-    f2 = sum(val * np.exp(1j * n * phi + 1j * np.pi * b * n) for n, val in v2.items())
-    return (-1j * t1 * f1 + t2 * f2) * np.exp(1j * a * phi + 1j * g)
+    f2 = sum(val * np.exp(1j * n * phi + 1j * np.pi * a * n) for n, val in v2.items())
+    return (-1j * t1 * f1 + t2 * f2) * np.exp(1j * a * (phi - np.pi))
 
 
 def _interp_coeff_profile(f1_table, f2_table, profile, m) -> ComplexProfile:
@@ -301,9 +295,7 @@ def build_string_vertex(p: VertexParams) -> FuzzySpace:
         ]
     )
 
-    grid = make_grid(p.N, interval, p.rule)
-    coords = tuple(regularize_matrix(F, grid) for F in (X, Y, Z))
-    return FuzzySpace("string-vertex", coords, (X, Y, Z), grid)
+    return regularize_space("string-vertex", (X, Y, Z), make_grid(p.N, interval, p.rule))
 
 
 def mirror_concat(space: FuzzySpace, q_E: float) -> FuzzySpace:
@@ -333,8 +325,7 @@ def mirror_concat(space: FuzzySpace, q_E: float) -> FuzzySpace:
         for F in space.generators
     )
     grid = make_grid(2 * space.grid.N, new_interval, space.grid.rule)
-    coords = tuple(regularize_matrix(F, grid) for F in mirrored)
-    return FuzzySpace(f"mirrored({space.name})", coords, mirrored, grid)
+    return regularize_space(f"mirrored({space.name})", mirrored, grid)
 
 
 def close_caps(F: MatrixFourierFunction, window) -> MatrixFourierFunction:

@@ -13,10 +13,12 @@ Grids q(n, m) are affine in (n, m): q(n,m) = c0 + cn*n + cm*m, 0-based, with
 q(0,0) = q1 and the formula reaching q2 at (N, N) (one step past the last
 stored index, so the stored diagonal values fill [q1, q2) from the left).
 
-Regularized matrices are stored dense but are banded, with bandwidth
-(cutoff+1)*S.  Every product of them (commutators here, the product and
-Poisson residuals in `verify`) is therefore taken through `as_csr`, which
-costs O(dim * bandwidth^2) per product instead of the dense O(dim^3).
+This module is the only one that writes a regularized coordinate or
+multiplies two: spaces that carry generator functions take their
+coordinates from `regularize_space`, and every product of regularized
+matrices is `product` or `commutator`.  The matrices are stored dense but
+are banded, with bandwidth (cutoff+1)*S, so both kernels multiply in CSR,
+at O(dim * bandwidth^2) per product instead of the dense O(dim^3).
 """
 
 from __future__ import annotations
@@ -153,18 +155,10 @@ def regularize_matrix(F: MatrixFourierFunction, grid: DiscretizingGrid) -> Fuzzy
 
 
 def toeplitz_basis(a: int, N: int) -> FuzzyMatrix:
-    """e_a = sum_n |n><n+a| (ones on the a-th diagonal; a=0 is the identity)."""
-    a = int(a)
-    N = int(N)
-    if abs(a) >= N:
-        raise DomainError(f"|a| = {abs(a)} must stay below N = {N}")
-    out = np.zeros((N, N), dtype=complex)
-    idx = np.arange(N - abs(a))
-    if a >= 0:
-        out[idx, idx + a] = 1.0
-    else:
-        out[idx - a, idx] = 1.0
-    return FuzzyMatrix(out, N, 1)
+    """e_a = sum_n |n><n+a|, the regularization of e^{i a phi} (ones on the
+    a-th diagonal; a=0 is the identity)."""
+    f = FourierFunction((0.0, 1.0), {int(a): 1.0})
+    return regularize_scalar(f, make_grid(N, f.interval))
 
 
 def _border_width(M: FuzzyMatrix, delta) -> int:
@@ -210,23 +204,25 @@ def interior_max_entry(M: FuzzyMatrix, delta) -> float:
     return float(np.max(core)) if core.size else 0.0
 
 
-def as_csr(M: FuzzyMatrix) -> csr_array:
-    """M as a CSR array: the form every product of regularized matrices
-    is taken in.  The conversion is one O(dim^2) scan of the dense data."""
-    return csr_array(M.data)
+def _csr_operands(A: FuzzyMatrix, B: FuzzyMatrix):
+    """A and B in CSR, with the (N, S) layout of their products: kept when
+    both operands share it, flat otherwise."""
+    if A.dim != B.dim:
+        raise StructureError(f"dimension mismatch {A.dim} vs {B.dim}")
+    layout = (A.N, A.S) if (A.N, A.S) == (B.N, B.S) else (A.dim, 1)
+    return csr_array(A.data), csr_array(B.data), layout
+
+
+def product(A: FuzzyMatrix, B: FuzzyMatrix) -> FuzzyMatrix:
+    """AB, multiplied in CSR and returned as a dense matrix."""
+    a, b, (N, S) = _csr_operands(A, B)
+    return FuzzyMatrix((a @ b).toarray(), N, S)
 
 
 def commutator(A: FuzzyMatrix, B: FuzzyMatrix) -> FuzzyMatrix:
-    """[A, B] = AB - BA, multiplied in CSR and returned as a dense matrix.
-
-    The layout (N, S) is kept when both operands share it.
-    """
-    if A.dim != B.dim:
-        raise StructureError(f"dimension mismatch {A.dim} vs {B.dim}")
-    a, b = as_csr(A), as_csr(B)
-    data = (a @ b - b @ a).toarray()
-    N, S = (A.N, A.S) if (A.N, A.S) == (B.N, B.S) else (A.dim, 1)
-    return FuzzyMatrix(data, N, S)
+    """[A, B] = AB - BA, subtracted in CSR and returned as a dense matrix."""
+    a, b, (N, S) = _csr_operands(A, B)
+    return FuzzyMatrix((a @ b - b @ a).toarray(), N, S)
 
 
 def hermitianize(M: FuzzyMatrix) -> FuzzyMatrix:
@@ -269,3 +265,9 @@ class FuzzySpace:
             if not c.is_hermitian(tol):
                 raise StructureError(f"coordinate {k} of {self.name!r} is not Hermitian")
         return self
+
+
+def regularize_space(name: str, generators, grid: DiscretizingGrid) -> FuzzySpace:
+    """The space whose coordinates are the regularizations of its generators."""
+    coords = tuple(regularize_matrix(F, grid) for F in generators)
+    return FuzzySpace(name, coords, generators, grid)

@@ -26,6 +26,7 @@ from .regularize import (
     FuzzySpace,
     make_grid,
     regularize_scalar,
+    regularize_space,
     toeplitz_basis,
 )
 
@@ -62,26 +63,17 @@ def _is_q_independent(f: FourierFunction, tol=1e-13) -> bool:
     return True
 
 
-def _toeplitz_from_series(f: FourierFunction, N: int) -> FuzzyMatrix:
-    mid = 0.5 * (f.interval[0] + f.interval[1])
-    out = np.zeros((N, N), dtype=complex)
-    for n, c in f.coeffs.items():
-        out += complex(c(mid)) * toeplitz_basis(n, N).data
-    return FuzzyMatrix(out, N, 1)
-
-
 def build_generalized_cylinder(curve: CurveSpec, N: int, z_offset: float = 0.0) -> FuzzySpace:
-    """Toeplitz x, y over a strictly increasing diagonal z.
+    """Toeplitz x, y (the regularized curve series) over a strictly
+    increasing diagonal z.
 
     z carries the values z_offset + beta*n/N for n = 1..N; only differences
     of z enter any commutator, so the offset is conventional (a z_offset of
     -beta centers the height range on zero up to one step).
     """
     N = int(N)
-    if curve.x_series.cutoff >= N or curve.y_series.cutoff >= N:
-        raise DomainError("curve cutoff must stay below N")
-    xhat = _toeplitz_from_series(curve.x_series, N)
-    yhat = _toeplitz_from_series(curve.y_series, N)
+    xhat, yhat = (regularize_scalar(f, make_grid(N, f.interval))
+                  for f in (curve.x_series, curve.y_series))
     zvals = z_offset + curve.z_beta * (np.arange(1, N + 1) / N)
     zhat = FuzzyMatrix(np.diag(zvals.astype(complex)), N, 1)
     return FuzzySpace("generalized-cylinder", (xhat, yhat, zhat))
@@ -96,17 +88,9 @@ def build_immersed_cylinder(
 ) -> FuzzySpace:
     """Regularize a surface given by real series x, y and a height profile z."""
     _check_same_interval(x, y)
-    z = as_profile(z)
-    grid = make_grid(N, x.interval, rule)
-    xhat = regularize_scalar(x, grid)
-    yhat = regularize_scalar(y, grid)
-    zhat = FuzzyMatrix(np.diag(z(grid.diagonal_values()).astype(complex)), N, 1)
-    generators = (
-        MatrixFourierFunction.from_scalar(x),
-        MatrixFourierFunction.from_scalar(y),
-        MatrixFourierFunction.from_scalar(FourierFunction.from_profile(x.interval, z)),
-    )
-    return FuzzySpace("immersed-cylinder", (xhat, yhat, zhat), generators, grid)
+    z = FourierFunction.from_profile(x.interval, as_profile(z))
+    generators = tuple(MatrixFourierFunction.from_scalar(f) for f in (x, y, z))
+    return regularize_space("immersed-cylinder", generators, make_grid(N, x.interval, rule))
 
 
 def circle_to_eight_functions(
@@ -197,20 +181,17 @@ class DoubleCylinderSpec:
 
 
 def build_double_cylinder(spec: DoubleCylinderSpec, N: int):
-    """Two fuzzy cylinders sharing the diagonal z = q(n,n); returns a pair."""
+    """Two fuzzy cylinders with the same height z = q; returns a pair."""
     grid = make_grid(N, spec.interval, "symmetric")
-    zvals = grid.diagonal_values().astype(complex)
-    zhat = FuzzyMatrix(np.diag(zvals), N, 1)
     zfn = FourierFunction.from_profile(spec.interval, AffineProfile(0.0, 1.0))
-    out = []
-    for i in (1, 2):
-        x, y = spec.functions(i)
-        coords = (regularize_scalar(x, grid), regularize_scalar(y, grid), zhat)
-        generators = tuple(
-            MatrixFourierFunction.from_scalar(f) for f in (x, y, zfn)
+    return tuple(
+        regularize_space(
+            f"cylinder-{i}",
+            tuple(MatrixFourierFunction.from_scalar(f) for f in (*spec.functions(i), zfn)),
+            grid,
         )
-        out.append(FuzzySpace(f"cylinder-{i}", coords, generators, grid))
-    return tuple(out)
+        for i in (1, 2)
+    )
 
 
 def interlaced_double_cylinder_function(spec: DoubleCylinderSpec) -> tuple:

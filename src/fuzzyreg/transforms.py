@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StructureError
+from .errors import DomainError, StructureError, config_value
 from .fourier import FourierFunction, MatrixFourierFunction
 from .regularize import FuzzyMatrix, FuzzySpace
 
@@ -203,18 +203,18 @@ def matrix_poly_transform(space: FuzzySpace, recipe):
             for term in step["terms"]:
                 part = np.eye(space.dim, dtype=complex)
                 for idx in term["indices"]:
-                    part = part @ coords[idx].data
-                acc += complex(term.get("coeff", 1.0)) * part
+                    part = part @ config_value(coords.__getitem__, idx, "poly index").data
+                acc += config_value(complex, term.get("coeff", 1.0), "poly coeff") * part
             new = FuzzyMatrix(acc, coords[0].N, coords[0].S)
             bad = ()
         elif op == "reciprocal-diag":
-            src = coords[step["source"]]
+            src = config_value(coords.__getitem__, step.get("source"), "reciprocal-diag source")
             offdiag = src.data - np.diag(np.diag(src.data))
             if np.max(np.abs(offdiag)) > 1e-12:
                 raise StructureError("entrywise recipe needs a diagonal source coordinate")
-            shift = float(step.get("shift", 1.0))
-            scale = float(step.get("scale", 1.0))
-            tol = float(step.get("singular_tol", 1e-9))
+            shift = config_value(float, step.get("shift", 1.0), "shift")
+            scale = config_value(float, step.get("scale", 1.0), "scale")
+            tol = config_value(float, step.get("singular_tol", 1e-9), "singular_tol")
             denom = shift + np.diag(src.data)
             bad = np.flatnonzero(np.abs(denom) < tol)
             vals = np.zeros(space.dim, dtype=complex)
@@ -228,7 +228,8 @@ def matrix_poly_transform(space: FuzzySpace, recipe):
         if target == "append":
             coords.append(new)
         else:
-            coords[int(target)] = new
+            config_value(coords.__getitem__, target, "target")
+            coords[target] = new
     return FuzzySpace(f"{space.name}*", tuple(coords), space.generators, space.grid), steps
 
 
@@ -265,7 +266,7 @@ def diagonalize_coordinate(space: FuzzySpace, index: int):
     the eigenvector matrix is kept real, which renders conjugated real
     symmetric coordinates real and purely imaginary ones purely imaginary.
     """
-    M = space.coordinates[index]
+    M = config_value(space.coordinates.__getitem__, index, "diagonalize index")
     if not M.is_hermitian(1e-10):
         raise StructureError(f"coordinate {index} is not Hermitian")
     A = M.data

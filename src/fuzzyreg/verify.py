@@ -24,10 +24,10 @@ from .fourier import (
 )
 from .regularize import (
     FuzzyMatrix,
-    as_csr,
     commutator,
     interior_max_entry,
     make_grid,
+    product,
     regularize_scalar,
     within_border_norm,
 )
@@ -218,7 +218,7 @@ def check_product_convergence(f, g, rule="symmetric", Ns=(16, 32, 64), delta=Non
     """Within-border norm of Q(f)Q(g) - Q(fg); first-order decay expected."""
 
     def residual(grid, Qf, Qg):
-        return (as_csr(Qf) @ as_csr(Qg)).toarray() - regularize_scalar(mul(f, g), grid).data
+        return product(Qf, Qg).data - regularize_scalar(mul(f, g), grid).data
 
     return _first_order_sweep("product", f, g, rule, Ns, delta, label, residual)
 
@@ -256,7 +256,7 @@ def semiclassical_residual(f, g, rule="symmetric", N=64, delta=None) -> float:
     Qfg = regularize_scalar(mul(f, g), grid)
     corr_fn = mul(f.d_phi(), g.d_q()) * grid.beta_left - mul(f.d_q(), g.d_phi()) * grid.beta_right
     Qcorr = regularize_scalar(corr_fn, grid)
-    resid = (as_csr(Qf) @ as_csr(Qg)).toarray() - Qfg.data + (1j / N) * Qcorr.data
+    resid = product(Qf, Qg).data - Qfg.data + (1j / N) * Qcorr.data
     return within_border_norm(FuzzyMatrix(resid, N, 1), delta)
 
 

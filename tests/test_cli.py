@@ -286,9 +286,18 @@ class TestFailureModes:
                      "surface": {"bound": "tight"}}),
         ("render", {"render": {"cell": "wide"}}),
         ("render", {"render": {"threshold": [0.1]}}),
+        ("transform", {"transforms": [{"op": "diagonalize", "index": "x"}]}),
+        ("transform", {"transforms": [{"op": "poly", "terms": [{"coeff": "a", "indices": [0]}]}]}),
+        ("transform", {"transforms": [{"op": "poly", "terms": [{"indices": [9]}]}]}),
+        ("transform", {"transforms": [5]}),
+        ("build", {"space": 5}),
+        ("sweep", {"sweep": 5}),
+        ("vertex", {"alpha": 5}),
     ], ids=["vertex-N", "vertex-fractional-N", "vertex-window", "build-radius", "build-n",
             "build-member", "build-missing-n0", "build-render-threshold", "sweep-delta",
-            "surface-bound", "render-cell", "render-threshold"])
+            "surface-bound", "render-cell", "render-threshold", "transform-diagonalize-index",
+            "transform-poly-coeff", "transform-poly-index", "transform-step", "space-section",
+            "sweep-section", "vertex-window-section"])
     def test_unconvertible_config_value(self, tmp_path, capsys, command, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")

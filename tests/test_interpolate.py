@@ -60,17 +60,14 @@ class TestMakeProfile:
         assert prof.alpha(2.8) == 0.0
         assert prof.alpha(1.5) == pytest.approx(-0.25, abs=1e-14)
 
-    def test_default_beta_and_gamma_track_alpha(self):
-        prof = make_profile()
-        for q in (0.5, 1.3, 1.9, 2.4):
-            assert prof.beta(q) == pytest.approx(prof.alpha(q), abs=1e-14)
-            assert prof.gamma(q) == pytest.approx(-np.pi * prof.alpha(q), abs=1e-13)
-
     def test_lambda_normalizer_values(self):
+        # theta1 = -lam sin(pi alpha), theta2 = lam cos(pi alpha): lam is 1 at
+        # alpha = -1/2 and 0, and 1/sqrt(2) at alpha = -1/4 (the midpoint),
+        # where both thetas are lam/sqrt(2) = 1/2
         prof = make_profile("derived-lambda")
-        assert prof.lam(0.5) == pytest.approx(1.0, abs=1e-12)
-        assert prof.lam(2.5) == pytest.approx(1.0, abs=1e-12)
-        assert prof.lam(1.5) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+        for q, want1, want2 in ((0.5, 1.0, 0.0), (2.5, 0.0, 1.0), (1.5, 0.5, 0.5)):
+            assert prof.theta1(q) == pytest.approx(want1, abs=1e-12)
+            assert prof.theta2(q) == pytest.approx(want2, abs=1e-12)
 
     def test_collapsed_window_becomes_a_step(self):
         prof = make_profile(q2=1.5, q3=1.5)
