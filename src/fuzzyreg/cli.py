@@ -2,8 +2,10 @@
 
 Subcommands build preset spaces, apply transform recipes, assemble the
 string vertex, run convergence sweeps, and export renders or classical
-surface samples.  All artifacts are byte-deterministic; run metadata goes
-to a JSON sidecar next to each artifact, never into the artifact itself.
+surface samples.  `_COMMANDS` lists the options each subcommand accepts,
+which are exactly the ones it reads.  All artifacts are byte-deterministic;
+run metadata goes to a JSON sidecar next to each artifact, never into the
+artifact itself.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 import numpy as np
 
 from . import matrixio
-from .errors import DomainError, FuzzyRegError, config_value
+from .errors import DomainError, FuzzyRegError, config_value, json_object
 from .fourier import FourierFunction
 from .interpolate import VertexParams, build_string_vertex, make_profile
 from .profiles import AffineProfile, ComplexProfile, as_profile, profile_from_dict
@@ -107,15 +109,9 @@ def _floats(values) -> tuple:
     return tuple(float(v) for v in values)
 
 
-def _json_object(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError("not a JSON object")
-    return value
-
-
 def _section(cfg: dict, key: str) -> dict:
     """cfg[key] as a JSON object, {} when absent."""
-    return config_value(_json_object, cfg.get(key, {}), key)
+    return config_value(json_object, cfg.get(key, {}), key)
 
 
 # vertex config key -> (VertexParams field, conversion)
@@ -151,15 +147,18 @@ def vertex_params_from_config(cfg: dict, n=None, delta=None) -> VertexParams:
 def build_space(spec: dict, n=None) -> FuzzySpace:
     """Build one of the preset spaces from a JSON space section."""
 
-    spec = config_value(_json_object, spec, "space")
+    spec = config_value(json_object, spec, "space")
 
     def value(key, default, conv=float):
         return config_value(conv, spec.get(key, default), key)
 
     kind = spec.get("preset", "cylinder")
+    size_key = "n" if "n" in spec else "N"
+    if n is None and size_key in spec:
+        n = value(size_key, None, _integer)
     if kind == "string-vertex":
         return build_string_vertex(vertex_params_from_config(spec, n=n))
-    N = int(n) if n is not None else value("n" if "n" in spec else "N", 16, _integer)
+    N = 16 if n is None else int(n)
     if kind == "cylinder":
         curve = CurveSpec.circle(value("radius", 1.0))
         if "z_beta" in spec:
@@ -199,15 +198,18 @@ def build_space(spec: dict, n=None) -> FuzzySpace:
     raise DomainError(f"unknown space preset {kind!r}")
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _write_text(out_dir, name, text) -> str:
+    """Write one UTF-8, LF-terminated artifact into out_dir; return its path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    return path
 
 
 def _write_sidecar(out_dir, stem, meta) -> str:
-    path = os.path.join(out_dir, stem + ".meta.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_json_text(meta))
-    return path
+    text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    return _write_text(out_dir, stem + ".meta.json", text)
 
 
 def write_space_artifacts(space: FuzzySpace, out_dir, fmt="bin",
@@ -229,9 +231,7 @@ def write_space_artifacts(space: FuzzySpace, out_dir, fmt="bin",
         thr = 0.1 if threshold is None else float(threshold)
         for k, M in enumerate(space.coordinates):
             name = f"{space.name}-x{k + 1}.svg"
-            with open(os.path.join(out_dir, name), "w", encoding="utf-8",
-                      newline="\n") as fh:
-                fh.write(render_dot_matrix(M, threshold=thr))
+            _write_text(out_dir, name, render_dot_matrix(M, threshold=thr))
             written.append(name)
     meta = {
         "kind": "space",
@@ -301,7 +301,7 @@ def cmd_transform(args) -> int:
         batch.clear()
 
     for step in steps:
-        step = config_value(_json_object, step, "transform step")
+        step = config_value(json_object, step, "transform step")
         op = step.get("op")
         if op in ("poly", "reciprocal-diag"):
             batch.append(step)
@@ -333,7 +333,7 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def _sweep_report(cfg: dict, n=None, delta=None):
+def _sweep_report(cfg: dict, delta=None):
     kind = cfg.get("kind", "commutator-decay")
     schedule = config_value(_integers, cfg.get("schedule", (16, 32, 64)), "sweep schedule")
     if delta is None and "delta" in cfg:
@@ -359,16 +359,11 @@ def _sweep_report(cfg: dict, n=None, delta=None):
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    report = _sweep_report(_section(cfg, "sweep"), n=args.n, delta=args.delta)
-    os.makedirs(args.out, exist_ok=True)
+    report = _sweep_report(_section(cfg, "sweep"), delta=args.delta)
     stem = report.criterion
-    json_path = os.path.join(args.out, f"{stem}-report.json")
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report.to_json() + "\n")
+    _write_text(args.out, f"{stem}-report.json", report.to_json() + "\n")
     text = report.to_text()
-    txt_path = os.path.join(args.out, f"{stem}-report.txt")
-    with open(txt_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+    _write_text(args.out, f"{stem}-report.txt", text + "\n")
     print(text)
     return report.exit_code
 
@@ -381,13 +376,9 @@ def cmd_render(args) -> int:
     if threshold is None:
         threshold = config_value(float, rcfg.get("threshold", 0.1), "render threshold")
     cell = config_value(float, rcfg.get("cell", 10.0), "render cell")
-    svg = render_dot_matrix(M, threshold=threshold, cell=cell)
-    os.makedirs(args.out, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.matrix))[0]
     name = stem + ".svg"
-    path = os.path.join(args.out, name)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
+    path = _write_text(args.out, name, render_dot_matrix(M, threshold=threshold, cell=cell))
     _write_sidecar(args.out, stem + "-render", {
         "kind": "render",
         "source": os.path.basename(args.matrix),
@@ -410,11 +401,8 @@ def cmd_surface(args) -> int:
     grid = config_value(_integers, scfg.get("grid", (33, 32)), "surface grid")
     bound = config_value(float, scfg.get("bound", 1e-2), "surface bound")
     header, rows = export_classical_surface(space.generators, grid=grid, bound=bound)
-    os.makedirs(args.out, exist_ok=True)
     name = f"{space.name}-surface.csv"
-    path = os.path.join(args.out, name)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(surface_csv(header, rows))
+    path = _write_text(args.out, name, surface_csv(header, rows))
     _write_sidecar(args.out, space.name + "-surface", {
         "kind": "surface",
         "name": space.name,
@@ -427,57 +415,55 @@ def cmd_surface(args) -> int:
     return 0
 
 
+# argument -> add_argument keywords; "matrix" is render's positional input
+_ARGUMENTS = {
+    "matrix": {"help": "matrix file (csv or fzmb)"},
+    "--config": {"help": "JSON job configuration"},
+    "--n": {"type": int, "help": "override the size parameter"},
+    "--delta": {"type": int, "help": "override the band cutoff"},
+    "--threshold": {"type": float, "help": "render threshold on entry magnitude"},
+    "--format": {"choices": ("csv", "bin", "svg"), "help": "artifact format (default bin)"},
+}
+
+# subcommand -> (handler, help, the arguments it reads besides --out, the
+# options it requires because it always loads them)
 _COMMANDS = {
-    "build": cmd_build,
-    "vertex": cmd_vertex,
-    "transform": cmd_transform,
-    "sweep": cmd_sweep,
-    "render": cmd_render,
-    "surface": cmd_surface,
+    "build": (cmd_build, "build a preset space and write its coordinates",
+              ("--config", "--n", "--threshold", "--format"), ()),
+    "vertex": (cmd_vertex, "assemble the one-to-two string vertex",
+               ("--config", "--n", "--delta", "--threshold", "--format"), ()),
+    "transform": (cmd_transform, "apply a transform recipe to a preset space",
+                  ("--config", "--n", "--threshold", "--format"), ("--config",)),
+    "sweep": (cmd_sweep, "run a convergence sweep and write its report",
+              ("--config", "--delta"), ("--config",)),
+    "render": (cmd_render, "render a stored matrix as an SVG dot plot",
+               ("matrix", "--config", "--threshold"), ()),
+    "surface": (cmd_surface, "export classical surface samples to CSV",
+                ("--config", "--n"), ("--config",)),
 }
 
 
 def _make_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON job configuration")
-    common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--n", type=int, help="override the size parameter")
-    common.add_argument("--delta", type=int, help="override the band cutoff")
-    common.add_argument("--threshold", type=float,
-                        help="render threshold on entry magnitude")
-    common.add_argument("--format", choices=("csv", "bin", "svg"),
-                        help="artifact format (default bin)")
     parser = argparse.ArgumentParser(
         prog="fuzzyreg",
         description="Regularize surfaces into finite matrices and inspect them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("build", parents=[common],
-                   help="build a preset space and write its coordinates")
-    sub.add_parser("vertex", parents=[common],
-                   help="assemble the one-to-two string vertex")
-    sub.add_parser("transform", parents=[common],
-                   help="apply a transform recipe to a preset space")
-    sub.add_parser("sweep", parents=[common],
-                   help="run a convergence sweep and write its report")
-    p_render = sub.add_parser("render", parents=[common],
-                              help="render a stored matrix as an SVG dot plot")
-    p_render.add_argument("matrix", help="matrix file (csv or fzmb)")
-    sub.add_parser("surface", parents=[common],
-                   help="export classical surface samples to CSV")
+    for command, (handler, help_text, arguments, required) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.set_defaults(handler=handler)
+        p.add_argument("--out", default=".", help="output directory")
+        for name in arguments:
+            kw = {"required": True} if name in required else {}
+            p.add_argument(name, **_ARGUMENTS[name], **kw)
     return parser
 
 
 def run_cli(argv=None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
-    handler = _COMMANDS[args.command]
+    args = _make_parser().parse_args(argv)
     try:
-        return handler(args)
-    except FuzzyRegError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+        return args.handler(args)
+    except (FuzzyRegError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,6 +26,13 @@ class StructureError(FuzzyRegError, ValueError):
     """
 
 
+def json_object(value) -> dict:
+    """value itself if it is a JSON object; a conversion for config_value."""
+    if not isinstance(value, dict):
+        raise TypeError("not a JSON object")
+    return value
+
+
 def config_value(conv, value, what):
     """conv(value) for one config or recipe entry; a value conv rejects
     (TypeError, ValueError or IndexError) raises DomainError."""

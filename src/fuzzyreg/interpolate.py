@@ -267,15 +267,11 @@ def build_string_vertex(p: VertexParams) -> FuzzySpace:
     zero = FourierFunction(interval, {})
 
     def offdiag_pair(t1, t2):
-        upper = {}
-        for m in range(-cutoff, cutoff + 1):
-            c = _interp_coeff_profile(t1, t2, p.profile, m)
-            upper[m] = c
-        lower = {m: upper[-m].conjugate() for m in upper}
-        return (
-            FourierFunction(interval, upper),
-            FourierFunction(interval, lower),
-        )
+        upper = FourierFunction(interval, {
+            m: _interp_coeff_profile(t1, t2, p.profile, m)
+            for m in range(-cutoff, cutoff + 1)
+        })
+        return upper, upper.conjugate()
 
     x01, x10 = offdiag_pair(t1x, t2x)
     y01, y10 = offdiag_pair(t1y, t2y)

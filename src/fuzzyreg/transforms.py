@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StructureError, config_value
+from .errors import DomainError, StructureError, config_value, json_object
 from .fourier import FourierFunction, MatrixFourierFunction
 from .regularize import FuzzyMatrix, FuzzySpace
 
@@ -200,9 +200,10 @@ def matrix_poly_transform(space: FuzzySpace, recipe):
         op = step.get("op")
         if op == "poly":
             acc = np.zeros((space.dim, space.dim), dtype=complex)
-            for term in step["terms"]:
+            for term in config_value(list, step.get("terms"), "poly terms"):
+                term = config_value(json_object, term, "poly term")
                 part = np.eye(space.dim, dtype=complex)
-                for idx in term["indices"]:
+                for idx in config_value(list, term.get("indices"), "poly indices"):
                     part = part @ config_value(coords.__getitem__, idx, "poly index").data
                 acc += config_value(complex, term.get("coeff", 1.0), "poly coeff") * part
             new = FuzzyMatrix(acc, coords[0].N, coords[0].S)

@@ -99,6 +99,20 @@ class TestBuildCommand:
         assert len(list(tmp_path.glob("*.svg"))) == 3
         assert len(list(tmp_path.glob("*.fzmb"))) == 3
 
+    # the string-vertex preset reads n or N like every preset; --n wins
+    @pytest.mark.parametrize("space, extra, dim", [
+        ({"n": 12}, [], 24),
+        ({"N": 12}, [], 24),
+        ({"n": 12}, ["--n", "5"], 10),
+    ], ids=["n", "N", "flag-wins"])
+    def test_string_vertex_preset_size(self, tmp_path, space, extra, dim):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"space": {"preset": "string-vertex", **space}}),
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli(["build", "--config", str(cfg), "--out", str(out)] + extra) == 0
+        assert read_json(out / "string-vertex.meta.json")["dim"] == dim
+
 
 class TestTransformCommand:
     def test_parabola_recipe(self, tmp_path):
@@ -206,15 +220,46 @@ class TestSurfaceCommand:
 
 
 class TestFailureModes:
-    def test_missing_subcommand_is_a_usage_error(self):
+    # no subcommand, each option a subcommand does not read, and a missing
+    # --config where the subcommand always loads one
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["build", "--delta", "3"],
+        ["transform", "--config", "parabola_transform.json", "--delta", "3"],
+        ["sweep", "--config", "vertex_decay.json", "--n", "8"],
+        ["sweep", "--config", "vertex_decay.json", "--threshold", "3"],
+        ["sweep", "--config", "vertex_decay.json", "--format", "csv"],
+        ["render", "m.fzmb", "--n", "8"],
+        ["render", "m.fzmb", "--delta", "3"],
+        ["render", "m.fzmb", "--format", "csv"],
+        ["surface", "--config", "eight_surface.json", "--delta", "3"],
+        ["surface", "--config", "eight_surface.json", "--threshold", "3"],
+        ["surface", "--config", "eight_surface.json", "--format", "csv"],
+        ["transform"],
+        ["sweep"],
+        ["surface"],
+    ], ids=["no-subcommand", "build-delta", "transform-delta", "sweep-n", "sweep-threshold",
+            "sweep-format", "render-n", "render-delta", "render-format", "surface-delta",
+            "surface-threshold", "surface-format", "transform-no-config", "sweep-no-config",
+            "surface-no-config"])
+    def test_missing_subcommand_is_a_usage_error(self, tmp_path, capsys, argv):
+        argv = [str(CONFIGS / a) if a.endswith(".json") else a for a in argv]
+        if argv:
+            argv += ["--out", str(tmp_path / "out")]
         with pytest.raises(SystemExit) as err:
-            run_cli([])
+            run_cli(argv)
         assert err.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
-    def test_missing_config_file(self, tmp_path, capsys):
-        code = run_cli([
-            "sweep", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)
-        ])
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--config", "{tmp}/nope.json", "--out", "{tmp}"],
+        ["build", "--out", "{tmp}/cfg.json"],
+        ["build", "--config", "{tmp}", "--out", "{tmp}/out"],
+    ], ids=["missing-config", "out-is-a-file", "config-is-a-directory"])
+    def test_missing_config_file(self, tmp_path, capsys, argv):
+        (tmp_path / "cfg.json").write_text("{}", encoding="utf-8")
+        code = run_cli([a.format(tmp=tmp_path) for a in argv])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
@@ -290,14 +335,20 @@ class TestFailureModes:
         ("transform", {"transforms": [{"op": "poly", "terms": [{"coeff": "a", "indices": [0]}]}]}),
         ("transform", {"transforms": [{"op": "poly", "terms": [{"indices": [9]}]}]}),
         ("transform", {"transforms": [5]}),
+        ("transform", {"transforms": [{"op": "poly"}]}),
+        ("transform", {"transforms": [{"op": "poly", "terms": [5]}]}),
+        ("transform", {"transforms": [{"op": "poly", "terms": [{"indices": 5}]}]}),
+        ("transform", {"transforms": [{"op": "poly", "terms": 5}]}),
         ("build", {"space": 5}),
         ("sweep", {"sweep": 5}),
         ("vertex", {"alpha": 5}),
     ], ids=["vertex-N", "vertex-fractional-N", "vertex-window", "build-radius", "build-n",
             "build-member", "build-missing-n0", "build-render-threshold", "sweep-delta",
             "surface-bound", "render-cell", "render-threshold", "transform-diagonalize-index",
-            "transform-poly-coeff", "transform-poly-index", "transform-step", "space-section",
-            "sweep-section", "vertex-window-section"])
+            "transform-poly-coeff", "transform-poly-index", "transform-step",
+            "transform-poly-no-terms", "transform-poly-term", "transform-poly-indices",
+            "transform-poly-terms", "space-section", "sweep-section",
+            "vertex-window-section"])
     def test_unconvertible_config_value(self, tmp_path, capsys, command, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
