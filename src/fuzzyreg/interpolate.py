@@ -21,7 +21,6 @@ from .fourier import FourierFunction, MatrixFourierFunction
 from .profiles import (
     AffineProfile,
     CallableProfile,
-    ComposedProfile,
     ComplexProfile,
     Profile,
     as_profile,
@@ -73,7 +72,7 @@ def make_profile(mode: str = "explicit-spline", q2: float = 1.0,
     else:
         scale = 2.0 / (q3 - q2)
         shift = -(q2 + q3) / (q3 - q2)
-        ramp = ComposedProfile(smooth_step(), scale, shift)
+        ramp = smooth_step().compose_affine(scale, shift)
     alpha = 0.5 * ramp - 0.5
 
     def _lam(q):

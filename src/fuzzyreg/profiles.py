@@ -3,8 +3,10 @@
 Fourier coefficient tables store one profile per mode.  Profiles form a
 small expression tree (constants, polynomials, clamped Hermite splines,
 affine reparameterizations, sums and products), so q-derivatives are exact
-rather than numerical.  Complex coefficients are handled by `ComplexProfile`,
-a pair of real profiles.
+rather than numerical.  Derived trees, derivatives included, are built by
+the algebra (`+`, `*`, `compose_affine`), which folds constant-zero and unit
+terms away as it builds.  Complex coefficients are handled by
+`ComplexProfile`, a pair of real profiles.
 
 All profiles accept scalars or numpy arrays and return numpy arrays of the
 broadcast shape.
@@ -219,8 +221,7 @@ class ComposedProfile(Profile):
         return self.outer(self.scale * _asfloat(q) + self.shift)
 
     def derivative(self):
-        inner = ComposedProfile(self.outer.derivative(), self.scale, self.shift)
-        return ScaledProfile(self.scale, inner)
+        return self.outer.derivative().compose_affine(self.scale, self.shift) * self.scale
 
     def to_dict(self):
         return {
@@ -243,7 +244,7 @@ class SumProfile(Profile):
         return out
 
     def derivative(self):
-        return SumProfile(tuple(t.derivative() for t in self.terms))
+        return sum((t.derivative() for t in self.terms), ConstantProfile(0.0))
 
     def to_dict(self):
         return {"kind": "sum", "terms": [t.to_dict() for t in self.terms]}
@@ -259,12 +260,7 @@ class ProductProfile(Profile):
         return self.left(qa) * self.right(qa)
 
     def derivative(self):
-        return SumProfile(
-            (
-                ProductProfile(self.left.derivative(), self.right),
-                ProductProfile(self.left, self.right.derivative()),
-            )
-        )
+        return self.left.derivative() * self.right + self.left * self.right.derivative()
 
     def to_dict(self):
         return {"kind": "product", "left": self.left.to_dict(), "right": self.right.to_dict()}
@@ -279,7 +275,7 @@ class ScaledProfile(Profile):
         return self.factor * self.base(_asfloat(q))
 
     def derivative(self):
-        return ScaledProfile(self.factor, self.base.derivative())
+        return self.base.derivative() * self.factor
 
     def to_dict(self):
         return {"kind": "scaled", "factor": self.factor, "base": self.base.to_dict()}

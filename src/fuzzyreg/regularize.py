@@ -18,7 +18,9 @@ multiplies two: spaces that carry generator functions take their
 coordinates from `regularize_space`, and every product of regularized
 matrices is `product` or `commutator`.  The matrices are stored dense but
 are banded, with bandwidth (cutoff+1)*S, so both kernels multiply in CSR,
-at O(dim * bandwidth^2) per product instead of the dense O(dim^3).
+at O(dim * bandwidth^2) per product instead of the dense O(dim^3).  The one
+dense multiplication of coordinates is the poly step of
+`transforms.matrix_poly_transform`.
 """
 
 from __future__ import annotations
@@ -54,10 +56,6 @@ class DiscretizingGrid:
     @property
     def beta_right(self) -> float:
         return self.cm * self.N
-
-    def diagonal_values(self):
-        k = np.arange(self.N)
-        return self.q(k, k)
 
 
 def make_grid(N: int, interval, rule: str = "symmetric") -> DiscretizingGrid:
@@ -112,9 +110,6 @@ class FuzzyMatrix:
 
     def is_hermitian(self, tol=1e-12) -> bool:
         return float(np.max(np.abs(self.data - self.data.conj().T))) <= tol
-
-    def replace_data(self, data) -> "FuzzyMatrix":
-        return FuzzyMatrix(np.array(data, dtype=complex), self.N, self.S)
 
 
 def _band_values(coeff, grid: DiscretizingGrid, band: int) -> np.ndarray:
@@ -172,19 +167,6 @@ def _border_width(M: FuzzyMatrix, delta) -> int:
     return d
 
 
-def border_mask(M: FuzzyMatrix, delta) -> FuzzyMatrix:
-    """Zero every row and column within delta of the matrix edge."""
-    d = _border_width(M, delta)
-    if d == 0:
-        return M
-    out = np.array(M.data)
-    out[:d, :] = 0.0
-    out[-d:, :] = 0.0
-    out[:, :d] = 0.0
-    out[:, -d:] = 0.0
-    return M.replace_data(out)
-
-
 def _interior_abs(M: FuzzyMatrix, delta) -> np.ndarray:
     """|entries| of the interior block (rows/cols delta..dim-delta)."""
     d = _border_width(M, delta)
@@ -225,18 +207,15 @@ def commutator(A: FuzzyMatrix, B: FuzzyMatrix) -> FuzzyMatrix:
     return FuzzyMatrix((a @ b - b @ a).toarray(), N, S)
 
 
-def hermitianize(M: FuzzyMatrix) -> FuzzyMatrix:
-    """(M + M†)/2.  Never applied implicitly; callers opt in."""
-    return M.replace_data(0.5 * (M.data + M.data.conj().T))
-
-
 @dataclass(frozen=True)
 class FuzzySpace:
     """A named family of Hermitian coordinate matrices of equal dimension.
 
-    `generators` optionally keeps the matrix-valued functions the coordinates
-    were regularized from, so they can be re-regularized at other sizes or
-    evaluated pointwise for classical-limit extraction.
+    `generators` and `grid` keep the matrix-valued functions the coordinates
+    are the regularization of, so they can be re-regularized at other sizes
+    or evaluated pointwise for classical-limit extraction.  Only
+    `regularize_space` (and so `mirror_concat`) and `interlace` set them;
+    a transform that changes coordinates otherwise drops them.
     """
 
     name: str

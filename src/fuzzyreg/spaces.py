@@ -15,7 +15,6 @@ from .errors import DomainError, StructureError
 from .fourier import FourierFunction, MatrixFourierFunction, _check_same_interval
 from .profiles import (
     AffineProfile,
-    ComposedProfile,
     ConstantProfile,
     Profile,
     as_profile,
@@ -110,7 +109,7 @@ def circle_to_eight_functions(
     cross-section is a circle of radius r1, at r2 = r1 the doubled-angle
     form 2 r1 cos(u)^2 (cos u, sin u) of the eight.  Returns (x, y, z).
     """
-    r2 = ComposedProfile(smooth_step(), transition_scale, transition_shift)
+    r2 = smooth_step().compose_affine(transition_scale, transition_shift)
     amp1x = ConstantProfile(r1) + 0.5 * r2
     amp1y = ConstantProfile(r1) - 0.5 * r2
     amp3 = 0.5 * r2

@@ -192,7 +192,8 @@ def matrix_poly_transform(space: FuzzySpace, recipe):
           new diagonal coordinate with entries c / (s + M_nn); rows where
           |s + M_nn| < singular_tol are reported and their output set to 0.
 
-    Entrywise steps require the source coordinate to be diagonal.
+    Entrywise steps require the source coordinate to be diagonal.  The new
+    space carries no generators: its coordinates no longer regularize them.
     """
     coords = list(space.coordinates)
     steps = []
@@ -231,7 +232,7 @@ def matrix_poly_transform(space: FuzzySpace, recipe):
         else:
             config_value(coords.__getitem__, target, "target")
             coords[target] = new
-    return FuzzySpace(f"{space.name}*", tuple(coords), space.generators, space.grid), steps
+    return FuzzySpace(f"{space.name}*", tuple(coords)), steps
 
 
 @dataclass(frozen=True)
@@ -266,6 +267,7 @@ def diagonalize_coordinate(space: FuzzySpace, index: int):
     real positive (policy "real-anchor-v1").  For a real symmetric coordinate
     the eigenvector matrix is kept real, which renders conjugated real
     symmetric coordinates real and purely imaginary ones purely imaginary.
+    A conjugated space carries no generators; an identity one is returned as is.
     """
     M = config_value(space.coordinates.__getitem__, index, "diagonalize index")
     if not M.is_hermitian(1e-10):
@@ -290,4 +292,4 @@ def diagonalize_coordinate(space: FuzzySpace, index: int):
     P = FuzzyMatrix(V, M.N, M.S)
     coords = tuple(conjugate(c, P) for c in space.coordinates)
     report = DiagonalizationReport(w, PHASE_POLICY, residual)
-    return FuzzySpace(f"diag({space.name})", coords, space.generators, space.grid), report
+    return FuzzySpace(f"diag({space.name})", coords), report

@@ -2,9 +2,9 @@
 
 Every check runs a builder or function pair over a schedule of sizes,
 records one scalar per size, and judges decay against documented thresholds
-(0.6 per doubling for first-order quantities, 0.35 for second-order ones,
-5% slack for monotonicity).  Reports serialize to JSON-ready dicts and a
-plain text table, and carry an exit code for the CLI.
+(0.6 per doubling for first-order quantities, 5% slack for monotonicity).
+Reports serialize to JSON-ready dicts and a plain text table, and carry an
+exit code for the CLI.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .regularize import (
 )
 
 FIRST_ORDER_RATIO = 0.6
-SECOND_ORDER_RATIO = 0.35
 MONOTONE_SLACK = 1.05
 _ZERO = 1e-14
 

@@ -9,6 +9,7 @@ from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction
 from fuzzyreg.interpolate import (
     VertexParams,
     _slot_tables,
+    _table_values,
     build_string_vertex,
     close_caps,
     default_vertex_cutoff,
@@ -349,6 +350,57 @@ class TestNearCommutation:
         }
         assert sups[30] > 1.2 and sups[60] > 1.2
         assert 0.9 < sups[60] / sups[30] < 1.1
+
+
+
+class TestXYCrossTerm:
+    """The pointwise x-y commutator of the blend is the theta1*theta2
+    cross-term between the two slots; no N shrinks it.
+
+    With x = e^{i alpha (phi - pi)} (-i theta1 F1x + theta2 F2x) and y alike,
+    [X, Y] = diag(2i Im(x conj y), -2i Im(x conj y)).  Each slot commutes on
+    its own (F1x conj F1y and F2x conj F2y are real), which leaves
+    Im(x conj y) = theta1 theta2 Re(F2x conj F1y - F1x conj F2y).
+    """
+
+    def test_commutator_is_the_slot_cross_term(self):
+        p = VertexParams(N=60)
+        prof = p.profile
+        (t1x, t2x), (t1y, t2y) = _slot_tables(p)
+        q = np.linspace(*p.interval, 161)[:, None]
+        phi = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)[None, :]
+
+        def hermitian_offdiag(v):
+            M = np.zeros(v.shape + (2, 2), dtype=complex)
+            M[..., 0, 1] = v
+            M[..., 1, 0] = np.conj(v)
+            return M
+
+        X = hermitian_offdiag(interpolated_angle_function(t1x, t2x, prof, q, phi))
+        Y = hermitian_offdiag(interpolated_angle_function(t1y, t2y, prof, q, phi))
+        comm = X @ Y - Y @ X
+
+        a = prof.alpha(q)
+
+        def slot_sums(t1, t2):
+            f1 = sum(v * np.exp(1j * (n + 0.5) * phi + 1j * np.pi * (0.5 + a) * n)
+                     for n, v in _table_values(t1, q).items())
+            f2 = sum(v * np.exp(1j * n * phi + 1j * np.pi * a * n)
+                     for n, v in _table_values(t2, q).items())
+            return f1, f2
+
+        (f1x, f2x), (f1y, f2y) = slot_sums(t1x, t2x), slot_sums(t1y, t2y)
+        for f, g in ((f1x, f1y), (f2x, f2y)):
+            assert np.max(np.abs(np.imag(f * np.conj(g)))) < 1e-14
+        cross = prof.theta1(q) * prof.theta2(q) * np.real(f2x * np.conj(f1y) - f1x * np.conj(f2y))
+        want = np.zeros_like(comm)
+        want[..., 0, 0] = 2j * cross
+        want[..., 1, 1] = -2j * cross
+        assert np.max(np.abs(comm - want)) < 1e-12
+
+        inside = ((q >= prof.q2) & (q <= prof.q3)).ravel()
+        assert np.all(cross[~inside] == 0.0)
+        assert 2.0 * np.max(np.abs(cross[inside])) == pytest.approx(1.10, abs=0.01)
 
 
 class TestMirrorConcat:

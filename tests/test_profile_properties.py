@@ -1,4 +1,6 @@
-"""Property tests: serialized profile trees round-trip exactly."""
+"""Property tests: serialized profile trees round-trip exactly, derivative
+trees built by the profile algebra evaluate like the node-by-node chain rule,
+and the Poisson bracket is antisymmetric and obeys the Leibniz rule."""
 
 import json
 
@@ -6,9 +8,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzyreg.fourier import FourierFunction
+from fuzzyreg.fourier import FourierFunction, mul, poisson_bracket
 from fuzzyreg.profiles import (
     AffineProfile,
+    CallableProfile,
     ComplexProfile,
     ComposedProfile,
     ConstantProfile,
@@ -85,3 +88,66 @@ def test_q_derivative_of_spline_and_mirror_coefficients_round_trips(a, b, spline
     assert sorted(clone.coeffs) == sorted(df.coeffs)
     for n, c in df.coeffs.items():
         np.testing.assert_array_equal(clone.coeffs[n](QS), c(QS))
+
+
+def _chain_rule(p):
+    """The derivative tree built node by node, without the algebra's folding."""
+    if isinstance(p, ComposedProfile):
+        return ScaledProfile(p.scale, ComposedProfile(_chain_rule(p.outer), p.scale, p.shift))
+    if isinstance(p, SumProfile):
+        return SumProfile(tuple(_chain_rule(t) for t in p.terms))
+    if isinstance(p, ProductProfile):
+        return SumProfile((ProductProfile(_chain_rule(p.left), p.right),
+                           ProductProfile(p.left, _chain_rule(p.right))))
+    if isinstance(p, ScaledProfile):
+        return ScaledProfile(p.factor, _chain_rule(p.base))
+    if isinstance(p, MirrorProfile):
+        d, pivot = _chain_rule(p.base), p.pivot
+
+        def mirrored(q):
+            vals = d(np.where(q <= pivot, q, 2.0 * pivot - q))
+            return np.where(q <= pivot, vals, -vals)
+
+        return CallableProfile(mirrored, "mirror derivative")
+    return p.derivative()
+
+
+@PROPERTY
+@given(trees)
+def test_derivative_matches_the_node_by_node_chain_rule(profile):
+    # folding constant-zero and unit terms may flip the sign of a zero only
+    got, want = profile.derivative()(QS), _chain_rule(profile)(QS)
+    np.testing.assert_array_equal(got, want)
+    assert np.abs(got).tobytes() == np.abs(want).tobytes()
+
+
+series = st.dictionaries(st.integers(-2, 2), st.tuples(trees, trees), min_size=1, max_size=3).map(
+    lambda table: FourierFunction(IV, {n: ComplexProfile(re, im) for n, (re, im) in table.items()}))
+
+Q_GRID = np.linspace(-2.0, 2.0, 9)[:, None]
+PHI_GRID = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)[None, :]
+
+
+def _values(f):
+    return f.eval(Q_GRID, PHI_GRID)
+
+
+def _close(lhs, rhs, *terms):
+    scale = max(np.max(np.abs(t)) for t in (lhs, rhs) + terms)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
+
+
+@PROPERTY
+@given(series, series)
+def test_bracket_is_antisymmetric(f, g):
+    fg, gf = _values(poisson_bracket(f, g)), _values(poisson_bracket(g, f))
+    parts = [_values(a) * _values(b) for a, b in ((f.d_phi(), g.d_q()), (f.d_q(), g.d_phi()))]
+    _close(fg, -gf, *parts)
+
+
+@PROPERTY
+@given(series, series, series)
+def test_bracket_obeys_the_leibniz_rule(f, g, h):
+    lhs = _values(poisson_bracket(f, mul(g, h)))
+    left, right = _values(poisson_bracket(f, g)) * _values(h), _values(g) * _values(poisson_bracket(f, h))
+    _close(lhs, left + right, left, right)

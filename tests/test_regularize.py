@@ -10,9 +10,7 @@ from fuzzyreg.profiles import AffineProfile, ComplexProfile
 from fuzzyreg.regularize import (
     FuzzyMatrix,
     FuzzySpace,
-    border_mask,
     commutator,
-    hermitianize,
     interior_max_entry,
     make_grid,
     regularize_matrix,
@@ -54,10 +52,6 @@ class TestMakeGrid:
             make_grid(8, (1.0, 0.0))
         with pytest.raises(DomainError):
             make_grid(8, IV, "diagonal")
-
-    def test_diagonal_values(self):
-        g = make_grid(10, IV, "left")
-        np.testing.assert_allclose(g.diagonal_values(), np.arange(10) / 10.0)
 
 
 class TestRegularizeScalar:
@@ -162,26 +156,10 @@ class TestToeplitzBasis:
 
 
 class TestBorderHelpers:
-    def test_zero_width_mask_is_a_no_op(self):
-        M = FuzzyMatrix(np.arange(16, dtype=complex).reshape(4, 4), 4, 1)
-        assert border_mask(M, 0) is M
-
-    def test_mask_zeroes_the_border(self):
-        M = FuzzyMatrix(np.eye(4, dtype=complex), 4, 1)
-        out = border_mask(M, 1)
-        np.testing.assert_array_equal(out.data, np.diag([0.0, 1.0, 1.0, 0.0]))
-
-    def test_mask_on_superdiagonal(self):
-        out = border_mask(toeplitz_basis(1, 5), 1)
-        expect = np.zeros((5, 5))
-        expect[1, 2] = 1.0
-        expect[2, 3] = 1.0
-        np.testing.assert_array_equal(out.data, expect)
-
     def test_border_too_wide(self):
         M = FuzzyMatrix(np.eye(4, dtype=complex), 4, 1)
         with pytest.raises(DomainError):
-            border_mask(M, 2)
+            within_border_norm(M, 2)
 
     def test_within_border_norm_examples(self):
         I8 = FuzzyMatrix(np.eye(8, dtype=complex), 8, 1)
@@ -201,7 +179,7 @@ class TestBorderHelpers:
 
     def test_border_spec_validation(self):
         M = FuzzyMatrix(np.eye(6, dtype=complex), 6, 1)
-        for check in (border_mask, within_border_norm, interior_max_entry):
+        for check in (within_border_norm, interior_max_entry):
             with pytest.raises(DomainError, match="non-negative"):
                 check(M, -1)
             with pytest.raises(DomainError, match="too large"):
@@ -231,7 +209,8 @@ class TestCommutator:
         )
         for rule in ("symmetric", "left"):
             g = make_grid(16, IV, rule)
-            zhat = FuzzyMatrix(np.diag(g.diagonal_values()).astype(complex), 16, 1)
+            k = np.arange(16)
+            zhat = FuzzyMatrix(np.diag(g.q(k, k)).astype(complex), 16, 1)
             lhs = commutator(zhat, regularize_scalar(f, g))
             rhs = regularize_scalar(f.d_phi() * (-1j), g)
             scale = (g.beta_left + g.beta_right) / g.N
@@ -262,14 +241,6 @@ class TestCommutator:
             commutator(A, B)
 
 
-def test_hermitianize():
-    rng = np.random.default_rng(6)
-    M = FuzzyMatrix(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)), 5, 1)
-    H = hermitianize(M)
-    assert H.is_hermitian(1e-15)
-    np.testing.assert_allclose(H.data, 0.5 * (M.data + M.data.conj().T))
-
-
 class TestFuzzyMatrix:
     def test_data_is_frozen(self):
         M = FuzzyMatrix(np.eye(3, dtype=complex), 3, 1)
@@ -280,17 +251,12 @@ class TestFuzzyMatrix:
         with pytest.raises(StructureError):
             FuzzyMatrix(np.eye(5, dtype=complex), 2, 2)
 
-    def test_replace_data(self):
-        M = FuzzyMatrix(np.eye(4, dtype=complex), 4, 1)
-        M2 = M.replace_data(2.0 * np.eye(4, dtype=complex))
-        assert M2.N == 4 and M2.data[0, 0] == 2.0
-
 
 class TestFuzzySpace:
     def test_validate_passes_for_hermitian_coordinates(self):
         g = make_grid(8, IV)
         Q = regularize_scalar(FourierFunction.cosine(IV, 1), g)
-        space = FuzzySpace("toy", (Q, hermitianize(Q)))
+        space = FuzzySpace("toy", (Q, FuzzyMatrix(0.5 * (Q.data + Q.data.conj().T), Q.N, Q.S)))
         assert space.validate() is space
         assert space.dim == 8 and space.d == 2
 

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from fuzzyreg.errors import DomainError
-from fuzzyreg.fourier import FourierFunction
-from fuzzyreg.regularize import FuzzyMatrix, make_grid, regularize_scalar
+from fuzzyreg.regularize import FuzzyMatrix
 from fuzzyreg.render import render_dot_matrix
 from refs import oracle_matrices
 
@@ -18,11 +17,8 @@ ORACLE["infinite"] = FuzzyMatrix(np.where(np.isnan(_special), np.inf, _special),
 
 
 def matrix_of(data):
-    """Wrap a plain array as a FuzzyMatrix via a real regularization."""
-    N = data.shape[0]
-    zero = FourierFunction((0.0, 1.0), {})
-    M = regularize_scalar(zero, make_grid(N, (0.0, 1.0), "symmetric"))
-    return M.replace_data(np.asarray(data, dtype=complex))
+    """Wrap a plain square array as an S = 1 FuzzyMatrix."""
+    return FuzzyMatrix(data, data.shape[0], 1)
 
 
 def radii(svg):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from fuzzyreg.errors import DomainError, StructureError
+from fuzzyreg.errors import CapabilityError, DomainError, StructureError
 from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction
+from fuzzyreg.interpolate import VertexParams, build_string_vertex, mirror_concat
 from fuzzyreg.profiles import AffineProfile, CallableProfile, ComplexProfile
 from fuzzyreg.regularize import (
     FuzzyMatrix,
@@ -458,3 +459,25 @@ class TestDiagonalize:
         for c in out.coordinates:
             assert c.is_hermitian(1e-10)
         assert report.residual < 1e-10
+
+
+class TestTransformedGenerators:
+    """A transformed space keeps generators only while its coordinates are
+    still their regularization, so re-regularizing cannot undo a transform."""
+
+    @pytest.fixture(scope="class")
+    def vertex(self):
+        return build_string_vertex(VertexParams(N=8))
+
+    def test_poly_transform_drops_generators(self, vertex):
+        out, _ = matrix_poly_transform(vertex, [{"op": "poly", "terms": [{"indices": [0, 0]}]}])
+        assert out.d == 4 and out.generators is None and out.grid is None
+        with pytest.raises(CapabilityError):
+            mirror_concat(out, 3.0)
+
+    def test_diagonalized_space_drops_generators(self, vertex):
+        out, report = diagonalize_coordinate(vertex, 0)
+        assert not report.identity
+        assert out.generators is None and out.grid is None
+        with pytest.raises(CapabilityError):
+            mirror_concat(out, 3.0)

@@ -9,7 +9,7 @@ from fuzzyreg.errors import DomainError, StructureError
 from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction, mul, poisson_bracket
 from fuzzyreg.interpolate import VertexParams, build_string_vertex
 from fuzzyreg.profiles import AffineProfile, PolyProfile
-from fuzzyreg.regularize import FuzzySpace, make_grid, regularize_scalar, within_border_norm
+from fuzzyreg.regularize import FuzzyMatrix, FuzzySpace, make_grid, regularize_scalar, within_border_norm
 from fuzzyreg.spaces import (
     CurveSpec,
     build_circle_to_eight,
@@ -172,7 +172,7 @@ class TestProductConvergence:
             grid = make_grid(N, x.interval)
             Qx, Qy = regularize_scalar(x, grid), regularize_scalar(y, grid)
             Qxy = regularize_scalar(mul(x, y), grid)
-            dense = within_border_norm(Qxy.replace_data(Qx.data @ Qy.data - Qxy.data), rep.delta)
+            dense = within_border_norm(FuzzyMatrix(Qx.data @ Qy.data - Qxy.data, N), rep.delta)
             assert value == pytest.approx(dense, rel=1e-9)
 
 
@@ -200,7 +200,7 @@ class TestPoissonConvergence:
             s = N / (grid.beta_left + grid.beta_right)
             target = regularize_scalar(poisson_bracket(x, y), grid)
             dense = within_border_norm(
-                target.replace_data(1j * s * comm - target.data), rep.delta)
+                FuzzyMatrix(1j * s * comm - target.data, N), rep.delta)
             assert value == pytest.approx(dense, rel=1e-9)
 
     def test_generic_pair_passes(self):
@@ -240,7 +240,7 @@ class TestSemiclassicalResidual:
         Qf = regularize_scalar(f, grid)
         Qg = regularize_scalar(g, grid)
         prod = regularize_scalar(mul(f, g), grid)
-        resid = prod.replace_data(Qf.data @ Qg.data - prod.data)
+        resid = FuzzyMatrix(Qf.data @ Qg.data - prod.data, N)
         r = within_border_norm(resid, delta)
         corr = mul(f.d_phi(), g.d_q()) * grid.beta_left \
             - mul(f.d_q(), g.d_phi()) * grid.beta_right
@@ -259,7 +259,7 @@ class TestSemiclassicalResidual:
         Qcorr = regularize_scalar(corr, grid)
         resid = Qx.data @ Qy.data - Qxy.data + (1j / N) * Qcorr.data
         delta = x.cutoff + y.cutoff
-        dense = within_border_norm(Qxy.replace_data(resid), delta)
+        dense = within_border_norm(FuzzyMatrix(resid, N), delta)
         assert semiclassical_residual(x, y, N=N) == pytest.approx(dense, rel=1e-9)
 
 
