@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import matrixio
-from .errors import DomainError, FuzzyRegError, config_value, json_object
+from .errors import DomainError, FuzzyRegError, config_value, integer, json_object
 from .fourier import FourierFunction
 from .interpolate import VertexParams, build_string_vertex, make_profile
 from .profiles import AffineProfile, ComplexProfile, as_profile, profile_from_dict
@@ -38,7 +38,7 @@ from .spaces import (
     circle_to_eight_functions,
 )
 from .surface import export_classical_surface, surface_csv
-from .transforms import diagonalize_coordinate, interlace, matrix_poly_transform
+from .transforms import matrix_poly_transform
 from .verify import (
     check_commutator_decay,
     check_poisson_convergence,
@@ -93,16 +93,8 @@ def function_from_config(d: dict) -> FourierFunction:
     return FourierFunction(interval, coeffs)
 
 
-def _integer(value) -> int:
-    """int(value) for a value that is an integer already ("16" and 16.5 are not)."""
-    out = int(value)
-    if out != value:
-        raise ValueError("not an integer")
-    return out
-
-
 def _integers(values) -> tuple:
-    return tuple(_integer(v) for v in values)
+    return tuple(integer(v) for v in values)
 
 
 def _floats(values) -> tuple:
@@ -119,15 +111,17 @@ _VERTEX_FIELDS = {
     "r1": ("r1", float),
     "r": ("r", float),
     "x0": ("x0", _profile_arg),
-    "grid": ("rule", str),
     "interval": ("interval", _floats),
-    "N": ("N", _integer),
-    "cutoff": ("cutoff", _integer),
+    "N": ("N", integer),
+    "cutoff": ("cutoff", integer),
 }
 
 
 def vertex_params_from_config(cfg: dict, n=None, delta=None) -> VertexParams:
     """VertexParams from a vertex config; n and delta override N and cutoff."""
+    if cfg.get("grid", "symmetric") != "symmetric":
+        raise DomainError(f"the string vertex is defined on the symmetric grid only, "
+                          f"got grid {cfg['grid']!r}")
     kw = {field: config_value(conv, cfg[key], key)
           for key, (field, conv) in _VERTEX_FIELDS.items() if key in cfg}
     window = _section(cfg, "alpha")
@@ -155,7 +149,7 @@ def build_space(spec: dict, n=None) -> FuzzySpace:
     kind = spec.get("preset", "cylinder")
     size_key = "n" if "n" in spec else "N"
     if n is None and size_key in spec:
-        n = value(size_key, None, _integer)
+        n = value(size_key, None, integer)
     if kind == "string-vertex":
         return build_string_vertex(vertex_params_from_config(spec, n=n))
     N = 16 if n is None else int(n)
@@ -174,7 +168,7 @@ def build_space(spec: dict, n=None) -> FuzzySpace:
         x0 = value("x0", [0.7, 0.3], _profile_arg)
         r = value("r", 1.0, _profile_arg)
         pair = build_double_cylinder(DoubleCylinderSpec(interval, x0, r), N)
-        member = value("member", 1, _integer)
+        member = value("member", 1, integer)
         if member not in (1, 2):
             raise DomainError("double-cylinder member must be 1 or 2")
         return pair[member - 1]
@@ -186,8 +180,8 @@ def build_space(spec: dict, n=None) -> FuzzySpace:
             return np.asarray(v, dtype=complex)
 
         gspec = GraphVertexSpec(
-            dim=value("dim", N, _integer),
-            n0=value("n0", None, _integer),
+            dim=value("dim", N, integer),
+            n0=value("n0", None, integer),
             r_upper=value("r_upper", 1.0, band),
             r_junction=value("r_junction", 1.0, complex),
             r_lower=value("r_lower", 1.0, band),
@@ -277,7 +271,7 @@ def cmd_vertex(args) -> int:
         extra_meta={
             "preset": "string-vertex",
             "blocks": params.N,
-            "rule": params.rule,
+            "rule": space.grid.rule,
             "interval": list(params.interval),
         },
     )
@@ -288,42 +282,7 @@ def cmd_vertex(args) -> int:
 def cmd_transform(args) -> int:
     cfg = load_config(args.config)
     space = build_space(cfg.get("space", {}), n=args.n)
-    steps = config_value(list, cfg.get("transforms", []), "transforms")
-    log = []
-    batch = []
-
-    def flush():
-        nonlocal space
-        if not batch:
-            return
-        space, done = matrix_poly_transform(space, list(batch))
-        log.extend(done)
-        batch.clear()
-
-    for step in steps:
-        step = config_value(json_object, step, "transform step")
-        op = step.get("op")
-        if op in ("poly", "reciprocal-diag"):
-            batch.append(step)
-        elif op == "diagonalize":
-            flush()
-            index = config_value(_integer, step.get("index"), "diagonalize index")
-            space, rep = diagonalize_coordinate(space, index)
-            log.append({
-                "op": "diagonalize",
-                "index": index,
-                "policy": rep.policy,
-                "identity": rep.identity,
-                "residual": rep.residual,
-                "eigenvalues": list(rep.eigenvalues),
-            })
-        elif op == "interlace":
-            flush()
-            space = interlace(space)
-            log.append({"op": "interlace"})
-        else:
-            raise DomainError(f"unknown transform op {op!r}")
-    flush()
+    space, log = matrix_poly_transform(space, cfg.get("transforms", []))
     written = write_space_artifacts(
         space, args.out, fmt=args.format, threshold=args.threshold,
         extra_meta={"transform_log": log,
@@ -337,7 +296,7 @@ def _sweep_report(cfg: dict, delta=None):
     kind = cfg.get("kind", "commutator-decay")
     schedule = config_value(_integers, cfg.get("schedule", (16, 32, 64)), "sweep schedule")
     if delta is None and "delta" in cfg:
-        delta = config_value(_integer, cfg["delta"], "sweep delta")
+        delta = config_value(integer, cfg["delta"], "sweep delta")
     label = cfg.get("label")
     if kind == "commutator-decay":
         spec = cfg.get("space", {})

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and `config_value`, the one
-conversion of a config or recipe entry that fails with a DomainError."""
+conversion of a config or recipe entry that fails with a DomainError, with
+the conversions `json_object` and `integer` it shares between modules."""
 
 
 class FuzzyRegError(Exception):
@@ -31,6 +32,14 @@ def json_object(value) -> dict:
     if not isinstance(value, dict):
         raise TypeError("not a JSON object")
     return value
+
+
+def integer(value) -> int:
+    """int(value) for a value that is an integer already ("16" and 16.5 are not)."""
+    out = int(value)
+    if out != value:
+        raise ValueError("not an integer")
+    return out
 
 
 def config_value(conv, value, what):

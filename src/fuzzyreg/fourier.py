@@ -17,10 +17,13 @@ from .profiles import ComplexProfile
 _INTERVAL_TOL = 1e-12
 
 
+def same_interval(a, b) -> bool:
+    """Whether two functions' intervals agree to within 1e-12 at both ends."""
+    return all(abs(x - y) <= _INTERVAL_TOL for x, y in zip(a.interval, b.interval))
+
+
 def _check_same_interval(a, b):
-    if abs(a.interval[0] - b.interval[0]) > _INTERVAL_TOL or abs(
-        a.interval[1] - b.interval[1]
-    ) > _INTERVAL_TOL:
+    if not same_interval(a, b):
         raise DomainError(f"interval mismatch: {a.interval} vs {b.interval}")
 
 

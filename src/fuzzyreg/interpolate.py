@@ -179,6 +179,8 @@ class VertexParams:
     profile: transition profiles; cutoff: kept mode range of the blended
     coefficients (None applies max(delta, min(3 delta, N // 6)) where delta
     is the input tables' mode range); N: block count (matrices are 2N x 2N).
+    The grid is always the symmetric one, whose cell offsets `_slot_tables`
+    builds into the slot-1 series.
     """
 
     r1: float = 1.0
@@ -188,7 +190,6 @@ class VertexParams:
     cutoff: int | None = None
     N: int = 30
     interval: tuple = (-1.0, 3.0)
-    rule: str = "symmetric"
 
 
 def default_vertex_cutoff(delta: int, N: int) -> int:
@@ -290,7 +291,7 @@ def build_string_vertex(p: VertexParams) -> FuzzySpace:
         ]
     )
 
-    return regularize_space("string-vertex", (X, Y, Z), make_grid(p.N, interval, p.rule))
+    return regularize_space("string-vertex", (X, Y, Z), make_grid(p.N, interval, "symmetric"))
 
 
 def mirror_concat(space: FuzzySpace, q_E: float) -> FuzzySpace:

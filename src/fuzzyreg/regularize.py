@@ -20,7 +20,9 @@ matrices is `product` or `commutator`.  The matrices are stored dense but
 are banded, with bandwidth (cutoff+1)*S, so both kernels multiply in CSR,
 at O(dim * bandwidth^2) per product instead of the dense O(dim^3).  The one
 dense multiplication of coordinates is the poly step of
-`transforms.matrix_poly_transform`.
+`transforms.matrix_poly_transform`: after a `diagonalize` step its operands
+are dense, and there `product` was 18 times slower than dense (38 against
+2.1 ms at N = 256, 284 against 15 ms at N = 512, one BLAS thread).
 """
 
 from __future__ import annotations

@@ -12,13 +12,14 @@ matrix functions; the export refuses otherwise.
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import CapabilityError, DomainError
-from .fourier import MatrixFourierFunction
-from .verify import matrix_fn_commutator_sup
+from .fourier import MatrixFourierFunction, same_interval
+from .verify import pointwise_commutator_sup, sample_on_grid
 
 _DIAG_TOL = 1e-12
 
@@ -35,20 +36,17 @@ def _sample_grid(interval, shape):
 
 
 def check_commutation(coords: Sequence[MatrixFourierFunction], bound: float):
-    """Pairwise sup-norm commutators on a 48 x 48 (q, phi) grid; raise with a
-    diagnostic above bound.  bound = inf only measures."""
+    """Pairwise sup-norm commutators from one 48 x 48 (q, phi) sampling of the
+    coordinates; raise with a diagnostic above bound.  bound = inf only measures."""
     if not bound >= 0:
         raise DomainError(f"commutation bound must be a nonnegative number, got {bound}")
-    worst = 0.0
-    worst_pair = None
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            sup = matrix_fn_commutator_sup(coords[i], coords[j], samples=48)
-            if sup > worst:
-                worst = sup
-                worst_pair = (i, j)
-    if worst_pair is not None and worst > bound:
-        i, j = worst_pair
+    if len(coords) < 2:
+        return 0.0
+    values = sample_on_grid(coords, 48)
+    sups = {(i, j): pointwise_commutator_sup(values[i], values[j])
+            for i, j in itertools.combinations(range(len(coords)), 2)}
+    (i, j), worst = max(sups.items(), key=lambda item: item[1])
+    if worst > bound:
         raise CapabilityError(
             f"coordinate functions {i} and {j} do not commute as matrix "
             f"functions: sup-norm commutator {worst:.3e} exceeds bound {bound:.3e}"
@@ -92,7 +90,7 @@ def export_classical_surface(coords: Sequence[MatrixFourierFunction],
     S = coords[0].S
     interval = coords[0].interval
     for c in coords[1:]:
-        if c.S != S or c.interval != interval:
+        if c.S != S or not same_interval(coords[0], c):
             raise DomainError("coordinate functions must share block size and interval")
     qs, phis = _sample_grid(interval, grid)
     check_commutation(coords, bound)

@@ -1,10 +1,12 @@
 """Structural and unitary operations on fuzzy matrices and spaces.
 
 Includes the direct sum, the z-ordering permutation between the direct-sum
-and block-entry layouts, lifts of constant small unitaries, interlacing,
-partial (block) transformations, coefficient-level unitary conjugation of
-matrix-valued functions, polynomial/entrywise coordinate recipes, and the
+and block-entry layouts, interlacing, partial (block) transformations,
+coefficient-level unitary conjugation of matrix-valued functions, and the
 sorted-eigenbasis transformation with a fixed phase convention.
+`matrix_poly_transform` is the one interpreter of a transform recipe: it runs
+the polynomial and entrywise coordinate steps, `diagonalize` and `interlace`,
+and returns the log the CLI writes to the sidecar.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StructureError, config_value, json_object
+from .errors import DomainError, StructureError, config_value, integer, json_object
 from .fourier import FourierFunction, MatrixFourierFunction
 from .regularize import FuzzyMatrix, FuzzySpace
 
@@ -91,12 +93,6 @@ def z_order_inverse(M: FuzzyMatrix, S: int) -> FuzzyMatrix:
     return FuzzyMatrix(M.data[np.ix_(inv, inv)], M.dim, 1)
 
 
-def lift_constant_unitary(U: SmallUnitary, N: int) -> FuzzyMatrix:
-    """U acting on every block index: kron(I_N, U) in interleaved layout."""
-    data = np.kron(np.eye(int(N)), U.matrix)
-    return FuzzyMatrix(data, int(N), U.S)
-
-
 def conjugate(M: FuzzyMatrix, V: FuzzyMatrix) -> FuzzyMatrix:
     """V† M V."""
     if M.dim != V.dim:
@@ -105,15 +101,11 @@ def conjugate(M: FuzzyMatrix, V: FuzzyMatrix) -> FuzzyMatrix:
 
 
 def interlace(space: FuzzySpace) -> FuzzySpace:
-    """Conjugate every coordinate by the lifted interlacing rotation (S = 2)."""
-    first = space.coordinates[0]
-    if first.S != 2:
+    """Conjugate every coordinate by the interlacing rotation on every block (S = 2)."""
+    if space.coordinates[0].S != 2:
         raise StructureError("interlacing acts on S = 2 block structure")
-    V = lift_constant_unitary(interlacing_unitary(), first.N)
-    coords = tuple(conjugate(c, V) for c in space.coordinates)
-    generators = None
-    if space.generators is not None:
-        generators = tuple(interlace_function(F) for F in space.generators)
+    coords = tuple(block_transform(c, interlacing_unitary(), 0) for c in space.coordinates)
+    generators = None if space.generators is None else tuple(map(interlace_function, space.generators))
     return FuzzySpace(f"interlaced({space.name})", coords, generators, space.grid)
 
 
@@ -179,9 +171,37 @@ def function_unitary_conjugate(F: MatrixFourierFunction, U: MatrixFourierFunctio
     return U.matmul(F).matmul(U.conjugate_transpose())
 
 
+_ENTRYWISE = ("poly", "reciprocal-diag")
+
+
+def _entrywise_step(coords, step):
+    """(new coordinate, singular rows) of a poly or reciprocal-diag step."""
+    if step["op"] == "poly":
+        acc = np.zeros((coords[0].dim, coords[0].dim), dtype=complex)
+        for term in config_value(list, step.get("terms"), "poly terms"):
+            term = config_value(json_object, term, "poly term")
+            part = np.eye(coords[0].dim, dtype=complex)
+            for idx in config_value(list, term.get("indices"), "poly indices"):
+                part = part @ config_value(coords.__getitem__, idx, "poly index").data
+            acc += config_value(complex, term.get("coeff", 1.0), "poly coeff") * part
+        return FuzzyMatrix(acc, coords[0].N, coords[0].S), ()
+    src = config_value(coords.__getitem__, step.get("source"), "reciprocal-diag source")
+    offdiag = src.data - np.diag(np.diag(src.data))
+    if np.max(np.abs(offdiag)) > 1e-12:
+        raise StructureError("entrywise recipe needs a diagonal source coordinate")
+    shift = config_value(float, step.get("shift", 1.0), "shift")
+    scale = config_value(float, step.get("scale", 1.0), "scale")
+    tol = config_value(float, step.get("singular_tol", 1e-9), "singular_tol")
+    denom = shift + np.diag(src.data)
+    bad = np.flatnonzero(np.abs(denom) < tol)
+    vals = np.zeros(src.dim, dtype=complex)
+    good = np.setdiff1d(np.arange(src.dim), bad)
+    vals[good] = scale / denom[good]
+    return FuzzyMatrix(np.diag(vals), src.N, src.S), bad
+
+
 def matrix_poly_transform(space: FuzzySpace, recipe):
-    """Apply a list of coordinate-recipe steps; return (new space, steps),
-    with one record {"op": ..., "singular_rows": [...]} per step.
+    """Run a transform recipe; return (new space, log), one record per step.
 
     Step forms:
       {"op": "poly", "terms": [{"coeff": c, "indices": [i, ...]}, ...],
@@ -189,60 +209,40 @@ def matrix_poly_transform(space: FuzzySpace, recipe):
           new coordinate = sum of c * product of the listed coordinates.
       {"op": "reciprocal-diag", "source": i, "shift": s, "scale": c,
        "target": ..., "singular_tol": 1e-9}
-          new diagonal coordinate with entries c / (s + M_nn); rows where
-          |s + M_nn| < singular_tol are reported and their output set to 0.
+          new diagonal coordinate with entries c / (s + M_nn) from a diagonal
+          source; rows where |s + M_nn| < singular_tol are logged as
+          "singular_rows" and their output set to 0.
+      {"op": "diagonalize", "index": i}: `diagonalize_coordinate` and its record.
+      {"op": "interlace"}: `interlace`.
 
-    Entrywise steps require the source coordinate to be diagonal.  The new
-    space carries no generators: its coordinates no longer regularize them.
+    Each maximal run of poly and reciprocal-diag steps appends one "*" to the
+    name and drops the generators: the coordinates no longer regularize them.
     """
-    coords = list(space.coordinates)
-    steps = []
-    for step in recipe:
+    log = []
+    for step in config_value(list, recipe, "transforms"):
+        step = config_value(json_object, step, "transform step")
         op = step.get("op")
-        if op == "poly":
-            acc = np.zeros((space.dim, space.dim), dtype=complex)
-            for term in config_value(list, step.get("terms"), "poly terms"):
-                term = config_value(json_object, term, "poly term")
-                part = np.eye(space.dim, dtype=complex)
-                for idx in config_value(list, term.get("indices"), "poly indices"):
-                    part = part @ config_value(coords.__getitem__, idx, "poly index").data
-                acc += config_value(complex, term.get("coeff", 1.0), "poly coeff") * part
-            new = FuzzyMatrix(acc, coords[0].N, coords[0].S)
-            bad = ()
-        elif op == "reciprocal-diag":
-            src = config_value(coords.__getitem__, step.get("source"), "reciprocal-diag source")
-            offdiag = src.data - np.diag(np.diag(src.data))
-            if np.max(np.abs(offdiag)) > 1e-12:
-                raise StructureError("entrywise recipe needs a diagonal source coordinate")
-            shift = config_value(float, step.get("shift", 1.0), "shift")
-            scale = config_value(float, step.get("scale", 1.0), "scale")
-            tol = config_value(float, step.get("singular_tol", 1e-9), "singular_tol")
-            denom = shift + np.diag(src.data)
-            bad = np.flatnonzero(np.abs(denom) < tol)
-            vals = np.zeros(space.dim, dtype=complex)
-            good = np.setdiff1d(np.arange(space.dim), bad)
-            vals[good] = scale / denom[good]
-            new = FuzzyMatrix(np.diag(vals), src.N, src.S)
+        if op == "diagonalize":
+            index = config_value(integer, step.get("index"), "diagonalize index")
+            space, record = diagonalize_coordinate(space, index)
+        elif op == "interlace":
+            space, record = interlace(space), {"op": "interlace"}
+        elif op in _ENTRYWISE:
+            coords = list(space.coordinates)
+            new, bad = _entrywise_step(coords, step)
+            target = step.get("target", "append")
+            if target == "append":
+                coords.append(new)
+            else:
+                config_value(coords.__getitem__, target, "target")
+                coords[target] = new
+            in_run = bool(log) and log[-1]["op"] in _ENTRYWISE
+            space = FuzzySpace(space.name if in_run else f"{space.name}*", tuple(coords))
+            record = {"op": op, "singular_rows": [int(r) for r in bad]}
         else:
-            raise DomainError(f"unknown recipe op {op!r}")
-        steps.append({"op": op, "singular_rows": [int(r) for r in bad]})
-        target = step.get("target", "append")
-        if target == "append":
-            coords.append(new)
-        else:
-            config_value(coords.__getitem__, target, "target")
-            coords[target] = new
-    return FuzzySpace(f"{space.name}*", tuple(coords)), steps
-
-
-@dataclass(frozen=True)
-class DiagonalizationReport:
-    """Record of a sorted-eigenbasis transformation."""
-
-    eigenvalues: np.ndarray
-    policy: str
-    residual: float
-    identity: bool = False
+            raise DomainError(f"unknown transform op {op!r}")
+        log.append(record)
+    return space, log
 
 
 PHASE_POLICY = "real-anchor-v1"
@@ -261,7 +261,8 @@ def _phase_fix(V: np.ndarray) -> np.ndarray:
 
 
 def diagonalize_coordinate(space: FuzzySpace, index: int):
-    """Sort one Hermitian coordinate's eigenbasis and conjugate all coordinates.
+    """Sort one Hermitian coordinate's eigenbasis and conjugate all coordinates;
+    return (space, record), the record being the transform log's entry.
 
     Eigenvalues ascend; each eigenvector's largest-magnitude component is made
     real positive (policy "real-anchor-v1").  For a real symmetric coordinate
@@ -276,20 +277,20 @@ def diagonalize_coordinate(space: FuzzySpace, index: int):
     diag = np.diag(A)
     offdiag_max = np.max(np.abs(A - np.diag(diag))) if M.dim > 1 else 0.0
     if offdiag_max == 0.0 and np.all(np.diff(diag.real) >= 0):
-        return space, DiagonalizationReport(diag.real.copy(), PHASE_POLICY, 0.0, identity=True)
-    if np.max(np.abs(A.imag)) < 1e-12:
-        w, V = np.linalg.eigh(A.real)
-        V = V.astype(complex)
+        w, residual, out = diag.real, 0.0, space
     else:
-        w, V = np.linalg.eigh(A)
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    V = V[:, order]
-    V = _phase_fix(V)
-    residual = float(np.max(np.abs(A - (V * w) @ V.conj().T)))
-    if residual > 1e-10 * max(1.0, float(np.max(np.abs(w)))):
-        raise StructureError(f"eigendecomposition residual too large: {residual:.2e}")
-    P = FuzzyMatrix(V, M.N, M.S)
-    coords = tuple(conjugate(c, P) for c in space.coordinates)
-    report = DiagonalizationReport(w, PHASE_POLICY, residual)
-    return FuzzySpace(f"diag({space.name})", coords), report
+        if np.max(np.abs(A.imag)) < 1e-12:
+            w, V = np.linalg.eigh(A.real)
+            V = V.astype(complex)
+        else:
+            w, V = np.linalg.eigh(A)
+        order = np.argsort(w, kind="stable")
+        w = w[order]
+        V = _phase_fix(V[:, order])
+        residual = float(np.max(np.abs(A - (V * w) @ V.conj().T)))
+        if residual > 1e-10 * max(1.0, float(np.max(np.abs(w)))):
+            raise StructureError(f"eigendecomposition residual too large: {residual:.2e}")
+        P = FuzzyMatrix(V, M.N, M.S)
+        out = FuzzySpace(f"diag({space.name})", tuple(conjugate(c, P) for c in space.coordinates))
+    return out, {"op": "diagonalize", "index": index, "policy": PHASE_POLICY,
+                 "identity": out is space, "residual": residual, "eigenvalues": list(w)}

@@ -295,14 +295,21 @@ def check_commutator_decay(space_builder, Ns, delta=5, label=None) -> SweepRepor
     )
 
 
+def sample_on_grid(functions, samples) -> list:
+    """Each matrix function's values on one samples x samples (q, phi) grid
+    over their shared interval, as (samples, samples, S, S) arrays."""
+    for F in functions[1:]:
+        _check_same_interval(functions[0], F)
+    qs = np.linspace(functions[0].interval[0], functions[0].interval[1], int(samples))
+    phis = np.linspace(0.0, 2.0 * np.pi, int(samples), endpoint=False)
+    return [F.eval(qs[:, None], phis[None, :]) for F in functions]
+
+
+def pointwise_commutator_sup(FV: np.ndarray, GV: np.ndarray) -> float:
+    """Sup of the operator norm of FV GV - GV FV over stacked samples."""
+    return float(np.max(np.linalg.svd(FV @ GV - GV @ FV, compute_uv=False)))
+
+
 def matrix_fn_commutator_sup(F: MatrixFourierFunction, G: MatrixFourierFunction, samples=64) -> float:
     """Sup of the pointwise commutator's operator norm over a (q, phi) grid."""
-    _check_same_interval(F, G)
-    samples = int(samples)
-    qs = np.linspace(F.interval[0], F.interval[1], samples)
-    phis = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    FV = F.eval(qs[:, None], phis[None, :])
-    GV = G.eval(qs[:, None], phis[None, :])
-    comm = FV @ GV - GV @ FV
-    svals = np.linalg.svd(comm, compute_uv=False)
-    return float(np.max(svals))
+    return pointwise_commutator_sup(*sample_on_grid((F, G), samples))

@@ -53,7 +53,7 @@ def scalar_zone_reference(p):
         interval, p.r1, tr_scale, tr_shift, z_offset=0.0, z_scale=1.0
     )
     zf = FourierFunction.from_profile(interval, zs)
-    sg = make_grid(2 * p.N, interval, p.rule)
+    sg = make_grid(2 * p.N, interval, "symmetric")
     return tuple(regularize_scalar(f, sg) for f in (xs, ys, zf))
 
 

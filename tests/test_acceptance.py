@@ -232,7 +232,7 @@ def test_criterion_10_parabola_pipeline():
         final, rep = diagonalize_coordinate(bent, 2)
         assert np.max(np.abs(np.imag(final.coordinates[0].data))) < 1e-8
         assert np.max(np.abs(np.real(final.coordinates[1].data))) < 1e-8
-        got_eigs = np.sort(np.asarray(rep.eigenvalues))
+        got_eigs = np.sort(np.asarray(rep["eigenvalues"]))
         assert np.max(np.abs(got_eigs - want_eigs)) <= 1e-10
 
 

@@ -370,6 +370,17 @@ class TestFailureModes:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, cfg", [
+        ("vertex", {"N": 30, "cutoff": 3, "grid": "left"}),
+        ("build", {"space": {"preset": "string-vertex", "N": 8, "grid": "left"}}),
+    ], ids=["vertex", "build-preset"])
+    def test_string_vertex_needs_the_symmetric_grid(self, tmp_path, capsys, command, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert run_cli([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "symmetric grid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_preset(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"space": {"preset": "torus"}}), encoding="utf-8")

@@ -219,7 +219,7 @@ class TestVertexAssembly:
         assert p.r1 == 1.0 and p.r == 1.0
         assert p.x0(1.0) == pytest.approx(1.0)
         assert p.interval == (-1.0, 3.0)
-        assert p.N == 30 and p.rule == "symmetric"
+        assert p.N == 30
         assert p.cutoff is None
 
     @pytest.mark.parametrize("delta,N,want", [

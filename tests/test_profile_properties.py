@@ -1,6 +1,8 @@
 """Property tests: serialized profile trees round-trip exactly, derivative
 trees built by the profile algebra evaluate like the node-by-node chain rule,
-and the Poisson bracket is antisymmetric and obeys the Leibniz rule."""
+the Poisson bracket is antisymmetric and obeys the Leibniz rule, the
+regularization Q is linear, the z-ordering is inverted exactly, and the
+vertex blend is exact at both ends of its transition window."""
 
 import json
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzyreg.fourier import FourierFunction, mul, poisson_bracket
+from fuzzyreg.interpolate import interp_fourier_coeff, make_profile
 from fuzzyreg.profiles import (
     AffineProfile,
     CallableProfile,
@@ -23,6 +26,8 @@ from fuzzyreg.profiles import (
     SumProfile,
     profile_from_dict,
 )
+from fuzzyreg.regularize import FuzzyMatrix, make_grid, regularize_scalar
+from fuzzyreg.transforms import z_order, z_order_inverse
 
 IV = (-2.0, 2.0)
 QS = np.linspace(-2.0, 2.0, 17)
@@ -151,3 +156,48 @@ def test_bracket_obeys_the_leibniz_rule(f, g, h):
     lhs = _values(poisson_bracket(f, mul(g, h)))
     left, right = _values(poisson_bracket(f, g)) * _values(h), _values(g) * _values(poisson_bracket(f, h))
     _close(lhs, left + right, left, right)
+
+
+@PROPERTY
+@given(series, series, reals, reals, st.integers(3, 12))
+def test_regularization_is_linear(f, g, a, b, N):
+    grid = make_grid(N, IV)
+    Qf, Qg = regularize_scalar(f, grid).data, regularize_scalar(g, grid).data
+    lhs = regularize_scalar(a * f + b * g, grid).data
+    _close(lhs, a * Qf + b * Qg, a * Qf, b * Qg)
+
+
+@PROPERTY
+@given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_z_order_is_inverted_exactly(N, S, seed):
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(N * S, N * S)) + 1j * rng.normal(size=(N * S, N * S))
+    blocks = z_order(FuzzyMatrix(data, N * S, 1), S)
+    assert (blocks.N, blocks.S) == (N, S)
+    back = z_order_inverse(blocks, S)
+    assert back.data.tobytes() == data.tobytes()
+    assert z_order(back, S).data.tobytes() == blocks.data.tobytes()
+
+
+coefficients = st.one_of(
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    st.builds(lambda a, b, c, d: ComplexProfile(AffineProfile(a, b), AffineProfile(c, d)),
+              reals, reals, reals, reals),
+)
+slot_tables = st.dictionaries(st.integers(-3, 3), coefficients, min_size=1, max_size=4)
+
+
+def _slot_value(table, m, q):
+    c = table.get(m, 0.0)
+    return complex(c(q)) if callable(c) else complex(c)
+
+
+@PROPERTY
+@given(slot_tables, slot_tables, st.floats(-1.0, 1.0), st.floats(0.1, 2.0),
+       st.integers(-4, 4), st.sampled_from(["explicit-spline", "derived-lambda"]))
+def test_blend_is_exact_at_both_window_ends(t1, t2, q2, width, m, mode):
+    profile = make_profile(mode, q2, q2 + width)
+    ends = np.array([profile.q2, profile.q3])
+    got = interp_fourier_coeff(t1, t2, profile, m, ends)
+    want = [_slot_value(t1, m, profile.q2), _slot_value(t2, m, profile.q3)]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

@@ -1,5 +1,7 @@
 """Classical surface export."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from fuzzyreg.interpolate import VertexParams, build_string_vertex
 from fuzzyreg.profiles import AffineProfile
 from fuzzyreg.spaces import DoubleCylinderSpec, circle_to_eight_functions
 from fuzzyreg.surface import check_commutation, export_classical_surface, surface_csv
+from fuzzyreg.verify import matrix_fn_commutator_sup
 
 IV = (-1.0, 3.0)
 
@@ -63,6 +66,25 @@ class TestExport:
         X, Y, Z = diagonal_coords()
         assert check_commutation((X, Y, Z), bound=1e-2) <= 1e-12
 
+    def test_check_commutation_evaluates_each_coordinate_once(self, monkeypatch):
+        calls = []
+        real_eval = MatrixFourierFunction.eval
+
+        def counted(self, q, phi):
+            calls.append(self)
+            return real_eval(self, q, phi)
+
+        monkeypatch.setattr(MatrixFourierFunction, "eval", counted)
+        X, Y, Z = diagonal_coords()
+        check_commutation((X, Y, Z), bound=1e-2)
+        assert len(calls) == 3
+
+    def test_check_commutation_is_the_worst_pairwise_sup(self):
+        gens = build_string_vertex(VertexParams(N=8)).generators
+        want = max(matrix_fn_commutator_sup(F, G, samples=48)
+                   for F, G in itertools.combinations(gens, 2))
+        assert check_commutation(gens, float("inf")) == want
+
     @pytest.mark.parametrize("bound", [float("nan"), -1e-2])
     def test_bound_must_be_a_nonnegative_number(self, bound):
         X, Y, Z = diagonal_coords()
@@ -91,6 +113,14 @@ class TestExport:
         H = MatrixFourierFunction.diagonal([f, f, f])
         with pytest.raises(DomainError, match="share"):
             export_classical_surface([F, H])
+
+    def test_intervals_agree_to_the_shared_tolerance(self):
+        near = (IV[0], IV[1] + 1e-13)
+        X, Y, Z = diagonal_coords()
+        W = MatrixFourierFunction.diagonal([FourierFunction(near, {0: 1.0})] * 2)
+        header, rows = export_classical_surface([X, W], grid=(3, 2))
+        assert header[-2] == "x2" and len(rows) == 2 * 3 * 2
+        assert all(row[-2] == 1.0 for row in rows)
 
     def test_grid_must_be_positive(self):
         X, _, _ = diagonal_coords()

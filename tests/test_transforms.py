@@ -34,7 +34,6 @@ from fuzzyreg.transforms import (
     function_unitary_conjugate,
     interlace,
     interlacing_unitary,
-    lift_constant_unitary,
     matrix_poly_transform,
     z_order,
     z_order_inverse,
@@ -136,12 +135,14 @@ class TestZOrder:
 
 class TestConstantConjugation:
     def test_identity_lift(self):
+        rng = np.random.default_rng(5)
+        M = random_fuzzy(rng, 5, S=2)
         U = SmallUnitary(np.eye(2, dtype=complex))
-        np.testing.assert_array_equal(lift_constant_unitary(U, 5).data, np.eye(10))
+        np.testing.assert_array_equal(block_transform(M, U, 0).data, M.data)
 
     def test_lifted_interlacing_is_unitary(self):
-        V = lift_constant_unitary(interlacing_unitary(), 8)
-        np.testing.assert_allclose(V.data @ V.data.conj().T, np.eye(16), atol=1e-15)
+        V = np.kron(np.eye(8), interlacing_unitary().matrix)
+        np.testing.assert_allclose(V @ V.conj().T, np.eye(16), atol=1e-15)
 
     def test_naturality_of_constant_conjugation(self):
         # conjugating the regularization equals regularizing the conjugated function
@@ -150,7 +151,7 @@ class TestConstantConjugation:
         F = MatrixFourierFunction(IV, entries)
         U = interlacing_unitary()
         g = make_grid(12, IV)
-        lhs = conjugate(regularize_matrix(F, g), lift_constant_unitary(U, 12))
+        lhs = block_transform(regularize_matrix(F, g), U, 0)
         rhs = regularize_matrix(constant_conjugate_function(F, U.matrix), g)
         np.testing.assert_allclose(lhs.data, rhs.data, atol=1e-14)
 
@@ -217,7 +218,8 @@ class TestBlockTransform:
         U = interlacing_unitary()
         full = block_transform(M, U, 0)
         np.testing.assert_allclose(
-            full.data, conjugate(M, lift_constant_unitary(U, 4)).data, atol=1e-15
+            full.data, conjugate(M, FuzzyMatrix(np.kron(np.eye(4), U.matrix), 4, 2)).data,
+            atol=1e-15,
         )
         assert np.array_equal(block_transform(M, U, 4).data, M.data)
 
@@ -422,14 +424,46 @@ class TestMatrixPolyTransform:
         with pytest.raises(DomainError):
             matrix_poly_transform(self.cylinder(), [{"op": "shear"}])
 
+    @pytest.mark.parametrize("recipe", [
+        ["poly"], 5, [{"op": "diagonalize", "index": "x"}], [{"op": "diagonalize", "index": 1.5}],
+    ], ids=["step", "recipe", "index", "fractional-index"])
+    def test_malformed_recipe_is_a_domain_error(self, recipe):
+        with pytest.raises(DomainError, match="config"):
+            matrix_poly_transform(self.cylinder(), recipe)
+
+    def test_empty_recipe_returns_the_space(self):
+        space = self.cylinder()
+        out, log = matrix_poly_transform(space, [])
+        assert out is space and log == []
+
+    def test_one_interpreter_runs_every_op(self):
+        vertex = build_string_vertex(VertexParams(N=8))
+        poly = {"op": "poly", "terms": [{"coeff": 0.5, "indices": [0, 1]},
+                                        {"coeff": 0.5, "indices": [1, 0]}]}
+        recip = {"op": "reciprocal-diag", "source": 0, "shift": 3.0}
+        out, log = matrix_poly_transform(vertex, [
+            {"op": "interlace"}, poly, poly, {"op": "diagonalize", "index": 0}, recip,
+        ])
+        assert out.name == "diag(interlaced(string-vertex)*)*"
+        assert [r["op"] for r in log] == [
+            "interlace", "poly", "poly", "diagonalize", "reciprocal-diag"]
+        assert log[0] == {"op": "interlace"} and log[1] == {"op": "poly", "singular_rows": []}
+        bent, _ = matrix_poly_transform(interlace(vertex), [poly, poly])
+        diag, record = diagonalize_coordinate(bent, 0)
+        assert log[3] == record and record["index"] == 0 and not record["identity"]
+        final, _ = matrix_poly_transform(diag, [recip])
+        assert out.d == final.d == 6 and out.generators is None
+        for got, want in zip(out.coordinates, final.coordinates):
+            assert got.data.tobytes() == want.data.tobytes()
+
 
 class TestDiagonalize:
     def test_already_sorted_diagonal_is_identity(self):
         space = build_generalized_cylinder(CurveSpec.circle(), 10)
         out, report = diagonalize_coordinate(space, 2)
-        assert report.identity
-        assert report.residual == 0.0
-        assert report.policy == PHASE_POLICY
+        assert report["identity"]
+        assert report["residual"] == 0.0
+        assert report["policy"] == PHASE_POLICY
         assert out is space
 
     def test_non_hermitian_rejected(self):
@@ -458,7 +492,7 @@ class TestDiagonalize:
         )
         for c in out.coordinates:
             assert c.is_hermitian(1e-10)
-        assert report.residual < 1e-10
+        assert report["residual"] < 1e-10
 
 
 class TestTransformedGenerators:
@@ -477,7 +511,7 @@ class TestTransformedGenerators:
 
     def test_diagonalized_space_drops_generators(self, vertex):
         out, report = diagonalize_coordinate(vertex, 0)
-        assert not report.identity
+        assert not report["identity"]
         assert out.generators is None and out.grid is None
         with pytest.raises(CapabilityError):
             mirror_concat(out, 3.0)
