@@ -3,10 +3,12 @@
 Fourier coefficient tables store one profile per mode.  Profiles form a
 small expression tree (constants, polynomials, clamped Hermite splines,
 affine reparameterizations, sums and products), so q-derivatives are exact
-rather than numerical.  Derived trees, derivatives included, are built by
-the algebra (`+`, `*`, `compose_affine`), which folds constant-zero and unit
-terms away as it builds.  Complex coefficients are handled by
-`ComplexProfile`, a pair of real profiles.
+rather than numerical.  Splines are numpy ports of scipy's, bitwise equal
+to `CubicHermiteSpline` and its PCHIP slopes (`tests/test_spline_oracle.py`).
+Derived trees, derivatives included, are built by the algebra (`+`, `*`,
+`compose_affine`), which folds constant-zero and unit terms away as it
+builds.  Complex coefficients are handled by `ComplexProfile`, a pair of
+real profiles.
 
 All profiles accept scalars or numpy arrays and return numpy arrays of the
 broadcast shape.
@@ -15,7 +17,6 @@ broadcast shape.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .errors import CapabilityError, DomainError, FuzzyRegError
 
@@ -149,29 +150,45 @@ class SplineProfile(Profile):
     """C^1 cubic Hermite spline, clamped to its boundary values outside the knots."""
 
     def __init__(self, knots_x, knots_y, slopes):
-        self.knots_x = np.asarray(knots_x, dtype=float)
-        self.knots_y = np.asarray(knots_y, dtype=float)
-        self.slopes = np.asarray(slopes, dtype=float)
-        if self.knots_x.ndim != 1 or len(self.knots_x) < 2:
+        x = self.knots_x = np.asarray(knots_x, dtype=float)
+        y = self.knots_y = np.asarray(knots_y, dtype=float)
+        d = self.slopes = np.asarray(slopes, dtype=float)
+        if x.ndim != 1 or len(x) < 2:
             raise DomainError("need at least two knots")
-        if not (len(self.knots_x) == len(self.knots_y) == len(self.slopes)):
+        if not (len(x) == len(y) == len(d)):
             raise DomainError("knots_x, knots_y, slopes must have equal length")
-        if not np.all(np.diff(self.knots_x) > 0):
+        if not all(np.all(np.isfinite(v)) for v in (x, y, d)):
+            raise DomainError("knots_x, knots_y and slopes must be finite")
+        if not np.all((dx := np.diff(x)) > 0):
             raise DomainError("knots_x must be strictly increasing")
-        self._spl = CubicHermiteSpline(self.knots_x, self.knots_y, self.slopes)
+        slope = np.diff(y) / dx
+        t = (d[:-1] + d[1:] - 2 * slope) / dx
+        # left knots over the coefficients of s^3 .. s^0 (0.0 + y as PPoly sums from +0.0)
+        self._table = np.stack((x[:-1], t / dx, (slope - d[:-1]) / dx - t, d[:-1], y[:-1] + 0.0))
 
     @classmethod
     def pchip(cls, knots_x, knots_y):
-        """Monotone (PCHIP) slope choice for the given knots."""
+        """Monotone slopes, as `PchipInterpolator(x, y).derivative()(x)` sets them."""
         x = np.asarray(knots_x, dtype=float)
         y = np.asarray(knots_y, dtype=float)
-        slopes = PchipInterpolator(x, y).derivative()(x)
-        return cls(x, y, slopes)
+        with np.errstate(all="ignore"):  # bad knots are reported by the constructor
+            h = np.diff(x)
+            m = np.diff(y) / h
+            d = np.repeat(m, 2)  # two knots: the secant at both
+            if len(m) > 1:
+                w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+                flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+                inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+                # ends: one-sided three-point estimates, kept in the end secant's sign
+                h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+                end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+                cap = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
+                end = np.where(np.sign(end) != np.sign(m0), 0.0, np.where(cap, 3.0 * m0, end))
+                d = np.concatenate((end[:1], inner, end[1:]))
+        return cls(x, y, cls(x, y, d).derivative()(x))
 
     def __call__(self, q):
-        qa = _asfloat(q)
-        # evaluating at clipped arguments clamps to the boundary knot values
-        return self._spl(np.clip(qa, self.knots_x[0], self.knots_x[-1]))
+        return _ppoly(self.knots_x, self._table, _asfloat(q))
 
     def derivative(self):
         return _SplineDerivativeProfile(self)
@@ -188,19 +205,28 @@ class SplineProfile(Profile):
         return f"SplineProfile({self.knots_x.tolist()}, {self.knots_y.tolist()})"
 
 
+def _ppoly(x, table, q):
+    """c[-1] + c[-2] s + c[-3] s^2 (+ c[-4] s^3), summed in `PPoly`'s order, with s =
+    q - x[i] on the piece i holding q clamped to [x[0], x[-1]]; `table` is x[:-1] over c."""
+    q = np.minimum(np.maximum(q, x[0]), x[-1])
+    t = table.take(np.searchsorted(x[1:-1], q, "right"), axis=1)
+    s = q - t[0]
+    z = s * s
+    res = t[-1] + t[-2] * s + t[-3] * z
+    return res + t[1] * (z * s) if len(t) == 5 else res
+
+
 class _SplineDerivativeProfile(Profile):
-    """Derivative of a clamped spline: spline derivative inside, 0 outside."""
+    """Derivative of a clamped spline, 0 outside; PPoly scales its coefficients 3, 2, 1."""
 
     def __init__(self, base: SplineProfile):
         self.base = base
-        self._dspl = base._spl.derivative()
+        self._table = np.vstack((base._table[:3] * [[1.0], [3.0], [2.0]], base._table[3:4] + 0.0))
 
     def __call__(self, q):
         qa = _asfloat(q)
-        x0, x1 = self.base.knots_x[0], self.base.knots_x[-1]
-        inside = (qa >= x0) & (qa <= x1)
-        vals = self._dspl(np.clip(qa, x0, x1))
-        return np.where(inside, vals, 0.0)
+        x = self.base.knots_x
+        return np.where((qa >= x[0]) & (qa <= x[-1]), _ppoly(x, self._table, qa), 0.0)
 
     def derivative(self):
         raise CapabilityError("second derivatives of clamped splines are not provided")

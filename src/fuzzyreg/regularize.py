@@ -17,12 +17,13 @@ This module is the only one that writes a regularized coordinate or
 multiplies two: spaces that carry generator functions take their
 coordinates from `regularize_space`, and every product of regularized
 matrices is `product` or `commutator`.  The matrices are stored dense but
-are banded, with bandwidth (cutoff+1)*S, so both kernels multiply in CSR,
-at O(dim * bandwidth^2) per product instead of the dense O(dim^3).  The one
-dense multiplication of coordinates is the poly step of
-`transforms.matrix_poly_transform`: after a `diagonalize` step its operands
-are dense, and there `product` was 18 times slower than dense (38 against
-2.1 ms at N = 256, 284 against 15 ms at N = 512, one BLAS thread).
+are banded, with bandwidth (cutoff+1)*S, so both kernels multiply only the
+diagonals that may be nonzero, at O(dim * bandwidth^2) per product.  They
+sum in a CSR product's order with complex products (ar br - ai bi, ar bi +
+ai br), so they equal a CSR product bit for bit.  The one dense product of
+coordinates is the poly step of `transforms.matrix_poly_transform`: after a
+`diagonalize` step its operands are dense, with every diagonal nonzero, and
+there `product` takes 440 ms against 2.6 ms dense at N = 256 (one BLAS thread).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .errors import DomainError, StructureError
 from .fourier import FourierFunction, MatrixFourierFunction, _check_same_interval
@@ -88,12 +88,14 @@ class FuzzyMatrix:
 
     The wrapped array is immutable; take a copy before mutating.  Hermiticity
     is a property of the data, checked by `is_hermitian` (and, for a whole
-    space, by `FuzzySpace.validate`), not a stored flag.
+    space, by `FuzzySpace.validate`), not a stored flag.  `offsets`: the flat
+    diagonals (column minus row) that may be nonzero, sorted, when known.
     """
 
     data: np.ndarray
     N: int
     S: int = 1
+    offsets: tuple | None = None
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.data, dtype=complex)
@@ -141,6 +143,7 @@ def regularize_matrix(F: MatrixFourierFunction, grid: DiscretizingGrid) -> Fuzzy
         raise DomainError(f"cutoff {F.cutoff} must stay below N = {grid.N}")
     N, S = grid.N, F.S
     out = np.zeros((N * S, N * S), dtype=complex)
+    offsets = set()
     for a in range(S):
         for b in range(S):
             entry = F.entries[a][b]
@@ -148,7 +151,8 @@ def regularize_matrix(F: MatrixFourierFunction, grid: DiscretizingGrid) -> Fuzzy
                 vals = _band_values(entry.coeffs[band], grid, band)
                 idx = np.arange(len(vals)) + max(0, -band)
                 out[idx * S + a, (idx + band) * S + b] = vals
-    return FuzzyMatrix(out, N, S)
+                offsets.add(band * S + b - a)
+    return FuzzyMatrix(out, N, S, tuple(sorted(offsets)))
 
 
 def toeplitz_basis(a: int, N: int) -> FuzzyMatrix:
@@ -188,25 +192,55 @@ def interior_max_entry(M: FuzzyMatrix, delta) -> float:
     return float(np.max(core)) if core.size else 0.0
 
 
-def _csr_operands(A: FuzzyMatrix, B: FuzzyMatrix):
-    """A and B in CSR, with the (N, S) layout of their products: kept when
-    both operands share it, flat otherwise."""
+def _offsets(M: FuzzyMatrix) -> tuple:
+    """The diagonals M may have nonzero: recorded, or read off its data."""
+    if M.offsets is None:
+        rows, cols = np.nonzero(M.data)
+        return tuple(np.unique(cols - rows).tolist())
+    return M.offsets
+
+
+def _band_product(A: FuzzyMatrix, B: FuzzyMatrix, offs_a, offs_b) -> np.ndarray:
+    """Diagonals of AB: column k holds (AB)[i, i + offs_a[0] + offs_b[0] + k] in row i."""
+    dim, b0, width = A.dim, offs_b[0], offs_b[-1] - offs_b[0] + 1
+    rows_b = np.zeros((dim, width), dtype=complex)  # B[j, j + b0 + t]
+    for b in offs_b:
+        rows_b[max(0, -b) : dim - max(0, b), b - b0] = np.diagonal(B.data, b)
+    br, bi = rows_b.real, rows_b.imag
+    out = np.zeros((dim, offs_a[-1] - offs_a[0] + width), dtype=complex)
+    for a in offs_a:  # increasing, the order CSR sums in
+        da = np.diagonal(A.data, a)[:, None]
+        i, j, k = slice(max(0, -a), dim - max(0, a)), slice(max(0, a), dim - max(0, -a)), a - offs_a[0]
+        out.real[i, k : k + width] += da.real * br[j] - da.imag * bi[j]
+        out.imag[i, k : k + width] += da.real * bi[j] + da.imag * br[j]
+    return out
+
+
+def _band_kernel(A: FuzzyMatrix, B: FuzzyMatrix, commute: bool) -> FuzzyMatrix:
+    """AB, or AB - BA, written dense with its diagonals recorded."""
     if A.dim != B.dim:
         raise StructureError(f"dimension mismatch {A.dim} vs {B.dim}")
-    layout = (A.N, A.S) if (A.N, A.S) == (B.N, B.S) else (A.dim, 1)
-    return csr_array(A.data), csr_array(B.data), layout
+    dim, offs_a, offs_b = A.dim, _offsets(A) or (0,), _offsets(B) or (0,)
+    offsets = tuple(sorted({a + b for a in offs_a for b in offs_b if abs(a + b) < dim}))
+    bands = _band_product(A, B, offs_a, offs_b)
+    if commute:
+        bands -= _band_product(B, A, offs_b, offs_a)
+    cols = np.arange(dim)[:, None] + offs_a[0] + offs_b[0] + np.arange(bands.shape[1])
+    inside = (cols >= 0) & (cols < dim)
+    out = np.zeros((dim, dim), dtype=complex)
+    out[np.nonzero(inside)[0], cols[inside]] = bands[inside]
+    N, S = (A.N, A.S) if (A.N, A.S) == (B.N, B.S) else (dim, 1)
+    return FuzzyMatrix(out, N, S, offsets)
 
 
 def product(A: FuzzyMatrix, B: FuzzyMatrix) -> FuzzyMatrix:
-    """AB, multiplied in CSR and returned as a dense matrix."""
-    a, b, (N, S) = _csr_operands(A, B)
-    return FuzzyMatrix((a @ b).toarray(), N, S)
+    """AB, multiplied by diagonals and returned as a dense matrix."""
+    return _band_kernel(A, B, commute=False)
 
 
 def commutator(A: FuzzyMatrix, B: FuzzyMatrix) -> FuzzyMatrix:
-    """[A, B] = AB - BA, subtracted in CSR and returned as a dense matrix."""
-    a, b, (N, S) = _csr_operands(A, B)
-    return FuzzyMatrix((a @ b - b @ a).toarray(), N, S)
+    """[A, B] = AB - BA, multiplied by diagonals and returned as a dense matrix."""
+    return _band_kernel(A, B, commute=True)
 
 
 @dataclass(frozen=True)

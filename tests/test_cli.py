@@ -219,6 +219,12 @@ class TestSurfaceCommand:
         assert meta["rows"] == 17 * 16
 
 
+# a product sweep whose f has one cubic-spline mode with the given knots
+SPLINE_SWEEP = ('{"sweep": {"kind": "product", "schedule": [8, 16], '
+                '"f": {"interval": [0, 1], "modes": {"1": {"kind": "cubic-spline", %s}}}, '
+                '"g": {"interval": [0, 1], "modes": {"1": 1.0}}}}')
+
+
 class TestFailureModes:
     # no subcommand, each option a subcommand does not read, and a missing
     # --config where the subcommand always loads one
@@ -293,8 +299,15 @@ class TestFailureModes:
         '{"sweep": {"kind": "commutator-decay", "schedule": [16, 32.5]}}',
         '{"sweep": {"kind": "commutator-decay", "schedule": []}}',
         '{"sweep": {"kind": "commutator-decay", "schedule": [16]}}',
+        *(SPLINE_SWEEP % knots for knots in (
+            '"knots_x": [0, NaN], "knots_y": [0, 1], "slopes": [0, 0]',
+            '"knots_x": [0, Infinity], "knots_y": [0, 1], "slopes": [0, 0]',
+            '"knots_x": [0, 1], "knots_y": [NaN, 1], "slopes": [0, 0]',
+            '"knots_x": [0, 1], "knots_y": [0, 1], "slopes": [0, -Infinity]',
+        )),
     ], ids=["truncated-json", "non-integer-mode", "bad-coefficient", "non-integer-schedule",
-            "fractional-schedule", "empty-schedule", "one-entry-schedule"])
+            "fractional-schedule", "empty-schedule", "one-entry-schedule", "nan-spline-knot",
+            "infinite-spline-knot", "nan-spline-value", "infinite-spline-slope"])
     def test_malformed_sweep_config(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text, encoding="utf-8")

@@ -213,6 +213,12 @@ class TestSerialization:
             ([0.0], [1.0], [0.0]),
             ([0.0, 1.0], [1.0], [0.0, 0.0]),
             ([1.0, 0.0], [0.0, 1.0], [0.0, 0.0]),
+            ([0.0, np.inf], [0.0, 1.0], [0.0, 0.0]),
+            ([-np.inf, 0.0], [0.0, 1.0], [0.0, 0.0]),
+            ([0.0, 1.0], [np.nan, 1.0], [0.0, 0.0]),
+            ([0.0, 1.0], [0.0, np.inf], [0.0, 0.0]),
+            ([0.0, 1.0], [0.0, 1.0], [0.0, np.nan]),
+            ([0.0, 1.0], [0.0, 1.0], [-np.inf, 0.0]),
         ],
     )
     def test_bad_spline_knots_raise_domain_error(self, knots):
