@@ -19,7 +19,8 @@ import sys
 import numpy as np
 
 from . import matrixio
-from .errors import DomainError, FuzzyRegError, config_value, integer, json_object
+from .errors import (DomainError, FuzzyRegError, StructureError, config_value, finite,
+                     integer, json_object)
 from .fourier import FourierFunction
 from .interpolate import VertexParams, build_string_vertex, make_profile
 from .profiles import AffineProfile, ComplexProfile, as_profile, profile_from_dict
@@ -98,7 +99,7 @@ def _integers(values) -> tuple:
 
 
 def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
+    return tuple(finite(v) for v in values)
 
 
 def _section(cfg: dict, key: str) -> dict:
@@ -108,8 +109,8 @@ def _section(cfg: dict, key: str) -> dict:
 
 # vertex config key -> (VertexParams field, conversion)
 _VERTEX_FIELDS = {
-    "r1": ("r1", float),
-    "r": ("r", float),
+    "r1": ("r1", finite),
+    "r": ("r", finite),
     "x0": ("x0", _profile_arg),
     "interval": ("interval", _floats),
     "N": ("N", integer),
@@ -125,7 +126,7 @@ def vertex_params_from_config(cfg: dict, n=None, delta=None) -> VertexParams:
     kw = {field: config_value(conv, cfg[key], key)
           for key, (field, conv) in _VERTEX_FIELDS.items() if key in cfg}
     window = _section(cfg, "alpha")
-    prof_kw = {k: config_value(float, window[k], f"alpha {k}")
+    prof_kw = {k: config_value(finite, window[k], f"alpha {k}")
                for k in ("q2", "q3") if k in window}
     if "theta2" in cfg:
         prof_kw["mode"] = str(cfg["theta2"])
@@ -143,7 +144,7 @@ def build_space(spec: dict, n=None) -> FuzzySpace:
 
     spec = config_value(json_object, spec, "space")
 
-    def value(key, default, conv=float):
+    def value(key, default, conv=finite):
         return config_value(conv, spec.get(key, default), key)
 
     kind = spec.get("preset", "cylinder")
@@ -177,13 +178,13 @@ def build_space(spec: dict, n=None) -> FuzzySpace:
     if kind == "graph-vertex":
 
         def band(v):
-            return np.asarray(v, dtype=complex)
+            return finite(v, lambda b: np.asarray(b, dtype=complex))
 
         gspec = GraphVertexSpec(
             dim=value("dim", N, integer),
             n0=value("n0", None, integer),
             r_upper=value("r_upper", 1.0, band),
-            r_junction=value("r_junction", 1.0, complex),
+            r_junction=value("r_junction", 1.0, lambda v: finite(v, complex)),
             r_lower=value("r_lower", 1.0, band),
             x_lower=value("x_lower", 0.0, band),
             z_values=value("z_values", None, _floats) if "z_values" in spec else None,
@@ -279,10 +280,23 @@ def cmd_vertex(args) -> int:
     return 0
 
 
+def _check_hermitian(space: FuzzySpace):
+    """Refuse a coordinate whose max|M - M^dagger| exceeds 1e-12 times its
+    largest |entry| (at least 1): rounding grows with the entries."""
+    for k, M in enumerate(space.coordinates):
+        if not M.is_hermitian(1e-12 * max(1.0, float(np.max(np.abs(M.data))))):
+            raise StructureError(f"coordinate {k} of {space.name!r} is not Hermitian")
+
+
 def cmd_transform(args) -> int:
     cfg = load_config(args.config)
     space = build_space(cfg.get("space", {}), n=args.n)
+    # a recipe must keep a Hermitian space Hermitian; a left-grid
+    # regularization is not Hermitian to begin with
+    hermitian = space.grid is None or space.grid.rule != "left"
     space, log = matrix_poly_transform(space, cfg.get("transforms", []))
+    if hermitian:
+        _check_hermitian(space)
     written = write_space_artifacts(
         space, args.out, fmt=args.format, threshold=args.threshold,
         extra_meta={"transform_log": log,

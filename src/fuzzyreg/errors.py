@@ -1,6 +1,9 @@
 """Exception types shared across the package, and `config_value`, the one
 conversion of a config or recipe entry that fails with a DomainError, with
-the conversions `json_object` and `integer` it shares between modules."""
+the conversions `json_object`, `integer` and `finite` it shares between
+modules."""
+
+import numpy as np
 
 
 class FuzzyRegError(Exception):
@@ -39,6 +42,15 @@ def integer(value) -> int:
     out = int(value)
     if out != value:
         raise ValueError("not an integer")
+    return out
+
+
+def finite(value, conv=float):
+    """conv(value) with no NaN or infinite entry (JSON parsing accepts NaN and
+    Infinity); conv may return a number or an array."""
+    out = conv(value)
+    if not np.isfinite(out).all():
+        raise ValueError("not finite")
     return out
 
 

@@ -75,22 +75,9 @@ class FourierFunction:
     def coeff(self, n) -> ComplexProfile:
         return self.coeffs.get(n, ComplexProfile.from_const(0.0))
 
-    def _check_q(self, q):
-        qa = np.asarray(q, dtype=float)
-        lo, hi = self.interval
-        pad = _INTERVAL_TOL * max(1.0, abs(lo), abs(hi))
-        if np.any(qa < lo - pad) or np.any(qa > hi + pad):
-            raise DomainError(f"q outside interval {self.interval}")
-        return qa
-
     def eval(self, q, phi):
-        """Direct summation sum_n f_n(q) e^{i n phi}."""
-        qa = self._check_q(q)
-        pa = np.asarray(phi, dtype=float)
-        out = np.zeros(np.broadcast(qa, pa).shape, dtype=complex)
-        for n, c in self.coeffs.items():
-            out = out + c(qa) * np.exp(1j * n * pa)
-        return out
+        """sum_n f_n(q) e^{i n phi}: the S = 1 case of `MatrixFourierFunction.eval`."""
+        return MatrixFourierFunction.from_scalar(self).eval(q, phi)[..., 0, 0]
 
     def is_real_valued(self) -> bool:
         """Check conj(f_n) = f_{-n}: the S = 1 case of
@@ -216,17 +203,23 @@ class MatrixFourierFunction:
     def entry(self, a, b) -> FourierFunction:
         return self.entries[a][b]
 
-    def eval(self, q, phi):
-        """S x S complex array (extra leading axes for array-valued q, phi)."""
+    def _check_q(self, q):
         qa = np.asarray(q, dtype=float)
+        lo, hi = self.interval
+        pad = _INTERVAL_TOL * max(1.0, abs(lo), abs(hi))
+        if np.any(qa < lo - pad) or np.any(qa > hi + pad):
+            raise DomainError(f"q outside interval {self.interval}")
+        return qa
+
+    def eval(self, q, phi):
+        """S x S complex array of direct sums over modes (extra leading axes for array q, phi)."""
+        qa = self._check_q(q)
         pa = np.asarray(phi, dtype=float)
-        shape = np.broadcast(qa, pa).shape
-        out = np.zeros(shape + (self.S, self.S), dtype=complex)
-        for a in range(self.S):
-            for b in range(self.S):
-                e = self.entries[a][b]
-                if e.coeffs:
-                    out[..., a, b] = e.eval(qa, pa)
+        out = np.zeros(np.broadcast(qa, pa).shape + (self.S, self.S), dtype=complex)
+        for a, row in enumerate(self.entries):
+            for b, e in enumerate(row):
+                for n, c in e.coeffs.items():
+                    out[..., a, b] += c(qa) * np.exp(1j * n * pa)
         return out
 
     def conjugate_transpose(self) -> "MatrixFourierFunction":

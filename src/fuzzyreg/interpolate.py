@@ -261,8 +261,8 @@ def build_string_vertex(p: VertexParams) -> FuzzySpace:
         max(abs(n) for n in t2y),
     )
     cutoff = p.cutoff if p.cutoff is not None else default_vertex_cutoff(delta, p.N)
-    if cutoff >= p.N:
-        raise DomainError(f"mode cutoff {cutoff} must be smaller than N = {p.N}")
+    if not 0 <= cutoff < p.N:
+        raise DomainError(f"mode cutoff {cutoff} must be nonnegative and smaller than N = {p.N}")
     interval = p.interval
     zero = FourierFunction(interval, {})
 

@@ -24,17 +24,6 @@ from .verify import pointwise_commutator_sup, sample_on_grid
 _DIAG_TOL = 1e-12
 
 
-def _sample_grid(interval, shape):
-    if len(shape) != 2 or min(shape) < 1:
-        raise DomainError(f"surface grid must be (nq, nphi) with at least one sample "
-                          f"per axis, got {shape}")
-    nq, nphi = shape
-    q1, q2 = interval
-    qs = np.linspace(q1, q2, nq)
-    phis = np.linspace(0.0, 2.0 * np.pi, nphi, endpoint=False)
-    return qs, phis
-
-
 def check_commutation(coords: Sequence[MatrixFourierFunction], bound: float):
     """Pairwise sup-norm commutators from one 48 x 48 (q, phi) sampling of the
     coordinates; raise with a diagnostic above bound.  bound = inf only measures."""
@@ -42,7 +31,7 @@ def check_commutation(coords: Sequence[MatrixFourierFunction], bound: float):
         raise DomainError(f"commutation bound must be a nonnegative number, got {bound}")
     if len(coords) < 2:
         return 0.0
-    values = sample_on_grid(coords, 48)
+    values = sample_on_grid(coords, (48, 48))[2]
     sups = {(i, j): pointwise_commutator_sup(values[i], values[j])
             for i, j in itertools.combinations(range(len(coords)), 2)}
     (i, j), worst = max(sups.items(), key=lambda item: item[1])
@@ -88,14 +77,13 @@ def export_classical_surface(coords: Sequence[MatrixFourierFunction],
     if not coords:
         raise DomainError("need at least one coordinate function")
     S = coords[0].S
-    interval = coords[0].interval
     for c in coords[1:]:
         if c.S != S or not same_interval(coords[0], c):
             raise DomainError("coordinate functions must share block size and interval")
-    qs, phis = _sample_grid(interval, grid)
+    qs, phis, values = sample_on_grid(coords, grid)
     check_commutation(coords, bound)
     # (d, nq, nphi, S, S); coefficients are evaluated once per q, not per sample
-    values = np.stack([c.eval(qs[:, None], phis[None, :]) for c in coords])
+    values = np.stack(values)
     A = values[_pick_resolving(values)]
     resolve = np.max(_offdiag_abs(A), axis=(-2, -1)) > _DIAG_TOL
     V = np.broadcast_to(np.eye(S), A.shape).astype(complex)

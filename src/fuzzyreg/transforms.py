@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DomainError, StructureError, config_value, integer, json_object
 from .fourier import FourierFunction, MatrixFourierFunction
 from .regularize import FuzzyMatrix, FuzzySpace
+from .verify import sample_on_grid
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -161,9 +162,7 @@ def function_unitary_conjugate(F: MatrixFourierFunction, U: MatrixFourierFunctio
     """U F U† at coefficient level; U must be pointwise unitary (to 1e-10) on samples."""
     if U.S != F.S:
         raise StructureError("size mismatch between U and F")
-    qs = np.linspace(F.interval[0], F.interval[1], 17)
-    phis = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-    vals = U.eval(qs[:, None], phis[None, :])
+    vals = sample_on_grid((U,), (17, 16))[2][0]
     gram = vals @ np.conj(np.swapaxes(vals, -1, -2))
     err = np.max(np.abs(gram - np.eye(U.S)))
     if err > 1e-10:

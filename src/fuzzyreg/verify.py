@@ -153,10 +153,17 @@ def _ratio_verdicts(schedule, values, ratio):
 
 
 def _monotone_verdicts(values, slack=MONOTONE_SLACK):
-    flags = [True]
-    for k in range(len(values) - 1):
-        flags.append(values[k + 1] <= values[k] * slack + _ZERO)
-    return flags
+    return [True] + [b <= a * slack + _ZERO for a, b in zip(values, values[1:])]
+
+
+def _report(builder_id, criterion, Ns, values, delta, verdicts, **fields) -> SweepReport:
+    """The sweep's report: it passes when every step does, and carries the
+    fitted decay order of its values unless `fields` sets one."""
+    if "fitted_order" not in fields:
+        fields["fitted_order"] = _fit_order(Ns, values)
+    return SweepReport(builder_id=builder_id, criterion=criterion, schedule=Ns,
+                       values=tuple(values), delta=int(delta), verdicts=tuple(verdicts),
+                       passed=all(verdicts), **fields)
 
 
 def check_norm_convergence(builder, Ns, delta, label=None) -> SweepReport:
@@ -171,46 +178,29 @@ def check_norm_convergence(builder, Ns, delta, label=None) -> SweepReport:
         values.append(within_border_norm(M, delta))
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     tail = diffs[-3:]
-    passed = all(b <= a * MONOTONE_SLACK + _ZERO for a, b in zip(tail, tail[1:]))
-    verdicts = [True] * len(values)
-    if not passed:
-        verdicts[-1] = False
-    return SweepReport(
-        builder_id=_builder_id(builder, label),
-        criterion="norm-convergence",
-        schedule=Ns,
-        values=tuple(values),
-        delta=int(delta),
-        verdicts=tuple(verdicts),
-        passed=bool(passed),
-        fitted_order=None,
-        extras={"diffs": tuple(diffs)},
-    )
+    settled = all(b <= a * MONOTONE_SLACK + _ZERO for a, b in zip(tail, tail[1:]))
+    verdicts = [True] * (len(values) - 1) + [settled]
+    # norms settle rather than decay, so no decay order is fitted
+    return _report(_builder_id(builder, label), "norm-convergence", Ns, values, delta, verdicts,
+                   fitted_order=None, extras={"diffs": tuple(diffs)})
+
+
+def _residual_norm(f, g, rule, N, delta, residual) -> float:
+    """Within-border norm of residual(grid, Q(f), Q(g)) at size N."""
+    grid = make_grid(N, f.interval, rule)
+    Qf, Qg = regularize_scalar(f, grid), regularize_scalar(g, grid)
+    return within_border_norm(FuzzyMatrix(residual(grid, Qf, Qg), grid.N, 1), delta)
 
 
 def _first_order_sweep(kind, f, g, rule, Ns, delta, label, residual, scaling_note=""):
-    """Within-border norms of residual(grid, Q(f), Q(g)) over the schedule,
-    judged for first-order decay; delta defaults to the summed cutoffs."""
+    """`_residual_norm` over the schedule, judged for first-order decay;
+    delta defaults to the summed cutoffs."""
     delta = f.cutoff + g.cutoff if delta is None else int(delta)
     Ns = _schedule(Ns)
-    values = []
-    for n in Ns:
-        grid = make_grid(n, f.interval, rule)
-        Qf, Qg = regularize_scalar(f, grid), regularize_scalar(g, grid)
-        resid = FuzzyMatrix(residual(grid, Qf, Qg), grid.N, 1)
-        values.append(within_border_norm(resid, delta))
+    values = [_residual_norm(f, g, rule, n, delta, residual) for n in Ns]
     verdicts = _ratio_verdicts(Ns, values, FIRST_ORDER_RATIO)
-    return SweepReport(
-        builder_id=str(label or kind),
-        criterion=f"{kind}-convergence",
-        schedule=Ns,
-        values=tuple(values),
-        delta=delta,
-        verdicts=tuple(verdicts),
-        passed=all(verdicts),
-        fitted_order=_fit_order(Ns, values),
-        scaling_note=scaling_note,
-    )
+    return _report(str(label or kind), f"{kind}-convergence", Ns, values, delta, verdicts,
+                   scaling_note=scaling_note)
 
 
 def check_product_convergence(f, g, rule="symmetric", Ns=(16, 32, 64), delta=None, label=None) -> SweepReport:
@@ -247,16 +237,16 @@ def semiclassical_residual(f, g, rule="symmetric", N=64, delta=None) -> float:
     exact first-order term -(i/N) Q(beta_l f_phi g_q - beta_r f_q g_phi)
     (equal to -(i beta/N) Q({f, g}) on symmetric grids).  Second-order small
     for smooth coefficient profiles."""
+
+    def residual(grid, Qf, Qg):
+        Qfg = regularize_scalar(mul(f, g), grid)
+        corr_fn = (mul(f.d_phi(), g.d_q()) * grid.beta_left
+                   - mul(f.d_q(), g.d_phi()) * grid.beta_right)
+        Qcorr = regularize_scalar(corr_fn, grid)
+        return product(Qf, Qg).data - Qfg.data + (1j / grid.N) * Qcorr.data
+
     delta = f.cutoff + g.cutoff if delta is None else int(delta)
-    N = int(N)
-    grid = make_grid(N, f.interval, rule)
-    Qf = regularize_scalar(f, grid)
-    Qg = regularize_scalar(g, grid)
-    Qfg = regularize_scalar(mul(f, g), grid)
-    corr_fn = mul(f.d_phi(), g.d_q()) * grid.beta_left - mul(f.d_q(), g.d_phi()) * grid.beta_right
-    Qcorr = regularize_scalar(corr_fn, grid)
-    resid = product(Qf, Qg).data - Qfg.data + (1j / N) * Qcorr.data
-    return within_border_norm(FuzzyMatrix(resid, N, 1), delta)
+    return _residual_norm(f, g, rule, int(N), delta, residual)
 
 
 def check_commutator_decay(space_builder, Ns, delta=5, label=None) -> SweepReport:
@@ -266,43 +256,35 @@ def check_commutator_decay(space_builder, Ns, delta=5, label=None) -> SweepRepor
     norm of the same interior block is recorded alongside.
     """
     Ns = _schedule(Ns)
-    values = []
-    row_sums = []
+    values, row_sums = [], []
     for n in Ns:
         space = space_builder(n)
         coords = space.coordinates
         if len(coords) < 2:
             raise StructureError("commutator decay needs at least two coordinates")
-        worst = 0.0
-        worst_rs = 0.0
+        worst = worst_rs = 0.0
         for A, B in itertools.combinations(coords, 2):
             comm = commutator(A, B)
             worst = max(worst, interior_max_entry(comm, delta))
             worst_rs = max(worst_rs, within_border_norm(comm, delta))
         values.append(worst)
         row_sums.append(worst_rs)
-    verdicts = _monotone_verdicts(values)
-    return SweepReport(
-        builder_id=_builder_id(space_builder, label),
-        criterion="commutator-decay",
-        schedule=Ns,
-        values=tuple(values),
-        delta=int(delta),
-        verdicts=tuple(verdicts),
-        passed=all(verdicts),
-        fitted_order=_fit_order(Ns, values),
-        extras={"row_sum_norm": tuple(row_sums)},
-    )
+    return _report(_builder_id(space_builder, label), "commutator-decay", Ns, values, delta,
+                   _monotone_verdicts(values), extras={"row_sum_norm": tuple(row_sums)})
 
 
-def sample_on_grid(functions, samples) -> list:
-    """Each matrix function's values on one samples x samples (q, phi) grid
-    over their shared interval, as (samples, samples, S, S) arrays."""
+def sample_on_grid(functions, shape):
+    """(qs, phis, values) on the shape = (nq, nphi) grid over the functions' shared
+    interval; each matrix function's values form one (nq, nphi, S, S) array."""
+    if len(shape) != 2 or min(shape) < 1:
+        raise DomainError(f"surface grid must be (nq, nphi) with at least one sample "
+                          f"per axis, got {shape}")
     for F in functions[1:]:
         _check_same_interval(functions[0], F)
-    qs = np.linspace(functions[0].interval[0], functions[0].interval[1], int(samples))
-    phis = np.linspace(0.0, 2.0 * np.pi, int(samples), endpoint=False)
-    return [F.eval(qs[:, None], phis[None, :]) for F in functions]
+    nq, nphi = shape
+    qs = np.linspace(functions[0].interval[0], functions[0].interval[1], nq)
+    phis = np.linspace(0.0, 2.0 * np.pi, nphi, endpoint=False)
+    return qs, phis, [F.eval(qs[:, None], phis[None, :]) for F in functions]
 
 
 def pointwise_commutator_sup(FV: np.ndarray, GV: np.ndarray) -> float:
@@ -312,4 +294,4 @@ def pointwise_commutator_sup(FV: np.ndarray, GV: np.ndarray) -> float:
 
 def matrix_fn_commutator_sup(F: MatrixFourierFunction, G: MatrixFourierFunction, samples=64) -> float:
     """Sup of the pointwise commutator's operator norm over a (q, phi) grid."""
-    return pointwise_commutator_sup(*sample_on_grid((F, G), samples))
+    return pointwise_commutator_sup(*sample_on_grid((F, G), (samples, samples))[2])

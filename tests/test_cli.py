@@ -56,6 +56,7 @@ class TestVertexCommand:
         ["transform", "--config", "parabola_transform.json"],
         ["transform", "--config", "clifford_projection.json"],
         ["sweep", "--config", "vertex_decay.json"],
+        ["sweep", "--config", "eight_poisson.json"],
         ["surface", "--config", "eight_surface.json"],
     ]
 
@@ -99,6 +100,23 @@ class TestBuildCommand:
         assert len(list(tmp_path.glob("*.svg"))) == 3
         assert len(list(tmp_path.glob("*.fzmb"))) == 3
 
+    # a left-grid regularization is not Hermitian by design: it is written
+    # as built, and a recipe on it is not held to Hermiticity either
+    @pytest.mark.parametrize("command, transforms", [
+        ("build", None),
+        ("transform", [{"op": "poly", "terms": [{"coeff": 1.0, "indices": [0, 1]}],
+                        "target": "append"}]),
+    ], ids=["build", "transform"])
+    def test_left_grid_space_is_written(self, tmp_path, command, transforms):
+        cfg = {"space": {"preset": "immersed-circle-to-eight", "n": 8, "grid": "left"}}
+        if transforms is not None:
+            cfg["transforms"] = transforms
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", str(path), "--out", str(out)]) == 0
+        assert len(list(out.glob("*.fzmb"))) == (3 if transforms is None else 4)
+
     # the string-vertex preset reads n or N like every preset; --n wins
     @pytest.mark.parametrize("space, extra, dim", [
         ({"n": 12}, [], 24),
@@ -141,6 +159,15 @@ class TestTransformCommand:
         meta = read_json(tmp_path / "diag(clifford-torus*).meta.json")
         assert meta["coordinates"] == 8
         assert meta["singular_rows"] == []
+
+    def test_write_time_check_scales_with_the_entries(self, tmp_path):
+        # z of height 1e4 makes 0.625 z^2 - x about 1.6e7; the diagonalized
+        # coordinate keeps a rounding residual of about 1e-12 in |M - M^dagger|
+        cfg = read_json(CONFIGS / "parabola_transform.json")
+        cfg["space"].update(z_beta=1e4, z_offset=-5e3)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert run_cli(["transform", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 class TestSweepCommand:
@@ -392,6 +419,45 @@ class TestFailureModes:
         path.write_text(json.dumps(cfg), encoding="utf-8")
         assert run_cli([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "symmetric grid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_hermitian_transform_writes_nothing(self, tmp_path, capsys):
+        # x1 x2 of the Clifford torus is not Hermitian: x1 and x2 do not commute
+        cfg = {"space": {"preset": "clifford-torus", "n": 8},
+               "transforms": [{"op": "poly", "terms": [{"coeff": 1.0, "indices": [0, 1]}],
+                               "target": "append"}]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        code = run_cli(["transform", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: coordinate 4")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, cfg", [
+        (["vertex", "--n", "8", "--delta", "-1"], None),
+        (["vertex"], {"N": 8, "cutoff": -1}),
+    ], ids=["delta-option", "cutoff-key"])
+    def test_negative_vertex_cutoff(self, tmp_path, capsys, argv, cfg):
+        if cfg is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            argv = argv + ["--config", str(path)]
+        assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: mode cutoff -1")
+        assert not (tmp_path / "out").exists()
+
+    # JSON parsing accepts NaN and Infinity; presets that regularize nothing
+    # would otherwise write them into the coordinates
+    @pytest.mark.parametrize("text", [
+        '{"space": {"preset": "clifford-torus", "a": NaN}}',
+        '{"space": {"preset": "cylinder", "z_beta": Infinity}}',
+        '{"space": {"preset": "graph-vertex", "dim": 8, "n0": 4, "r_junction": NaN}}',
+    ], ids=["clifford-a", "cylinder-z-beta", "graph-vertex-r-junction"])
+    def test_non_finite_preset_parameter(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli(["build", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: config ")
         assert not (tmp_path / "out").exists()
 
     def test_unknown_preset(self, tmp_path, capsys):

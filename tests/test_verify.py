@@ -119,6 +119,16 @@ class TestNormConvergence:
         assert rep.values == pytest.approx((1.0, 1.0, 1.0), abs=1e-14)
         assert rep.passed
 
+    def test_norm_sweep_fits_no_decay_order(self):
+        f = FourierFunction.cosine(IV, 1, 1.0)
+
+        def builder(N):
+            return regularize_scalar(f, make_grid(N, IV, "symmetric"))
+
+        rep = check_norm_convergence(builder, (8, 16, 32), 1)
+        assert rep.fitted_order is None
+        assert rep.to_json_dict()["fitted_order"] is None
+
     def test_builder_must_return_a_fuzzy_matrix(self):
         with pytest.raises(StructureError):
             check_norm_convergence(lambda N: np.eye(N), (4, 8), 0)
