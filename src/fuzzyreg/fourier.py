@@ -22,6 +22,14 @@ def same_interval(a, b) -> bool:
     return all(abs(x - y) <= _INTERVAL_TOL for x, y in zip(a.interval, b.interval))
 
 
+def checked_interval(interval) -> tuple:
+    """(q1, q2) as floats, refused unless both ends are finite and q1 < q2."""
+    q1, q2 = float(interval[0]), float(interval[1])
+    if not (np.isfinite(q1) and np.isfinite(q2) and q1 < q2):
+        raise DomainError(f"interval [{q1}, {q2}] must have finite ends q1 < q2")
+    return q1, q2
+
+
 def _check_same_interval(a, b):
     if not same_interval(a, b):
         raise DomainError(f"interval mismatch: {a.interval} vs {b.interval}")
@@ -31,10 +39,7 @@ class FourierFunction:
     """Finite Fourier series in phi with q-dependent coefficients."""
 
     def __init__(self, interval, coeffs):
-        q1, q2 = float(interval[0]), float(interval[1])
-        if not q1 < q2:
-            raise DomainError(f"empty interval [{q1}, {q2}]")
-        self.interval = (q1, q2)
+        self.interval = checked_interval(interval)
         table = {}
         for n, c in coeffs.items():
             c = ComplexProfile.coerce(c)
@@ -164,10 +169,7 @@ class MatrixFourierFunction:
     """S x S matrix of FourierFunctions on one interval."""
 
     def __init__(self, interval, entries):
-        q1, q2 = float(interval[0]), float(interval[1])
-        if not q1 < q2:
-            raise DomainError(f"empty interval [{q1}, {q2}]")
-        self.interval = (q1, q2)
+        self.interval = checked_interval(interval)
         S = len(entries)
         grid = []
         for row in entries:

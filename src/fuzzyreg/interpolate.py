@@ -102,8 +102,9 @@ def _table_values(table, q):
     return out
 
 
-def interp_fourier_coeff(f1_table, f2_table, profile: InterpolationProfile, m: int, q):
-    """Mode-m coefficient of the blended angular function at q.
+def interp_fourier_coeff(f1_table, f2_table, profile: InterpolationProfile, m, q):
+    """Mode-m coefficient of the blended angular function at q; for a sequence
+    m, the coefficients of all its modes stacked along a leading axis.
 
     f1_table holds the half-angle coefficients (mode n means angular frequency
     2n+1 in the half-angle variable), f2_table the plain periodic ones.
@@ -120,22 +121,48 @@ def interp_fourier_coeff(f1_table, f2_table, profile: InterpolationProfile, m: i
     pole hits need no special casing.  Both sinc factors collapse to Kronecker
     deltas at the window ends: f_m equals f1_table[m] at alpha = -1/2 and
     f2_table[m] at alpha = 0.
+
+    The tables, profiles, theta f_n, phases and sinc factors are evaluated once
+    per call; each mode is summed in table order, whatever modes come with it.
     """
     q = np.asarray(q, dtype=float)
-    m = int(m)
+    modes = [int(k) for k in np.atleast_1d(m)]
     a = np.asarray(profile.alpha(q), float)
     t1 = np.asarray(profile.theta1(q), float)
     t2 = np.asarray(profile.theta2(q), float)
-    v1 = _table_values(f1_table, q)
-    v2 = _table_values(f2_table, q)
-    acc = np.zeros(np.broadcast(q, a).shape, dtype=complex)
-    for n, val in v1.items():
-        acc = acc + t1 * val * ((-1.0) ** (n - m)) * np.exp(1j * np.pi * (0.5 + a) * n) \
-            * np.sinc(n - m + 0.5 + a)
-    for n, val in v2.items():
-        acc = acc + t2 * val * ((-1.0) ** (n - m)) * np.exp(1j * np.pi * a * n) \
-            * np.sinc(n - m + a)
-    return acc
+    # (n, sinc offset, theta f_n, phase factor) per table entry
+    terms = [(n, 0.5, t1 * val, np.exp(1j * np.pi * (0.5 + a) * n))
+             for n, val in _table_values(f1_table, q).items()]
+    terms += [(n, 0, t2 * val, np.exp(1j * np.pi * a * n))
+              for n, val in _table_values(f2_table, q).items()]
+    args = {n - k + off for k in modes for n, off, _, _ in terms}
+    sincs = {arg: np.sinc(arg + a) for arg in args}
+    out = np.zeros((len(modes),) + np.broadcast(q, a).shape, dtype=complex)
+    for i, k in enumerate(modes):
+        acc = out[i]
+        for n, off, tv, phase in terms:
+            acc = acc + tv * ((-1.0) ** (n - k)) * phase * sincs[n - k + off]
+        out[i] = acc
+    return out if np.ndim(m) else out[0]
+
+
+class _BlendFamily:
+    """The blend's modes -c..c, read from one `interp_fourier_coeff` call per q
+    vector: the last one is kept, so every mode, conjugate and mirror of the
+    family evaluated at one q shares one call."""
+
+    def __init__(self, f1_table, f2_table, profile: InterpolationProfile, cutoff: int):
+        self.args, self.key = (f1_table, f2_table, profile, range(-cutoff, cutoff + 1)), None
+
+    def __call__(self, q):
+        if self.key != (key := (q.shape, q.tobytes())):
+            self.key, self.values = key, interp_fourier_coeff(*self.args, q)
+        return self.values
+
+    def coeffs(self) -> dict:
+        """mode -> a from-callable coefficient reading the mode's row."""
+        return {m: ComplexProfile.from_callable(lambda q, i=i: self(q)[i].copy(), f"f_{m}")
+                for i, m in enumerate(self.args[3])}
 
 
 def interpolated_angle_function(f1_table, f2_table, profile: InterpolationProfile, q, phi):
@@ -156,17 +183,6 @@ def interpolated_angle_function(f1_table, f2_table, profile: InterpolationProfil
              for n, val in v1.items())
     f2 = sum(val * np.exp(1j * n * phi + 1j * np.pi * a * n) for n, val in v2.items())
     return (-1j * t1 * f1 + t2 * f2) * np.exp(1j * a * (phi - np.pi))
-
-
-def _interp_coeff_profile(f1_table, f2_table, profile, m) -> ComplexProfile:
-    """The mode-m blended coefficient as a profile of q.
-
-    One `interp_fourier_coeff` call per evaluation of the profile, of its
-    conjugate or of its mirror (`mirror_concat`); .re/.im call it once each.
-    """
-    return ComplexProfile.from_callable(
-        lambda q: interp_fourier_coeff(f1_table, f2_table, profile, m, q), f"f_{m}"
-    )
 
 
 @dataclass(frozen=True)
@@ -198,12 +214,6 @@ def default_vertex_cutoff(delta: int, N: int) -> int:
     return max(delta, min(3 * delta, N // 6))
 
 
-def _shift_complex(c: ComplexProfile, scale: float, shift: float) -> ComplexProfile:
-    return ComplexProfile(
-        c.re.compose_affine(scale, shift), c.im.compose_affine(scale, shift)
-    )
-
-
 def _slot_tables(p: VertexParams):
     """Component mode tables for the two slots, as functions of the base q.
 
@@ -233,7 +243,8 @@ def _slot_tables(p: VertexParams):
         for k, c in f.coeffs.items():
             if k % 2 == 0:
                 continue
-            table[(k - 1) // 2] = _shift_complex(c, 2.0, s01)
+            table[(k - 1) // 2] = ComplexProfile(c.re.compose_affine(2.0, s01),
+                                                 c.im.compose_affine(2.0, s01))
         return table
 
     t1x = half_table(xs)
@@ -267,10 +278,7 @@ def build_string_vertex(p: VertexParams) -> FuzzySpace:
     zero = FourierFunction(interval, {})
 
     def offdiag_pair(t1, t2):
-        upper = FourierFunction(interval, {
-            m: _interp_coeff_profile(t1, t2, p.profile, m)
-            for m in range(-cutoff, cutoff + 1)
-        })
+        upper = FourierFunction(interval, _BlendFamily(t1, t2, p.profile, cutoff).coeffs())
         return upper, upper.conjugate()
 
     x01, x10 = offdiag_pair(t1x, t2x)

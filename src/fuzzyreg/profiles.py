@@ -416,9 +416,9 @@ def as_profile(value) -> Profile:
 class ComplexProfile:
     """A complex-valued function of q stored as a (re, im) profile pair.
 
-    `from_callable` wraps one complex callable instead: calling the result or
-    its conjugate calls it once, and re/im are evaluation-only views of the
-    real and imaginary part of a call each.
+    `from_callable` wraps one complex callable instead: calling the result,
+    its conjugate or its mirror calls it once, and re/im are evaluation-only
+    views of the real and imaginary part of a call each.
     """
 
     __slots__ = ("re", "im", "fn", "label")
@@ -430,7 +430,8 @@ class ComplexProfile:
 
     @classmethod
     def from_callable(cls, fn, label: str = "") -> "ComplexProfile":
-        """Wrap a vectorized complex callable of q.  Evaluation only."""
+        """Wrap a vectorized complex callable of q.  Evaluation only.  fn may read
+        one row of a family evaluated once per q vector (the vertex's blend)."""
         out = cls(CallableProfile(lambda q: np.real(fn(q)), f"Re {label}"),
                   CallableProfile(lambda q: np.imag(fn(q)), f"Im {label}"))
         out.fn = fn

@@ -12,6 +12,10 @@ index (n*S + a, m*S + b).
 Grids q(n, m) are affine in (n, m): q(n,m) = c0 + cn*n + cm*m, 0-based, with
 q(0,0) = q1 and the formula reaching q2 at (N, N) (one step past the last
 stored index, so the stored diagonal values fill [q1, q2) from the left).
+`regularize_matrix` evaluates each entry's coefficients once, on the distinct
+arguments of all its bands, and gathers the bands back: not from the 2N - 1
+anti-diagonals, since on the vertex's (-1, 3) q(n, m) is not bitwise a
+function of n + m (40 of its 59 anti-diagonals hold several floats at N = 30).
 
 This module is the only one that writes a regularized coordinate or
 multiplies two: spaces that carry generator functions take their
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .fourier import FourierFunction, MatrixFourierFunction, _check_same_interval
+from .fourier import FourierFunction, MatrixFourierFunction, _check_same_interval, checked_interval
 
 
 @dataclass(frozen=True)
@@ -70,9 +74,7 @@ def make_grid(N: int, interval, rule: str = "symmetric") -> DiscretizingGrid:
     N = int(N)
     if N < 2:
         raise DomainError(f"grid size must be at least 2, got {N}")
-    q1, q2 = float(interval[0]), float(interval[1])
-    if not q1 < q2:
-        raise DomainError(f"empty interval [{q1}, {q2}]")
+    q1, q2 = checked_interval(interval)
     span = q2 - q1
     if rule == "symmetric":
         step = span / (2.0 * N)
@@ -116,17 +118,6 @@ class FuzzyMatrix:
         return float(np.max(np.abs(self.data - self.data.conj().T))) <= tol
 
 
-def _band_values(coeff, grid: DiscretizingGrid, band: int) -> np.ndarray:
-    """Evaluate one coefficient profile along matrix band m-n = band."""
-    length = grid.N - abs(band)
-    rows = np.arange(length) + max(0, -band)
-    cols = rows + band
-    vals = np.asarray(coeff(grid.q(rows, cols)), dtype=complex)
-    if not np.all(np.isfinite(vals)):
-        raise DomainError(f"coefficient of band {band} is not finite on the grid")
-    return vals
-
-
 def regularize_scalar(f: FourierFunction, grid: DiscretizingGrid) -> FuzzyMatrix:
     """N x N matrix with entries f_{m-n}(q(n,m)): `regularize_matrix` at S = 1."""
     return regularize_matrix(MatrixFourierFunction.from_scalar(f), grid)
@@ -135,8 +126,9 @@ def regularize_scalar(f: FourierFunction, grid: DiscretizingGrid) -> FuzzyMatrix
 def regularize_matrix(F: MatrixFourierFunction, grid: DiscretizingGrid) -> FuzzyMatrix:
     """N*S x N*S matrix; block entry (a,b), band n, lands at (n*S+a, m*S+b).
 
-    Each coefficient profile is evaluated once, on its own band; nothing else
-    is sampled (Hermiticity is checked on the matrices, by `FuzzySpace.validate`).
+    The coefficients of an entry are all evaluated on one q vector, so a
+    coefficient family (the string vertex's) is evaluated once per entry;
+    Hermiticity is checked on the matrices, by `FuzzySpace.validate`.
     """
     _check_same_interval(F, grid)
     if F.cutoff >= grid.N:
@@ -144,13 +136,18 @@ def regularize_matrix(F: MatrixFourierFunction, grid: DiscretizingGrid) -> Fuzzy
     N, S = grid.N, F.S
     out = np.zeros((N * S, N * S), dtype=complex)
     offsets = set()
-    for a in range(S):
-        for b in range(S):
-            entry = F.entries[a][b]
-            for band in sorted(entry.coeffs):
-                vals = _band_values(entry.coeffs[band], grid, band)
-                idx = np.arange(len(vals)) + max(0, -band)
-                out[idx * S + a, (idx + band) * S + b] = vals
+    for a, row in enumerate(F.entries):
+        for b, entry in enumerate(row):
+            rows = {band: np.arange(N - abs(band)) + max(0, -band) for band in sorted(entry.coeffs)}
+            band_qs = [grid.q(r, r + band) for band, r in rows.items()]
+            qs, where = np.unique(np.concatenate(band_qs or [[]]), return_inverse=True)
+            start = 0
+            for band, r in rows.items():
+                vals = np.asarray(entry.coeffs[band](qs), complex)[where[start : start + len(r)]]
+                start += len(r)
+                if not np.all(np.isfinite(vals)):
+                    raise DomainError(f"coefficient of band {band} is not finite on the grid")
+                out[r * S + a, (r + band) * S + b] = vals
                 offsets.add(band * S + b - a)
     return FuzzyMatrix(out, N, S, tuple(sorted(offsets)))
 

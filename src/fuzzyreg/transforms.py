@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StructureError, config_value, integer, json_object
+from .errors import DomainError, StructureError, config_value, finite, integer, json_object
 from .fourier import FourierFunction, MatrixFourierFunction
 from .regularize import FuzzyMatrix, FuzzySpace
 from .verify import sample_on_grid
@@ -182,15 +182,16 @@ def _entrywise_step(coords, step):
             part = np.eye(coords[0].dim, dtype=complex)
             for idx in config_value(list, term.get("indices"), "poly indices"):
                 part = part @ config_value(coords.__getitem__, idx, "poly index").data
-            acc += config_value(complex, term.get("coeff", 1.0), "poly coeff") * part
+            coeff = config_value(lambda v: finite(v, complex), term.get("coeff", 1.0), "poly coeff")
+            acc += coeff * part
         return FuzzyMatrix(acc, coords[0].N, coords[0].S), ()
     src = config_value(coords.__getitem__, step.get("source"), "reciprocal-diag source")
     offdiag = src.data - np.diag(np.diag(src.data))
     if np.max(np.abs(offdiag)) > 1e-12:
         raise StructureError("entrywise recipe needs a diagonal source coordinate")
-    shift = config_value(float, step.get("shift", 1.0), "shift")
-    scale = config_value(float, step.get("scale", 1.0), "scale")
-    tol = config_value(float, step.get("singular_tol", 1e-9), "singular_tol")
+    shift = config_value(finite, step.get("shift", 1.0), "shift")
+    scale = config_value(finite, step.get("scale", 1.0), "scale")
+    tol = config_value(finite, step.get("singular_tol", 1e-9), "singular_tol")
     denom = shift + np.diag(src.data)
     bad = np.flatnonzero(np.abs(denom) < tol)
     vals = np.zeros(src.dim, dtype=complex)

@@ -3,8 +3,10 @@
 The vertex blends two closed-form regularizations: a single figure-eight
 cross-section below the transition window and an interlaced pair of circles
 above it.  Both references are rebuilt here from their own builders so the
-vertex tests compare against independent code paths.  `oracle_matrices`
-holds the matrices the SVG and CSV writers are byte-compared on.
+vertex tests compare against independent code paths, and
+`blend_offdiag_reference` rebuilds the blended x and y entries mode by mode
+and band by band.  `oracle_matrices` holds the matrices the SVG and CSV
+writers are byte-compared on.
 """
 
 import numpy as np
@@ -62,6 +64,49 @@ def interlaced_zone_reference(p, grid):
     spec = DoubleCylinderSpec(p.interval, p.x0, p.r)
     X, Y, Z = interlaced_double_cylinder_function(spec)
     return tuple(regularize_matrix(F, grid) for F in (X, Y, Z))
+
+
+def blend_coeff_reference(f1_table, f2_table, profile, m, q):
+    """One mode of the blend, summed term by term as the closed form reads:
+    every table entry, profile and sinc factor evaluated afresh for this m."""
+    q = np.asarray(q, dtype=float)
+    a = np.asarray(profile.alpha(q), float)
+    t1 = np.asarray(profile.theta1(q), float)
+    t2 = np.asarray(profile.theta2(q), float)
+
+    def values(table):
+        return {int(n): np.asarray(v(q) if callable(v) else complex(v) + 0.0 * q, dtype=complex)
+                for n, v in table.items()}
+
+    acc = np.zeros(np.broadcast(q, a).shape, dtype=complex)
+    for n, val in values(f1_table).items():
+        acc = acc + t1 * val * ((-1.0) ** (n - m)) * np.exp(1j * np.pi * (0.5 + a) * n) \
+            * np.sinc(n - m + 0.5 + a)
+    for n, val in values(f2_table).items():
+        acc = acc + t2 * val * ((-1.0) ** (n - m)) * np.exp(1j * np.pi * a * n) \
+            * np.sinc(n - m + a)
+    return acc
+
+
+def blend_offdiag_reference(f1_table, f2_table, profile, cutoff, grid, pivot=None):
+    """The 2N x 2N matrix of one blended off-diagonal pair: mode m of the
+    blend on band m of block (0, 1), its conjugate on band -m of block (1, 0),
+    each band evaluated on its own grid arguments (folded about the pivot for
+    a mirrored vertex)."""
+    def band(m, rows, cols):
+        q = grid.q(rows, cols)
+        if pivot is not None:
+            q = np.where(q <= pivot, q, 2.0 * pivot - q)
+        return blend_coeff_reference(f1_table, f2_table, profile, m, q)
+
+    out = np.zeros((2 * grid.N, 2 * grid.N), dtype=complex)
+    for m in range(-cutoff, cutoff + 1):
+        r = np.arange(grid.N - abs(m)) + max(0, -m)
+        v = band(m, r, r + m)
+        out[2 * r, 2 * (r + m) + 1] = v.real + 1j * v.imag
+        w = np.conj(band(m, r + m, r))
+        out[2 * (r + m) + 1, 2 * r] = w.real + 1j * w.imag
+    return out
 
 
 def zone_masks(grid, dim, q_lo, q_hi):

@@ -343,6 +343,19 @@ class TestFailureModes:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "out").exists()
 
+    # inf - inf is NaN, so an infinite end used to pass as an interval mismatch
+    def test_infinite_sweep_interval(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"sweep": {"kind": "product", "schedule": [8, 16], '
+                       '"f": {"interval": [0, Infinity], "modes": {"1": 1.0}}, '
+                       '"g": {"interval": [0, Infinity], "modes": {"1": 1.0}}}}', encoding="utf-8")
+        code = run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: interval [0.0, inf] must have finite ends")
+        assert "mismatch" not in err
+        assert not (tmp_path / "out").exists()
+
     # the eight commutes, so only the grid can fail; the vertex (x-y sup 1.25)
     # must not pass a NaN bound
     @pytest.mark.parametrize("space, surface", [
@@ -458,6 +471,24 @@ class TestFailureModes:
         path.write_text(text, encoding="utf-8")
         assert run_cli(["build", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: config ")
+        assert not (tmp_path / "out").exists()
+
+    # a NaN or infinite recipe value would otherwise reach the coordinates
+    @pytest.mark.parametrize("step", [
+        '{"op": "reciprocal-diag", "source": 3, "shift": NaN}',
+        '{"op": "reciprocal-diag", "source": 3, "scale": Infinity}',
+        '{"op": "reciprocal-diag", "source": 3, "singular_tol": NaN}',
+        '{"op": "poly", "terms": [{"coeff": NaN, "indices": [0]}]}',
+        '{"op": "poly", "terms": [{"coeff": -Infinity, "indices": [0]}]}',
+    ], ids=["shift", "scale", "singular-tol", "nan-poly-coeff", "infinite-poly-coeff"])
+    def test_non_finite_transform_value(self, tmp_path, capsys, step):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"space": {"preset": "clifford-torus", "n": 8}, "transforms": [%s]}'
+                        % step, encoding="utf-8")
+        code = run_cli(["transform", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ") and "is invalid: not finite" in err
         assert not (tmp_path / "out").exists()
 
     def test_unknown_preset(self, tmp_path, capsys):

@@ -15,6 +15,7 @@ from fuzzyreg.profiles import (
     PolyProfile,
     smooth_step,
 )
+from fuzzyreg.regularize import make_grid
 
 IV = (0.0, 1.0)
 
@@ -74,6 +75,17 @@ class TestEvaluation:
     def test_empty_interval_rejected(self):
         with pytest.raises(DomainError):
             FourierFunction((1.0, 1.0), {})
+
+    @pytest.mark.parametrize("interval", [(2.0, 1.0), (0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0)],
+                             ids=["reversed", "infinite-end", "infinite-start", "nan-start"])
+    @pytest.mark.parametrize("build", [
+        lambda iv: FourierFunction(iv, {}),
+        lambda iv: MatrixFourierFunction(iv, [[None]]),
+        lambda iv: make_grid(8, iv),
+    ], ids=["function", "matrix-function", "grid"])
+    def test_interval_needs_finite_ordered_ends(self, build, interval):
+        with pytest.raises(DomainError, match=r"interval \[.*\] must have finite ends"):
+            build(interval)
 
     def test_eval_outside_interval_rejected(self):
         f = FourierFunction.from_profile(IV, 1.0)

@@ -27,10 +27,15 @@ from fuzzyreg.profiles import (
     PolyProfile,
     smooth_step,
 )
-from fuzzyreg.regularize import FuzzySpace, regularize_matrix
+from fuzzyreg.regularize import FuzzySpace, make_grid, regularize_matrix
 from fuzzyreg.verify import check_commutator_decay, matrix_fn_commutator_sup
 
-from refs import interlaced_zone_reference, scalar_zone_reference, zone_masks
+from refs import (
+    blend_offdiag_reference,
+    interlaced_zone_reference,
+    scalar_zone_reference,
+    zone_masks,
+)
 
 MODES = ("explicit-spline", "derived-lambda")
 
@@ -123,6 +128,13 @@ class TestInterpCoeff:
         assert got.shape == qs.shape
         single = interp_fourier_coeff(t1, t2, make_profile(), 1, qs[3])
         assert got[3] == pytest.approx(single, abs=1e-14)
+        # a sequence of modes stacks them, each as it reads alone, bit for bit
+        modes = [3, -2, 1]
+        stacked = interp_fourier_coeff(t1, t2, make_profile(), modes, qs)
+        assert stacked.shape == (3,) + qs.shape
+        for row, m in zip(stacked, modes):
+            alone = interp_fourier_coeff(t1, t2, make_profile(), m, qs)
+            assert row.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("mode", MODES)
     def test_coefficients_match_angle_quadrature(self, mode):
@@ -159,6 +171,28 @@ class TestInterpCoeff:
         assert f0 == pytest.approx(0.9003163161571062, abs=1e-9)
         assert f1 == pytest.approx(-0.06002108774380707, abs=1e-9)
         assert abs(f0 - 1.0) > 0.05
+
+
+class TestBlendOracle:
+    """The batched blend against a per-mode, per-band reference of the closed
+    form, compared as int64 bit patterns (signed zeros included)."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("N", [15, 30, 60])
+    def test_vertex_and_mirror_match_the_per_mode_reference_bitwise(self, mode, N):
+        p = VertexParams(N=N, profile=make_profile(mode))
+        v = build_string_vertex(p)
+        c = v.generators[0].cutoff
+        q1, q4 = p.interval
+        pivot = 2.5
+        mir = mirror_concat(v, pivot)
+        grids = ((v, make_grid(N, (q1, q4)), None),
+                 (mir, make_grid(2 * N, (q1, 2 * pivot - q1)), pivot))
+        for space, grid, fold in grids:
+            for k, (t1, t2) in enumerate(_slot_tables(p)):
+                want = blend_offdiag_reference(t1, t2, p.profile, c, grid, fold)
+                got = space.coordinates[k].data
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestDecayBound:
@@ -232,16 +266,16 @@ class TestVertexAssembly:
         with pytest.raises(DomainError, match="cutoff"):
             build_string_vertex(VertexParams(N=4, cutoff=4))
 
-    def test_each_blended_coefficient_is_evaluated_once_per_band(self, monkeypatch):
+    def test_each_blend_family_is_evaluated_once_per_q_vector(self, monkeypatch):
         import fuzzyreg.interpolate as interpolate
         from fuzzyreg.fourier import MatrixFourierFunction as MFF
 
-        calls = {"coeff": 0, "probe": 0}
+        calls = {"coeff": [], "probe": 0}
         coeff = interpolate.interp_fourier_coeff
         probe = MFF.is_hermitian
 
         def counted_coeff(*args):
-            calls["coeff"] += 1
+            calls["coeff"].append(list(args[3]))
             return coeff(*args)
 
         def counted_probe(*args, **kwargs):
@@ -255,8 +289,12 @@ class TestVertexAssembly:
         for F in space.generators[:2]:
             assert sorted(F.entry(0, 1).coeffs) == list(range(-c, c + 1))
             assert sorted(F.entry(1, 0).coeffs) == list(range(-c, c + 1))
-        # x01, x10, y01, y10: one call per (entry, band)
-        assert calls == {"coeff": 4 * (2 * c + 1), "probe": 0}
+        # one call for x01 and x10, one for y01 and y10, each for every mode
+        assert calls == {"coeff": [list(range(-c, c + 1))] * 2, "probe": 0}
+        # a pointwise evaluation reads every mode of x from one call at its q
+        calls["coeff"].clear()
+        space.generators[0].eval(np.linspace(-1.0, 3.0, 9)[:, None], np.zeros((1, 4)))
+        assert len(calls["coeff"]) == 1
 
     def test_space_shape_and_hermiticity(self):
         space = build_string_vertex(VertexParams(N=12))
@@ -459,7 +497,6 @@ class TestMirrorConcat:
         import fuzzyreg.interpolate as interpolate
 
         v = self.make_vertex(N=30)
-        c = v.generators[0].cutoff
         calls = []
         coeff = interpolate.interp_fourier_coeff
 
@@ -469,8 +506,8 @@ class TestMirrorConcat:
 
         monkeypatch.setattr(interpolate, "interp_fourier_coeff", counted_coeff)
         mirror_concat(v, 2.5)
-        # x01, x10, y01, y10: one call per (entry, band), as in the build
-        assert len(calls) == 4 * (2 * c + 1) == 44
+        # as in the build: one call per blend family (x, y) for all its modes
+        assert len(calls) == 2
 
     def test_mirrored_coordinates_equal_the_mirrored_parts_bitwise(self):
         v = self.make_vertex(N=30)
