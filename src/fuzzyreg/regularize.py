@@ -20,14 +20,20 @@ function of n + m (40 of its 59 anti-diagonals hold several floats at N = 30).
 This module is the only one that writes a regularized coordinate or
 multiplies two: spaces that carry generator functions take their
 coordinates from `regularize_space`, and every product of regularized
-matrices is `product` or `commutator`.  The matrices are stored dense but
-are banded, with bandwidth (cutoff+1)*S, so both kernels multiply only the
-diagonals that may be nonzero, at O(dim * bandwidth^2) per product.  They
-sum in a CSR product's order with complex products (ar br - ai bi, ar bi +
-ai br), so they equal a CSR product bit for bit.  The one dense product of
-coordinates is the poly step of `transforms.matrix_poly_transform`: after a
-`diagonalize` step its operands are dense, with every diagonal nonzero, and
-there `product` takes 440 ms against 2.6 ms dense at N = 256 (one BLAS thread).
+matrices is `product` or `commutator`.  Regularized matrices are banded,
+with bandwidth (cutoff+1)*S, and a `FuzzyMatrix` stores its diagonals:
+`regularize_matrix` writes them, `product`, `commutator` and `lincomb` read
+and write them, and the within-border norms mask the border on them, so a
+sweep holds O(dim * bandwidth) numbers per matrix and a product of
+bandwidths K and L costs O(dim * K * L).  The kernels sum in a CSR
+product's order with complex products (ar br - ai bi, ar bi + ai br), so
+they equal a CSR product bit for bit.  The dense view `FuzzyMatrix.data`
+is built on first read, for the readers that need every entry: rendering,
+matrix I/O, transforms and the Hermiticity checks.  The one dense product
+of coordinates is the poly step of `transforms.matrix_poly_transform`:
+after a `diagonalize` step its operands are dense, with every diagonal
+nonzero, and there `product` takes 440 ms against 2.6 ms dense at N = 256
+(one BLAS thread).
 """
 
 from __future__ import annotations
@@ -84,38 +90,96 @@ def make_grid(N: int, interval, rule: str = "symmetric") -> DiscretizingGrid:
     raise DomainError(f"unknown grid rule {rule!r}")
 
 
-@dataclass(frozen=True)
 class FuzzyMatrix:
-    """Dense square complex matrix with its block layout: N blocks of size S.
+    """Square complex matrix with its block layout: N blocks of size S.
 
-    The wrapped array is immutable; take a copy before mutating.  Hermiticity
-    is a property of the data, checked by `is_hermitian` (and, for a whole
-    space, by `FuzzySpace.validate`), not a stored flag.  `offsets`: the flat
-    diagonals (column minus row) that may be nonzero, sorted, when known.
+    Stored by diagonals: `offsets` lists, sorted, the flat diagonals (column
+    minus row) that may be nonzero, and `bands[i, k]` holds entry
+    (i, i + offsets[0] + k).  Cells on other diagonals are zero; cells that
+    fall outside the matrix are never read as entries.  `data` is the dense
+    view, built once on first read.  A matrix made from a dense array,
+    `FuzzyMatrix(array, N, S)`, keeps that array as its view and reads its
+    bands off its nonzero diagonals only when a band kernel asks for them.
+    Both arrays are read-only; take a copy before mutating.  Hermiticity is
+    a property of the data, checked by `is_hermitian`, not a stored flag.
     """
 
-    data: np.ndarray
-    N: int
-    S: int = 1
-    offsets: tuple | None = None
+    __slots__ = ("N", "S", "_data", "_bands", "_offsets")
 
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=complex)
+    def __init__(self, data, N: int, S: int = 1):
+        arr = np.ascontiguousarray(data, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise StructureError(f"expected a square matrix, got shape {arr.shape}")
-        if arr.shape[0] != self.N * self.S:
-            raise StructureError(
-                f"dimension {arr.shape[0]} does not match N*S = {self.N}*{self.S}"
-            )
+        if arr.shape[0] != N * S:
+            raise StructureError(f"dimension {arr.shape[0]} does not match N*S = {N}*{S}")
         arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        self.N, self.S = N, S
+        self._data, self._bands, self._offsets = arr, None, None
+
+    @classmethod
+    def _banded(cls, bands: np.ndarray, offsets: tuple, N: int, S: int) -> FuzzyMatrix:
+        """The matrix whose diagonals `offsets` are stored in `bands`."""
+        M = cls.__new__(cls)
+        bands.setflags(write=False)
+        M.N, M.S, M._data, M._bands, M._offsets = N, S, None, bands, offsets
+        return M
 
     @property
     def dim(self) -> int:
-        return self.data.shape[0]
+        return self.N * self.S
+
+    @property
+    def data(self) -> np.ndarray:
+        """The dense matrix, scattered from the bands on first read."""
+        if self._data is None:
+            cols = _columns(self.dim, self._offsets[0], self._bands.shape[1])
+            inside = (cols >= 0) & (cols < self.dim)
+            dense = np.zeros((self.dim, self.dim), dtype=complex)
+            dense[np.nonzero(inside)[0], cols[inside]] = self._bands[inside]
+            dense.setflags(write=False)
+            self._data = dense
+        return self._data
+
+    @property
+    def bands(self) -> np.ndarray:
+        """Row i, column k: entry (i, i + offsets[0] + k)."""
+        if self._bands is None:
+            self._bands, self._offsets = _read_bands(self._data)
+        return self._bands
+
+    @property
+    def offsets(self) -> tuple:
+        """The flat diagonals that may be nonzero, sorted; never empty."""
+        if self._offsets is None:
+            self._bands, self._offsets = _read_bands(self._data)
+        return self._offsets
 
     def is_hermitian(self, tol=1e-12) -> bool:
         return float(np.max(np.abs(self.data - self.data.conj().T))) <= tol
+
+
+def _columns(dim: int, lo: int, width: int) -> np.ndarray:
+    """Column of each band cell: (i, k) holds entry (i, i + lo + k)."""
+    return np.arange(dim)[:, None] + (lo + np.arange(width))
+
+
+def _read_bands(data: np.ndarray):
+    """(bands, offsets) of a dense array, over its nonzero diagonals."""
+    dim = len(data)
+    diagonals = {o: np.diagonal(data, o) for o in range(1 - dim, dim)}
+    offsets = tuple(o for o, d in diagonals.items() if d.any()) or (0,)
+    bands = np.zeros((dim, offsets[-1] - offsets[0] + 1), dtype=complex)
+    for o in offsets:
+        bands[max(0, -o) : dim - max(0, o), o - offsets[0]] = diagonals[o]
+    bands.setflags(write=False)
+    return bands, offsets
+
+
+def _layout(*Ms) -> tuple:
+    """(N, S) of a result: the operands' own when they share it, else flat."""
+    if len({M.dim for M in Ms}) != 1:
+        raise StructureError(f"dimension mismatch {' vs '.join(str(M.dim) for M in Ms)}")
+    return (Ms[0].N, Ms[0].S) if len({(M.N, M.S) for M in Ms}) == 1 else (Ms[0].dim, 1)
 
 
 def regularize_scalar(f: FourierFunction, grid: DiscretizingGrid) -> FuzzyMatrix:
@@ -124,18 +188,22 @@ def regularize_scalar(f: FourierFunction, grid: DiscretizingGrid) -> FuzzyMatrix
 
 
 def regularize_matrix(F: MatrixFourierFunction, grid: DiscretizingGrid) -> FuzzyMatrix:
-    """N*S x N*S matrix; block entry (a,b), band n, lands at (n*S+a, m*S+b).
+    """N*S x N*S matrix; block entry (a,b), band n, lands at (n*S+a, m*S+b),
+    on flat diagonal n*S + b - a, and only the diagonals are written.
 
     The coefficients of an entry are all evaluated on one q vector, so a
-    coefficient family (the string vertex's) is evaluated once per entry;
-    Hermiticity is checked on the matrices, by `FuzzySpace.validate`.
+    coefficient family (the string vertex's) is evaluated once per entry.
+    Hermiticity is not checked here: the CLI checks transform output
+    (`cli._check_hermitian`), and `transforms.diagonalize_coordinate` checks
+    the coordinate it diagonalizes.
     """
     _check_same_interval(F, grid)
     if F.cutoff >= grid.N:
         raise DomainError(f"cutoff {F.cutoff} must stay below N = {grid.N}")
     N, S = grid.N, F.S
-    out = np.zeros((N * S, N * S), dtype=complex)
-    offsets = set()
+    offsets = tuple(sorted({band * S + b - a for a, row in enumerate(F.entries)
+                            for b, entry in enumerate(row) for band in entry.coeffs})) or (0,)
+    bands = np.zeros((N * S, offsets[-1] - offsets[0] + 1), dtype=complex)
     for a, row in enumerate(F.entries):
         for b, entry in enumerate(row):
             rows = {band: np.arange(N - abs(band)) + max(0, -band) for band in sorted(entry.coeffs)}
@@ -147,9 +215,8 @@ def regularize_matrix(F: MatrixFourierFunction, grid: DiscretizingGrid) -> Fuzzy
                 start += len(r)
                 if not np.all(np.isfinite(vals)):
                     raise DomainError(f"coefficient of band {band} is not finite on the grid")
-                out[r * S + a, (r + band) * S + b] = vals
-                offsets.add(band * S + b - a)
-    return FuzzyMatrix(out, N, S, tuple(sorted(offsets)))
+                bands[r * S + a, band * S + b - a - offsets[0]] = vals
+    return FuzzyMatrix._banded(bands, offsets, N, S)
 
 
 def toeplitz_basis(a: int, N: int) -> FuzzyMatrix:
@@ -170,74 +237,106 @@ def _border_width(M: FuzzyMatrix, delta) -> int:
     return d
 
 
-def _interior_abs(M: FuzzyMatrix, delta) -> np.ndarray:
-    """|entries| of the interior block (rows/cols delta..dim-delta)."""
+def _interior_abs(M: FuzzyMatrix, delta):
+    """|bands| of the interior rows (delta..dim-delta), zero on every cell
+    outside the interior columns, and each cell's interior column."""
     d = _border_width(M, delta)
-    return np.abs(M.data[d : M.dim - d, d : M.dim - d] if d else M.data)
+    cols = _columns(M.dim, M.offsets[0], M.bands.shape[1])[d : M.dim - d] - d
+    mags = np.abs(M.bands[d : M.dim - d])
+    mags[(cols < 0) | (cols >= M.dim - 2 * d)] = 0.0
+    return mags, cols
 
 
 def within_border_norm(M: FuzzyMatrix, delta) -> float:
     """Max absolute row sum over the interior block; delta = 0 gives the
-    plain max-row-sum norm."""
-    core = _interior_abs(M, delta)
-    return float(np.max(np.sum(core, axis=1))) if core.size else 0.0
+    plain max-row-sum norm.
+
+    The rows are summed on the bands to find those that may hold the
+    maximum, and only those are summed again laid out as dense rows: numpy
+    sums a row pairwise, in an order set by where its zeros sit, so the
+    norm is bitwise the one of the dense interior block.
+    """
+    mags, cols = _interior_abs(M, delta)
+    sums = mags.sum(axis=1)
+    top = sums.max()
+    if not 0.0 < top < np.inf:  # zero, NaN or infinite in any summation order
+        return float(top)
+    # two summation orders of w nonnegative terms differ by under 2 w eps of their sum
+    near = np.flatnonzero(sums >= top * (1.0 - 4.0 * mags.shape[1] * np.finfo(float).eps))
+    n = len(mags)  # the interior block is n x n
+    step, best = max(1, 2**20 // n), 0.0  # at most 2**20 dense cells at a time
+    for chunk in (near[s : s + step] for s in range(0, len(near), step)):
+        part = mags[chunk]
+        nonzero = part > 0.0
+        rows = np.zeros((len(chunk), n))
+        rows[np.nonzero(nonzero)[0], cols[chunk][nonzero]] = part[nonzero]
+        best = max(best, float(rows.sum(axis=1).max()))
+    return best
 
 
 def interior_max_entry(M: FuzzyMatrix, delta) -> float:
     """Max |entry| over the interior block; the entrywise companion norm."""
-    core = _interior_abs(M, delta)
-    return float(np.max(core)) if core.size else 0.0
+    return float(np.max(_interior_abs(M, delta)[0]))
 
 
-def _offsets(M: FuzzyMatrix) -> tuple:
-    """The diagonals M may have nonzero: recorded, or read off its data."""
-    if M.offsets is None:
-        rows, cols = np.nonzero(M.data)
-        return tuple(np.unique(cols - rows).tolist())
-    return M.offsets
-
-
-def _band_product(A: FuzzyMatrix, B: FuzzyMatrix, offs_a, offs_b) -> np.ndarray:
-    """Diagonals of AB: column k holds (AB)[i, i + offs_a[0] + offs_b[0] + k] in row i."""
-    dim, b0, width = A.dim, offs_b[0], offs_b[-1] - offs_b[0] + 1
-    rows_b = np.zeros((dim, width), dtype=complex)  # B[j, j + b0 + t]
-    for b in offs_b:
-        rows_b[max(0, -b) : dim - max(0, b), b - b0] = np.diagonal(B.data, b)
-    br, bi = rows_b.real, rows_b.imag
+def _band_product(A: FuzzyMatrix, B: FuzzyMatrix) -> np.ndarray:
+    """Bands of AB: column k holds (AB)[i, i + A.offsets[0] + B.offsets[0] + k] in row i."""
+    dim, offs_a, bands_a = A.dim, A.offsets, A.bands
+    rows_b = B.bands  # rows_b[j, t] = B[j, j + B.offsets[0] + t]
+    br, bi, width = rows_b.real, rows_b.imag, rows_b.shape[1]
     out = np.zeros((dim, offs_a[-1] - offs_a[0] + width), dtype=complex)
     for a in offs_a:  # increasing, the order CSR sums in
-        da = np.diagonal(A.data, a)[:, None]
         i, j, k = slice(max(0, -a), dim - max(0, a)), slice(max(0, a), dim - max(0, -a)), a - offs_a[0]
+        da = bands_a[i, k, None]
         out.real[i, k : k + width] += da.real * br[j] - da.imag * bi[j]
         out.imag[i, k : k + width] += da.real * bi[j] + da.imag * br[j]
     return out
 
 
 def _band_kernel(A: FuzzyMatrix, B: FuzzyMatrix, commute: bool) -> FuzzyMatrix:
-    """AB, or AB - BA, written dense with its diagonals recorded."""
-    if A.dim != B.dim:
-        raise StructureError(f"dimension mismatch {A.dim} vs {B.dim}")
-    dim, offs_a, offs_b = A.dim, _offsets(A) or (0,), _offsets(B) or (0,)
-    offsets = tuple(sorted({a + b for a in offs_a for b in offs_b if abs(a + b) < dim}))
-    bands = _band_product(A, B, offs_a, offs_b)
+    """AB, or AB - BA, on the diagonals they may have nonzero."""
+    N, S = _layout(A, B)
+    offsets = tuple(sorted({a + b for a in A.offsets for b in B.offsets if abs(a + b) < A.dim})) or (0,)
+    bands = _band_product(A, B)
     if commute:
-        bands -= _band_product(B, A, offs_b, offs_a)
-    cols = np.arange(dim)[:, None] + offs_a[0] + offs_b[0] + np.arange(bands.shape[1])
-    inside = (cols >= 0) & (cols < dim)
-    out = np.zeros((dim, dim), dtype=complex)
-    out[np.nonzero(inside)[0], cols[inside]] = bands[inside]
-    N, S = (A.N, A.S) if (A.N, A.S) == (B.N, B.S) else (dim, 1)
-    return FuzzyMatrix(out, N, S, offsets)
+        bands -= _band_product(B, A)
+    lo = A.offsets[0] + B.offsets[0]
+    return FuzzyMatrix._banded(bands[:, offsets[0] - lo : offsets[-1] - lo + 1], offsets, N, S)
 
 
 def product(A: FuzzyMatrix, B: FuzzyMatrix) -> FuzzyMatrix:
-    """AB, multiplied by diagonals and returned as a dense matrix."""
+    """AB, multiplied by diagonals."""
     return _band_kernel(A, B, commute=False)
 
 
 def commutator(A: FuzzyMatrix, B: FuzzyMatrix) -> FuzzyMatrix:
-    """[A, B] = AB - BA, multiplied by diagonals and returned as a dense matrix."""
+    """[A, B] = AB - BA, multiplied by diagonals."""
     return _band_kernel(A, B, commute=True)
+
+
+def lincomb(*terms) -> FuzzyMatrix:
+    """c1 M1 + c2 M2 + ... for terms (c, M), on the union of their diagonals.
+
+    Evaluated left to right as the dense expression is, cell for cell: a
+    first coefficient of 1 takes M as it is, and a later 1 or -1 adds or
+    subtracts M without multiplying.
+    """
+    N, S = _layout(*(M for _, M in terms))
+    offsets = tuple(sorted({o for _, M in terms for o in M.offsets}))
+    acc = None
+    for c, M in terms:
+        band = np.zeros((N * S, offsets[-1] - offsets[0] + 1), dtype=complex)
+        start = M.offsets[0] - offsets[0]
+        band[:, start : start + M.bands.shape[1]] = M.bands
+        if acc is None:
+            acc = band if c == 1 else c * band
+        elif c == 1:
+            acc += band
+        elif c == -1:
+            acc -= band
+        else:
+            acc += c * band
+    return FuzzyMatrix._banded(acc, offsets, N, S)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .regularize import (
     FuzzyMatrix,
     commutator,
     interior_max_entry,
+    lincomb,
     make_grid,
     product,
     regularize_scalar,
@@ -55,6 +56,9 @@ class SweepReport:
     def __post_init__(self):
         sched = _schedule(self.schedule)
         vals = tuple(float(v) for v in self.values)
+        for n, v in zip(sched, vals):
+            if not np.isfinite(v):
+                raise DomainError(f"sweep value at N = {n} is not finite: {v}")
         if any(v < 0 for v in vals):
             raise DomainError("recorded residuals must be nonnegative")
         object.__setattr__(self, "schedule", sched)
@@ -189,7 +193,7 @@ def _residual_norm(f, g, rule, N, delta, residual) -> float:
     """Within-border norm of residual(grid, Q(f), Q(g)) at size N."""
     grid = make_grid(N, f.interval, rule)
     Qf, Qg = regularize_scalar(f, grid), regularize_scalar(g, grid)
-    return within_border_norm(FuzzyMatrix(residual(grid, Qf, Qg), grid.N, 1), delta)
+    return within_border_norm(residual(grid, Qf, Qg), delta)
 
 
 def _first_order_sweep(kind, f, g, rule, Ns, delta, label, residual, scaling_note=""):
@@ -207,7 +211,7 @@ def check_product_convergence(f, g, rule="symmetric", Ns=(16, 32, 64), delta=Non
     """Within-border norm of Q(f)Q(g) - Q(fg); first-order decay expected."""
 
     def residual(grid, Qf, Qg):
-        return product(Qf, Qg).data - regularize_scalar(mul(f, g), grid).data
+        return lincomb((1, product(Qf, Qg)), (-1, regularize_scalar(mul(f, g), grid)))
 
     return _first_order_sweep("product", f, g, rule, Ns, delta, label, residual)
 
@@ -224,7 +228,7 @@ def check_poisson_convergence(f, g, rule="symmetric", Ns=(16, 32, 64), delta=Non
         comm = commutator(Qf, Qg)
         s = grid.N / (grid.beta_left + grid.beta_right)
         target = regularize_scalar(poisson_bracket(f, g), grid)
-        return 1j * s * comm.data - target.data
+        return lincomb((1j * s, comm), (-1, target))
 
     return _first_order_sweep(
         "poisson", f, g, rule, Ns, delta, label, residual,
@@ -243,7 +247,7 @@ def semiclassical_residual(f, g, rule="symmetric", N=64, delta=None) -> float:
         corr_fn = (mul(f.d_phi(), g.d_q()) * grid.beta_left
                    - mul(f.d_q(), g.d_phi()) * grid.beta_right)
         Qcorr = regularize_scalar(corr_fn, grid)
-        return product(Qf, Qg).data - Qfg.data + (1j / grid.N) * Qcorr.data
+        return lincomb((1, product(Qf, Qg)), (-1, Qfg), (1j / grid.N, Qcorr))
 
     delta = f.cutoff + g.cutoff if delta is None else int(delta)
     return _residual_norm(f, g, rule, int(N), delta, residual)

@@ -133,3 +133,36 @@ def oracle_matrices():
         "zeros": FuzzyMatrix(np.zeros((5, 5)), 5, 1),
         "special": FuzzyMatrix(special, 7, 1),
     }
+
+
+def dense_interior(data, delta):
+    """|entries| of the dense interior block, rows and columns delta..dim-delta."""
+    d = int(delta)
+    return np.abs(data[d : len(data) - d, d : len(data) - d])
+
+
+def dense_within_border_norm(data, delta):
+    """Max absolute row sum of the dense interior block."""
+    return float(np.max(np.sum(dense_interior(data, delta), axis=1)))
+
+
+def dense_interior_max_entry(data, delta):
+    """Max |entry| of the dense interior block."""
+    return float(np.max(dense_interior(data, delta)))
+
+
+def dense_lincomb(*terms):
+    """c1 A1 + c2 A2 + ... for terms (c, A) of dense arrays, left to right,
+    written as `verify` wrote its residuals: a first coefficient of 1 takes
+    A as it is, a later 1 or -1 adds or subtracts A."""
+    acc = None
+    for c, A in terms:
+        if acc is None:
+            acc = A if c == 1 else c * A
+        elif c == 1:
+            acc = acc + A
+        elif c == -1:
+            acc = acc - A
+        else:
+            acc = acc + c * A
+    return acc

@@ -1,9 +1,10 @@
-"""The band product kernel against a CSR product, bit for bit, and the
+"""The band kernels against dense references, bit for bit, and the
 diagonals that regularized matrices and their products record.
 
 `product` and `commutator` multiply diagonal by diagonal in the order a CSR
 product sums, so they equal scipy's CSR product exactly; scipy is a
-test-only dependency here.
+test-only dependency here.  `lincomb` and the within-border norms work on
+the stored diagonals and equal the dense expressions of `tests/refs.py`.
 """
 
 import itertools
@@ -16,8 +17,18 @@ from hypothesis import strategies as st
 from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction
 from fuzzyreg.interpolate import VertexParams, build_string_vertex
 from fuzzyreg.profiles import AffineProfile, ComplexProfile
-from fuzzyreg.regularize import FuzzyMatrix, commutator, make_grid, product, regularize_matrix
+from fuzzyreg.regularize import (
+    FuzzyMatrix,
+    commutator,
+    interior_max_entry,
+    lincomb,
+    make_grid,
+    product,
+    regularize_matrix,
+    within_border_norm,
+)
 from fuzzyreg.spaces import build_circle_to_eight
+from refs import dense_interior_max_entry, dense_lincomb, dense_within_border_norm
 
 sparse = pytest.importorskip("scipy.sparse")
 
@@ -69,7 +80,7 @@ def test_dense_operands_without_recorded_diagonals_match_csr():
     rng = np.random.default_rng(11)
     A, B = (FuzzyMatrix(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)), 6, 1)
             for _ in range(2))
-    assert A.offsets is None
+    assert A.offsets == tuple(range(-5, 6))  # read off its nonzero diagonals
     assert_matches_csr(A, B)
     assert product(A, B).offsets == tuple(range(-5, 6))
 
@@ -128,3 +139,77 @@ def test_recorded_diagonals_cover_every_nonzero_one(pair, N):
         assert list(M.offsets) == sorted(set(M.offsets))
         assert all(abs(c) < M.dim for c in M.offsets)
     assert_matches_csr(A, B)
+
+
+def one_sided(rng, dim, offsets):
+    """A random complex dim x dim matrix, nonzero only on the given diagonals."""
+    data = np.zeros((dim, dim), dtype=complex)
+    for o in offsets:
+        n = dim - abs(o)
+        data[np.arange(n) + max(0, -o), np.arange(n) + max(0, o)] = (
+            rng.normal(size=n) + 1j * rng.normal(size=n))
+    return FuzzyMatrix(data, dim, 1)
+
+
+def banded_families():
+    """name -> (A, B, C): three matrices of one layout that the oracle tests
+    multiply, combine and measure."""
+    rng = np.random.default_rng(13)
+    return {
+        "eight": build_circle_to_eight(64).coordinates,
+        "vertex": build_string_vertex(VertexParams(N=15)).coordinates,
+        "above": [one_sided(rng, 9, offs) for offs in ((1, 3, 4), (2, 5), (1, 6))],
+        "below": [one_sided(rng, 9, offs) for offs in ((-4, -2), (-5, -1), (-3,))],
+        "mixed": [one_sided(rng, 9, (2, 3)), one_sided(rng, 9, (-6, -1)), one_sided(rng, 9, (0,))],
+    }
+
+
+FAMILIES = banded_families()
+
+
+@pytest.mark.parametrize("name", ["above", "below", "mixed"])
+def test_one_sided_products_match_csr(name):
+    A, B, C = FAMILIES[name]
+    for X, Y in itertools.permutations((A, B, C), 2):
+        assert_matches_csr(X, Y)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_lincomb_matches_the_dense_expression(name):
+    A, B, C = FAMILIES[name]
+    # the coefficient patterns of the product, Poisson and semiclassical residuals
+    patterns = [((1, A), (-1, B)), ((2.5j, A), (-1, B)),
+                ((1, A), (-1, B), (1j / 64, C)), ((0.3 - 0.7j, C), (1, B), (-1, A))]
+    for terms in patterns:
+        got = lincomb(*terms)
+        assert_bitwise(got.data, dense_lincomb(*((c, M.data) for c, M in terms)))
+        assert set(got.offsets) == set().union(*(M.offsets for _, M in terms))
+
+
+@pytest.mark.parametrize("delta", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_border_norms_match_the_dense_block(name, delta):
+    A, B, C = FAMILIES[name]
+    products = [product(A, B), commutator(B, C), lincomb((1, product(A, C)), (-1, B))]
+    for M in [A, B, C, *products]:
+        view = FuzzyMatrix(M.data, M.N, M.S)  # the same matrix, its bands read off the dense view
+        for X in (M, view):
+            assert within_border_norm(X, delta) == dense_within_border_norm(M.data, delta)
+            assert interior_max_entry(X, delta) == dense_interior_max_entry(M.data, delta)
+
+
+def test_row_sum_norm_takes_the_row_the_dense_sum_makes_largest():
+    # every row holds the same nine values in its own order, so the row sums
+    # differ only by rounding; here no row with the largest band sum has the
+    # largest dense (pairwise, 64-wide) sum
+    rng = np.random.default_rng(4)
+    values = rng.uniform(0.5, 1.5, 9) * 10.0 ** rng.integers(-3, 1, 9)
+    data = np.zeros((64, 64))
+    for i in range(64):
+        for k, v in enumerate(values[rng.permutation(9)]):
+            if 0 <= i - 4 + k < 64:
+                data[i, i - 4 + k] = v
+    M = FuzzyMatrix(data, 64, 1)
+    band_sums, dense_sums = np.abs(M.bands).sum(axis=1), np.abs(data).sum(axis=1)
+    assert dense_sums[band_sums == band_sums.max()].max() < dense_sums.max()
+    assert within_border_norm(M, 0) == dense_within_border_norm(data, 0)

@@ -1,6 +1,7 @@
 """Convergence checks and sweep reporting."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fuzzyreg.spaces import (
     build_generalized_cylinder,
     circle_to_eight_functions,
 )
+from fuzzyreg import verify
 from fuzzyreg.verify import (
     SweepReport,
     check_commutator_decay,
@@ -72,6 +74,14 @@ class TestSweepReport:
     def test_values_must_be_nonnegative(self):
         with pytest.raises(DomainError):
             make_report(values=(1.0, -0.5, 0.25))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_values_must_be_finite(self, bad):
+        # a NaN would otherwise reach the report JSON, which cannot hold it,
+        # and the fit would use the other sizes alone
+        with pytest.raises(DomainError, match="N = 32 is not finite"):
+            verify._report("x", "poisson-convergence", (16, 32, 64), [1.0, bad, 0.2], 0,
+                           [True] * 3)
 
     def test_exit_code(self):
         assert make_report().exit_code == 0
@@ -227,6 +237,25 @@ class TestPoissonConvergence:
         big = check_poisson_convergence(f * 5.0, g, Ns=(16, 32, 64))
         assert big.verdicts == base.verdicts
         assert big.values == pytest.approx(tuple(5.0 * v for v in base.values), rel=1e-12)
+
+
+    def test_eight_to_16384_on_bands(self, monkeypatch):
+        # one dense 16384 x 16384 complex matrix is 4.3 GB; the bands of the
+        # whole sweep fit in a few MB, and no dense view is ever built
+        views = []
+        dense_view = FuzzyMatrix.data
+        monkeypatch.setattr(FuzzyMatrix, "data", property(
+            lambda M: views.append(M.dim) or dense_view.fget(M)))
+        x, y, _ = circle_to_eight_functions()
+        tracemalloc.start()
+        try:
+            rep = check_poisson_convergence(x, y, Ns=(4096, 8192, 16384))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150e6
+        assert abs(rep.fitted_order - 1.0) <= 0.05
+        assert views == []
 
 
 class TestSemiclassicalResidual:
