@@ -1,14 +1,15 @@
 """Matrix dumps: CSV triplets and a compact binary format.
 
-CSV: one line per entry, `row,col,re,im` with %.17g floats (lossless for
-f64).  Binary: 16-byte header (magic b"FZMB", uint32 dim, uint32 S, uint32
-reserved, little-endian) followed by row-major interleaved re/im float64.
-Both formats are byte-deterministic for a given matrix.
+CSV: one ASCII line per entry, `row,col,re,im` with %.17g floats, lossless for
+every f64 but the sign and payload of NaN (`'%.17g' % -nan` is `nan`), built by
+one join over an array of pieces and read by numpy's C parser, which refuses
+blank lines and comments.  Binary: 16-byte header (magic b"FZMB", uint32 dim,
+uint32 S, uint32 reserved, little-endian) followed by row-major interleaved
+re/im float64.  Both formats are byte-deterministic for a given matrix.
 """
 
 from __future__ import annotations
 
-import itertools
 import struct
 
 import numpy as np
@@ -20,17 +21,23 @@ MAGIC = b"FZMB"
 _HEADER = struct.Struct("<4sIII")
 
 
-def _g17(x: np.ndarray) -> list:
-    """%.17g of each entry, formatted once per distinct bit pattern (-0.0 and 0.0 stay apart)."""
+def _g17(x: np.ndarray) -> np.ndarray:
+    """%.17g of each entry in x's shape, formatted once per distinct bit pattern (-0.0 and 0.0 stay apart)."""
     bits, index = np.unique(np.ascontiguousarray(x).view(np.int64), return_inverse=True)
-    return np.array(["%.17g" % v for v in bits.view(np.float64)], dtype=object)[index.ravel()].tolist()
+    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[index.reshape(x.shape)]
 
 
 def matrix_to_csv(M: FuzzyMatrix) -> str:
-    idx = [str(k) for k in range(M.dim)]
-    cells = zip(itertools.product(idx, idx), _g17(M.data.real), _g17(M.data.imag))
-    lines = ["row,col,re,im"] + [f"{i},{j},{re},{im}" for (i, j), re, im in cells]
-    return "\n".join(lines) + "\n"
+    idx = np.array([f"{k}," for k in range(M.dim)], dtype=object)
+    pieces = np.empty((M.dim, M.dim, 6), dtype=object)
+    pieces[..., 0] = idx[:, None]
+    pieces[..., 1] = idx
+    pieces[..., 2] = _g17(M.data.real)
+    pieces[..., 3] = ","
+    pieces[..., 4] = _g17(M.data.imag)
+    pieces[..., 5] = "\n"
+    return "row,col,re,im\n" + "".join(pieces.ravel().tolist())
 
 
 def matrix_from_csv(text: str) -> FuzzyMatrix:
@@ -38,27 +45,25 @@ def matrix_from_csv(text: str) -> FuzzyMatrix:
     lines = text.strip().splitlines()
     if not lines or lines[0] != "row,col,re,im":
         raise StructureError("matrix dump lacks its row,col,re,im header")
-    rows, cols, res, ims = [], [], [], []
-    for k, line in enumerate(lines[1:], start=2):
-        try:
-            i, j, re, im = line.split(",")
-            rows.append(int(i))
-            cols.append(int(j))
-            res.append(float(re))
-            ims.append(float(im))
-        except ValueError as exc:
-            raise StructureError(f"malformed matrix dump line {k}: {exc}") from None
-    if not rows:
+    if len(lines) == 1:
         raise StructureError("empty matrix dump")
-    dim = max(max(rows), max(cols)) + 1
-    if min(min(rows), min(cols)) < 0 or len(rows) != dim * dim:
+    try:
+        cells = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=1,
+                           dtype=[("i", "<i8"), ("j", "<i8"), ("re", "<f8"), ("im", "<f8")])
+    except ValueError as exc:
+        raise StructureError(f"malformed matrix dump: {exc}") from None
+    if len(cells) != len(lines) - 1:
+        raise StructureError("matrix dump has a blank line")
+    rows, cols = cells["i"], cells["j"]
+    dim = int(max(rows.max(), cols.max())) + 1
+    if min(rows.min(), cols.min()) < 0 or len(rows) != dim * dim:
         raise StructureError(f"matrix dump needs each of the {dim}x{dim} entries once")
-    flat = np.array(rows) * dim + np.array(cols)
+    flat = rows * dim + cols
     if np.any(np.bincount(flat) != 1):
         raise StructureError("matrix dump repeats an entry")
     out = np.zeros(dim * dim, dtype=complex)
-    out.real[flat] = res
-    out.imag[flat] = ims
+    out.real[flat] = cells["re"]
+    out.imag[flat] = cells["im"]
     return FuzzyMatrix(out.reshape(dim, dim), dim, 1)
 
 
@@ -87,13 +92,13 @@ def matrix_from_bytes(blob: bytes) -> FuzzyMatrix:
 
 def write_matrix(path, M: FuzzyMatrix, fmt: str = "bin"):
     if fmt == "csv":
-        with open(path, "w") as fh:
-            fh.write(matrix_to_csv(M))
+        blob = matrix_to_csv(M).encode("ascii")
     elif fmt == "bin":
-        with open(path, "wb") as fh:
-            fh.write(matrix_to_bytes(M))
+        blob = matrix_to_bytes(M)
     else:
         raise DomainError(f"unknown matrix format {fmt!r}")
+    with open(path, "wb") as fh:
+        fh.write(blob)
 
 
 def read_matrix(path) -> FuzzyMatrix:

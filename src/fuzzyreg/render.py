@@ -2,8 +2,10 @@
 
 One circle per entry, area proportional to the entry magnitude (radius to
 its square root), scaled so the largest entry fills a cell.  Entries below
-the threshold appear as minimal points.  Output bytes depend only on the
-matrix, threshold, and cell size.
+the threshold appear as minimal points.  The circles are one join over a
+(dim, dim, 3) object array of pieces, `cx` by column, `cy` by row and the
+radius by entry, each distinct piece formatted once.  Output bytes depend
+only on the matrix, threshold, and cell size.
 """
 
 from __future__ import annotations
@@ -42,18 +44,18 @@ def render_dot_matrix(M: FuzzyMatrix, threshold: float = 0.1, cell: float = 10.0
     if vmax > 0.0:
         big = mags >= threshold
         radius[big] = np.maximum(0.5 * cell * np.sqrt(mags[big] / vmax), rmin)
-    # each distinct radius and cell centre is formatted once
     values, index = np.unique(radius, return_inverse=True)
-    rs = np.array([_fmt(v) for v in values], dtype=object)[index.reshape(mags.shape)].tolist()
     pos = [_fmt((k + 0.5) * cell) for k in range(dim)]
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    pieces = np.empty((dim, dim, 3), dtype=object)
+    pieces[..., 0] = np.array([f'<circle cx="{cx}" cy="' for cx in pos], dtype=object)
+    pieces[..., 1] = np.array(pos, dtype=object)[:, None]
+    tails = np.array([f'" r="{_fmt(v)}" fill="black"/>\n' for v in values], dtype=object)
+    pieces[..., 2] = tails[index.reshape(mags.shape)]
+    head = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(side)}" height="{_fmt(side)}" '
-        f'viewBox="0 0 {_fmt(side)} {_fmt(side)}">',
-        f'<rect width="{_fmt(side)}" height="{_fmt(side)}" fill="white"/>',
-    ]
-    for cy, row in zip(pos, rs):
-        lines += [f'<circle cx="{cx}" cy="{cy}" r="{r}" fill="black"/>' for cx, r in zip(pos, row)]
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        f'viewBox="0 0 {_fmt(side)} {_fmt(side)}">\n'
+        f'<rect width="{_fmt(side)}" height="{_fmt(side)}" fill="white"/>\n'
+    )
+    return head + "".join(pieces.ravel().tolist()) + "</svg>\n"

@@ -179,9 +179,11 @@ def _entrywise_step(coords, step):
         acc = np.zeros((coords[0].dim, coords[0].dim), dtype=complex)
         for term in config_value(list, step.get("terms"), "poly terms"):
             term = config_value(json_object, term, "poly term")
-            part = np.eye(coords[0].dim, dtype=complex)
-            for idx in config_value(list, term.get("indices"), "poly indices"):
-                part = part @ config_value(coords.__getitem__, idx, "poly index").data
+            indices = config_value(list, term.get("indices"), "poly indices")
+            factors = [config_value(coords.__getitem__, idx, "poly index").data for idx in indices]
+            part = factors[0] if factors else np.eye(coords[0].dim, dtype=complex)
+            for factor in factors[1:]:
+                part = part @ factor
             coeff = config_value(lambda v: finite(v, complex), term.get("coeff", 1.0), "poly coeff")
             acc += coeff * part
         return FuzzyMatrix(acc, coords[0].N, coords[0].S), ()

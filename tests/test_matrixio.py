@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fuzzyreg.errors import DomainError, StructureError
 from fuzzyreg.matrixio import (
@@ -51,9 +53,28 @@ def test_csv_flattens_slot_structure():
     assert np.array_equal(back.data, M.data)
 
 
+@pytest.mark.filterwarnings("error")
 def test_empty_csv_rejected():
-    with pytest.raises(StructureError):
-        matrix_from_csv("row,col,re,im\n")
+    for text in ("row,col,re,im\n", "row,col,re,im\n\n\n", "row,col,re,im"):
+        with pytest.raises(StructureError, match="empty"):
+            matrix_from_csv(text)
+
+
+# every float64 but NaN, whose sign and payload %.17g does not keep
+_F64 = st.floats(allow_nan=False, width=64)
+
+
+@given(st.integers(1, 4).flatmap(lambda dim: st.lists(_F64, min_size=2 * dim * dim,
+                                                      max_size=2 * dim * dim)))
+@example([0.0, -0.0, 5e-324, -2.2250738585072009e-308,
+          1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf])
+def test_csv_round_trip_keeps_every_bit_pattern(values):
+    """Interleaved (re, im) values of a square matrix come back bitwise."""
+    dim = int(round((len(values) / 2) ** 0.5))
+    data = np.array(values).view(complex).reshape(dim, dim)
+    M = FuzzyMatrix(data, dim, 1)
+    back = matrix_from_csv(matrix_to_csv(M))
+    assert back.data.tobytes() == M.data.tobytes()
 
 
 def test_binary_round_trip_preserves_layout():
@@ -94,6 +115,9 @@ def test_write_and_read_back(tmp_path, fmt):
     assert np.array_equal(back.data, M.data)
     write_matrix(path, FuzzyMatrix(SPECIAL, 3, 1), fmt)
     assert read_matrix(path).data.tobytes() == SPECIAL.tobytes()
+    dump = matrix_to_csv(M).encode("ascii") if fmt == "csv" else matrix_to_bytes(M)
+    write_matrix(path, M, fmt)
+    assert path.read_bytes() == dump
 
 
 def csv_reference(M):
@@ -133,8 +157,13 @@ GOOD_CSV = b"row,col,re,im\n0,0,1,0\n0,1,2,0\n1,0,3,0\n1,1,4,0\n"
     GOOD_CSV.replace(b"0,1,2,0\n", b""),
     GOOD_CSV.replace(b"0,1,2,0", b"0,0,2,0"),
     GOOD_CSV.replace(b"0,1,2,0", b"0,99999999999999999999,2,0"),
+    GOOD_CSV.replace(b"0,1,2,0\n", b"0,1,2,0\n\n"),
+    GOOD_CSV.replace(b"0,1,2,0", b"0,1,2,0#note"),
+    GOOD_CSV.replace(b"0,1,2,0", b"0,1,,0"),
+    GOOD_CSV.replace(b"0,1,2,0", b"0,1e0,2,0"),
 ], ids=["three-fields", "five-fields", "non-numeric", "fractional-index", "negative-index",
-        "not-utf8", "no-header", "missing-entry", "duplicate-entry", "huge-index"])
+        "not-utf8", "no-header", "missing-entry", "duplicate-entry", "huge-index",
+        "blank-line", "comment", "empty-field", "exponent-index"])
 def test_malformed_csv_file_rejected(tmp_path, text):
     path = tmp_path / "m.csv"
     path.write_bytes(text)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fuzzyreg.errors import DomainError
+from fuzzyreg.matrixio import read_matrix, write_matrix
 from fuzzyreg.regularize import FuzzyMatrix
 from fuzzyreg.render import render_dot_matrix
 from refs import oracle_matrices
@@ -119,3 +120,12 @@ def render_reference(M, threshold=0.1, cell=10.0):
 def test_matches_the_per_entry_reference(name, kw):
     M = ORACLE[name]
     assert render_dot_matrix(M, **kw) == render_reference(M, **kw)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("name", sorted(ORACLE))
+def test_csv_and_fzmb_dumps_render_alike(tmp_path, name):
+    for fmt in ("csv", "bin"):
+        write_matrix(tmp_path / f"m.{fmt}", ORACLE[name], fmt)
+    svg = render_dot_matrix(read_matrix(tmp_path / "m.bin"))
+    assert render_dot_matrix(read_matrix(tmp_path / "m.csv")) == svg

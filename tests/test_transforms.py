@@ -392,6 +392,41 @@ class TestMatrixPolyTransform:
         Z, X = space.coordinates[2].data, space.coordinates[0].data
         np.testing.assert_allclose(out.coordinates[3].data, 0.625 * Z @ Z - X, atol=1e-15)
 
+    @staticmethod
+    def signed_zero_space():
+        """Three random 6x6 coordinates, a third of whose parts are -0.0."""
+        rng = np.random.default_rng(12)
+        coords = []
+        for _ in range(3):
+            data = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+            data.real[rng.random((6, 6)) < 0.3] = -0.0
+            data.imag[rng.random((6, 6)) < 0.3] = -0.0
+            coords.append(FuzzyMatrix(data, 6, 1))
+        return FuzzySpace("signed-zeros", coords)
+
+    @pytest.mark.parametrize("terms", [
+        [{"coeff": -1.0, "indices": [0]}],
+        [{"coeff": 0.5, "indices": [1]}, {"indices": [2]}],
+        [{"coeff": 0.5, "indices": [0, 1]}, {"coeff": 0.5, "indices": [1, 0]}],
+        [{"coeff": 2.0, "indices": [2, 0, 1]}, {"coeff": -0.25, "indices": []}],
+    ], ids=["negation", "single-index", "symmetrized-product", "triple-and-identity"])
+    @pytest.mark.parametrize("name", ["signed-zeros", "clifford-torus"])
+    def test_poly_matches_the_identity_first_product(self, name, terms):
+        """Each term starts from its first factor, not from eye @ factor: the
+        two differ only in the sign of zeros, which the +0 sum drops."""
+        if name == "signed-zeros":
+            space = self.signed_zero_space()
+        else:
+            space = build_clifford_torus(1.0, 2.0, 12)
+        ref = np.zeros((space.dim, space.dim), dtype=complex)
+        for term in terms:
+            part = np.eye(space.dim, dtype=complex)
+            for idx in term["indices"]:
+                part = part @ space.coordinates[idx].data
+            ref += term.get("coeff", 1.0) * part
+        out, _ = matrix_poly_transform(space, [{"op": "poly", "terms": terms}])
+        assert out.coordinates[-1].data.tobytes() == ref.tobytes()
+
     def test_reciprocal_diag_reports_singular_rows(self):
         space = build_clifford_torus(1.0, 1.0, 39)
         out, steps = matrix_poly_transform(
