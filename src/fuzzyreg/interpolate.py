@@ -165,26 +165,6 @@ class _BlendFamily:
                 for i, m in enumerate(self.args[3])}
 
 
-def interpolated_angle_function(f1_table, f2_table, profile: InterpolationProfile, q, phi):
-    """The blended angular function x(q, phi) itself (for quadrature checks).
-
-    The anti-periodic slot enters with a quarter-turn factor -i so that the
-    one-period windowed transform reproduces interp_fourier_coeff exactly:
-    interp_fourier_coeff(m) = (1/2pi) int_0^{2pi} x e^{-i m phi} dphi.
-    """
-    q = np.asarray(q, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    a = profile.alpha(q)
-    t1 = np.asarray(profile.theta1(q), float)
-    t2 = np.asarray(profile.theta2(q), float)
-    v1 = _table_values(f1_table, q)
-    v2 = _table_values(f2_table, q)
-    f1 = sum(val * np.exp(1j * (n + 0.5) * phi + 1j * np.pi * (0.5 + a) * n)
-             for n, val in v1.items())
-    f2 = sum(val * np.exp(1j * n * phi + 1j * np.pi * a * n) for n, val in v2.items())
-    return (-1j * t1 * f1 + t2 * f2) * np.exp(1j * a * (phi - np.pi))
-
-
 @dataclass(frozen=True)
 class VertexParams:
     """Geometry and discretization of the one-string-to-two-strings vertex.

@@ -50,8 +50,16 @@ def matrix_from_csv(text: str) -> FuzzyMatrix:
     try:
         cells = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=1,
                            dtype=[("i", "<i8"), ("j", "<i8"), ("re", "<f8"), ("im", "<f8")])
-    except ValueError as exc:
-        raise StructureError(f"malformed matrix dump: {exc}") from None
+    except ValueError as exc:  # name the first bad line, counted in the file
+        where, first = f": {exc}", text[: len(text) - len(text.lstrip())].count("\n") + 2
+        for k, line in enumerate(lines[1:], start=first):
+            try:
+                i, j, re, im = line.split(",")
+                np.array([int(i), int(j)], "<i8"), float(re), float(im)
+            except (ValueError, OverflowError) as bad:
+                where = f" line {k}: {bad}"
+                break
+        raise StructureError(f"malformed matrix dump{where}") from None
     if len(cells) != len(lines) - 1:
         raise StructureError("matrix dump has a blank line")
     rows, cols = cells["i"], cells["j"]

@@ -10,11 +10,20 @@ Derived trees, derivatives included, are built by the algebra (`+`, `*`,
 builds.  Complex coefficients are handled by `ComplexProfile`, a pair of
 real profiles.
 
+Coefficient trees share nodes (a product of Fourier functions puts each
+factor's coefficients into several modes).  Inside `shared_evaluation`,
+which `regularize.regularize_matrix` opens per entry, a spline, spline
+derivative or composed node runs once per q array; the cheap nodes (sums,
+products, scalings, constants, polynomials) are walked as a tree.
+
 All profiles accept scalars or numpy arrays and return numpy arrays of the
 broadcast shape.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -23,6 +32,36 @@ from .errors import CapabilityError, DomainError, FuzzyRegError
 
 def _asfloat(q):
     return np.asarray(q, dtype=float)
+
+
+# (id(node), id(q)) -> (node, q, value) inside `shared_evaluation`, else None; one per
+# thread.  Holding node and q keeps their ids from being reused while the memo lives.
+_memo = ContextVar("fuzzyreg_profile_memo", default=None)
+
+
+@contextmanager
+def shared_evaluation():
+    """Run each `_once_per_q` node once per q array in this block.  Nodes and arrays
+    match by identity, so q must not change in place inside; nothing outlives it."""
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def _once_per_q(call):
+    """A node's `__call__`, looked up in the `shared_evaluation` memo while one is open."""
+    def __call__(self, q):
+        memo = _memo.get()
+        if memo is None:
+            return call(self, q)
+        hit = memo.get(key := (id(self), id(q)))
+        if hit is None:
+            hit = memo[key] = (self, q, call(self, q))
+        return hit[2]
+
+    return __call__
 
 
 class Profile:
@@ -187,6 +226,7 @@ class SplineProfile(Profile):
                 d = np.concatenate((end[:1], inner, end[1:]))
         return cls(x, y, cls(x, y, d).derivative()(x))
 
+    @_once_per_q
     def __call__(self, q):
         return _ppoly(self.knots_x, self._table, _asfloat(q))
 
@@ -223,6 +263,7 @@ class _SplineDerivativeProfile(Profile):
         self.base = base
         self._table = np.vstack((base._table[:3] * [[1.0], [3.0], [2.0]], base._table[3:4] + 0.0))
 
+    @_once_per_q
     def __call__(self, q):
         qa = _asfloat(q)
         x = self.base.knots_x
@@ -243,6 +284,7 @@ class ComposedProfile(Profile):
         self.scale = float(scale)
         self.shift = float(shift)
 
+    @_once_per_q
     def __call__(self, q):
         return self.outer(self.scale * _asfloat(q) + self.shift)
 

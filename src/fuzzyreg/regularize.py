@@ -16,6 +16,8 @@ stored index, so the stored diagonal values fill [q1, q2) from the left).
 arguments of all its bands, and gathers the bands back: not from the 2N - 1
 anti-diagonals, since on the vertex's (-1, 3) q(n, m) is not bitwise a
 function of n + m (40 of its 59 anti-diagonals hold several floats at N = 30).
+Coefficient trees share nodes (a bracket's modes all read the same spline
+nodes), and the shared nodes are evaluated once per q vector of an entry.
 
 This module is the only one that writes a regularized coordinate or
 multiplies two: spaces that carry generator functions take their
@@ -44,6 +46,7 @@ import numpy as np
 
 from .errors import DomainError, StructureError
 from .fourier import FourierFunction, MatrixFourierFunction, _check_same_interval, checked_interval
+from .profiles import shared_evaluation
 
 
 @dataclass(frozen=True)
@@ -192,7 +195,8 @@ def regularize_matrix(F: MatrixFourierFunction, grid: DiscretizingGrid) -> Fuzzy
     on flat diagonal n*S + b - a, and only the diagonals are written.
 
     The coefficients of an entry are all evaluated on one q vector, so a
-    coefficient family (the string vertex's) is evaluated once per entry.
+    coefficient family (the string vertex's) is evaluated once per entry,
+    and so is each node the trees share (`profiles.shared_evaluation`).
     Hermiticity is not checked here: the CLI checks transform output
     (`cli._check_hermitian`), and `transforms.diagonalize_coordinate` checks
     the coordinate it diagonalizes.
@@ -210,12 +214,13 @@ def regularize_matrix(F: MatrixFourierFunction, grid: DiscretizingGrid) -> Fuzzy
             band_qs = [grid.q(r, r + band) for band, r in rows.items()]
             qs, where = np.unique(np.concatenate(band_qs or [[]]), return_inverse=True)
             start = 0
-            for band, r in rows.items():
-                vals = np.asarray(entry.coeffs[band](qs), complex)[where[start : start + len(r)]]
-                start += len(r)
-                if not np.all(np.isfinite(vals)):
-                    raise DomainError(f"coefficient of band {band} is not finite on the grid")
-                bands[r * S + a, band * S + b - a - offsets[0]] = vals
+            with shared_evaluation():
+                for band, r in rows.items():
+                    vals = np.asarray(entry.coeffs[band](qs), complex)[where[start : start + len(r)]]
+                    start += len(r)
+                    if not np.all(np.isfinite(vals)):
+                        raise DomainError(f"coefficient of band {band} is not finite on the grid")
+                    bands[r * S + a, band * S + b - a - offsets[0]] = vals
     return FuzzyMatrix._banded(bands, offsets, N, S)
 
 

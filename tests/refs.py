@@ -5,14 +5,16 @@ cross-section below the transition window and an interlaced pair of circles
 above it.  Both references are rebuilt here from their own builders so the
 vertex tests compare against independent code paths, and
 `blend_offdiag_reference` rebuilds the blended x and y entries mode by mode
-and band by band.  `oracle_matrices` holds the matrices the SVG and CSV
+and band by band.  `interpolated_angle_function` is the blended angular
+function itself, the quadrature reference for the blend's mode
+coefficients.  `oracle_matrices` holds the matrices the SVG and CSV
 writers are byte-compared on.
 """
 
 import numpy as np
 
 from fuzzyreg.fourier import FourierFunction
-from fuzzyreg.interpolate import VertexParams, build_string_vertex
+from fuzzyreg.interpolate import VertexParams, _table_values, build_string_vertex
 from fuzzyreg.profiles import ComplexProfile
 from fuzzyreg.regularize import FuzzyMatrix, make_grid, regularize_matrix, regularize_scalar
 from fuzzyreg.spaces import (
@@ -86,6 +88,26 @@ def blend_coeff_reference(f1_table, f2_table, profile, m, q):
         acc = acc + t2 * val * ((-1.0) ** (n - m)) * np.exp(1j * np.pi * a * n) \
             * np.sinc(n - m + a)
     return acc
+
+
+def interpolated_angle_function(f1_table, f2_table, profile, q, phi):
+    """The blended angular function x(q, phi) itself (for quadrature checks).
+
+    The anti-periodic slot enters with a quarter-turn factor -i so that the
+    one-period windowed transform reproduces interp_fourier_coeff exactly:
+    interp_fourier_coeff(m) = (1/2pi) int_0^{2pi} x e^{-i m phi} dphi.
+    """
+    q = np.asarray(q, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    a = profile.alpha(q)
+    t1 = np.asarray(profile.theta1(q), float)
+    t2 = np.asarray(profile.theta2(q), float)
+    v1 = _table_values(f1_table, q)
+    v2 = _table_values(f2_table, q)
+    f1 = sum(val * np.exp(1j * (n + 0.5) * phi + 1j * np.pi * (0.5 + a) * n)
+             for n, val in v1.items())
+    f2 = sum(val * np.exp(1j * n * phi + 1j * np.pi * a * n) for n, val in v2.items())
+    return (-1j * t1 * f1 + t2 * f2) * np.exp(1j * a * (phi - np.pi))
 
 
 def blend_offdiag_reference(f1_table, f2_table, profile, cutoff, grid, pivot=None):

@@ -14,7 +14,6 @@ from fuzzyreg.interpolate import (
     close_caps,
     default_vertex_cutoff,
     interp_fourier_coeff,
-    interpolated_angle_function,
     make_profile,
     mirror_concat,
 )
@@ -33,6 +32,7 @@ from fuzzyreg.verify import check_commutator_decay, matrix_fn_commutator_sup
 from refs import (
     blend_offdiag_reference,
     interlaced_zone_reference,
+    interpolated_angle_function,
     scalar_zone_reference,
     zone_masks,
 )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from fuzzyreg.cli import run_cli
 from fuzzyreg.errors import DomainError, StructureError
 from fuzzyreg.matrixio import (
     MAGIC,
@@ -172,3 +173,20 @@ def test_malformed_csv_file_rejected(tmp_path, text):
     if b"\xff" not in text:
         with pytest.raises(StructureError):
             matrix_from_csv(text.decode())
+
+
+@pytest.mark.parametrize("bad, reason", [
+    (b"0,1,two,0", "could not convert string to float: 'two'"),
+    (b"0,1,2", "expected 4, got 3"),
+], ids=["non-numeric", "three-fields"])
+@pytest.mark.parametrize("lead", [b"", b"\n\n"], ids=["header-first", "blank-lines-first"])
+def test_malformed_csv_names_its_file_line(tmp_path, capsys, bad, reason, lead):
+    text = lead + GOOD_CSV.replace(b"0,1,2,0", bad)
+    line = 3 + lead.count(b"\n")
+    with pytest.raises(StructureError, match=f"malformed matrix dump line {line}: .*{reason}"):
+        matrix_from_csv(text.decode())
+    path = tmp_path / "m.csv"
+    path.write_bytes(text)
+    assert run_cli(["render", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"line {line}:" in err and "usecols" not in err and "row" not in err.split("dump")[1]

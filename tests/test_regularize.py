@@ -1,12 +1,24 @@
 """Grids, the regularization map, Toeplitz pieces, border norms."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from fuzzyreg import profiles
 from fuzzyreg.errors import DomainError, StructureError
-from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction
+from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction, poisson_bracket
 from fuzzyreg.interpolate import VertexParams, build_string_vertex
-from fuzzyreg.profiles import AffineProfile, ComplexProfile
+from fuzzyreg.profiles import (
+    AffineProfile,
+    ComplexProfile,
+    ComposedProfile,
+    SplineProfile,
+    _ppoly,
+    _SplineDerivativeProfile,
+    smooth_step,
+)
 from fuzzyreg.regularize import (
     FuzzyMatrix,
     FuzzySpace,
@@ -18,7 +30,7 @@ from fuzzyreg.regularize import (
     toeplitz_basis,
     within_border_norm,
 )
-from fuzzyreg.spaces import build_circle_to_eight
+from fuzzyreg.spaces import build_circle_to_eight, circle_to_eight_functions
 
 IV = (0.0, 1.0)
 
@@ -130,6 +142,68 @@ class TestRegularizeMatrix:
         F = MatrixFourierFunction.diagonal([good, FourierFunction(IV, {-1: bad})])
         with pytest.raises(DomainError):
             regularize_matrix(F, make_grid(8, IV))
+
+
+def _eight_bracket(**transition):
+    x, y, _ = circle_to_eight_functions(**transition)
+    return poisson_bracket(x, y)
+
+
+def _spline_evaluations(profile, out):
+    """Append the first spline, spline-derivative or composed node on each path
+    of the tree: each one met runs `_ppoly` once on its own argument array."""
+    if isinstance(profile, (SplineProfile, ComposedProfile, _SplineDerivativeProfile)):
+        out.append(profile)
+        return out
+    for child in (getattr(profile, a, None) for a in ("base", "left", "right")):
+        if child is not None:
+            _spline_evaluations(child, out)
+    for term in getattr(profile, "terms", ()):
+        _spline_evaluations(term, out)
+    return out
+
+
+class TestSharedEvaluation:
+    """regularize_matrix evaluates the nodes its coefficient trees share once per q vector."""
+
+    @pytest.mark.parametrize("transition", [{}, {"transition_scale": 2.0, "transition_shift": 0.5}])
+    def test_one_spline_call_per_distinct_node(self, monkeypatch, transition):
+        bracket = _eight_bracket(**transition)
+        met = []
+        for c in bracket.coeffs.values():
+            _spline_evaluations(c.re, met)
+            _spline_evaluations(c.im, met)
+        distinct = len({id(node) for node in met})
+        assert distinct < len(met)  # the trees share nodes
+        calls = []
+        monkeypatch.setattr(profiles, "_ppoly", lambda *a: calls.append(a) or _ppoly(*a))
+        regularize_scalar(bracket, make_grid(64, bracket.interval))
+        assert len(calls) == distinct  # the bracket's one entry has one q vector
+
+    def test_bands_equal_a_reference_evaluated_outside(self):
+        bracket = _eight_bracket(transition_scale=2.0, transition_shift=0.5)
+        grid = make_grid(64, bracket.interval)
+        ref = np.zeros((64, 64), dtype=complex)
+        for band, c in bracket.coeffs.items():
+            r = np.arange(64 - abs(band)) + max(0, -band)
+            ref[r, r + band] = c(grid.q(r, r + band))
+        assert regularize_scalar(bracket, grid).data.tobytes() == ref.tobytes()
+
+    def test_no_memo_outlives_the_call(self, monkeypatch):
+        bracket = _eight_bracket(transition_scale=2.0, transition_shift=0.5)
+        seen = []
+        monkeypatch.setattr(profiles, "_ppoly", lambda x, t, q: seen.append(weakref.ref(q)) or _ppoly(x, t, q))
+        regularize_scalar(bracket, make_grid(64, bracket.interval))
+        gc.collect()
+        assert seen and all(ref() is None for ref in seen)
+
+    def test_a_node_rereads_an_array_changed_in_place(self):
+        h = smooth_step()
+        for node in (h, h.derivative(), h.compose_affine(2.0, 0.5)):
+            q = np.array([-0.5, 0.0, 0.25])
+            node(q)
+            q[:] = [0.5, -0.25, 0.75]
+            assert node(q).tobytes() == node(q.copy()).tobytes()
 
 
 class TestToeplitzBasis:
