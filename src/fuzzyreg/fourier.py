@@ -202,9 +202,6 @@ class MatrixFourierFunction:
     def cutoff(self):
         return max((e.cutoff for row in self.entries for e in row), default=0)
 
-    def entry(self, a, b) -> FourierFunction:
-        return self.entries[a][b]
-
     def _check_q(self, q):
         qa = np.asarray(q, dtype=float)
         lo, hi = self.interval

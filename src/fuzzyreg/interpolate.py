@@ -244,6 +244,7 @@ def build_string_vertex(p: VertexParams) -> FuzzySpace:
     regularization reproduces the one-string series entry for entry; above it,
     the interlaced pair.
     """
+    grid = make_grid(p.N, p.interval, "symmetric")  # refuses N < 2 before any division by N
     (t1x, t2x), (t1y, t2y) = _slot_tables(p)
     delta = max(
         max(abs(n) for n in t1x),
@@ -279,7 +280,7 @@ def build_string_vertex(p: VertexParams) -> FuzzySpace:
         ]
     )
 
-    return regularize_space("string-vertex", (X, Y, Z), make_grid(p.N, interval, "symmetric"))
+    return regularize_space("string-vertex", (X, Y, Z), grid)
 
 
 def mirror_concat(space: FuzzySpace, q_E: float) -> FuzzySpace:

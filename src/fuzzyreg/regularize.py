@@ -373,15 +373,6 @@ class FuzzySpace:
     def d(self) -> int:
         return len(self.coordinates)
 
-    def validate(self, tol=1e-12):
-        dims = {c.dim for c in self.coordinates}
-        if len(dims) != 1:
-            raise StructureError(f"coordinate dimensions differ: {sorted(dims)}")
-        for k, c in enumerate(self.coordinates):
-            if not c.is_hermitian(tol):
-                raise StructureError(f"coordinate {k} of {self.name!r} is not Hermitian")
-        return self
-
 
 def regularize_space(name: str, generators, grid: DiscretizingGrid) -> FuzzySpace:
     """The space whose coordinates are the regularizations of its generators."""

@@ -132,7 +132,7 @@ def build_circle_to_eight(N: int, convention: str = "symmetric") -> FuzzySpace:
         return build_immersed_cylinder(x, y, z, N)
     if convention != "row-anchored":
         raise DomainError(f"unknown convention {convention!r}")
-    N = int(N)
+    N = make_grid(N, (-1.0, 1.0)).N  # refuses N < 2 as every other preset does
     qrow = -1.0 + 2.0 * np.arange(N) / N
     hv = smooth_step()(qrow)
 
@@ -160,8 +160,7 @@ class DoubleCylinderSpec:
     """A mirror pair of cylinders over one interval.
 
     Cylinder 2 has centre x0 and radius r: x2 = x0 + r cos, y2 = r sin.
-    Cylinder 1 is its negative (centre -x0, radius -r).  An asymmetric pair
-    is the `direct_sum` of two `build_immersed_cylinder` spaces.
+    Cylinder 1 is its negative (centre -x0, radius -r).
     """
 
     interval: tuple

@@ -1,9 +1,8 @@
 """Structural and unitary operations on fuzzy matrices and spaces.
 
-Includes the direct sum, the z-ordering permutation between the direct-sum
-and block-entry layouts, interlacing, partial (block) transformations,
-coefficient-level unitary conjugation of matrix-valued functions, and the
-sorted-eigenbasis transformation with a fixed phase convention.
+Includes interlacing, partial (block) transformations, conjugation of a
+matrix-valued function by a constant unitary, and the sorted-eigenbasis
+transformation with a fixed phase convention.
 `matrix_poly_transform` is the one interpreter of a transform recipe: it runs
 the polynomial and entrywise coordinate steps, `diagonalize` and `interlace`,
 and returns the log the CLI writes to the sidecar.
@@ -18,7 +17,6 @@ import numpy as np
 from .errors import DomainError, StructureError, config_value, finite, integer, json_object
 from .fourier import FourierFunction, MatrixFourierFunction
 from .regularize import FuzzyMatrix, FuzzySpace
-from .verify import sample_on_grid
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -47,51 +45,6 @@ class SmallUnitary:
 def interlacing_unitary() -> SmallUnitary:
     """The 2x2 rotation mixing a mirror pair into antidiagonal form."""
     return SmallUnitary(_SQ2 * np.array([[1.0, -1.0], [1.0, 1.0]]))
-
-
-def direct_sum_matrices(A: FuzzyMatrix, B: FuzzyMatrix) -> FuzzyMatrix:
-    data = np.zeros((A.dim + B.dim, A.dim + B.dim), dtype=complex)
-    data[: A.dim, : A.dim] = A.data
-    data[A.dim :, A.dim :] = B.data
-    return FuzzyMatrix(data, A.dim + B.dim, 1)
-
-
-def direct_sum(s1: FuzzySpace, s2: FuzzySpace) -> FuzzySpace:
-    if s1.d != s2.d:
-        raise StructureError(f"coordinate counts differ: {s1.d} vs {s2.d}")
-    coords = tuple(
-        direct_sum_matrices(a, b) for a, b in zip(s1.coordinates, s2.coordinates)
-    )
-    return FuzzySpace(f"{s1.name}+{s2.name}", coords)
-
-
-def _z_perm(dim: int, S: int) -> np.ndarray:
-    """perm[n*S + a] = a*N + n for dim = N*S; S must divide dim."""
-    if S < 1 or dim % S:
-        raise StructureError(f"dimension {dim} not divisible by S = {S}")
-    N = dim // S
-    n = np.arange(N)
-    perm = np.empty(dim, dtype=int)
-    for a in range(S):
-        perm[n * S + a] = a * N + n
-    return perm
-
-
-def z_order(M: FuzzyMatrix, S: int) -> FuzzyMatrix:
-    """Reindex a direct-sum layout (a, n) into the interleaved layout (n, a)."""
-    S = int(S)
-    perm = _z_perm(M.dim, S)
-    if S == 1:
-        return M
-    return FuzzyMatrix(M.data[np.ix_(perm, perm)], M.dim // S, S)
-
-
-def z_order_inverse(M: FuzzyMatrix, S: int) -> FuzzyMatrix:
-    S = int(S)
-    inv = np.argsort(_z_perm(M.dim, S))
-    if S == 1:
-        return M
-    return FuzzyMatrix(M.data[np.ix_(inv, inv)], M.dim, 1)
 
 
 def conjugate(M: FuzzyMatrix, V: FuzzyMatrix) -> FuzzyMatrix:
@@ -156,18 +109,6 @@ def block_transform(M: FuzzyMatrix, U: SmallUnitary, n0: int) -> FuzzyMatrix:
         data[n0 * S :, n0 * S :] = np.kron(np.eye(N - n0), U.matrix)
     V = FuzzyMatrix(data, N, S)
     return conjugate(FuzzyMatrix(M.data, N, S), V)
-
-
-def function_unitary_conjugate(F: MatrixFourierFunction, U: MatrixFourierFunction):
-    """U F U† at coefficient level; U must be pointwise unitary (to 1e-10) on samples."""
-    if U.S != F.S:
-        raise StructureError("size mismatch between U and F")
-    vals = sample_on_grid((U,), (17, 16))[2][0]
-    gram = vals @ np.conj(np.swapaxes(vals, -1, -2))
-    err = np.max(np.abs(gram - np.eye(U.S)))
-    if err > 1e-10:
-        raise StructureError(f"U is not pointwise unitary (deviation {err:.2e})")
-    return U.matmul(F).matmul(U.conjugate_transpose())
 
 
 _ENTRYWISE = ("poly", "reciprocal-diag")

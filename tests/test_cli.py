@@ -459,6 +459,27 @@ class TestFailureModes:
         assert capsys.readouterr().err.startswith("error: mode cutoff -1")
         assert not (tmp_path / "out").exists()
 
+    # the grid refuses N < 2 before the vertex divides by N or the row-anchored
+    # eight writes a 0 x 0 or 1 x 1 space
+    @pytest.mark.parametrize("argv, cfg, N", [
+        (["vertex", "--n", "0"], None, 0),
+        (["vertex", "--n", "-3"], None, -3),
+        (["sweep"], {"sweep": {"kind": "commutator-decay", "space": {"preset": "string-vertex"},
+                               "schedule": [0, 15]}}, 0),
+        (["build", "--n", "0"], {"space": {"preset": "circle-to-eight", "convention": "row-anchored"}}, 0),
+        (["build", "--n", "1"], {"space": {"preset": "circle-to-eight", "convention": "row-anchored"}}, 1),
+        (["build", "--n", "1"], {"space": {"preset": "circle-to-eight"}}, 1),
+    ], ids=["vertex-0", "vertex-negative", "vertex-sweep-0", "row-anchored-eight-0",
+            "row-anchored-eight-1", "symmetric-eight-1"])
+    def test_grid_size_below_two(self, tmp_path, capsys, argv, cfg, N):
+        if cfg is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            argv = argv + ["--config", str(path)]
+        assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: grid size must be at least 2, got {N}\n"
+        assert not (tmp_path / "out").exists()
+
     # JSON parsing accepts NaN and Infinity; presets that regularize nothing
     # would otherwise write them into the coordinates
     @pytest.mark.parametrize("text", [

@@ -118,7 +118,7 @@ class TestCalculus:
 
     @pytest.mark.parametrize("make", [
         lambda: FourierFunction(IV, {0: ComplexProfile(CallableProfile(np.exp))}),
-        lambda: build_string_vertex(VertexParams(N=8)).generators[0].entry(0, 1),
+        lambda: build_string_vertex(VertexParams(N=8)).generators[0].entries[0][1],
         lambda: FourierFunction(IV, {0: smooth_step().derivative()}),
         lambda: FourierFunction(IV, {1: MirrorProfile(AffineProfile(0.0, 1.0), 0.5).derivative()}),
     ], ids=["callable", "vertex-coefficient", "spline-derivative", "mirror-derivative"])
@@ -239,7 +239,7 @@ class TestMatrixFourierFunction:
     def test_none_entries_mean_zero(self):
         f = FourierFunction.from_profile(IV, 1.0)
         M = MatrixFourierFunction(IV, [[f, None], [None, f]])
-        assert M.entry(0, 1).modes() == []
+        assert M.entries[0][1].modes() == []
 
     def test_diagonal_and_from_scalar(self):
         f = FourierFunction.cosine(IV, 1)

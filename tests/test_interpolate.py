@@ -287,8 +287,8 @@ class TestVertexAssembly:
         space = build_string_vertex(VertexParams(N=30))
         c = space.generators[0].cutoff
         for F in space.generators[:2]:
-            assert sorted(F.entry(0, 1).coeffs) == list(range(-c, c + 1))
-            assert sorted(F.entry(1, 0).coeffs) == list(range(-c, c + 1))
+            assert sorted(F.entries[0][1].coeffs) == list(range(-c, c + 1))
+            assert sorted(F.entries[1][0].coeffs) == list(range(-c, c + 1))
         # one call for x01 and x10, one for y01 and y10, each for every mode
         assert calls == {"coeff": [list(range(-c, c + 1))] * 2, "probe": 0}
         # a pointwise evaluation reads every mode of x from one call at its q
@@ -300,11 +300,11 @@ class TestVertexAssembly:
         space = build_string_vertex(VertexParams(N=12))
         assert space.dim == 24
         assert len(space.coordinates) == 3
-        assert space.validate() is space
+        assert all(c.is_hermitian(1e-12) for c in space.coordinates)
         assert space.grid.q(0, 0) == pytest.approx(-1.0)
         X, Y, Z = space.generators
-        assert X.entry(0, 0).modes() == []
-        assert X.entry(1, 1).modes() == []
+        assert X.entries[0][0].modes() == []
+        assert X.entries[1][1].modes() == []
 
     def test_z_sheets(self):
         p = VertexParams(N=20)
@@ -451,14 +451,14 @@ class TestMirrorConcat:
         assert mir.dim == 2 * v.dim
         assert mir.grid.interval == (-1.0, 6.0)
         assert mir.name == "mirrored(string-vertex)"
-        assert mir.validate() is mir
+        assert all(c.is_hermitian(1e-12) for c in mir.coordinates)
 
     def test_coefficients_become_even_about_the_pivot(self):
         v = self.make_vertex()
         q_E = 2.5
         mir = mirror_concat(v, q_E)
         for F in mir.generators:
-            f = F.entry(0, 1)
+            f = F.entries[0][1]
             for m in f.modes():
                 c = f.coeffs[m]
                 for d in (0.3, 0.9, 1.7):
@@ -487,7 +487,7 @@ class TestMirrorConcat:
         m2 = mirror_concat(m1, m1.grid.interval[1])
         qs = np.linspace(-1.0, 7.0, 17)
         for F1, F2 in zip(m1.generators, m2.generators):
-            f1, f2 = F1.entry(0, 1), F2.entry(0, 1)
+            f1, f2 = F1.entries[0][1], F2.entries[0][1]
             assert f1.modes() == f2.modes()
             for m in f1.modes():
                 diff = np.abs(f1.coeffs[m](qs) - f2.coeffs[m](qs))
@@ -550,8 +550,8 @@ class TestCloseCaps:
         space = build_string_vertex(VertexParams(N=12))
         X = space.generators[0]
         capped = close_caps(X, cap_window())
-        orig = X.entry(0, 1)
-        new = capped.entry(0, 1)
+        orig = X.entries[0][1]
+        new = capped.entries[0][1]
         qs = np.linspace(0.0, 2.0, 21)
         for m in orig.modes():
             assert np.max(np.abs(new.coeffs[m](qs) - orig.coeffs[m](qs))) < 1e-14

@@ -26,8 +26,7 @@ from fuzzyreg.profiles import (
     SumProfile,
     profile_from_dict,
 )
-from fuzzyreg.regularize import FuzzyMatrix, make_grid, regularize_scalar
-from fuzzyreg.transforms import z_order, z_order_inverse
+from fuzzyreg.regularize import make_grid, regularize_scalar
 
 IV = (-2.0, 2.0)
 QS = np.linspace(-2.0, 2.0, 17)
@@ -165,18 +164,6 @@ def test_regularization_is_linear(f, g, a, b, N):
     Qf, Qg = regularize_scalar(f, grid).data, regularize_scalar(g, grid).data
     lhs = regularize_scalar(a * f + b * g, grid).data
     _close(lhs, a * Qf + b * Qg, a * Qf, b * Qg)
-
-
-@PROPERTY
-@given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**32 - 1))
-def test_z_order_is_inverted_exactly(N, S, seed):
-    rng = np.random.default_rng(seed)
-    data = rng.normal(size=(N * S, N * S)) + 1j * rng.normal(size=(N * S, N * S))
-    blocks = z_order(FuzzyMatrix(data, N * S, 1), S)
-    assert (blocks.N, blocks.S) == (N, S)
-    back = z_order_inverse(blocks, S)
-    assert back.data.tobytes() == data.tobytes()
-    assert z_order(back, S).data.tobytes() == blocks.data.tobytes()
 
 
 coefficients = st.one_of(

@@ -331,16 +331,5 @@ class TestFuzzySpace:
         g = make_grid(8, IV)
         Q = regularize_scalar(FourierFunction.cosine(IV, 1), g)
         space = FuzzySpace("toy", (Q, FuzzyMatrix(0.5 * (Q.data + Q.data.conj().T), Q.N, Q.S)))
-        assert space.validate() is space
+        assert all(c.is_hermitian(1e-12) for c in space.coordinates)
         assert space.dim == 8 and space.d == 2
-
-    def test_validate_rejects_skew_coordinates(self):
-        T = toeplitz_basis(1, 6)
-        with pytest.raises(StructureError):
-            FuzzySpace("bad", (T,)).validate()
-
-    def test_validate_rejects_mixed_dimensions(self):
-        A = FuzzyMatrix(np.eye(4, dtype=complex), 4, 1)
-        B = FuzzyMatrix(np.eye(6, dtype=complex), 6, 1)
-        with pytest.raises(StructureError):
-            FuzzySpace("bad", (A, B)).validate()

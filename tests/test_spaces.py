@@ -118,7 +118,7 @@ class TestImmersedCylinder:
         imm = build_immersed_cylinder(curve.x_series, curve.y_series, AffineProfile(0.0, 1.0), 8)
         assert imm.generators is not None and len(imm.generators) == 3
         assert imm.grid is not None
-        imm.validate(1e-14)
+        assert all(c.is_hermitian(1e-14) for c in imm.coordinates)
 
 
 class TestCircleToEight:
@@ -176,7 +176,7 @@ class TestCircleToEight:
             assert X[n, n + 3] == pytest.approx(0.25 * h, abs=1e-15)
             assert Y[n, n + 3] == pytest.approx(0.25j * h, abs=1e-15)
         np.testing.assert_allclose(np.diag(Z).real, np.arange(N) / N, atol=1e-15)
-        space.validate(1e-14)
+        assert all(c.is_hermitian(1e-14) for c in space.coordinates)
 
     def test_unknown_convention(self):
         with pytest.raises(DomainError):
@@ -221,12 +221,12 @@ class TestDoubleCylinder:
         x2, y2 = spec.functions(2)
         qs = np.linspace(-1.0, 3.0, 5)[:, None]
         phis = np.linspace(0.0, 2 * np.pi, 6, endpoint=False)[None, :]
-        assert X.entry(0, 0).modes() == []
-        np.testing.assert_allclose(X.entry(0, 1).eval(qs, phis), x2.eval(qs, phis), atol=1e-14)
-        np.testing.assert_allclose(X.entry(1, 0).eval(qs, phis), x2.eval(qs, phis), atol=1e-14)
-        np.testing.assert_allclose(Y.entry(0, 1).eval(qs, phis), y2.eval(qs, phis), atol=1e-14)
+        assert X.entries[0][0].modes() == []
+        np.testing.assert_allclose(X.entries[0][1].eval(qs, phis), x2.eval(qs, phis), atol=1e-14)
+        np.testing.assert_allclose(X.entries[1][0].eval(qs, phis), x2.eval(qs, phis), atol=1e-14)
+        np.testing.assert_allclose(Y.entries[0][1].eval(qs, phis), y2.eval(qs, phis), atol=1e-14)
         np.testing.assert_allclose(Z.eval(qs, phis)[..., 0, 0], qs + 0 * phis, atol=1e-14)
-        assert Z.entry(0, 1).modes() == []
+        assert Z.entries[0][1].modes() == []
         assert X.is_hermitian() and Y.is_hermitian() and Z.is_hermitian()
 
     def test_interlaced_form_requires_mirror_symmetry(self):
@@ -249,7 +249,7 @@ class TestCliffordTorus:
     def test_reference_configuration(self):
         space = build_clifford_torus(1.0, 2.0, 40)
         assert space.dim == 40 and space.d == 4
-        space.validate(1e-14)
+        assert all(c.is_hermitian(1e-14) for c in space.coordinates)
         x1 = space.coordinates[0].data
         np.testing.assert_allclose(x1, 0.5 * (np.eye(40, k=1) + np.eye(40, k=-1)))
 
@@ -316,7 +316,7 @@ class TestGraphVertex:
 
     def test_hermitian_for_real_bands(self):
         space = build_graph_vertex(self.spec())
-        space.validate(1e-14)
+        assert all(c.is_hermitian(1e-14) for c in space.coordinates)
 
     def test_degenerates_to_two_plain_bands(self):
         space = build_graph_vertex(self.spec(x_lower=0.0, r_lower=0.5, r_junction=0.5, r_upper=0.5))

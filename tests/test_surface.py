@@ -40,7 +40,7 @@ class TestExport:
             s = int(row[0])
             q, phi = row[1], row[2]
             for k, F in enumerate((X, Y, Z)):
-                want = complex(F.entry(s, s).eval(q, phi)).real
+                want = complex(F.entries[s][s].eval(q, phi)).real
                 assert row[3 + k] == pytest.approx(want, abs=1e-12)
             assert row[-1] <= 1e-12
 

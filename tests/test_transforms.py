@@ -1,4 +1,4 @@
-"""Structural maps: direct sums, z-ordering, unitaries, recipes, sorting."""
+"""Structural maps: the block layout, unitaries, recipes, sorting."""
 
 import numpy as np
 import pytest
@@ -29,14 +29,9 @@ from fuzzyreg.transforms import (
     conjugate,
     constant_conjugate_function,
     diagonalize_coordinate,
-    direct_sum,
-    direct_sum_matrices,
-    function_unitary_conjugate,
     interlace,
     interlacing_unitary,
     matrix_poly_transform,
-    z_order,
-    z_order_inverse,
 )
 
 IV = (0.0, 1.0)
@@ -70,67 +65,18 @@ class TestSmallUnitary:
         np.testing.assert_allclose(U.matrix, s * np.array([[1.0, -1.0], [1.0, 1.0]]))
 
 
-class TestDirectSum:
-    def test_space_sum_blocks_and_traces(self):
-        s1 = build_generalized_cylinder(CurveSpec.circle(1.0), 6)
-        s2 = build_generalized_cylinder(CurveSpec.circle(0.5), 4)
-        out = direct_sum(s1, s2)
-        assert out.dim == 10
-        for k in range(3):
-            tr = np.trace(out.coordinates[k].data)
-            assert tr == pytest.approx(
-                np.trace(s1.coordinates[k].data) + np.trace(s2.coordinates[k].data)
-            )
-
-    def test_coordinate_count_must_match(self):
-        s1 = build_generalized_cylinder(CurveSpec.circle(), 6)
-        s2 = FuzzySpace("short", s1.coordinates[:2])
-        with pytest.raises(StructureError):
-            direct_sum(s1, s2)
-
-    def test_matrix_sum_layout(self):
-        rng = np.random.default_rng(1)
-        A, B = random_fuzzy(rng, 3), random_fuzzy(rng, 2)
-        M = direct_sum_matrices(A, B)
-        np.testing.assert_array_equal(M.data[:3, :3], A.data)
-        np.testing.assert_array_equal(M.data[3:, 3:], B.data)
-        assert np.all(M.data[:3, 3:] == 0.0)
-
-
 class TestZOrder:
-    def test_matches_regularizing_the_stacked_function(self, tmp_path):
+    def test_matches_regularizing_the_stacked_function(self):
+        # block entry (a, b) of the stacked regularization is the strided view
+        # [a::2, b::2]: the z-ordered direct sum of the two scalar regularizations
         rng = np.random.default_rng(2)
         g = make_grid(32, IV)
         for _ in range(10):
             f1, f2 = random_table(rng), random_table(rng)
-            Q1, Q2 = regularize_scalar(f1, g), regularize_scalar(f2, g)
-            lhs = z_order(direct_sum_matrices(Q1, Q2), 2)
-            rhs = regularize_matrix(MatrixFourierFunction.diagonal([f1, f2]), g)
-            assert np.array_equal(lhs.data, rhs.data)
-
-    def test_trivial_slot_count(self):
-        rng = np.random.default_rng(3)
-        M = random_fuzzy(rng, 5)
-        assert z_order(M, 1) is M
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(4)
-        M = random_fuzzy(rng, 4, S=3)
-        back = z_order_inverse(z_order(M, 3), 3)
-        assert np.array_equal(back.data, M.data)
-
-    def test_double_application_is_special_at_two(self):
-        rng = np.random.default_rng(5)
-        M2 = random_fuzzy(rng, 2, S=2)
-        assert np.array_equal(z_order(z_order(M2, 2), 2).data, M2.data)
-        M3 = random_fuzzy(rng, 3, S=2)
-        assert not np.array_equal(z_order(z_order(M3, 2), 2).data, M3.data)
-
-    def test_divisibility_checked(self):
-        rng = np.random.default_rng(6)
-        M = random_fuzzy(rng, 5)
-        with pytest.raises(StructureError):
-            z_order(M, 2)
+            stacked = regularize_matrix(MatrixFourierFunction.diagonal([f1, f2]), g).data
+            assert np.array_equal(stacked[0::2, 0::2], regularize_scalar(f1, g).data)
+            assert np.array_equal(stacked[1::2, 1::2], regularize_scalar(f2, g).data)
+            assert not np.any(stacked[0::2, 1::2]) and not np.any(stacked[1::2, 0::2])
 
 
 class TestConstantConjugation:
@@ -245,11 +191,13 @@ class TestBlockTransform:
 
 
 class TestFunctionUnitaryConjugate:
+    """U F U-dagger at coefficient level, for a q-dependent unitary U."""
+
     def test_identity(self):
         rng = np.random.default_rng(12)
         F = MatrixFourierFunction(IV, [[random_table(rng), None], [None, random_table(rng)]])
         I2 = MatrixFourierFunction.diagonal([FourierFunction.from_profile(IV, 1.0)] * 2)
-        G = function_unitary_conjugate(F, I2)
+        G = I2.matmul(F).matmul(I2.conjugate_transpose())
         qs = np.linspace(0, 1, 5)[:, None]
         phis = np.linspace(0, 2 * np.pi, 4, endpoint=False)[None, :]
         np.testing.assert_allclose(G.eval(qs, phis), F.eval(qs, phis), atol=1e-14)
@@ -270,7 +218,7 @@ class TestFunctionUnitaryConjugate:
             )
 
         U = MatrixFourierFunction(IV, [[phase(p1), zero], [zero, phase(p2)]])
-        G = function_unitary_conjugate(F, U)
+        G = U.matmul(F).matmul(U.conjugate_transpose())
         qs = np.linspace(0, 1, 7)[:, None]
         phis = np.linspace(0, 2 * np.pi, 8, endpoint=False)[None, :]
         want = fa.eval(qs, phis) * np.exp(1j * (p1 - p2) * qs)
@@ -309,7 +257,7 @@ class TestFunctionUnitaryConjugate:
                 ],
             ],
         )
-        G = function_unitary_conjugate(F, U)
+        G = U.matmul(F).matmul(U.conjugate_transpose())
         qs = np.linspace(0, 1, 9)[:, None]
         phis = np.array([[0.3]])
         vals = G.eval(qs, phis)
@@ -319,18 +267,10 @@ class TestFunctionUnitaryConjugate:
         # the height block is a multiple of the identity, hence untouched
         qfn = FourierFunction.from_profile(IV, AffineProfile(0.0, 1.0))
         Z = MatrixFourierFunction.diagonal([qfn, qfn])
-        GZ = function_unitary_conjugate(Z, U)
+        GZ = U.matmul(Z).matmul(U.conjugate_transpose())
         np.testing.assert_allclose(
             GZ.eval(qs, phis), Z.eval(qs, phis), atol=1e-14
         )
-
-    def test_non_unitary_rejected(self):
-        F = MatrixFourierFunction.diagonal([FourierFunction.from_profile(IV, 1.0)] * 2)
-        stretched = MatrixFourierFunction.diagonal(
-            [FourierFunction.from_profile(IV, 2.0), FourierFunction.from_profile(IV, 1.0)]
-        )
-        with pytest.raises(StructureError):
-            function_unitary_conjugate(F, stretched)
 
     def test_height_dependent_conjugation_commutes_at_order_one_over_n(self):
         fa = FourierFunction(IV, {1: ComplexProfile(AffineProfile(1.0, 0.5))})
@@ -352,7 +292,7 @@ class TestFunctionUnitaryConjugate:
                 [zero, FourierFunction.from_profile(IV, 1.0)],
             ],
         )
-        G = function_unitary_conjugate(F, U)
+        G = U.matmul(F).matmul(U.conjugate_transpose())
         cs = {}
         for N in (32, 64):
             g = make_grid(N, IV)
