@@ -38,9 +38,9 @@ def json_object(value) -> dict:
 
 
 def integer(value) -> int:
-    """int(value) for a value that is an integer already ("16" and 16.5 are not)."""
+    """int(value) for a value that is an integer already ("16", 16.5 and true are not)."""
     out = int(value)
-    if out != value:
+    if out != value or isinstance(value, bool):
         raise ValueError("not an integer")
     return out
 

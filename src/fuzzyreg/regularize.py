@@ -21,21 +21,16 @@ nodes), and the shared nodes are evaluated once per q vector of an entry.
 
 This module is the only one that writes a regularized coordinate or
 multiplies two: spaces that carry generator functions take their
-coordinates from `regularize_space`, and every product of regularized
-matrices is `product` or `commutator`.  Regularized matrices are banded,
-with bandwidth (cutoff+1)*S, and a `FuzzyMatrix` stores its diagonals:
-`regularize_matrix` writes them, `product`, `commutator` and `lincomb` read
-and write them, and the within-border norms mask the border on them, so a
-sweep holds O(dim * bandwidth) numbers per matrix and a product of
-bandwidths K and L costs O(dim * K * L).  The kernels sum in a CSR
-product's order with complex products (ar br - ai bi, ar bi + ai br), so
-they equal a CSR product bit for bit.  The dense view `FuzzyMatrix.data`
-is built on first read, for the readers that need every entry: rendering,
-matrix I/O, transforms and the Hermiticity checks.  The one dense product
-of coordinates is the poly step of `transforms.matrix_poly_transform`:
-after a `diagonalize` step its operands are dense, with every diagonal
-nonzero, and there `product` takes 440 ms against 2.6 ms dense at N = 256
-(one BLAS thread).
+coordinates from `regularize_space`, and sweeps and transform recipes alike
+multiply by `product`.  Regularized matrices are banded, with bandwidth
+(cutoff+1)*S, and a `FuzzyMatrix` stores its diagonals: `regularize_matrix`
+writes them, `product` and `lincomb` read and write them, and the
+within-border norms mask the border on them, so a sweep holds
+O(dim * bandwidth) numbers per matrix and a product of bandwidths K and L
+costs O(dim * K * L); a left factor recording at least dim diagonals (an
+eigenvector matrix, or what `diagonalize` conjugated) goes to BLAS.  The
+dense view `FuzzyMatrix.data` is built on first read, for the readers that
+need every entry: rendering, matrix I/O, BLAS and the Hermiticity checks.
 """
 
 from __future__ import annotations
@@ -100,9 +95,9 @@ class FuzzyMatrix:
     minus row) that may be nonzero, and `bands[i, k]` holds entry
     (i, i + offsets[0] + k).  Cells on other diagonals are zero; cells that
     fall outside the matrix are never read as entries.  `data` is the dense
-    view, built once on first read.  A matrix made from a dense array,
-    `FuzzyMatrix(array, N, S)`, keeps that array as its view and reads its
-    bands off its nonzero diagonals only when a band kernel asks for them.
+    view, built once on first read.  `FuzzyMatrix(array, N, S)` keeps the
+    array as its view, records its nonzero diagonals from one scan of its
+    nonzero entries, and copies them into bands only when they are read.
     Both arrays are read-only; take a copy before mutating.  Hermiticity is
     a property of the data, checked by `is_hermitian`, not a stored flag.
     """
@@ -146,15 +141,21 @@ class FuzzyMatrix:
     @property
     def bands(self) -> np.ndarray:
         """Row i, column k: entry (i, i + offsets[0] + k)."""
-        if self._bands is None:
-            self._bands, self._offsets = _read_bands(self._data)
+        if self._bands is None:  # copied from the dense view, recorded diagonals only
+            offs, dim = self.offsets, self.dim
+            self._bands = np.zeros((dim, offs[-1] - offs[0] + 1), dtype=complex)
+            for o in offs:
+                self._bands[max(0, -o) : dim - max(0, o), o - offs[0]] = np.diagonal(self._data, o)
+            self._bands.setflags(write=False)
         return self._bands
 
     @property
     def offsets(self) -> tuple:
         """The flat diagonals that may be nonzero, sorted; never empty."""
         if self._offsets is None:
-            self._bands, self._offsets = _read_bands(self._data)
+            rows, cols = np.nonzero(self._data)
+            found = np.flatnonzero(np.bincount(cols - rows + self.dim - 1)) - (self.dim - 1)
+            self._offsets = tuple(found.tolist()) or (0,)
         return self._offsets
 
     def is_hermitian(self, tol=1e-12) -> bool:
@@ -164,18 +165,6 @@ class FuzzyMatrix:
 def _columns(dim: int, lo: int, width: int) -> np.ndarray:
     """Column of each band cell: (i, k) holds entry (i, i + lo + k)."""
     return np.arange(dim)[:, None] + (lo + np.arange(width))
-
-
-def _read_bands(data: np.ndarray):
-    """(bands, offsets) of a dense array, over its nonzero diagonals."""
-    dim = len(data)
-    diagonals = {o: np.diagonal(data, o) for o in range(1 - dim, dim)}
-    offsets = tuple(o for o, d in diagonals.items() if d.any()) or (0,)
-    bands = np.zeros((dim, offsets[-1] - offsets[0] + 1), dtype=complex)
-    for o in offsets:
-        bands[max(0, -o) : dim - max(0, o), o - offsets[0]] = diagonals[o]
-    bands.setflags(write=False)
-    return bands, offsets
 
 
 def _layout(*Ms) -> tuple:
@@ -284,8 +273,9 @@ def interior_max_entry(M: FuzzyMatrix, delta) -> float:
     return float(np.max(_interior_abs(M, delta)[0]))
 
 
-def _band_product(A: FuzzyMatrix, B: FuzzyMatrix) -> np.ndarray:
-    """Bands of AB: column k holds (AB)[i, i + A.offsets[0] + B.offsets[0] + k] in row i."""
+def _band_kernel(A: FuzzyMatrix, B: FuzzyMatrix) -> FuzzyMatrix:
+    """AB, multiplied diagonal by diagonal onto the diagonals it may have nonzero."""
+    N, S = _layout(A, B)
     dim, offs_a, bands_a = A.dim, A.offsets, A.bands
     rows_b = B.bands  # rows_b[j, t] = B[j, j + B.offsets[0] + t]
     br, bi, width = rows_b.real, rows_b.imag, rows_b.shape[1]
@@ -295,28 +285,29 @@ def _band_product(A: FuzzyMatrix, B: FuzzyMatrix) -> np.ndarray:
         da = bands_a[i, k, None]
         out.real[i, k : k + width] += da.real * br[j] - da.imag * bi[j]
         out.imag[i, k : k + width] += da.real * bi[j] + da.imag * br[j]
-    return out
-
-
-def _band_kernel(A: FuzzyMatrix, B: FuzzyMatrix, commute: bool) -> FuzzyMatrix:
-    """AB, or AB - BA, on the diagonals they may have nonzero."""
-    N, S = _layout(A, B)
-    offsets = tuple(sorted({a + b for a in A.offsets for b in B.offsets if abs(a + b) < A.dim})) or (0,)
-    bands = _band_product(A, B)
-    if commute:
-        bands -= _band_product(B, A)
-    lo = A.offsets[0] + B.offsets[0]
-    return FuzzyMatrix._banded(bands[:, offsets[0] - lo : offsets[-1] - lo + 1], offsets, N, S)
+    offsets = tuple(sorted({a + b for a in offs_a for b in B.offsets if abs(a + b) < dim})) or (0,)
+    lo = offs_a[0] + B.offsets[0]
+    return FuzzyMatrix._banded(out[:, offsets[0] - lo : offsets[-1] - lo + 1], offsets, N, S)
 
 
 def product(A: FuzzyMatrix, B: FuzzyMatrix) -> FuzzyMatrix:
-    """AB, multiplied by diagonals."""
-    return _band_kernel(A, B, commute=False)
+    """AB by the band kernel, which sums in a CSR product's order (complex
+    products ar br - ai bi, ar bi + ai br) and equals one bit for bit; or
+    `A.data @ B.data` when A records at least dim of the 2 dim - 1 diagonals.
+    Kernel against BLAS, K diagonals on both factors, one BLAS thread: dim
+    256, K = 17 / 33 / 257 / 511: 1.1 / 3.1 / 176 / 390 against 2.3 / 2.3 /
+    2.4 / 3.5 ms; dim 1024, K = 129 / 513 / 1025: 216 / 3,994 / 15,815
+    against about 145 ms.  BLAS is faster from about dim / 10 diagonals, but
+    sweep bytes rest on the CSR order: regularized coordinates stay here.
+    """
+    if len(A.offsets) < A.dim:
+        return _band_kernel(A, B)
+    return FuzzyMatrix(A.data @ B.data, *_layout(A, B))
 
 
 def commutator(A: FuzzyMatrix, B: FuzzyMatrix) -> FuzzyMatrix:
-    """[A, B] = AB - BA, multiplied by diagonals."""
-    return _band_kernel(A, B, commute=True)
+    """[A, B] = AB - BA."""
+    return lincomb((1, product(A, B)), (-1, product(B, A)))
 
 
 def lincomb(*terms) -> FuzzyMatrix:

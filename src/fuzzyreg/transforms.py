@@ -5,7 +5,8 @@ matrix-valued function by a constant unitary, and the sorted-eigenbasis
 transformation with a fixed phase convention.
 `matrix_poly_transform` is the one interpreter of a transform recipe: it runs
 the polynomial and entrywise coordinate steps, `diagonalize` and `interlace`,
-and returns the log the CLI writes to the sidecar.
+and returns the log the CLI writes to the sidecar.  Poly terms and
+conjugations multiply coordinates only by `regularize.product`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, StructureError, config_value, finite, integer, json_object
 from .fourier import FourierFunction, MatrixFourierFunction
-from .regularize import FuzzyMatrix, FuzzySpace
+from .regularize import FuzzyMatrix, FuzzySpace, lincomb, product
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -48,10 +49,8 @@ def interlacing_unitary() -> SmallUnitary:
 
 
 def conjugate(M: FuzzyMatrix, V: FuzzyMatrix) -> FuzzyMatrix:
-    """V† M V."""
-    if M.dim != V.dim:
-        raise StructureError("dimension mismatch")
-    return FuzzyMatrix(V.data.conj().T @ M.data @ V.data, M.N, M.S)
+    """V† M V, as two `product`s; V† is copied C-contiguous."""
+    return product(product(FuzzyMatrix(V.data.conj().T, V.N, V.S), M), V)
 
 
 def interlace(space: FuzzySpace) -> FuzzySpace:
@@ -107,40 +106,49 @@ def block_transform(M: FuzzyMatrix, U: SmallUnitary, n0: int) -> FuzzyMatrix:
     data = np.eye(M.dim, dtype=complex)
     if n0 < N:
         data[n0 * S :, n0 * S :] = np.kron(np.eye(N - n0), U.matrix)
-    V = FuzzyMatrix(data, N, S)
-    return conjugate(FuzzyMatrix(M.data, N, S), V)
+    return conjugate(FuzzyMatrix(M.data, N, S), FuzzyMatrix(data, N, S))
 
 
 _ENTRYWISE = ("poly", "reciprocal-diag")
 
 
+def _coordinate_index(coords, value, what) -> int:
+    """value as an index into coords: an integer from 0 to len(coords) - 1,
+    so neither JSON true nor a negative number counting from the end."""
+    return config_value(lambda v: range(len(coords)).index(integer(v)), value, what)
+
+
 def _entrywise_step(coords, step):
     """(new coordinate, singular rows) of a poly or reciprocal-diag step."""
+    N, S = coords[0].N, coords[0].S
+
+    def diagonal(values):
+        return FuzzyMatrix._banded(np.array(values, dtype=complex)[:, None], (0,), N, S)
+
     if step["op"] == "poly":
-        acc = np.zeros((coords[0].dim, coords[0].dim), dtype=complex)
+        terms = [(1, diagonal(np.zeros(N * S)))]  # the sum starts from +0, as a dense one does
         for term in config_value(list, step.get("terms"), "poly terms"):
             term = config_value(json_object, term, "poly term")
             indices = config_value(list, term.get("indices"), "poly indices")
-            factors = [config_value(coords.__getitem__, idx, "poly index").data for idx in indices]
-            part = factors[0] if factors else np.eye(coords[0].dim, dtype=complex)
+            factors = [coords[_coordinate_index(coords, idx, "poly index")] for idx in indices]
+            part = factors[0] if factors else diagonal(np.ones(N * S))
             for factor in factors[1:]:
-                part = part @ factor
+                part = product(part, factor)
             coeff = config_value(lambda v: finite(v, complex), term.get("coeff", 1.0), "poly coeff")
-            acc += coeff * part
-        return FuzzyMatrix(acc, coords[0].N, coords[0].S), ()
-    src = config_value(coords.__getitem__, step.get("source"), "reciprocal-diag source")
-    offdiag = src.data - np.diag(np.diag(src.data))
-    if np.max(np.abs(offdiag)) > 1e-12:
+            terms.append((coeff, part))
+        return lincomb(*terms), ()
+    src = coords[_coordinate_index(coords, step.get("source"), "reciprocal-diag source")]
+    lo = src.offsets[0]
+    on_diagonal = np.arange(lo, lo + src.bands.shape[1]) == 0  # band cells outside the matrix are 0
+    if np.max(np.abs(src.bands[:, ~on_diagonal]), initial=0.0) > 1e-12:
         raise StructureError("entrywise recipe needs a diagonal source coordinate")
     shift = config_value(finite, step.get("shift", 1.0), "shift")
     scale = config_value(finite, step.get("scale", 1.0), "scale")
     tol = config_value(finite, step.get("singular_tol", 1e-9), "singular_tol")
-    denom = shift + np.diag(src.data)
-    bad = np.flatnonzero(np.abs(denom) < tol)
-    vals = np.zeros(src.dim, dtype=complex)
-    good = np.setdiff1d(np.arange(src.dim), bad)
-    vals[good] = scale / denom[good]
-    return FuzzyMatrix(np.diag(vals), src.N, src.S), bad
+    denom = shift + (src.bands[:, -lo] if on_diagonal.any() else np.zeros(src.dim))
+    singular = np.abs(denom) < tol
+    vals = np.divide(scale, denom, out=np.zeros(src.dim, dtype=complex), where=~singular)
+    return diagonal(vals), np.flatnonzero(singular)
 
 
 def matrix_poly_transform(space: FuzzySpace, recipe):
@@ -166,19 +174,16 @@ def matrix_poly_transform(space: FuzzySpace, recipe):
         step = config_value(json_object, step, "transform step")
         op = step.get("op")
         if op == "diagonalize":
-            index = config_value(integer, step.get("index"), "diagonalize index")
-            space, record = diagonalize_coordinate(space, index)
+            space, record = diagonalize_coordinate(space, step.get("index"))
         elif op == "interlace":
             space, record = interlace(space), {"op": "interlace"}
         elif op in _ENTRYWISE:
             coords = list(space.coordinates)
             new, bad = _entrywise_step(coords, step)
-            target = step.get("target", "append")
-            if target == "append":
+            if step.get("target", "append") == "append":
                 coords.append(new)
             else:
-                config_value(coords.__getitem__, target, "target")
-                coords[target] = new
+                coords[_coordinate_index(coords, step["target"], "target")] = new
             in_run = bool(log) and log[-1]["op"] in _ENTRYWISE
             space = FuzzySpace(space.name if in_run else f"{space.name}*", tuple(coords))
             record = {"op": op, "singular_rows": [int(r) for r in bad]}
@@ -213,7 +218,8 @@ def diagonalize_coordinate(space: FuzzySpace, index: int):
     symmetric coordinates real and purely imaginary ones purely imaginary.
     A conjugated space carries no generators; an identity one is returned as is.
     """
-    M = config_value(space.coordinates.__getitem__, index, "diagonalize index")
+    index = _coordinate_index(space.coordinates, index, "diagonalize index")
+    M = space.coordinates[index]
     if not M.is_hermitian(1e-10):
         raise StructureError(f"coordinate {index} is not Hermitian")
     A = M.data

@@ -1,24 +1,29 @@
 """The band kernels against dense references, bit for bit, and the
 diagonals that regularized matrices and their products record.
 
-`product` and `commutator` multiply diagonal by diagonal in the order a CSR
-product sums, so they equal scipy's CSR product exactly; scipy is a
-test-only dependency here.  `lincomb` and the within-border norms work on
-the stored diagonals and equal the dense expressions of `tests/refs.py`.
+The band kernel multiplies diagonal by diagonal in the order a CSR product
+sums, so it equals scipy's CSR product exactly; scipy is a test-only
+dependency here.  `product` runs it unless its left factor records at least
+dim diagonals, and then equals `A.data @ B.data`; `commutator` is the
+difference of the two products.  `lincomb` and the within-border norms work
+on the stored diagonals and equal the dense expressions of `tests/refs.py`.
 """
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuzzyreg import regularize
 from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction
 from fuzzyreg.interpolate import VertexParams, build_string_vertex
 from fuzzyreg.profiles import AffineProfile, ComplexProfile
 from fuzzyreg.regularize import (
     FuzzyMatrix,
+    _band_kernel,
     commutator,
     interior_max_entry,
     lincomb,
@@ -28,6 +33,7 @@ from fuzzyreg.regularize import (
     within_border_norm,
 )
 from fuzzyreg.spaces import build_circle_to_eight
+from fuzzyreg.transforms import diagonalize_coordinate
 from refs import dense_interior_max_entry, dense_lincomb, dense_within_border_norm
 
 sparse = pytest.importorskip("scipy.sparse")
@@ -53,6 +59,27 @@ def assert_bitwise(got, want):
 def assert_matches_csr(A, B):
     assert_bitwise(product(A, B).data, csr_product(A, B))
     assert_bitwise(commutator(A, B).data, csr_commutator(A, B))
+
+
+def assert_kernel_matches_csr(A, B):
+    """The band kernel itself, for operands `product` sends to BLAS."""
+    assert_bitwise(_band_kernel(A, B).data, csr_product(A, B))
+    both = lincomb((1, _band_kernel(A, B)), (-1, _band_kernel(B, A)))
+    assert_bitwise(both.data, csr_commutator(A, B))
+
+
+def on_blas_side(M):
+    return len(M.offsets) >= M.dim
+
+
+def side_product(A, B):
+    """The dense oracle of product(A, B) on the side its left factor picks."""
+    return A.data @ B.data if on_blas_side(A) else csr_product(A, B)
+
+
+def assert_matches_sides(A, B):
+    assert_bitwise(product(A, B).data, side_product(A, B))
+    assert_bitwise(commutator(A, B).data, side_product(A, B) - side_product(B, A))
 
 
 def nonzero_diagonals(M):
@@ -81,7 +108,10 @@ def test_dense_operands_without_recorded_diagonals_match_csr():
     A, B = (FuzzyMatrix(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)), 6, 1)
             for _ in range(2))
     assert A.offsets == tuple(range(-5, 6))  # read off its nonzero diagonals
-    assert_matches_csr(A, B)
+    assert on_blas_side(A) and on_blas_side(B)
+    assert_kernel_matches_csr(A, B)
+    assert_bitwise(product(A, B).data, A.data @ B.data)
+    assert_bitwise(commutator(A, B).data, A.data @ B.data - B.data @ A.data)
     assert product(A, B).offsets == tuple(range(-5, 6))
 
 
@@ -90,8 +120,10 @@ def test_mixed_layouts_match_csr_and_multiply_flat():
     blocks = FuzzyMatrix(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)), 3, 2)
     vertex = build_string_vertex(VertexParams(N=8)).coordinates[0]
     flat = FuzzyMatrix(vertex.data[:6, :6], 6, 1)
-    assert_matches_csr(blocks, flat)
-    assert_matches_csr(flat, blocks)
+    assert on_blas_side(blocks) and on_blas_side(flat)
+    for X, Y in ((blocks, flat), (flat, blocks)):
+        assert_kernel_matches_csr(X, Y)
+        assert_matches_sides(X, Y)
     assert (product(blocks, flat).N, product(blocks, flat).S) == (6, 1)
     assert (commutator(blocks, blocks).N, commutator(blocks, blocks).S) == (3, 2)
 
@@ -102,6 +134,34 @@ def test_recorded_diagonals_stand_in_for_a_scan():
     bare = [FuzzyMatrix(M.data, M.N, M.S) for M in (X, Y)]
     assert_bitwise(commutator(X, Y).data, commutator(*bare).data)
     assert commutator(X, Y).offsets == commutator(*bare).offsets
+
+
+def test_the_rule_names_the_side_of_each_operand(monkeypatch):
+    # regularized coordinates record a few diagonals and multiply by bands;
+    # a diagonalize step conjugates by dense eigenvectors, and its output
+    # records every diagonal and multiplies by BLAS
+    eight, vertex = build_circle_to_eight(64), build_string_vertex(VertexParams(N=15))
+    diagonalized, _ = diagonalize_coordinate(eight, 0)
+    kernel, calls = regularize._band_kernel, []
+    monkeypatch.setattr(regularize, "_band_kernel", lambda A, B: calls.append(A) or kernel(A, B))
+    for space, banded in ((eight, True), (vertex, True), (diagonalized, False)):
+        X, Y = space.coordinates[1:3]
+        assert on_blas_side(X) is not banded
+        calls.clear()
+        got = product(X, Y)
+        assert calls == ([X] if banded else [])
+        assert_bitwise(got.data, csr_product(X, Y) if banded else X.data @ Y.data)
+
+
+def test_diagonalized_coordinates_multiply_by_blas_in_time():
+    # the band kernel loops over all 1023 diagonals here, for seconds
+    space, _ = diagonalize_coordinate(build_circle_to_eight(512), 0)
+    A, B = space.coordinates[1:3]
+    start = time.perf_counter()
+    got = product(A, B)
+    elapsed = time.perf_counter() - start
+    assert_bitwise(got.data, A.data @ B.data)
+    assert elapsed < 1.0
 
 
 def test_zero_operand():
@@ -138,7 +198,8 @@ def test_recorded_diagonals_cover_every_nonzero_one(pair, N):
         assert nonzero_diagonals(M) <= set(M.offsets)
         assert list(M.offsets) == sorted(set(M.offsets))
         assert all(abs(c) < M.dim for c in M.offsets)
-    assert_matches_csr(A, B)
+    assert_kernel_matches_csr(A, B)
+    assert_matches_sides(A, B)
 
 
 def one_sided(rng, dim, offsets):

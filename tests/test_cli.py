@@ -414,6 +414,23 @@ class TestFailureModes:
         assert capsys.readouterr().err.startswith("error: config ")
         assert not (tmp_path / "out").exists()
 
+    # JSON true is no integer, and a recipe index names a coordinate from 0
+    # on: each of these used to pick a coordinate (or read n as 1)
+    @pytest.mark.parametrize("cfg", [
+        {"transforms": [{"op": "diagonalize", "index": True}]},
+        {"transforms": [{"op": "poly", "terms": [{"indices": [-1]}]}]},
+        {"transforms": [{"op": "poly", "terms": [{"indices": [0]}], "target": -3}]},
+        {"transforms": [{"op": "reciprocal-diag", "source": -1}]},
+        {"space": {"preset": "cylinder", "n": True}, "transforms": []},
+    ], ids=["diagonalize-index-true", "poly-index-negative", "poly-target-negative",
+            "reciprocal-source-negative", "n-true"])
+    def test_recipe_index_is_a_non_negative_integer(self, tmp_path, capsys, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert run_cli(["transform", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: config ")
+        assert not (tmp_path / "out").exists()
+
     def test_nan_render_threshold(self, tmp_path, capsys):
         assert run_cli(["build", "--n", "4", "--out", str(tmp_path)]) == 0
         capsys.readouterr()

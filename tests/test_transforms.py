@@ -11,6 +11,7 @@ from fuzzyreg.regularize import (
     FuzzyMatrix,
     FuzzySpace,
     make_grid,
+    product,
     regularize_matrix,
     regularize_scalar,
     within_border_norm,
@@ -18,6 +19,7 @@ from fuzzyreg.regularize import (
 from fuzzyreg.spaces import (
     CurveSpec,
     GraphVertexSpec,
+    build_circle_to_eight,
     build_clifford_torus,
     build_generalized_cylinder,
     build_graph_vertex,
@@ -366,6 +368,14 @@ class TestMatrixPolyTransform:
             ref += term.get("coeff", 1.0) * part
         out, _ = matrix_poly_transform(space, [{"op": "poly", "terms": terms}])
         assert out.coordinates[-1].data.tobytes() == ref.tobytes()
+
+    def test_poly_product_is_regularize_product(self):
+        # XY of the eight sums several terms per entry, so a dense sum of
+        # them would differ from the band kernel's in the last bits
+        space = build_circle_to_eight(64)
+        out, _ = matrix_poly_transform(space, [{"op": "poly", "terms": [{"indices": [0, 1]}]}])
+        X, Y = space.coordinates[:2]
+        assert out.coordinates[-1].data.tobytes() == product(X, Y).data.tobytes()
 
     def test_reciprocal_diag_reports_singular_rows(self):
         space = build_clifford_torus(1.0, 1.0, 39)
