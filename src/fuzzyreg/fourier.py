@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .profiles import ComplexProfile
+from .profiles import ComplexProfile, shared_evaluation
 
 _INTERVAL_TOL = 1e-12
 
@@ -211,14 +211,16 @@ class MatrixFourierFunction:
         return qa
 
     def eval(self, q, phi):
-        """S x S complex array of direct sums over modes (extra leading axes for array q, phi)."""
+        """S x S complex array of direct sums over modes (extra leading axes for array q, phi).
+        The coefficients are evaluated inside one `shared_evaluation`."""
         qa = self._check_q(q)
         pa = np.asarray(phi, dtype=float)
         out = np.zeros(np.broadcast(qa, pa).shape + (self.S, self.S), dtype=complex)
-        for a, row in enumerate(self.entries):
-            for b, e in enumerate(row):
-                for n, c in e.coeffs.items():
-                    out[..., a, b] += c(qa) * np.exp(1j * n * pa)
+        with shared_evaluation():
+            for a, row in enumerate(self.entries):
+                for b, e in enumerate(row):
+                    for n, c in e.coeffs.items():
+                        out[..., a, b] += c(qa) * np.exp(1j * n * pa)
         return out
 
     def conjugate_transpose(self) -> "MatrixFourierFunction":
@@ -229,17 +231,18 @@ class MatrixFourierFunction:
 
     def is_hermitian(self) -> bool:
         """Coefficient-level check F_{ab,n} = conj(F_{ba,-n}) to 1e-12 on 17
-        evenly spaced q."""
+        evenly spaced q, evaluated inside one `shared_evaluation`."""
         qa = np.linspace(self.interval[0], self.interval[1], 17)
-        for a in range(self.S):
-            for b in range(self.S):
-                e = self.entries[a][b]
-                other = self.entries[b][a]
-                for n in set(e.coeffs) | {-m for m in other.coeffs}:
-                    lhs = e.coeff(n)(qa)
-                    rhs = np.conj(other.coeff(-n)(qa))
-                    if np.max(np.abs(lhs - rhs)) > 1e-12:
-                        return False
+        with shared_evaluation():
+            for a in range(self.S):
+                for b in range(self.S):
+                    e = self.entries[a][b]
+                    other = self.entries[b][a]
+                    for n in set(e.coeffs) | {-m for m in other.coeffs}:
+                        lhs = e.coeff(n)(qa)
+                        rhs = np.conj(other.coeff(-n)(qa))
+                        if np.max(np.abs(lhs - rhs)) > 1e-12:
+                            return False
         return True
 
     def matmul(self, other: "MatrixFourierFunction") -> "MatrixFourierFunction":

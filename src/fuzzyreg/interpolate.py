@@ -23,6 +23,7 @@ from .profiles import (
     CallableProfile,
     ComplexProfile,
     Profile,
+    Shared,
     as_profile,
     smooth_step,
 )
@@ -146,25 +147,6 @@ def interp_fourier_coeff(f1_table, f2_table, profile: InterpolationProfile, m, q
     return out if np.ndim(m) else out[0]
 
 
-class _BlendFamily:
-    """The blend's modes -c..c, read from one `interp_fourier_coeff` call per q
-    vector: the last one is kept, so every mode, conjugate and mirror of the
-    family evaluated at one q shares one call."""
-
-    def __init__(self, f1_table, f2_table, profile: InterpolationProfile, cutoff: int):
-        self.args, self.key = (f1_table, f2_table, profile, range(-cutoff, cutoff + 1)), None
-
-    def __call__(self, q):
-        if self.key != (key := (q.shape, q.tobytes())):
-            self.key, self.values = key, interp_fourier_coeff(*self.args, q)
-        return self.values
-
-    def coeffs(self) -> dict:
-        """mode -> a from-callable coefficient reading the mode's row."""
-        return {m: ComplexProfile.from_callable(lambda q, i=i: self(q)[i].copy(), f"f_{m}")
-                for i, m in enumerate(self.args[3])}
-
-
 @dataclass(frozen=True)
 class VertexParams:
     """Geometry and discretization of the one-string-to-two-strings vertex.
@@ -200,18 +182,19 @@ def _slot_tables(p: VertexParams):
     Slot 1: the one-string (circle-to-eight) series on the doubled interval,
     sampled at the doubled-and-offset argument 2q + s01 that the 2x2 cell
     structure induces for off-diagonal blocks.  Slot 2: the outgoing pair's
-    shared off-diagonal series at plain q.
+    shared off-diagonal series at plain q.  The window must satisfy
+    q1 < q2 <= q3 < q4: slot 1's transition ends at q2.
     """
     q1, q4 = p.interval
     span = q4 - q1
     s01 = span / (2.0 * p.N)
-    q2 = p.profile.q2
+    q2, q3 = p.profile.q2, p.profile.q3
+    if not q1 < q2 <= q3 < q4:
+        raise DomainError(f"transition window [{q2}, {q3}] must lie inside the interval "
+                          f"({q1}, {q4})")
     scalar_interval = (2.0 * q1, 2.0 * q1 + 2.0 * span)
-    if q2 > q1:
-        tr_scale = 1.0 / (q2 - q1)
-        tr_shift = -(q2 + q1) / (q2 - q1)
-    else:
-        tr_scale, tr_shift = 1.0, 0.0
+    tr_scale = 1.0 / (q2 - q1)
+    tr_shift = -(q2 + q1) / (q2 - q1)
     xs, ys, _zs = circle_to_eight_functions(
         scalar_interval, p.r1, tr_scale, tr_shift, z_offset=0.0, z_scale=1.0
     )
@@ -257,9 +240,13 @@ def build_string_vertex(p: VertexParams) -> FuzzySpace:
         raise DomainError(f"mode cutoff {cutoff} must be nonnegative and smaller than N = {p.N}")
     interval = p.interval
     zero = FourierFunction(interval, {})
+    modes = range(-cutoff, cutoff + 1)
 
     def offdiag_pair(t1, t2):
-        upper = FourierFunction(interval, _BlendFamily(t1, t2, p.profile, cutoff).coeffs())
+        # every mode reads its row of one blend call per q array
+        family = Shared(lambda q: interp_fourier_coeff(t1, t2, p.profile, modes, q))
+        upper = FourierFunction(interval, {m: ComplexProfile.from_callable(
+            lambda q, i=i: family(q)[i], f"f_{m}") for i, m in enumerate(modes)})
         return upper, upper.conjugate()
 
     x01, x10 = offdiag_pair(t1x, t2x)

@@ -12,9 +12,14 @@ real profiles.
 
 Coefficient trees share nodes (a product of Fourier functions puts each
 factor's coefficients into several modes).  Inside `shared_evaluation`,
-which `regularize.regularize_matrix` opens per entry, a spline, spline
-derivative or composed node runs once per q array; the cheap nodes (sums,
-products, scalings, constants, polynomials) are walked as a tree.
+which `regularize.regularize_matrix` opens per matrix and
+`fourier.MatrixFourierFunction` per evaluation, a spline, spline
+derivative, composed or `Shared` node runs once per q array, and nothing
+it computed outlives the block; the cheap nodes (sums, products, scalings,
+constants, polynomials) are walked as a tree.  `Shared` wraps a callable
+that is no profile: the string vertex's blend family (one call for every
+mode), a complex callable (`ComplexProfile.from_callable`) and the fold of
+a mirror pivot.
 
 All profiles accept scalars or numpy arrays and return numpy arrays of the
 broadcast shape.
@@ -22,6 +27,7 @@ broadcast shape.
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -62,6 +68,16 @@ def _once_per_q(call):
         return hit[2]
 
     return __call__
+
+
+class Shared:
+    """A node calling fn once per q array inside `shared_evaluation`, whatever
+    fn returns (a blend family, a folded q, a complex value)."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    __call__ = _once_per_q(lambda self, q: self.fn(q))
 
 
 class Profile:
@@ -349,9 +365,11 @@ class ScaledProfile(Profile):
         return {"kind": "scaled", "factor": self.factor, "base": self.base.to_dict()}
 
 
-def _fold(qa, pivot: float):
-    """Reflect the arguments above pivot back below it."""
-    return np.where(qa <= pivot, qa, 2.0 * pivot - qa)
+@functools.cache
+def _fold(pivot: float) -> Shared:
+    """Reflect the arguments above pivot back below it: one node per pivot, so
+    every mirror about it reads one folded array per q array."""
+    return Shared(lambda qa: np.where(qa <= pivot, qa, 2.0 * pivot - qa))
 
 
 class MirrorProfile(Profile):
@@ -362,7 +380,7 @@ class MirrorProfile(Profile):
         self.pivot = float(pivot)
 
     def __call__(self, q):
-        return self.base(_fold(_asfloat(q), self.pivot))
+        return self.base(_fold(self.pivot)(_asfloat(q)))
 
     def derivative(self):
         return _MirrorDerivativeProfile(self)
@@ -380,7 +398,7 @@ class _MirrorDerivativeProfile(Profile):
 
     def __call__(self, q):
         qa = _asfloat(q)
-        vals = self._dbase(_fold(qa, self.mirror.pivot))
+        vals = self._dbase(_fold(self.mirror.pivot)(qa))
         return np.where(qa <= self.mirror.pivot, vals, -vals)
 
     def derivative(self):
@@ -456,29 +474,22 @@ def as_profile(value) -> Profile:
 
 
 class ComplexProfile:
-    """A complex-valued function of q stored as a (re, im) profile pair.
+    """A complex-valued function of q stored as a (re, im) profile pair."""
 
-    `from_callable` wraps one complex callable instead: calling the result,
-    its conjugate or its mirror calls it once, and re/im are evaluation-only
-    views of the real and imaginary part of a call each.
-    """
-
-    __slots__ = ("re", "im", "fn", "label")
+    __slots__ = ("re", "im")
 
     def __init__(self, re: Profile, im: Profile | None = None):
         self.re = as_profile(re)
         self.im = as_profile(im) if im is not None else ConstantProfile(0.0)
-        self.fn = None
 
     @classmethod
     def from_callable(cls, fn, label: str = "") -> "ComplexProfile":
-        """Wrap a vectorized complex callable of q.  Evaluation only.  fn may read
-        one row of a family evaluated once per q vector (the vertex's blend)."""
-        out = cls(CallableProfile(lambda q: np.real(fn(q)), f"Re {label}"),
-                  CallableProfile(lambda q: np.imag(fn(q)), f"Im {label}"))
-        out.fn = fn
-        out.label = label
-        return out
+        """Wrap a vectorized complex callable of q.  Evaluation only.  Both parts
+        read one `Shared` node, so fn runs once per q array inside
+        `shared_evaluation`, for the pair, its conjugate and its mirrors alike."""
+        node = Shared(fn)
+        return cls(CallableProfile(lambda q: np.real(node(q)), f"Re {label}"),
+                   CallableProfile(lambda q: np.imag(node(q)), f"Im {label}"))
 
     @classmethod
     def from_const(cls, z) -> "ComplexProfile":
@@ -494,31 +505,18 @@ class ComplexProfile:
         return cls.from_const(value)
 
     def __call__(self, q):
-        if self.fn is None:
-            return self.re(q) + 1j * self.im(q)
-        v = self.fn(_asfloat(q))
-        # recombined from the parts, so signed zeros match re(q) + 1j * im(q)
-        return v.real + 1j * v.imag
+        return self.re(q) + 1j * self.im(q)
 
     def derivative(self) -> "ComplexProfile":
         return ComplexProfile(self.re.derivative(), self.im.derivative())
 
     def conjugate(self) -> "ComplexProfile":
-        if self.fn is not None:
-            fn = self.fn
-            return ComplexProfile.from_callable(lambda q: np.conj(fn(q)), f"conj {self.label}")
         return ComplexProfile(self.re, -self.im)
 
     def mirror(self, pivot: float) -> "ComplexProfile":
-        """self(q) below the pivot, self(2*pivot - q) above it.
-
-        A from-callable profile folds q and calls its function once; a pair
-        mirrors each part, so its derivative and serialization carry over.
-        """
-        if self.fn is None:
-            return ComplexProfile(MirrorProfile(self.re, pivot), MirrorProfile(self.im, pivot))
-        fn, pivot = self.fn, float(pivot)
-        return ComplexProfile.from_callable(lambda q: fn(_fold(q, pivot)), f"mirror {self.label}")
+        """self(q) below the pivot, self(2*pivot - q) above it.  Each part is
+        mirrored, so the derivative and serialization carry over."""
+        return ComplexProfile(MirrorProfile(self.re, pivot), MirrorProfile(self.im, pivot))
 
     def __add__(self, other):
         other = ComplexProfile.coerce(other)

@@ -12,12 +12,14 @@ index (n*S + a, m*S + b).
 Grids q(n, m) are affine in (n, m): q(n,m) = c0 + cn*n + cm*m, 0-based, with
 q(0,0) = q1 and the formula reaching q2 at (N, N) (one step past the last
 stored index, so the stored diagonal values fill [q1, q2) from the left).
-`regularize_matrix` evaluates each entry's coefficients once, on the distinct
-arguments of all its bands, and gathers the bands back: not from the 2N - 1
+`regularize_matrix` evaluates a matrix's coefficients on one q vector, the
+distinct arguments of the bands of all its entries (q(n, m) on a band does
+not depend on the entry), and gathers the bands back: not from the 2N - 1
 anti-diagonals, since on the vertex's (-1, 3) q(n, m) is not bitwise a
 function of n + m (40 of its 59 anti-diagonals hold several floats at N = 30).
 Coefficient trees share nodes (a bracket's modes all read the same spline
-nodes), and the shared nodes are evaluated once per q vector of an entry.
+nodes, and the vertex's x01 and x10 one blend family), and the shared nodes
+are evaluated once per q vector of a matrix.
 
 This module is the only one that writes a regularized coordinate or
 multiplies two: spaces that carry generator functions take their
@@ -183,33 +185,33 @@ def regularize_matrix(F: MatrixFourierFunction, grid: DiscretizingGrid) -> Fuzzy
     """N*S x N*S matrix; block entry (a,b), band n, lands at (n*S+a, m*S+b),
     on flat diagonal n*S + b - a, and only the diagonals are written.
 
-    The coefficients of an entry are all evaluated on one q vector, so a
-    coefficient family (the string vertex's) is evaluated once per entry,
-    and so is each node the trees share (`profiles.shared_evaluation`).
-    Hermiticity is not checked here: the CLI checks transform output
-    (`cli._check_hermitian`), and `transforms.diagonalize_coordinate` checks
-    the coordinate it diagonalizes.
+    The coefficients of all entries are evaluated on one q vector inside one
+    `profiles.shared_evaluation`, so each node the trees share, a coefficient
+    family (the string vertex's) included, is evaluated once per q vector of
+    a matrix.  Hermiticity is not checked here: the CLI checks transform
+    output (`cli._check_hermitian`), and `transforms.diagonalize_coordinate`
+    checks the coordinate it diagonalizes.
     """
     _check_same_interval(F, grid)
     if F.cutoff >= grid.N:
         raise DomainError(f"cutoff {F.cutoff} must stay below N = {grid.N}")
     N, S = grid.N, F.S
-    offsets = tuple(sorted({band * S + b - a for a, row in enumerate(F.entries)
-                            for b, entry in enumerate(row) for band in entry.coeffs})) or (0,)
+    entries = [(a, b, entry) for a, row in enumerate(F.entries) for b, entry in enumerate(row)]
+    offsets = tuple(sorted({band * S + b - a for a, b, entry in entries
+                            for band in entry.coeffs})) or (0,)
     bands = np.zeros((N * S, offsets[-1] - offsets[0] + 1), dtype=complex)
-    for a, row in enumerate(F.entries):
-        for b, entry in enumerate(row):
-            rows = {band: np.arange(N - abs(band)) + max(0, -band) for band in sorted(entry.coeffs)}
-            band_qs = [grid.q(r, r + band) for band, r in rows.items()]
-            qs, where = np.unique(np.concatenate(band_qs or [[]]), return_inverse=True)
-            start = 0
-            with shared_evaluation():
-                for band, r in rows.items():
-                    vals = np.asarray(entry.coeffs[band](qs), complex)[where[start : start + len(r)]]
-                    start += len(r)
-                    if not np.all(np.isfinite(vals)):
-                        raise DomainError(f"coefficient of band {band} is not finite on the grid")
-                    bands[r * S + a, band * S + b - a - offsets[0]] = vals
+    rows = {band: np.arange(N - abs(band)) + max(0, -band)
+            for band in sorted({band for *_, entry in entries for band in entry.coeffs})}
+    band_qs = [grid.q(r, r + band) for band, r in rows.items()]
+    qs, where = np.unique(np.concatenate(band_qs or [[]]), return_inverse=True)
+    at = dict(zip(rows, np.split(where, np.cumsum([len(r) for r in rows.values()])[:-1])))
+    with shared_evaluation():
+        for a, b, entry in entries:
+            for band in sorted(entry.coeffs):
+                vals = np.asarray(entry.coeffs[band](qs), complex)[at[band]]
+                if not np.all(np.isfinite(vals)):
+                    raise DomainError(f"coefficient of band {band} is not finite on the grid")
+                bands[rows[band] * S + a, band * S + b - a - offsets[0]] = vals
     return FuzzyMatrix._banded(bands, offsets, N, S)
 
 

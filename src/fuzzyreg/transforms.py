@@ -48,11 +48,6 @@ def interlacing_unitary() -> SmallUnitary:
     return SmallUnitary(_SQ2 * np.array([[1.0, -1.0], [1.0, 1.0]]))
 
 
-def conjugate(M: FuzzyMatrix, V: FuzzyMatrix) -> FuzzyMatrix:
-    """V† M V, as two `product`s; V† is copied C-contiguous."""
-    return product(product(FuzzyMatrix(V.data.conj().T, V.N, V.S), M), V)
-
-
 def interlace(space: FuzzySpace) -> FuzzySpace:
     """Conjugate every coordinate by the interlacing rotation on every block (S = 2)."""
     if space.coordinates[0].S != 2:
@@ -103,10 +98,11 @@ def block_transform(M: FuzzyMatrix, U: SmallUnitary, n0: int) -> FuzzyMatrix:
     n0 = int(n0)
     if not 0 <= n0 <= N:
         raise StructureError(f"block split {n0} outside 0..{N}")
-    data = np.eye(M.dim, dtype=complex)
+    V = np.eye(M.dim, dtype=complex)
     if n0 < N:
-        data[n0 * S :, n0 * S :] = np.kron(np.eye(N - n0), U.matrix)
-    return conjugate(FuzzyMatrix(M.data, N, S), FuzzyMatrix(data, N, S))
+        V[n0 * S :, n0 * S :] = np.kron(np.eye(N - n0), U.matrix)
+    return product(product(FuzzyMatrix(V.conj().T, N, S), FuzzyMatrix(M.data, N, S)),
+                   FuzzyMatrix(V, N, S))
 
 
 _ENTRYWISE = ("poly", "reciprocal-diag")
@@ -239,7 +235,8 @@ def diagonalize_coordinate(space: FuzzySpace, index: int):
         residual = float(np.max(np.abs(A - (V * w) @ V.conj().T)))
         if residual > 1e-10 * max(1.0, float(np.max(np.abs(w)))):
             raise StructureError(f"eigendecomposition residual too large: {residual:.2e}")
-        P = FuzzyMatrix(V, M.N, M.S)
-        out = FuzzySpace(f"diag({space.name})", tuple(conjugate(c, P) for c in space.coordinates))
+        P, Pt = FuzzyMatrix(V, M.N, M.S), FuzzyMatrix(V.conj().T, M.N, M.S)  # once per step
+        out = FuzzySpace(f"diag({space.name})",
+                         tuple(product(product(Pt, c), P) for c in space.coordinates))
     return out, {"op": "diagonalize", "index": index, "policy": PHASE_POLICY,
                  "identity": out is space, "residual": residual, "eigenvalues": list(w)}

@@ -414,6 +414,18 @@ class TestFailureModes:
         assert capsys.readouterr().err.startswith("error: config ")
         assert not (tmp_path / "out").exists()
 
+    # a window outside the vertex's interval (-1, 3) used to build a vertex
+    # whose transition never starts or never ends
+    @pytest.mark.parametrize("window", [{"q2": 5, "q3": 6}, {"q2": -3, "q3": -2}],
+                             ids=["above", "below"])
+    def test_vertex_window_outside_the_interval(self, tmp_path, capsys, window):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": window}), encoding="utf-8")
+        code = run_cli(["vertex", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: transition window")
+        assert not (tmp_path / "out").exists()
+
     # JSON true is no integer, and a recipe index names a coordinate from 0
     # on: each of these used to pick a coordinate (or read n as 1)
     @pytest.mark.parametrize("cfg", [

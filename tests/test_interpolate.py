@@ -1,5 +1,8 @@
 """Transition profiles, coefficient blending, and the string vertex."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -266,6 +269,30 @@ class TestVertexAssembly:
         with pytest.raises(DomainError, match="cutoff"):
             build_string_vertex(VertexParams(N=4, cutoff=4))
 
+    @pytest.mark.parametrize("q2, q3", [(5.0, 6.0), (-3.0, -2.0), (-1.0, 2.0), (1.0, 3.0),
+                                        (2.5, 3.5)])
+    def test_window_must_lie_inside_the_interval(self, q2, q3):
+        with pytest.raises(DomainError, match="transition window"):
+            build_string_vertex(VertexParams(N=8, profile=make_profile(q2=q2, q3=q3)))
+
+    def test_no_blend_value_outlives_its_call(self, monkeypatch):
+        import fuzzyreg.interpolate as interpolate
+
+        seen = []
+        coeff = interpolate.interp_fourier_coeff
+
+        def tracked_coeff(*args):
+            out = coeff(*args)
+            seen.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(interpolate, "interp_fourier_coeff", tracked_coeff)
+        space = build_string_vertex(VertexParams(N=30))
+        space.generators[0].eval(np.linspace(-1.0, 3.0, 9)[:, None], np.zeros((1, 4)))
+        gc.collect()
+        # two families for the build, one for the evaluation; the space holds none
+        assert len(seen) == 3 and all(ref() is None for ref in seen)
+
     def test_each_blend_family_is_evaluated_once_per_q_vector(self, monkeypatch):
         import fuzzyreg.interpolate as interpolate
         from fuzzyreg.fourier import MatrixFourierFunction as MFF
@@ -505,9 +532,15 @@ class TestMirrorConcat:
             return coeff(*args)
 
         monkeypatch.setattr(interpolate, "interp_fourier_coeff", counted_coeff)
-        mirror_concat(v, 2.5)
-        # as in the build: one call per blend family (x, y) for all its modes
-        assert len(calls) == 2
+        for q_E in (2.5, 3.0):
+            calls.clear()
+            mir = mirror_concat(v, q_E)
+            # as in the build: one call per blend family (x, y) for all its modes,
+            # since every mirrored part reads one folded q vector per pivot
+            assert len(calls) == 2
+            calls.clear()
+            mir.generators[0].eval(np.linspace(*mir.grid.interval, 15)[:, None], np.zeros((1, 4)))
+            assert len(calls) == 1
 
     def test_mirrored_coordinates_equal_the_mirrored_parts_bitwise(self):
         v = self.make_vertex(N=30)

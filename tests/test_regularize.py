@@ -102,6 +102,17 @@ class TestRegularizeScalar:
         left = regularize_scalar(f, make_grid(8, IV, "left"))
         assert not left.is_hermitian(1e-14)
 
+    def test_entries_with_different_mode_sets_keep_their_own_bands(self):
+        # the matrix is evaluated on the q vector of all its bands at once
+        x, y, _ = circle_to_eight_functions()
+        f1, f2 = x, poisson_bracket(x, y)
+        assert sorted(f1.coeffs) == [-3, -1, 1, 3] and sorted(f2.coeffs) != sorted(f1.coeffs)
+        g = make_grid(32, x.interval)
+        M = regularize_matrix(MatrixFourierFunction.diagonal([f1, f2]), g).data
+        assert M[0::2, 0::2].tobytes() == regularize_scalar(f1, g).data.tobytes()
+        assert M[1::2, 1::2].tobytes() == regularize_scalar(f2, g).data.tobytes()
+        assert not M[0::2, 1::2].any() and not M[1::2, 0::2].any()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_coefficient_rejected(self, bad):
         f = FourierFunction(IV, {0: 1.0, 1: bad})
@@ -135,6 +146,17 @@ class TestRegularizeMatrix:
         A = regularize_matrix(MatrixFourierFunction.from_scalar(f), g)
         B = regularize_scalar(f, g)
         assert np.array_equal(A.data, B.data)
+
+    def test_entries_with_different_mode_sets_keep_their_own_bands(self):
+        # the matrix is evaluated on the q vector of all its bands at once
+        x, y, _ = circle_to_eight_functions()
+        f1, f2 = x, poisson_bracket(x, y)
+        assert sorted(f1.coeffs) == [-3, -1, 1, 3] and sorted(f2.coeffs) != sorted(f1.coeffs)
+        g = make_grid(32, x.interval)
+        M = regularize_matrix(MatrixFourierFunction.diagonal([f1, f2]), g).data
+        assert M[0::2, 0::2].tobytes() == regularize_scalar(f1, g).data.tobytes()
+        assert M[1::2, 1::2].tobytes() == regularize_scalar(f2, g).data.tobytes()
+        assert not M[0::2, 1::2].any() and not M[1::2, 0::2].any()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_coefficient_rejected(self, bad):
