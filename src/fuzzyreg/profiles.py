@@ -11,15 +11,18 @@ builds.  Complex coefficients are handled by `ComplexProfile`, a pair of
 real profiles.
 
 Coefficient trees share nodes (a product of Fourier functions puts each
-factor's coefficients into several modes).  Inside `shared_evaluation`,
-which `regularize.regularize_matrix` opens per matrix and
-`fourier.MatrixFourierFunction` per evaluation, a spline, spline
-derivative, composed or `Shared` node runs once per q array, and nothing
-it computed outlives the block; the cheap nodes (sums, products, scalings,
-constants, polynomials) are walked as a tree.  `Shared` wraps a callable
-that is no profile: the string vertex's blend family (one call for every
-mode), a complex callable (`ComplexProfile.from_callable`) and the fold of
-a mirror pivot.
+factor's coefficients into several modes), and equal serialized splines
+load as one node with one derivative node.  Inside `shared_evaluation` a
+spline, spline derivative, composed or `Shared` node runs once per q array,
+and nothing it computed outlives the block; the cheap nodes (sums,
+products, scalings, constants, polynomials) are walked as a tree.
+`regularize.regularize_schedule` opens the block once per schedule of
+grids (`regularize_matrix` is its one-grid case),
+`fourier.MatrixFourierFunction` once per evaluation, and
+`ComplexProfile.__call__` once per call when no block is open.  `Shared`
+wraps a callable that is no profile: the string vertex's blend family (one
+call for every mode), a complex callable (`ComplexProfile.from_callable`)
+and the fold of a mirror pivot.
 
 All profiles accept scalars or numpy arrays and return numpy arrays of the
 broadcast shape.
@@ -28,6 +31,7 @@ broadcast shape.
 from __future__ import annotations
 
 import functools
+import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -220,6 +224,7 @@ class SplineProfile(Profile):
         t = (d[:-1] + d[1:] - 2 * slope) / dx
         # left knots over the coefficients of s^3 .. s^0 (0.0 + y as PPoly sums from +0.0)
         self._table = np.stack((x[:-1], t / dx, (slope - d[:-1]) / dx - t, d[:-1], y[:-1] + 0.0))
+        self._derivative = None
 
     @classmethod
     def pchip(cls, knots_x, knots_y):
@@ -247,7 +252,9 @@ class SplineProfile(Profile):
         return _ppoly(self.knots_x, self._table, _asfloat(q))
 
     def derivative(self):
-        return _SplineDerivativeProfile(self)
+        if self._derivative is None:  # one node, shared by every tree that differentiates self
+            self._derivative = _SplineDerivativeProfile(self)
+        return self._derivative
 
     def to_dict(self):
         return {
@@ -430,8 +437,14 @@ class CallableProfile(Profile):
         return f"CallableProfile({self.label or self.fn!r})"
 
 
+# (knots_x, knots_y, slopes) bytes -> the spline `profile_from_dict` loaded from them,
+# while any tree holds it: every load of an equal spline shares one node
+_splines = weakref.WeakValueDictionary()
+
+
 def profile_from_dict(d: dict) -> Profile:
-    """Inverse of `Profile.to_dict`.  Malformed input raises DomainError."""
+    """Inverse of `Profile.to_dict`; equal splines load as one node.  Malformed
+    input raises DomainError."""
     try:
         kind = d["kind"]
         if kind == "constant":
@@ -441,7 +454,11 @@ def profile_from_dict(d: dict) -> Profile:
         if kind == "poly":
             return PolyProfile(d["coeffs"])
         if kind == "cubic-spline":
-            return SplineProfile(d["knots_x"], d["knots_y"], d["slopes"])
+            arrays = [np.asarray(d[k], dtype=float) for k in ("knots_x", "knots_y", "slopes")]
+            key = tuple(a.tobytes() for a in arrays)
+            if (spline := _splines.get(key)) is None:
+                spline = _splines[key] = SplineProfile(*arrays)
+            return spline
         if kind == "composed":
             return ComposedProfile(profile_from_dict(d["outer"]), d["scale"], d["shift"])
         if kind == "sum":
@@ -486,7 +503,8 @@ class ComplexProfile:
     def from_callable(cls, fn, label: str = "") -> "ComplexProfile":
         """Wrap a vectorized complex callable of q.  Evaluation only.  Both parts
         read one `Shared` node, so fn runs once per q array inside
-        `shared_evaluation`, for the pair, its conjugate and its mirrors alike."""
+        `shared_evaluation` (which a direct call of the pair opens), for the
+        pair, its conjugate and its mirrors alike."""
         node = Shared(fn)
         return cls(CallableProfile(lambda q: np.real(node(q)), f"Re {label}"),
                    CallableProfile(lambda q: np.imag(node(q)), f"Im {label}"))
@@ -505,7 +523,13 @@ class ComplexProfile:
         return cls.from_const(value)
 
     def __call__(self, q):
-        return self.re(q) + 1j * self.im(q)
+        """re(q) + 1j im(q), inside a `shared_evaluation` of its own when none is
+        open, so the nodes both parts read (a `from_callable` pair's fn) run once."""
+        if _memo.get() is not None:
+            return self.re(q) + 1j * self.im(q)
+        with shared_evaluation():
+            qa = _asfloat(q)  # one array for both parts, so the memo matches it
+            return self.re(qa) + 1j * self.im(qa)
 
     def derivative(self) -> "ComplexProfile":
         return ComplexProfile(self.re.derivative(), self.im.derivative())

@@ -12,14 +12,17 @@ index (n*S + a, m*S + b).
 Grids q(n, m) are affine in (n, m): q(n,m) = c0 + cn*n + cm*m, 0-based, with
 q(0,0) = q1 and the formula reaching q2 at (N, N) (one step past the last
 stored index, so the stored diagonal values fill [q1, q2) from the left).
-`regularize_matrix` evaluates a matrix's coefficients on one q vector, the
-distinct arguments of the bands of all its entries (q(n, m) on a band does
-not depend on the entry), and gathers the bands back: not from the 2N - 1
-anti-diagonals, since on the vertex's (-1, 3) q(n, m) is not bitwise a
-function of n + m (40 of its 59 anti-diagonals hold several floats at N = 30).
-Coefficient trees share nodes (a bracket's modes all read the same spline
-nodes, and the vertex's x01 and x10 one blend family), and the shared nodes
-are evaluated once per q vector of a matrix.
+`regularize_schedule` regularizes functions on a schedule of grids and
+evaluates each function's coefficients on one q vector per schedule: the
+distinct arguments of the bands of all its entries on every grid (q(n, m)
+on a band does not depend on the entry), shared by the functions with the
+same bands.  It gathers each grid's bands back by the `np.unique` inverse:
+not from the 2N - 1 anti-diagonals, since on the vertex's (-1, 3) q(n, m) is
+not bitwise a function of n + m (40 of its 59 anti-diagonals hold several
+floats at N = 30).  Coefficient trees share nodes (a bracket's modes all
+read the same spline nodes, and the vertex's x01 and x10 one blend family),
+and the shared nodes are evaluated once per q vector.  `regularize_matrix`
+is its one-function, one-grid case.
 
 This module is the only one that writes a regularized coordinate or
 multiplies two: spaces that carry generator functions take their
@@ -37,6 +40,7 @@ need every entry: rendering, matrix I/O, BLAS and the Hermiticity checks.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,35 +187,72 @@ def regularize_scalar(f: FourierFunction, grid: DiscretizingGrid) -> FuzzyMatrix
 
 def regularize_matrix(F: MatrixFourierFunction, grid: DiscretizingGrid) -> FuzzyMatrix:
     """N*S x N*S matrix; block entry (a,b), band n, lands at (n*S+a, m*S+b),
-    on flat diagonal n*S + b - a, and only the diagonals are written.
+    on flat diagonal n*S + b - a, and only the diagonals are written: the
+    one-function, one-grid case of `regularize_schedule`.
 
-    The coefficients of all entries are evaluated on one q vector inside one
-    `profiles.shared_evaluation`, so each node the trees share, a coefficient
-    family (the string vertex's) included, is evaluated once per q vector of
-    a matrix.  Hermiticity is not checked here: the CLI checks transform
-    output (`cli._check_hermitian`), and `transforms.diagonalize_coordinate`
-    checks the coordinate it diagonalizes.
+    Hermiticity is not checked here: the CLI checks transform output
+    (`cli._check_hermitian`), and `transforms.diagonalize_coordinate` checks
+    the coordinate it diagonalizes.
     """
-    _check_same_interval(F, grid)
-    if F.cutoff >= grid.N:
-        raise DomainError(f"cutoff {F.cutoff} must stay below N = {grid.N}")
-    N, S = grid.N, F.S
-    entries = [(a, b, entry) for a, row in enumerate(F.entries) for b, entry in enumerate(row)]
-    offsets = tuple(sorted({band * S + b - a for a, b, entry in entries
-                            for band in entry.coeffs})) or (0,)
-    bands = np.zeros((N * S, offsets[-1] - offsets[0] + 1), dtype=complex)
-    rows = {band: np.arange(N - abs(band)) + max(0, -band)
-            for band in sorted({band for *_, entry in entries for band in entry.coeffs})}
-    band_qs = [grid.q(r, r + band) for band, r in rows.items()]
-    qs, where = np.unique(np.concatenate(band_qs or [[]]), return_inverse=True)
-    at = dict(zip(rows, np.split(where, np.cumsum([len(r) for r in rows.values()])[:-1])))
+    (M,) = next(regularize_schedule((F,), (grid,)))
+    return M
+
+
+def regularize_schedule(functions, grids) -> Iterator[tuple]:
+    """Yield, grid by grid, the tuple of the regularizations of `functions`
+    (MatrixFourierFunctions) on that grid; every pair is checked first.
+
+    Each function's coefficients are evaluated once, inside one
+    `profiles.shared_evaluation`, on the distinct q(n, m) of its own bands on
+    every grid.  Functions with the same bands share that vector; others get
+    their own (on the symmetric rule a pair's odd bands and its bracket's
+    even bands meet at no q, and one vector would double every walk).  A
+    grid's matrices are gathered by the `np.unique` inverse only when it is
+    reached, so a caller that drops them first holds one grid's at a time,
+    and the last grid's without the values.
+    """
+    functions, grids = tuple(functions), tuple(grids)
+    for grid in grids:
+        for F in functions:
+            _check_same_interval(F, grid)
+            if F.cutoff >= grid.N:
+                raise DomainError(f"cutoff {F.cutoff} must stay below N = {grid.N}")
+    keys = [tuple(sorted({band for row in F.entries for entry in row for band in entry.coeffs}))
+            for F in functions]
+    qs, at = {}, {}  # band set -> its q vector, and per grid {band: indices into it}
+    for key in dict.fromkeys(keys):
+        pieces = [grid.q(r, r + band) for grid in grids for band in key
+                  for r in [np.arange(grid.N - abs(band)) + max(0, -band)]]
+        qs[key], where = np.unique(np.concatenate(pieces or [[]]), return_inverse=True)
+        split = iter(np.split(where, np.cumsum([len(q) for q in pieces])[:-1]))
+        at[key] = [dict(zip(key, split)) for _ in grids]  # zip stops at key, taking len(key)
     with shared_evaluation():
-        for a, b, entry in entries:
-            for band in sorted(entry.coeffs):
-                vals = np.asarray(entry.coeffs[band](qs), complex)[at[band]]
+        values = [[[{band: np.asarray(c(qs[key]), complex) for band, c in entry.coeffs.items()}
+                    for entry in row] for row in F.entries] for F, key in zip(functions, keys)]
+    for g, grid in enumerate(grids):
+        matrices = tuple(_gathered(vals, grid, at[key][g]) for vals, key in zip(values, keys))
+        if g == len(grids) - 1:  # the caller's work on the last grid runs without them
+            del values, at
+        yield matrices
+        del matrices  # before the next grid's are gathered
+
+
+def _gathered(values, grid: DiscretizingGrid, at) -> FuzzyMatrix:
+    """The matrix on `grid` whose entry (a, b), band n, reads values[a][b][n]
+    at the indices at[n]; its arrays are not held by the schedule's frame."""
+    N, S = grid.N, len(values)
+    offsets = tuple(sorted({band * S + b - a for a, row in enumerate(values)
+                            for b, entry in enumerate(row) for band in entry})) or (0,)
+    bands = np.zeros((N * S, offsets[-1] - offsets[0] + 1), dtype=complex)
+    for a, row in enumerate(values):
+        for b, entry in enumerate(row):
+            for band in sorted(entry):
+                vals = entry[band][at[band]]
                 if not np.all(np.isfinite(vals)):
                     raise DomainError(f"coefficient of band {band} is not finite on the grid")
-                bands[rows[band] * S + a, band * S + b - a - offsets[0]] = vals
+                # block rows max(0, -band) .. N - max(0, band) - 1, entry row a of each
+                rows = slice(max(0, -band) * S + a, (N - max(0, band)) * S, S)
+                bands[rows, band * S + b - a - offsets[0]] = vals
     return FuzzyMatrix._banded(bands, offsets, N, S)
 
 
@@ -317,17 +358,23 @@ def lincomb(*terms) -> FuzzyMatrix:
 
     Evaluated left to right as the dense expression is, cell for cell: a
     first coefficient of 1 takes M as it is, and a later 1 or -1 adds or
-    subtracts M without multiplying.
+    subtracts M without multiplying.  A term stored on the union's range is
+    read in place, and copied only to start the sum; a narrower one is
+    widened with +0 first, so that, as in the dense sum, a -0 it meets
+    outside its diagonals turns +0.
     """
     N, S = _layout(*(M for _, M in terms))
     offsets = tuple(sorted({o for _, M in terms for o in M.offsets}))
+    width = offsets[-1] - offsets[0] + 1
     acc = None
     for c, M in terms:
-        band = np.zeros((N * S, offsets[-1] - offsets[0] + 1), dtype=complex)
-        start = M.offsets[0] - offsets[0]
-        band[:, start : start + M.bands.shape[1]] = M.bands
+        band = M.bands  # read-only
+        if M.offsets[0] != offsets[0] or band.shape[1] != width:
+            band = np.zeros((N * S, width), dtype=complex)
+            start = M.offsets[0] - offsets[0]
+            band[:, start : start + M.bands.shape[1]] = M.bands
         if acc is None:
-            acc = band if c == 1 else c * band
+            acc = c * band if c != 1 else band if band.flags.writeable else band.copy()
         elif c == 1:
             acc += band
         elif c == -1:

@@ -29,7 +29,7 @@ from .regularize import (
     lincomb,
     make_grid,
     product,
-    regularize_scalar,
+    regularize_schedule,
     within_border_norm,
 )
 
@@ -189,31 +189,31 @@ def check_norm_convergence(builder, Ns, delta, label=None) -> SweepReport:
                    fitted_order=None, extras={"diffs": tuple(diffs)})
 
 
-def _residual_norm(f, g, rule, N, delta, residual) -> float:
-    """Within-border norm of residual(grid, Q(f), Q(g)) at size N."""
-    grid = make_grid(N, f.interval, rule)
-    Qf, Qg = regularize_scalar(f, grid), regularize_scalar(g, grid)
-    return within_border_norm(residual(grid, Qf, Qg), delta)
-
-
-def _first_order_sweep(kind, f, g, rule, Ns, delta, label, residual, scaling_note=""):
-    """`_residual_norm` over the schedule, judged for first-order decay;
-    delta defaults to the summed cutoffs."""
+def _first_order_sweep(kind, f, g, target, rule, Ns, delta, label, residual, scaling_note=""):
+    """Within-border norms of residual(grid, Q(f), Q(g), Q(target)) over the
+    schedule, judged for first-order decay; delta defaults to the summed
+    cutoffs.  The target function is built once per sweep, and the three
+    matrices of every size come from one `regularize_schedule` call, one
+    size at a time."""
     delta = f.cutoff + g.cutoff if delta is None else int(delta)
     Ns = _schedule(Ns)
-    values = [_residual_norm(f, g, rule, n, delta, residual) for n in Ns]
+    grids = [make_grid(n, f.interval, rule) for n in Ns]
+    sizes = regularize_schedule([MatrixFourierFunction.from_scalar(h) for h in (f, g, target(f, g))],
+                                grids)
+    values = [within_border_norm(residual(grid, *next(sizes)), delta) for grid in grids]
     verdicts = _ratio_verdicts(Ns, values, FIRST_ORDER_RATIO)
     return _report(str(label or kind), f"{kind}-convergence", Ns, values, delta, verdicts,
                    scaling_note=scaling_note)
 
 
 def check_product_convergence(f, g, rule="symmetric", Ns=(16, 32, 64), delta=None, label=None) -> SweepReport:
-    """Within-border norm of Q(f)Q(g) - Q(fg); first-order decay expected."""
+    """Within-border norm of Q(f)Q(g) - Q(fg); first-order decay expected.
+    fg is built once and regularized with f and g, size by size."""
 
-    def residual(grid, Qf, Qg):
-        return lincomb((1, product(Qf, Qg)), (-1, regularize_scalar(mul(f, g), grid)))
+    def residual(grid, Qf, Qg, Qfg):
+        return lincomb((1, product(Qf, Qg)), (-1, Qfg))
 
-    return _first_order_sweep("product", f, g, rule, Ns, delta, label, residual)
+    return _first_order_sweep("product", f, g, mul, rule, Ns, delta, label, residual)
 
 
 def check_poisson_convergence(f, g, rule="symmetric", Ns=(16, 32, 64), delta=None, label=None) -> SweepReport:
@@ -222,16 +222,15 @@ def check_poisson_convergence(f, g, rule="symmetric", Ns=(16, 32, 64), delta=Non
     The commutator of regularizations carries the bracket at order 1/N with
     prefactor -i (superdiagonal convention for e^{i phi}), so the rescaled
     combination above converges to zero; s(N) = N / (beta_left + beta_right).
+    {f, g} is built once and regularized with f and g, size by size.
     """
 
-    def residual(grid, Qf, Qg):
-        comm = commutator(Qf, Qg)
+    def residual(grid, Qf, Qg, Qbracket):
         s = grid.N / (grid.beta_left + grid.beta_right)
-        target = regularize_scalar(poisson_bracket(f, g), grid)
-        return lincomb((1j * s, comm), (-1, target))
+        return lincomb((1j * s, commutator(Qf, Qg)), (-1, Qbracket))
 
     return _first_order_sweep(
-        "poisson", f, g, rule, Ns, delta, label, residual,
+        "poisson", f, g, poisson_bracket, rule, Ns, delta, label, residual,
         scaling_note="s(N) = N/(beta_left+beta_right), bracket carried with -i/s(N)",
     )
 
@@ -240,17 +239,15 @@ def semiclassical_residual(f, g, rule="symmetric", N=64, delta=None) -> float:
     """Norm of Q(f)Q(g) - Q(fg) - correction, where the correction is the
     exact first-order term -(i/N) Q(beta_l f_phi g_q - beta_r f_q g_phi)
     (equal to -(i beta/N) Q({f, g}) on symmetric grids).  Second-order small
-    for smooth coefficient profiles."""
-
-    def residual(grid, Qf, Qg):
-        Qfg = regularize_scalar(mul(f, g), grid)
-        corr_fn = (mul(f.d_phi(), g.d_q()) * grid.beta_left
-                   - mul(f.d_q(), g.d_phi()) * grid.beta_right)
-        Qcorr = regularize_scalar(corr_fn, grid)
-        return lincomb((1, product(Qf, Qg)), (-1, Qfg), (1j / grid.N, Qcorr))
-
+    for smooth coefficient profiles.  The four matrices come from one
+    `regularize_schedule` call on the one grid."""
     delta = f.cutoff + g.cutoff if delta is None else int(delta)
-    return _residual_norm(f, g, rule, int(N), delta, residual)
+    grid = make_grid(int(N), f.interval, rule)
+    corr = mul(f.d_phi(), g.d_q()) * grid.beta_left - mul(f.d_q(), g.d_phi()) * grid.beta_right
+    fns = [MatrixFourierFunction.from_scalar(h) for h in (f, g, mul(f, g), corr)]
+    Qf, Qg, Qfg, Qcorr = next(regularize_schedule(fns, [grid]))
+    residual = lincomb((1, product(Qf, Qg)), (-1, Qfg), (1j / grid.N, Qcorr))
+    return within_border_norm(residual, delta)
 
 
 def check_commutator_decay(space_builder, Ns, delta=5, label=None) -> SweepReport:

@@ -247,6 +247,21 @@ def test_lincomb_matches_the_dense_expression(name):
         assert set(got.offsets) == set().union(*(M.offsets for _, M in terms))
 
 
+def test_lincomb_reads_terms_in_place_and_keeps_signed_zeros():
+    # a term on the union's range starts the sum as a copy; -0 + -0 stays -0
+    # there, and -0 + +0 turns +0 where only a wider term has diagonals
+    N, nz = 6, complex(-0.0, -0.0)
+    W = FuzzyMatrix._banded(np.array([[nz, nz, complex(-0.0, 1.0)]] * N), (-1, 0, 1), N, 1)
+    narrow = FuzzyMatrix._banded(np.full((N, 1), nz), (0,), N, 1)
+    before = W.bands.tobytes()
+    for terms in [((1, W), (1, W)), ((1, W), (-1, narrow)), ((1, narrow), (1, W)),
+                  ((-1, W), (1, W))]:
+        got = lincomb(*terms)
+        assert_bitwise(got.data, dense_lincomb(*((c, M.data) for c, M in terms)))
+        assert not any(np.shares_memory(got.bands, M.bands) for _, M in terms)
+    assert W.bands.tobytes() == before
+
+
 @pytest.mark.parametrize("delta", [0, 1, 2, 3])
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_border_norms_match_the_dense_block(name, delta):

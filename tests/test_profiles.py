@@ -1,5 +1,7 @@
 """Profile primitives: evaluation, calculus, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from fuzzyreg.profiles import (
     MirrorProfile,
     PolyProfile,
     SplineProfile,
+    _memo,
     as_profile,
     profile_from_dict,
     shared_evaluation,
@@ -204,6 +207,19 @@ class TestSerialization:
         with pytest.raises(DomainError):
             profile_from_dict(bad)
 
+    def test_equal_splines_load_as_one_node(self):
+        d = smooth_step().to_dict()
+        one, two = profile_from_dict(d), profile_from_dict(json.loads(json.dumps(d)))
+        assert one is two
+        assert one.derivative() is two.derivative()
+        pair = profile_from_dict({"kind": "sum", "terms": [d, {"kind": "scaled", "factor": 0.5, "base": d}]})
+        assert pair.terms[0] is pair.terms[1].base is one
+        # keyed by bytes: another slope, or the other sign of a zero, is another spline
+        for k, v in (("slopes", 0.5), ("knots_y", -0.0)):
+            other = dict(d, **{k: [v] + d[k][1:]})
+            assert profile_from_dict(other) is not one
+            assert profile_from_dict(other).to_dict() == other
+
     def test_complex_profile_needs_both_parts(self):
         with pytest.raises(DomainError):
             ComplexProfile.from_dict({"re": {"kind": "constant", "value": 1.0}})
@@ -304,6 +320,14 @@ class TestFromCallable:
         pair = ComplexProfile(CallableProfile(lambda q: self.RE[q.astype(int)]),
                               CallableProfile(lambda q: self.IM[q.astype(int)]))
         assert got.tobytes() == pair(qs).tobytes()
+
+    def test_call_outside_a_memo_calls_once(self):
+        c, calls = self.make()
+        qs = np.arange(6.0)
+        got = c(qs)
+        assert len(calls) == 1
+        assert _memo.get() is None
+        assert got.tobytes() == (c.re(qs) + 1j * c.im(qs)).tobytes()
 
     def test_conjugate_is_bitwise_and_calls_once(self):
         c, calls = self.make()

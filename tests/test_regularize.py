@@ -1,17 +1,21 @@
 """Grids, the regularization map, Toeplitz pieces, border norms."""
 
 import gc
+import json
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fuzzyreg import profiles
+from fuzzyreg import profiles, regularize
 from fuzzyreg.errors import DomainError, StructureError
-from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction, poisson_bracket
+from fuzzyreg.cli import function_from_config
+from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction, mul, poisson_bracket
 from fuzzyreg.interpolate import VertexParams, build_string_vertex
 from fuzzyreg.profiles import (
     AffineProfile,
+    CallableProfile,
     ComplexProfile,
     ComposedProfile,
     SplineProfile,
@@ -27,12 +31,15 @@ from fuzzyreg.regularize import (
     make_grid,
     regularize_matrix,
     regularize_scalar,
+    regularize_schedule,
     toeplitz_basis,
     within_border_norm,
 )
 from fuzzyreg.spaces import build_circle_to_eight, circle_to_eight_functions
+from fuzzyreg.verify import check_poisson_convergence
 
 IV = (0.0, 1.0)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestMakeGrid:
@@ -185,22 +192,52 @@ def _spline_evaluations(profile, out):
     return out
 
 
+def _counted_ppoly(monkeypatch):
+    calls = []
+    monkeypatch.setattr(profiles, "_ppoly", lambda *a: calls.append(a) or _ppoly(*a))
+    return calls
+
+
+def _distinct_spline_nodes(F: FourierFunction) -> int:
+    met = []
+    for c in F.coeffs.values():
+        _spline_evaluations(c.re, met)
+        _spline_evaluations(c.im, met)
+    assert len({id(node) for node in met}) < len(met)  # the trees share nodes
+    return len({id(node) for node in met})
+
+
 class TestSharedEvaluation:
-    """regularize_matrix evaluates the nodes its coefficient trees share once per q vector."""
+    """regularize_schedule evaluates the nodes its coefficient trees share once
+    per q vector, and one q vector serves a function's whole schedule."""
 
     @pytest.mark.parametrize("transition", [{}, {"transition_scale": 2.0, "transition_shift": 0.5}])
     def test_one_spline_call_per_distinct_node(self, monkeypatch, transition):
         bracket = _eight_bracket(**transition)
-        met = []
-        for c in bracket.coeffs.values():
-            _spline_evaluations(c.re, met)
-            _spline_evaluations(c.im, met)
-        distinct = len({id(node) for node in met})
-        assert distinct < len(met)  # the trees share nodes
-        calls = []
-        monkeypatch.setattr(profiles, "_ppoly", lambda *a: calls.append(a) or _ppoly(*a))
+        distinct = _distinct_spline_nodes(bracket)
+        calls = _counted_ppoly(monkeypatch)
         regularize_scalar(bracket, make_grid(64, bracket.interval))
         assert len(calls) == distinct  # the bracket's one entry has one q vector
+
+    @pytest.mark.parametrize("transition", [{}, {"transition_scale": 2.0, "transition_shift": 0.5}])
+    def test_one_spline_call_per_distinct_node_per_schedule(self, monkeypatch, transition):
+        bracket = _eight_bracket(**transition)
+        distinct = _distinct_spline_nodes(bracket)
+        calls = _counted_ppoly(monkeypatch)
+        grids = [make_grid(n, bracket.interval) for n in (16, 32, 64, 128)]
+        sizes = list(regularize_schedule([MatrixFourierFunction.from_scalar(bracket)], grids))
+        assert len(sizes) == len(grids)
+        assert len(calls) == distinct  # not per size
+
+    def test_a_loaded_poisson_sweep_runs_one_call_per_table_and_q_vector(self, monkeypatch):
+        # every spline of the config is the transition h: f and g load one node,
+        # the bracket reads it and its derivative on the vector of its even bands
+        cfg = json.loads((CONFIGS / "eight_poisson.json").read_text())["sweep"]
+        f, g = function_from_config(cfg["f"]), function_from_config(cfg["g"])
+        calls = _counted_ppoly(monkeypatch)
+        check_poisson_convergence(f, g, Ns=cfg["schedule"])
+        assert len(calls) == 3
+        assert len({(x.tobytes(), t.tobytes(), id(q)) for x, t, q in calls}) == 3
 
     def test_bands_equal_a_reference_evaluated_outside(self):
         bracket = _eight_bracket(transition_scale=2.0, transition_shift=0.5)
@@ -213,11 +250,17 @@ class TestSharedEvaluation:
 
     def test_no_memo_outlives_the_call(self, monkeypatch):
         bracket = _eight_bracket(transition_scale=2.0, transition_shift=0.5)
+        grids = [make_grid(n, bracket.interval) for n in (32, 64)]
         seen = []
         monkeypatch.setattr(profiles, "_ppoly", lambda x, t, q: seen.append(weakref.ref(q)) or _ppoly(x, t, q))
-        regularize_scalar(bracket, make_grid(64, bracket.interval))
+        regularize_scalar(bracket, grids[-1])
+        sizes = regularize_schedule([MatrixFourierFunction.from_scalar(bracket)], grids)
+        next(sizes)
+        assert profiles._memo.get() is None  # none is open between the sizes
+        list(sizes)
         gc.collect()
-        assert seen and all(ref() is None for ref in seen)
+        assert len(seen) == 2 * _distinct_spline_nodes(bracket)
+        assert all(ref() is None for ref in seen)
 
     def test_a_node_rereads_an_array_changed_in_place(self):
         h = smooth_step()
@@ -226,6 +269,83 @@ class TestSharedEvaluation:
             node(q)
             q[:] = [0.5, -0.25, 0.75]
             assert node(q).tobytes() == node(q.copy()).tobytes()
+
+
+class TestSchedule:
+    """regularize_schedule against regularize_matrix run alone, size by size."""
+
+    @pytest.mark.parametrize("rule", ["symmetric", "left"])
+    def test_every_matrix_is_bitwise_the_one_regularized_alone(self, rule):
+        x, y, _ = circle_to_eight_functions(transition_scale=2.0, transition_shift=0.5)
+        fns = [MatrixFourierFunction.from_scalar(h)
+               for h in (x, y, poisson_bracket(x, y), mul(x, y))]
+        grids = [make_grid(n, x.interval, rule) for n in (16, 24, 64, 128)]
+        sizes = list(regularize_schedule(fns, grids))
+        assert len(sizes) == len(grids)
+        for grid, matrices in zip(grids, sizes):
+            assert len(matrices) == len(fns)
+            for F, M in zip(fns, matrices):
+                alone = regularize_matrix(F, grid)
+                assert M.offsets == alone.offsets
+                assert M.bands.tobytes() == alone.bands.tobytes()
+
+    def test_matrix_functions_of_several_band_sets(self):
+        v = build_string_vertex(VertexParams(N=12))
+        grids = [make_grid(n, v.grid.interval) for n in (12, 20)]
+        for grid, matrices in zip(grids, regularize_schedule(v.generators, grids)):
+            for F, M in zip(v.generators, matrices):
+                alone = regularize_matrix(F, grid)
+                assert (M.offsets, M.bands.tobytes()) == (alone.offsets, alone.bands.tobytes())
+
+    def test_one_size_is_held_at_a_time(self, monkeypatch):
+        # the caller drops each size before asking for the next, and works on
+        # the last one after the coefficient values are freed
+        gathered, call = regularize._gathered, ComplexProfile.__call__
+        sizes_alive, values = [], []
+        monkeypatch.setattr(regularize, "_gathered", lambda *a: sizes_alive.append(
+            [r() is not None for r in bands]) or gathered(*a))
+        monkeypatch.setattr(ComplexProfile, "__call__", lambda c, q: values.append(
+            weakref.ref(v := call(c, q))) or v)
+        f = FourierFunction(IV, {-1: AffineProfile(0.0, 1.0), 1: AffineProfile(0.0, 1.0)})
+        sizes = regularize_schedule([MatrixFourierFunction.from_scalar(f)],
+                                    [make_grid(n, IV) for n in (8, 16, 32)])
+        bands = []
+        for n in (8, 16, 32):
+            (M,) = next(sizes)
+            assert M.N == n
+            assert [r() is not None for r in values] == [n < 32] * 2
+            bands.append(weakref.ref(M.bands))
+            del M
+        assert sizes_alive == [[], [False], [False, False]]
+
+    def test_a_cutoff_at_the_smallest_size_is_refused_before_evaluation(self, monkeypatch):
+        x, y, _ = circle_to_eight_functions()
+        bracket = poisson_bracket(x, y)  # cutoff 6
+        calls = _counted_ppoly(monkeypatch)
+        grids = [make_grid(n, x.interval) for n in (6, 64)]
+        fns = [MatrixFourierFunction.from_scalar(h) for h in (x, bracket)]
+        with pytest.raises(DomainError, match=r"^cutoff 6 must stay below N = 6$"):
+            next(regularize_schedule(fns, grids))
+        assert calls == []
+
+    def test_an_interval_mismatch_is_refused_before_evaluation(self, monkeypatch):
+        x, _, _ = circle_to_eight_functions()
+        calls = _counted_ppoly(monkeypatch)
+        grids = [make_grid(16, x.interval), make_grid(32, (-1.0, 2.0))]
+        with pytest.raises(DomainError, match=r"^interval mismatch: \(-1.0, 1.0\) vs \(-1.0, 2.0\)$"):
+            next(regularize_schedule([MatrixFourierFunction.from_scalar(x)], grids))
+        assert calls == []
+
+    def test_a_value_not_finite_on_one_grid_names_its_band(self):
+        # q = (2r + 1)/16 on the N = 8 symmetric grid, a multiple of 1/8 on N = 4
+        odd = CallableProfile(lambda q: np.where(np.round(q * 16) % 2 == 1, np.nan, q))
+        f = FourierFunction(IV, {0: 1.0, 1: ComplexProfile(odd)})
+        sizes = regularize_schedule([MatrixFourierFunction.from_scalar(f)],
+                                    [make_grid(4, IV), make_grid(8, IV)])
+        (first,) = next(sizes)
+        assert np.all(np.isfinite(first.bands))
+        with pytest.raises(DomainError, match=r"^coefficient of band 1 is not finite on the grid$"):
+            next(sizes)
 
 
 class TestToeplitzBasis:
