@@ -94,13 +94,8 @@ def make_profile(mode: str = "explicit-spline", q2: float = 1.0,
 def _table_values(table, q):
     """Evaluate a mode table {n: value} at q; values may be numbers,
     Profiles, ComplexProfiles, or vectorized callables."""
-    out = {}
-    for n, v in table.items():
-        if callable(v):
-            out[int(n)] = np.asarray(v(q), dtype=complex)
-        else:
-            out[int(n)] = np.asarray(complex(v) + 0.0 * np.asarray(q, float), dtype=complex)
-    return out
+    return {int(n): np.asarray(v(q) if callable(v) else complex(v) + 0.0 * np.asarray(q, float),
+                               dtype=complex) for n, v in table.items()}
 
 
 def interp_fourier_coeff(f1_table, f2_table, profile: InterpolationProfile, m, q):
@@ -124,10 +119,12 @@ def interp_fourier_coeff(f1_table, f2_table, profile: InterpolationProfile, m, q
     f2_table[m] at alpha = 0.
 
     The tables, profiles, theta f_n, phases and sinc factors are evaluated once
-    per call; each mode is summed in table order, whatever modes come with it.
+    per call, and the loop runs over table terms with the modes on a leading
+    axis; each element still adds ((theta f_n (-1)^(n-m)) e^{...}) sinc term by
+    term, in table order, to a +0 start, bit for bit the sum of a lone mode.
     """
     q = np.asarray(q, dtype=float)
-    modes = [int(k) for k in np.atleast_1d(m)]
+    modes = np.array([int(k) for k in np.atleast_1d(m)])
     a = np.asarray(profile.alpha(q), float)
     t1 = np.asarray(profile.theta1(q), float)
     t2 = np.asarray(profile.theta2(q), float)
@@ -136,14 +133,13 @@ def interp_fourier_coeff(f1_table, f2_table, profile: InterpolationProfile, m, q
              for n, val in _table_values(f1_table, q).items()]
     terms += [(n, 0, t2 * val, np.exp(1j * np.pi * a * n))
               for n, val in _table_values(f2_table, q).items()]
-    args = {n - k + off for k in modes for n, off, _, _ in terms}
-    sincs = {arg: np.sinc(arg + a) for arg in args}
     out = np.zeros((len(modes),) + np.broadcast(q, a).shape, dtype=complex)
-    for i, k in enumerate(modes):
-        acc = out[i]
-        for n, off, tv, phase in terms:
-            acc = acc + tv * ((-1.0) ** (n - k)) * phase * sincs[n - k + off]
-        out[i] = acc
+    lead = (slice(None),) + (None,) * (out.ndim - 1)  # a per-mode vector along the mode axis
+    args = np.array(sorted({n - k + off for n, off, _, _ in terms for k in modes.tolist()}))
+    sincs = np.sinc(args[lead] + a)
+    for n, off, tv, phase in terms:
+        sign = ((-1.0) ** (n - modes))[lead]
+        out = out + tv * sign * phase * sincs[np.searchsorted(args, n - modes + off)]
     return out if np.ndim(m) else out[0]
 
 

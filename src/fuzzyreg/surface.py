@@ -7,7 +7,10 @@ The work is done on whole sample arrays: coefficients are evaluated once per
 q, and every sample that needs an eigenbasis goes into one batched `eigh`.
 
 Only makes sense when the coordinate functions commute to good accuracy as
-matrix functions; the export refuses otherwise.
+matrix functions; the export refuses otherwise.  The probe takes each sample's
+norm of [F, G] from one batched `eigvalsh` of Gram matrices, each sample scaled by
+its largest |entry| (`verify.pointwise_commutator_sup`).  The CSV holds the sheet as
+an integer and the other cells to 10 significant digits, one %-format per row.
 """
 
 from __future__ import annotations
@@ -98,8 +101,5 @@ def export_classical_surface(coords: Sequence[MatrixFourierFunction],
 
 
 def surface_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [f"{int(row[0])}"] + [f"{v:.10g}" for v in row[1:]]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    fmt = "%d" + ",%.10g" * (len(header) - 1)
+    return "\n".join([",".join(header)] + [fmt % row for row in rows]) + "\n"

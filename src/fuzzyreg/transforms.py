@@ -98,11 +98,19 @@ def block_transform(M: FuzzyMatrix, U: SmallUnitary, n0: int) -> FuzzyMatrix:
     n0 = int(n0)
     if not 0 <= n0 <= N:
         raise StructureError(f"block split {n0} outside 0..{N}")
-    V = np.eye(M.dim, dtype=complex)
-    if n0 < N:
-        V[n0 * S :, n0 * S :] = np.kron(np.eye(N - n0), U.matrix)
-    return product(product(FuzzyMatrix(V.conj().T, N, S), FuzzyMatrix(M.data, N, S)),
-                   FuzzyMatrix(V, N, S))
+
+    def block_diagonal(W):  # W[a, b] at row nS + a, column b - a + S - 1, for the blocks n >= n0
+        bands = np.zeros((M.dim, 2 * S - 1), dtype=complex)  # diagonals -(S-1)..S-1
+        bands[: n0 * S, S - 1] = 1.0
+        a, b = np.indices((S, S))
+        bands[n0 * S :].reshape(N - n0, S, 2 * S - 1)[:, a, b - a + S - 1] = W
+        kept = np.flatnonzero(bands.any(axis=0))  # the diagonals a dense scan of V records
+        offsets = tuple((kept - S + 1).tolist())
+        return FuzzyMatrix._banded(bands[:, kept[0] : kept[-1] + 1], offsets, N, S)
+
+    if (M.N, M.S) != (N, S):  # the result keeps U's block layout
+        M = FuzzyMatrix._banded(M.bands, M.offsets, N, S)
+    return product(product(block_diagonal(U.matrix.conj().T), M), block_diagonal(U.matrix))
 
 
 _ENTRYWISE = ("poly", "reciprocal-diag")

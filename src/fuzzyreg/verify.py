@@ -289,8 +289,14 @@ def sample_on_grid(functions, shape):
 
 
 def pointwise_commutator_sup(FV: np.ndarray, GV: np.ndarray) -> float:
-    """Sup of the operator norm of FV GV - GV FV over stacked samples."""
-    return float(np.max(np.linalg.svd(FV @ GV - GV @ FV, compute_uv=False)))
+    """Sup over stacked samples of the largest singular value of C = FV GV - GV FV, taken as
+    sqrt(lambda_max(C^H C)) by one batched `eigvalsh` (for any C), each sample divided first
+    by its largest |entry| (an all-zero one by 1) so that C^H C neither underflows nor overflows."""
+    C = np.einsum("...ij,...jk->...ik", FV, GV) - np.einsum("...ij,...jk->...ik", GV, FV)
+    scale = np.max(np.abs(C), axis=(-2, -1))
+    C = C / np.where(scale > 0, scale, 1.0)[..., None, None]
+    lam = np.linalg.eigvalsh(np.einsum("...ji,...jk->...ik", C.conj(), C))[..., -1]
+    return float(np.max(scale * np.sqrt(np.maximum(lam, 0.0))))
 
 
 def matrix_fn_commutator_sup(F: MatrixFourierFunction, G: MatrixFourierFunction, samples=64) -> float:

@@ -8,7 +8,8 @@ vertex tests compare against independent code paths, and
 and band by band.  `interpolated_angle_function` is the blended angular
 function itself, the quadrature reference for the blend's mode
 coefficients.  `oracle_matrices` holds the matrices the SVG and CSV
-writers are byte-compared on.
+writers are byte-compared on, and `surface_csv_reference` the surface CSV
+formatted cell by cell.
 """
 
 import numpy as np
@@ -188,3 +189,13 @@ def dense_lincomb(*terms):
         else:
             acc = acc + c * A
     return acc
+
+
+def surface_csv_reference(header, rows):
+    """The surface CSV with one f-string per cell: the sheet as int, every
+    other value at 10 significant digits."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = [f"{int(row[0])}"] + [f"{v:.10g}" for v in row[1:]]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"

@@ -7,11 +7,13 @@ import pytest
 
 from fuzzyreg.errors import CapabilityError, DomainError
 from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction
-from fuzzyreg.interpolate import VertexParams, build_string_vertex
+from fuzzyreg.interpolate import VertexParams, build_string_vertex, make_profile
 from fuzzyreg.profiles import AffineProfile
 from fuzzyreg.spaces import DoubleCylinderSpec, circle_to_eight_functions
 from fuzzyreg.surface import check_commutation, export_classical_surface, surface_csv
 from fuzzyreg.verify import matrix_fn_commutator_sup
+
+from refs import surface_csv_reference
 
 IV = (-1.0, 3.0)
 
@@ -193,3 +195,17 @@ class TestCsv:
         lines = surface_csv(header, rows).splitlines()
         assert len(lines) == len(rows) + 1
         assert lines[0].startswith("sheet,")
+
+    def test_matches_the_per_cell_formatter_on_edge_values(self):
+        header = ["sheet", "q", "phi", "x1", "x2", "offdiag"]
+        rows = [(0.0, -0.0, 5e-324, 1e300, -1.5, 0.0),
+                (1.0, 2.0, -3.0, 1e16, -1e-300, 123456789012.0),
+                (-0.0, 0.1, 1.0 / 3.0, -2.5e-7, 1e22, 4.0)]
+        assert surface_csv(header, rows) == surface_csv_reference(header, rows)
+        assert surface_csv(header, []) == surface_csv_reference(header, [])
+
+    @pytest.mark.parametrize("mode", ["explicit-spline", "derived-lambda"])
+    def test_matches_the_per_cell_formatter_on_the_vertex(self, mode):
+        gens = build_string_vertex(VertexParams(N=8, profile=make_profile(mode))).generators
+        header, rows = export_classical_surface(gens, grid=(17, 16), bound=2.0)
+        assert surface_csv(header, rows) == surface_csv_reference(header, rows)

@@ -5,7 +5,7 @@ import pytest
 
 from fuzzyreg.errors import CapabilityError, DomainError, StructureError
 from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction
-from fuzzyreg.interpolate import VertexParams, build_string_vertex, mirror_concat
+from fuzzyreg.interpolate import VertexParams, build_string_vertex, make_profile, mirror_concat
 from fuzzyreg.profiles import AffineProfile, CallableProfile, ComplexProfile
 from fuzzyreg.regularize import (
     FuzzyMatrix,
@@ -179,6 +179,25 @@ class TestBlockTransform:
         M = random_fuzzy(rng, 4, S=2)
         with pytest.raises(StructureError):
             block_transform(M, interlacing_unitary(), 5)
+
+    @pytest.mark.parametrize("mode", ["explicit-spline", "derived-lambda"])
+    @pytest.mark.parametrize("N", [8, 30, 64, 256])
+    def test_banded_unitary_matches_the_dense_construction_bitwise(self, mode, N):
+        # V as the dense identity with U on the blocks n0..N-1, and M re-wrapped
+        # from its dense view: the construction the banded V replaces
+        def dense_reference(M, U, n0):
+            V = np.eye(M.dim, dtype=complex)
+            V[2 * n0 :, 2 * n0 :] = np.kron(np.eye(N - n0), U.matrix)
+            return product(product(FuzzyMatrix(V.conj().T, N, 2), FuzzyMatrix(M.data, N, 2)),
+                           FuzzyMatrix(V, N, 2))
+
+        space = build_string_vertex(VertexParams(N=N, profile=make_profile(mode)))
+        U = interlacing_unitary()
+        for n0 in sorted({0, 1, N // 2, N - 1, N}):
+            for M in space.coordinates:
+                got, want = block_transform(M, U, n0), dense_reference(M, U, n0)
+                assert (got.N, got.S) == (want.N, want.S)
+                assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
 
     def test_junction_value_picks_up_sqrt_two(self):
         spec = GraphVertexSpec(dim=12, n0=4, r_junction=0.7)

@@ -25,6 +25,7 @@ from fuzzyreg.verify import (
     check_poisson_convergence,
     check_product_convergence,
     matrix_fn_commutator_sup,
+    pointwise_commutator_sup,
     semiclassical_residual,
 )
 
@@ -376,3 +377,43 @@ class TestMatrixCommutatorSup:
             F.matmul(far)
         with pytest.raises(DomainError):
             matrix_fn_commutator_sup(F, far)
+
+
+def svd_sup(FV, GV):
+    """The probe's reference: the largest singular value over every sample."""
+    return float(np.max(np.linalg.svd(FV @ GV - GV @ FV, compute_uv=False)))
+
+
+def random_stacks(seed, S, shape=(6, 5)):
+    rng = np.random.default_rng(seed)
+    return tuple(rng.normal(size=shape + (S, S)) + 1j * rng.normal(size=shape + (S, S))
+                 for _ in range(2))
+
+
+class TestPointwiseCommutatorSup:
+    """sqrt(lambda_max(C^H C)) from the per-sample scaled Gram matrix, against
+    the largest singular value of C = FV GV - GV FV."""
+
+    @pytest.mark.parametrize("S", [1, 2, 3])
+    def test_matches_the_svd_on_non_hermitian_stacks(self, S):
+        FV, GV = random_stacks(S, S)
+        assert pointwise_commutator_sup(FV, GV) == pytest.approx(svd_sup(FV, GV), rel=1e-12, abs=0)
+        for F, G in zip(FV.reshape(-1, S, S), GV.reshape(-1, S, S)):  # one unstacked sample
+            assert pointwise_commutator_sup(F, G) == pytest.approx(svd_sup(F, G), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("S", [1, 2, 3])
+    def test_all_zero_samples(self, S):
+        FV, GV = random_stacks(10 + S, S)
+        FV[::2] = 0.0  # every other row of samples commutes exactly
+        assert pointwise_commutator_sup(FV, GV) == pytest.approx(svd_sup(FV, GV), rel=1e-12, abs=0)
+        assert pointwise_commutator_sup(np.zeros_like(FV), GV) == 0.0
+        assert pointwise_commutator_sup(GV, GV) == 0.0
+
+    @pytest.mark.parametrize("S", [2, 3])
+    @pytest.mark.parametrize("scale", [1e-200, 1e-150, 1e150, 1e200])
+    def test_extreme_magnitudes_neither_underflow_nor_overflow(self, S, scale):
+        # C scales with FV; at 1e+-200 the unscaled C^H C would leave the float range
+        FV, GV = random_stacks(20 + S, S)
+        want = svd_sup(FV * scale, GV)
+        assert want == pytest.approx(svd_sup(FV, GV) * scale, rel=1e-12)
+        assert pointwise_commutator_sup(FV * scale, GV) == pytest.approx(want, rel=1e-12, abs=0)
