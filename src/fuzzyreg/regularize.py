@@ -33,7 +33,8 @@ writes them, `product` and `lincomb` read and write them, and the
 within-border norms mask the border on them, so a sweep holds
 O(dim * bandwidth) numbers per matrix and a product of bandwidths K and L
 costs O(dim * K * L); a left factor recording at least dim diagonals (an
-eigenvector matrix, or what `diagonalize` conjugated) goes to BLAS.  The
+eigenvector matrix, or what `diagonalize` conjugated) goes to BLAS, and
+`lincomb` sums such a term on its dense view.  The
 dense view `FuzzyMatrix.data` is built on first read, for the readers that
 need every entry: rendering, matrix I/O, BLAS and the Hermiticity checks.
 """
@@ -361,27 +362,37 @@ def lincomb(*terms) -> FuzzyMatrix:
     subtracts M without multiplying.  A term stored on the union's range is
     read in place, and copied only to start the sum; a narrower one is
     widened with +0 first, so that, as in the dense sum, a -0 it meets
-    outside its diagonals turns +0.
+    outside its diagonals turns +0.  When a term records at least dim
+    diagonals (a BLAS-side product, by `product`'s rule) the terms' dense
+    views are summed instead, since its bands would take twice its dense
+    size (two dense 256 x 256 terms: 0.8 ms against 11.8 ms through bands,
+    after their offset scans); the sum still records the union of
+    diagonals, so a later `product` takes the side it takes on a banded sum.
     """
     N, S = _layout(*(M for _, M in terms))
     offsets = tuple(sorted({o for _, M in terms for o in M.offsets}))
+    dense = any(len(M.offsets) >= M.dim for _, M in terms)
     width = offsets[-1] - offsets[0] + 1
     acc = None
     for c, M in terms:
-        band = M.bands  # read-only
-        if M.offsets[0] != offsets[0] or band.shape[1] != width:
-            band = np.zeros((N * S, width), dtype=complex)
+        part = M.data if dense else M.bands  # read-only
+        if not dense and (M.offsets[0] != offsets[0] or part.shape[1] != width):
+            part = np.zeros((N * S, width), dtype=complex)
             start = M.offsets[0] - offsets[0]
-            band[:, start : start + M.bands.shape[1]] = M.bands
+            part[:, start : start + M.bands.shape[1]] = M.bands
         if acc is None:
-            acc = c * band if c != 1 else band if band.flags.writeable else band.copy()
+            acc = c * part if c != 1 else part if part.flags.writeable else part.copy()
         elif c == 1:
-            acc += band
+            acc += part
         elif c == -1:
-            acc -= band
+            acc -= part
         else:
-            acc += c * band
-    return FuzzyMatrix._banded(acc, offsets, N, S)
+            acc += c * part
+    if not dense:
+        return FuzzyMatrix._banded(acc, offsets, N, S)
+    out = FuzzyMatrix(acc, N, S)
+    out._offsets = offsets
+    return out
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ One circle per entry, area proportional to the entry magnitude (radius to
 its square root), scaled so the largest entry fills a cell.  Entries below
 the threshold appear as minimal points.  The circles are one join over a
 (dim, dim, 3) object array of pieces, `cx` by column, `cy` by row and the
-radius by entry, each distinct piece formatted once.  Output bytes depend
-only on the matrix, threshold, and cell size.
+radius by entry, each distinct piece formatted once.  The distinct radii
+come from `matrixio.distinct`, which sorts only the heads of the runs of
+equal radii: a banded matrix's rows are mostly runs of the minimal radius.
+Output bytes depend only on the matrix, threshold, and cell size.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
+from .matrixio import distinct
 from .regularize import FuzzyMatrix
 
 _MIN_RADIUS_FRACTION = 0.04
@@ -44,13 +47,13 @@ def render_dot_matrix(M: FuzzyMatrix, threshold: float = 0.1, cell: float = 10.0
     if vmax > 0.0:
         big = mags >= threshold
         radius[big] = np.maximum(0.5 * cell * np.sqrt(mags[big] / vmax), rmin)
-    values, index = np.unique(radius, return_inverse=True)
+    values, index = distinct(radius)
     pos = [_fmt((k + 0.5) * cell) for k in range(dim)]
     pieces = np.empty((dim, dim, 3), dtype=object)
     pieces[..., 0] = np.array([f'<circle cx="{cx}" cy="' for cx in pos], dtype=object)
     pieces[..., 1] = np.array(pos, dtype=object)[:, None]
     tails = np.array([f'" r="{_fmt(v)}" fill="black"/>\n' for v in values], dtype=object)
-    pieces[..., 2] = tails[index.reshape(mags.shape)]
+    pieces[..., 2] = tails[index]
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

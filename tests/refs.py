@@ -12,8 +12,12 @@ writers are byte-compared on, and `surface_csv_reference` the surface CSV
 formatted cell by cell.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 
+from fuzzyreg.cli import build_space
 from fuzzyreg.fourier import FourierFunction
 from fuzzyreg.interpolate import VertexParams, _table_values, build_string_vertex
 from fuzzyreg.profiles import ComplexProfile
@@ -25,6 +29,9 @@ from fuzzyreg.spaces import (
     circle_to_eight_functions,
     interlaced_double_cylinder_function,
 )
+from fuzzyreg.transforms import matrix_poly_transform
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def random_closed_curve(rng, cutoff=5, interval=(0.0, 1.0)):
@@ -141,10 +148,14 @@ def zone_masks(grid, dim, q_lo, q_hi):
 
 def oracle_matrices():
     """name -> matrix: the immersed eight's x at N = 64, an S = 2 vertex
-    coordinate, an all-zero matrix, and a random complex matrix holding
-    -0.0, +-inf and NaN parts."""
+    coordinate, an all-zero matrix, a random complex matrix holding -0.0,
+    +-inf and NaN parts, and the first coordinate of the Clifford recipe at
+    n = 16, a `diagonalize` output whose real parts hold no two equal
+    neighbours (no runs for the writers to find)."""
     eight = build_immersed_cylinder(*circle_to_eight_functions(), 64, "symmetric")
     vertex = build_string_vertex(VertexParams(N=8))
+    recipe = json.loads((CONFIGS / "clifford_projection.json").read_text())
+    clifford, _ = matrix_poly_transform(build_space(recipe["space"], n=16), recipe["transforms"])
     rng = np.random.default_rng(11)
     special = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
     for part in (special.real, special.imag):
@@ -155,6 +166,7 @@ def oracle_matrices():
         "vertex-S2": vertex.coordinates[0],
         "zeros": FuzzyMatrix(np.zeros((5, 5)), 5, 1),
         "special": FuzzyMatrix(special, 7, 1),
+        "clifford-diag-16": clifford.coordinates[0],
     }
 
 

@@ -6,7 +6,8 @@ sums, so it equals scipy's CSR product exactly; scipy is a test-only
 dependency here.  `product` runs it unless its left factor records at least
 dim diagonals, and then equals `A.data @ B.data`; `commutator` is the
 difference of the two products.  `lincomb` and the within-border norms work
-on the stored diagonals and equal the dense expressions of `tests/refs.py`.
+on the stored diagonals (`lincomb` on the dense views when a term records at
+least dim of them) and equal the dense expressions of `tests/refs.py`.
 """
 
 import itertools
@@ -260,6 +261,39 @@ def test_lincomb_reads_terms_in_place_and_keeps_signed_zeros():
         assert_bitwise(got.data, dense_lincomb(*((c, M.data) for c, M in terms)))
         assert not any(np.shares_memory(got.bands, M.bands) for _, M in terms)
     assert W.bands.tobytes() == before
+
+
+def test_lincomb_sums_dense_terms_dense():
+    # a term recording at least dim diagonals (a BLAS-side product) makes the
+    # sum dense: no term's bands are read and no band array is built, the
+    # bytes are the dense expression's, -0 cells included, and the sum records
+    # the union of diagonals, so `product` sends it to the side it would
+    # send the banded sum to
+    rng = np.random.default_rng(17)
+    dim, nz = 9, complex(-0.0, -0.0)
+
+    def dense(upper):
+        data = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        data[np.triu_indices(dim, upper + 1)] = 0.0
+        data[rng.integers(0, dim, 8), rng.integers(0, dim, 8)] = nz
+        data[0, 1], data[2, 0] = complex(-0.0, 1.0), complex(1.0, -0.0)
+        return FuzzyMatrix(data, dim, 1)
+
+    full, lower = dense(dim - 1), dense(1)  # 17 and 10 of the 17 diagonals
+    signed = FuzzyMatrix._banded(np.array([[nz, nz, complex(-0.0, 1.0)]] * dim), (-1, 0, 1), dim, 1)
+    zero = FuzzyMatrix._banded(np.zeros((dim, 1), dtype=complex), (0,), dim, 1)
+    narrow = one_sided(rng, dim, (3, 4))
+    patterns = [((1, zero), (0.5, full), (0.5, lower)), ((1, full), (-1, signed)),
+                ((1, signed), (1, lower)), ((-1, lower), (2.5j, narrow), (1, signed)),
+                ((0.3 - 0.7j, narrow), (1, full), (-1, lower)), ((1, lower), (1, lower)),
+                ((-1, full),), ((1, full),), ((2.0, lower), (-1, full))]
+    for terms in patterns:
+        got = lincomb(*terms)
+        assert_bitwise(got.data, dense_lincomb(*((c, M.data) for c, M in terms)))
+        assert got.offsets == tuple(sorted(set().union(*(M.offsets for _, M in terms))))
+        assert got._bands is None and full._bands is None and lower._bands is None
+        assert on_blas_side(got)
+        assert not any(np.shares_memory(got.data, M.data) for _, M in terms)
 
 
 @pytest.mark.parametrize("delta", [0, 1, 2, 3])
