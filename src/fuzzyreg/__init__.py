@@ -8,7 +8,8 @@ Nothing is re-exported; import from the modules.  The supported API, by module:
   profiles.Profile, profiles.ComplexProfile, profiles.AffineProfile, profiles.PolyProfile,
     profiles.SplineProfile, profiles.CallableProfile, profiles.profile_from_dict
   fourier.FourierFunction, fourier.MatrixFourierFunction, fourier.mul, fourier.poisson_bracket
-  regularize.make_grid, regularize.FuzzyMatrix, regularize.FuzzySpace,
+  regularize.make_grid, regularize.FuzzyMatrix, regularize.FuzzyMatrix.from_diagonals,
+    regularize.FuzzySpace, regularize.toeplitz_basis,
     regularize.regularize_scalar, regularize.regularize_matrix, regularize.regularize_schedule,
     regularize.regularize_space,
     regularize.product, regularize.commutator, regularize.lincomb, regularize.within_border_norm

@@ -23,7 +23,9 @@ def same_interval(a, b) -> bool:
 
 
 def checked_interval(interval) -> tuple:
-    """(q1, q2) as floats, refused unless both ends are finite and q1 < q2."""
+    """(q1, q2) as floats, refused unless it has two ends, both finite, with q1 < q2."""
+    if len(interval) != 2:
+        raise DomainError(f"an interval needs two ends q1 < q2, got {list(interval)}")
     q1, q2 = float(interval[0]), float(interval[1])
     if not (np.isfinite(q1) and np.isfinite(q2) and q1 < q2):
         raise DomainError(f"interval [{q1}, {q2}] must have finite ends q1 < q2")

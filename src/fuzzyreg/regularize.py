@@ -37,6 +37,9 @@ eigenvector matrix, or what `diagonalize` conjugated) goes to BLAS, and
 `lincomb` sums such a term on its dense view.  The
 dense view `FuzzyMatrix.data` is built on first read, for the readers that
 need every entry: rendering, matrix I/O, BLAS and the Hermiticity checks.
+Banded matrices written by hand (preset coordinates, a transform's factors)
+go through `FuzzyMatrix.from_diagonals`; only dense sources (matrix files,
+eigenvectors, BLAS products, the graph vertex) are wrapped as dense arrays.
 """
 
 from __future__ import annotations
@@ -102,11 +105,12 @@ class FuzzyMatrix:
     minus row) that may be nonzero, and `bands[i, k]` holds entry
     (i, i + offsets[0] + k).  Cells on other diagonals are zero; cells that
     fall outside the matrix are never read as entries.  `data` is the dense
-    view, built once on first read.  `FuzzyMatrix(array, N, S)` keeps the
-    array as its view, records its nonzero diagonals from one scan of its
-    nonzero entries, and copies them into bands only when they are read.
-    Both arrays are read-only; take a copy before mutating.  Hermiticity is
-    a property of the data, checked by `is_hermitian`, not a stored flag.
+    view, built once on first read.  `from_diagonals` writes the bands alone;
+    `FuzzyMatrix(array, N, S)`, for dense sources only, keeps the array as
+    its view, records its nonzero diagonals from one scan of its nonzero
+    entries, and copies them into bands only when they are read.  Both
+    arrays are read-only; take a copy before mutating.  Hermiticity is a
+    property of the data, checked by `is_hermitian`, not a stored flag.
     """
 
     __slots__ = ("N", "S", "_data", "_bands", "_offsets")
@@ -120,6 +124,19 @@ class FuzzyMatrix:
         arr.setflags(write=False)
         self.N, self.S = N, S
         self._data, self._bands, self._offsets = arr, None, None
+
+    @classmethod
+    def from_diagonals(cls, diagonals: dict, N: int, S: int = 1) -> FuzzyMatrix:
+        """The matrix with diagonals[o] on diagonal o (entries (i, i + o), top row
+        first), zero elsewhere.  It records and stores what a scan of its dense
+        array records: the diagonals holding a nonzero entry, else diagonal 0."""
+        dim, table = N * S, {}
+        for o, values in diagonals.items():
+            table[o] = values = np.asarray(values, dtype=complex)
+            if abs(o) >= dim or values.shape != (dim - abs(o),):
+                raise StructureError(f"diagonal {o} of shape {values.shape} does not fit dimension {dim}")
+        offsets = tuple(o for o in sorted(table) if table[o].any()) or (0,)
+        return cls._banded(_stacked(lambda o: table.get(o, 0.0), offsets, dim), offsets, N, S)
 
     @classmethod
     def _banded(cls, bands: np.ndarray, offsets: tuple, N: int, S: int) -> FuzzyMatrix:
@@ -149,10 +166,7 @@ class FuzzyMatrix:
     def bands(self) -> np.ndarray:
         """Row i, column k: entry (i, i + offsets[0] + k)."""
         if self._bands is None:  # copied from the dense view, recorded diagonals only
-            offs, dim = self.offsets, self.dim
-            self._bands = np.zeros((dim, offs[-1] - offs[0] + 1), dtype=complex)
-            for o in offs:
-                self._bands[max(0, -o) : dim - max(0, o), o - offs[0]] = np.diagonal(self._data, o)
+            self._bands = _stacked(lambda o: np.diagonal(self._data, o), self.offsets, self.dim)
             self._bands.setflags(write=False)
         return self._bands
 
@@ -167,6 +181,15 @@ class FuzzyMatrix:
 
     def is_hermitian(self, tol=1e-12) -> bool:
         return float(np.max(np.abs(self.data - self.data.conj().T))) <= tol
+
+
+def _stacked(diagonal, offsets: tuple, dim: int) -> np.ndarray:
+    """Bands over offsets[0]..offsets[-1] holding diagonal(o) on each of
+    `offsets` and zero on the diagonals between them."""
+    bands = np.zeros((dim, offsets[-1] - offsets[0] + 1), dtype=complex)
+    for o in offsets:
+        bands[max(0, -o) : dim - max(0, o), o - offsets[0]] = diagonal(o)
+    return bands
 
 
 def _columns(dim: int, lo: int, width: int) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 Covered here: the generalized fuzzy cylinder over a closed curve, immersed
 cylinders (with the circle-to-eight preset), the mirror pair of cylinders,
-the fuzzy Clifford torus, and the graph-vertex band matrix.
+the fuzzy Clifford torus, and the graph-vertex band matrix.  Hand-built
+banded coordinates are written in O(N) memory by `FuzzyMatrix.from_diagonals`,
+but for the graph vertex's band matrix: its default x_lower = 0 writes -0.0
+on a diagonal no scan records, and a dense build keeps those bytes.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .regularize import (
     make_grid,
     regularize_scalar,
     regularize_space,
-    toeplitz_basis,
 )
 
 
@@ -74,8 +76,7 @@ def build_generalized_cylinder(curve: CurveSpec, N: int, z_offset: float = 0.0) 
     xhat, yhat = (regularize_scalar(f, make_grid(N, f.interval))
                   for f in (curve.x_series, curve.y_series))
     zvals = z_offset + curve.z_beta * (np.arange(1, N + 1) / N)
-    zhat = FuzzyMatrix(np.diag(zvals.astype(complex)), N, 1)
-    return FuzzySpace("generalized-cylinder", (xhat, yhat, zhat))
+    return FuzzySpace("generalized-cylinder", (xhat, yhat, FuzzyMatrix.from_diagonals({0: zvals}, N)))
 
 
 def build_immersed_cylinder(
@@ -136,23 +137,15 @@ def build_circle_to_eight(N: int, convention: str = "symmetric") -> FuzzySpace:
     qrow = -1.0 + 2.0 * np.arange(N) / N
     hv = smooth_step()(qrow)
 
-    def banded(weights_by_band, factor):
-        out = np.zeros((N, N), dtype=complex)
-        for band, w in weights_by_band:
-            idx = np.arange(N - band)
-            out[idx, idx + band] = factor * w[idx]
-            out[idx + band, idx] = np.conj(factor) * w[idx]
-        return out
+    def banded(weights_by_band, factor):  # band 3 fits from N = 4 on
+        return FuzzyMatrix.from_diagonals(
+            {o: f * w[: N - band] for band, w in weights_by_band if band < N
+             for o, f in ((band, factor), (-band, np.conj(factor)))}, N)
 
     xm = banded(((1, (1.0 + 0.5 * hv) * 0.5), (3, 0.25 * hv)), 1.0)
     ym = banded(((1, (1.0 - 0.5 * hv) * 0.5), (3, 0.25 * hv)), 1j)
-    zvals = (1.0 + qrow) / 2.0
-    coords = (
-        FuzzyMatrix(xm, N, 1),
-        FuzzyMatrix(ym, N, 1),
-        FuzzyMatrix(np.diag(zvals.astype(complex)), N, 1),
-    )
-    return FuzzySpace("circle-to-eight", coords)
+    zm = FuzzyMatrix.from_diagonals({0: (1.0 + qrow) / 2.0}, N)
+    return FuzzySpace("circle-to-eight", (xm, ym, zm))
 
 
 @dataclass(frozen=True)
@@ -217,13 +210,13 @@ def build_clifford_torus(a: float, b: float, N: int) -> FuzzySpace:
     N = int(N)
     if N < 2:
         raise DomainError("need N >= 2")
-    e1 = toeplitz_basis(1, N).data
-    em1 = toeplitz_basis(-1, N).data
-    x1 = FuzzyMatrix(0.5 * a * (e1 + em1), N, 1)
-    y1 = FuzzyMatrix(0.5j * a * (e1 - em1), N, 1)
+    # the +-1 diagonals of e_1 and e_{-1}, added entry by entry: zero signs as in the dense sums
+    one, zero = np.ones(N - 1, dtype=complex), np.zeros(N - 1, dtype=complex)
+    x1 = FuzzyMatrix.from_diagonals({1: 0.5 * a * (one + zero), -1: 0.5 * a * (zero + one)}, N)
+    y1 = FuzzyMatrix.from_diagonals({1: 0.5j * a * (one - zero), -1: 0.5j * a * (zero - one)}, N)
     angles = 2.0 * np.pi * np.arange(1, N + 1) / N
-    x2 = FuzzyMatrix(np.diag(b * np.cos(angles)).astype(complex), N, 1)
-    y2 = FuzzyMatrix(np.diag(b * np.sin(angles)).astype(complex), N, 1)
+    x2 = FuzzyMatrix.from_diagonals({0: b * np.cos(angles)}, N)
+    y2 = FuzzyMatrix.from_diagonals({0: b * np.sin(angles)}, N)
     return FuzzySpace("clifford-torus", (x1, y1, x2, y2))
 
 
@@ -277,34 +270,19 @@ def build_graph_vertex(spec: GraphVertexSpec) -> FuzzySpace:
     """Assemble the vertex band matrix and its diagonal z partner."""
     D, n0 = spec.dim, spec.n0
     F = np.zeros((D, D), dtype=complex)
-    ru = spec.upper_band()
-    for k in range(n0 - 1):
-        F[k, k + 1] = ru[k]
-        F[k + 1, k] = np.conj(ru[k])
+    k = np.arange(n0 - 1)  # the upper strand
+    F[k, k + 1], F[k + 1, k] = spec.upper_band(), np.conj(spec.upper_band())
     r = complex(spec.r_junction)
-    F[n0 - 1, n0] = r
-    F[n0 - 1, n0 + 1] = r
-    F[n0, n0 - 1] = np.conj(r)
-    F[n0 + 1, n0 - 1] = np.conj(r)
-    xb = spec.lower_diag()
-    for t in range(spec.lower_blocks):
-        F[n0 + 2 * t, n0 + 2 * t] = -xb[t]
-        F[n0 + 2 * t + 1, n0 + 2 * t + 1] = xb[t]
-    rb = spec.lower_band()
-    for t in range(spec.lower_blocks - 1):
-        for a in (0, 1):
-            i = n0 + 2 * t + a
-            F[i, i + 2] = rb[t]
-            F[i + 2, i] = np.conj(rb[t])
+    F[n0 - 1, [n0, n0 + 1]], F[[n0, n0 + 1], n0 - 1] = r, np.conj(r)
+    t = n0 + 2 * np.arange(spec.lower_blocks)  # the first row of each lower block
+    F[t, t], F[t + 1, t + 1] = -spec.lower_diag(), spec.lower_diag()
+    i = np.arange(n0, D - 2)  # both lower strands, block t at rows n0 + 2t and n0 + 2t + 1
+    rb = spec.lower_band()[(i - n0) // 2]
+    F[i, i + 2], F[i + 2, i] = rb, np.conj(rb)
     if spec.z_values is not None:
         z = np.asarray(spec.z_values, dtype=float)
         if z.size != D:
             raise StructureError("z_values must match the matrix dimension")
-    else:
-        z = np.empty(D)
-        z[:n0] = (np.arange(n0) + 1.0) / D
-        for t in range(spec.lower_blocks):
-            z[n0 + 2 * t : n0 + 2 * t + 2] = (n0 + 2 * t + 1.5) / D
-    zhat = FuzzyMatrix(np.diag(z.astype(complex)), D, 1)
-    fhat = FuzzyMatrix(F, D, 1)
-    return FuzzySpace("graph-vertex", (fhat, zhat))
+    else:  # (n + 1) / D on the upper strand, one height per lower block
+        z = np.concatenate([np.arange(n0) + 1.0, n0 + 2 * (np.arange(D - n0) // 2) + 1.5]) / D
+    return FuzzySpace("graph-vertex", (FuzzyMatrix(F, D, 1), FuzzyMatrix.from_diagonals({0: z}, D)))

@@ -104,9 +104,8 @@ def block_transform(M: FuzzyMatrix, U: SmallUnitary, n0: int) -> FuzzyMatrix:
         bands[: n0 * S, S - 1] = 1.0
         a, b = np.indices((S, S))
         bands[n0 * S :].reshape(N - n0, S, 2 * S - 1)[:, a, b - a + S - 1] = W
-        kept = np.flatnonzero(bands.any(axis=0))  # the diagonals a dense scan of V records
-        offsets = tuple((kept - S + 1).tolist())
-        return FuzzyMatrix._banded(bands[:, kept[0] : kept[-1] + 1], offsets, N, S)
+        return FuzzyMatrix.from_diagonals(
+            {o: bands[max(0, -o) : M.dim - max(0, o), o + S - 1] for o in range(1 - S, S)}, N, S)
 
     if (M.N, M.S) != (N, S):  # the result keeps U's block layout
         M = FuzzyMatrix._banded(M.bands, M.offsets, N, S)
@@ -125,17 +124,13 @@ def _coordinate_index(coords, value, what) -> int:
 def _entrywise_step(coords, step):
     """(new coordinate, singular rows) of a poly or reciprocal-diag step."""
     N, S = coords[0].N, coords[0].S
-
-    def diagonal(values):
-        return FuzzyMatrix._banded(np.array(values, dtype=complex)[:, None], (0,), N, S)
-
     if step["op"] == "poly":
-        terms = [(1, diagonal(np.zeros(N * S)))]  # the sum starts from +0, as a dense one does
+        terms = [(1, FuzzyMatrix.from_diagonals({}, N, S))]  # the sum starts from +0, as dense
         for term in config_value(list, step.get("terms"), "poly terms"):
             term = config_value(json_object, term, "poly term")
             indices = config_value(list, term.get("indices"), "poly indices")
             factors = [coords[_coordinate_index(coords, idx, "poly index")] for idx in indices]
-            part = factors[0] if factors else diagonal(np.ones(N * S))
+            part = factors[0] if factors else FuzzyMatrix.from_diagonals({0: np.ones(N * S)}, N, S)
             for factor in factors[1:]:
                 part = product(part, factor)
             coeff = config_value(lambda v: finite(v, complex), term.get("coeff", 1.0), "poly coeff")
@@ -152,7 +147,7 @@ def _entrywise_step(coords, step):
     denom = shift + (src.bands[:, -lo] if on_diagonal.any() else np.zeros(src.dim))
     singular = np.abs(denom) < tol
     vals = np.divide(scale, denom, out=np.zeros(src.dim, dtype=complex), where=~singular)
-    return diagonal(vals), np.flatnonzero(singular)
+    return FuzzyMatrix.from_diagonals({0: vals}, N, S), np.flatnonzero(singular)
 
 
 def matrix_poly_transform(space: FuzzySpace, recipe):

@@ -9,7 +9,10 @@ and band by band.  `interpolated_angle_function` is the blended angular
 function itself, the quadrature reference for the blend's mode
 coefficients.  `oracle_matrices` holds the matrices the SVG and CSV
 writers are byte-compared on, and `surface_csv_reference` the surface CSV
-formatted cell by cell.
+formatted cell by cell.  `dense_cylinder_z`, `dense_row_anchored_eight` and
+`dense_clifford_torus` write the hand-built coordinates as dense N x N
+arrays, scanned by `FuzzyMatrix(array)`: the references of the builds from
+diagonals.
 """
 
 import json
@@ -20,8 +23,14 @@ import numpy as np
 from fuzzyreg.cli import build_space
 from fuzzyreg.fourier import FourierFunction
 from fuzzyreg.interpolate import VertexParams, _table_values, build_string_vertex
-from fuzzyreg.profiles import ComplexProfile
-from fuzzyreg.regularize import FuzzyMatrix, make_grid, regularize_matrix, regularize_scalar
+from fuzzyreg.profiles import ComplexProfile, smooth_step
+from fuzzyreg.regularize import (
+    FuzzyMatrix,
+    make_grid,
+    regularize_matrix,
+    regularize_scalar,
+    toeplitz_basis,
+)
 from fuzzyreg.spaces import (
     CurveSpec,
     DoubleCylinderSpec,
@@ -211,3 +220,39 @@ def surface_csv_reference(header, rows):
         cells = [f"{int(row[0])}"] + [f"{v:.10g}" for v in row[1:]]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def dense_cylinder_z(curve, N, z_offset=0.0):
+    """The generalized cylinder's z, z_offset + beta n / N for n = 1..N, as a dense diagonal."""
+    zvals = z_offset + curve.z_beta * (np.arange(1, N + 1) / N)
+    return FuzzyMatrix(np.diag(zvals.astype(complex)), N, 1)
+
+
+def dense_row_anchored_eight(N):
+    """(x, y, z) of the row-anchored circle-to-eight, each band written into a
+    dense array entry by entry (band 3 writes nothing below N = 4)."""
+    qrow = -1.0 + 2.0 * np.arange(N) / N
+    hv = smooth_step()(qrow)
+
+    def banded(weights_by_band, factor):
+        out = np.zeros((N, N), dtype=complex)
+        for band, w in weights_by_band:
+            idx = np.arange(N - band)
+            out[idx, idx + band] = factor * w[idx]
+            out[idx + band, idx] = np.conj(factor) * w[idx]
+        return out
+
+    xm = banded(((1, (1.0 + 0.5 * hv) * 0.5), (3, 0.25 * hv)), 1.0)
+    ym = banded(((1, (1.0 - 0.5 * hv) * 0.5), (3, 0.25 * hv)), 1j)
+    zvals = (1.0 + qrow) / 2.0
+    return (FuzzyMatrix(xm, N, 1), FuzzyMatrix(ym, N, 1),
+            FuzzyMatrix(np.diag(zvals.astype(complex)), N, 1))
+
+
+def dense_clifford_torus(a, b, N):
+    """(x1, y1, x2, y2) of the Clifford torus by dense arithmetic on e_1 and e_{-1}."""
+    e1, em1 = toeplitz_basis(1, N).data, toeplitz_basis(-1, N).data
+    angles = 2.0 * np.pi * np.arange(1, N + 1) / N
+    return (FuzzyMatrix(0.5 * a * (e1 + em1), N, 1), FuzzyMatrix(0.5j * a * (e1 - em1), N, 1),
+            FuzzyMatrix(np.diag(b * np.cos(angles)).astype(complex), N, 1),
+            FuzzyMatrix(np.diag(b * np.sin(angles)).astype(complex), N, 1))

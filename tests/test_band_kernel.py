@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzyreg import regularize
+from fuzzyreg.errors import StructureError
 from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction
 from fuzzyreg.interpolate import VertexParams, build_string_vertex
 from fuzzyreg.profiles import AffineProfile, ComplexProfile
@@ -170,6 +171,55 @@ def test_zero_operand():
     A = FuzzyMatrix(np.eye(4), 4, 1)
     assert_bitwise(product(Z, A).data, np.zeros((4, 4), dtype=complex))
     assert_bitwise(commutator(A, Z).data, np.zeros((4, 4), dtype=complex))
+
+
+@st.composite
+def diagonal_tables(draw):
+    """(N, S, {offset: values}): diagonals that are all zeros of either sign,
+    or any finite or infinite parts, -0.0 among them."""
+    N, S = draw(st.integers(1, 5)), draw(st.integers(1, 2))
+    dim, table = N * S, {}
+    for o in draw(st.sets(st.integers(1 - dim, dim - 1), max_size=5)):
+        part = draw(st.sampled_from([st.sampled_from([0.0, -0.0]),
+                                     st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0])]))
+        values = np.empty(dim - abs(o), dtype=complex)
+        values.real = draw(st.lists(part, min_size=len(values), max_size=len(values)))
+        values.imag = draw(st.lists(part, min_size=len(values), max_size=len(values)))
+        table[o] = values
+    return N, S, table
+
+
+@PROPERTY
+@given(diagonal_tables())
+def test_from_diagonals_records_what_a_dense_scan_records(case):
+    N, S, table = case
+    dim = N * S
+    dense = np.zeros((dim, dim), dtype=complex)
+    for o, values in table.items():
+        dense[np.arange(len(values)) + max(0, -o), np.arange(len(values)) + max(0, o)] = values
+    got, scanned = FuzzyMatrix.from_diagonals(table, N, S), FuzzyMatrix(dense, N, S)
+    assert got.offsets == scanned.offsets
+    lo, width = got.offsets[0], got.offsets[-1] - got.offsets[0] + 1
+    bands = np.zeros((dim, width), dtype=complex)  # entry (i, i + lo + k) of each recorded diagonal
+    for i, k in itertools.product(range(dim), range(width)):
+        if lo + k in got.offsets and 0 <= i + lo + k < dim:
+            bands[i, k] = dense[i, i + lo + k]
+    assert_bitwise(got.bands, bands)
+    assert_bitwise(scanned.bands, bands)
+    rows, cols = np.indices((dim, dim))
+    assert_bitwise(got.data, np.where(np.isin(cols - rows, got.offsets), dense, 0))
+    assert np.array_equal(got.data, dense)
+
+
+@pytest.mark.parametrize("diagonals, N, S", [
+    ({4: []}, 4, 1), ({-4: []}, 4, 1), ({5: np.ones(1)}, 2, 2), ({3: np.ones(1)}, 2, 1),
+    ({1: np.ones(4)}, 4, 1), ({0: np.ones(3)}, 4, 1), ({-1: np.ones(2)}, 4, 1),
+    ({0: np.ones((2, 2))}, 4, 1), ({2: 1.0}, 4, 1),
+], ids=["offset-dim", "offset-minus-dim", "offset-past-blocks", "band-3-at-N-2",
+        "too-long", "too-short", "below-too-short", "two-dimensional", "scalar"])
+def test_from_diagonals_refuses_a_diagonal_that_does_not_fit(diagonals, N, S):
+    with pytest.raises(StructureError):
+        FuzzyMatrix.from_diagonals(diagonals, N, S)
 
 
 reals = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)

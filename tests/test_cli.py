@@ -356,6 +356,29 @@ class TestFailureModes:
         assert "mismatch" not in err
         assert not (tmp_path / "out").exists()
 
+    # an interval is its two ends: one end used to stop with an IndexError,
+    # three with a ValueError or, read as the first two, in a run exiting 0
+    @pytest.mark.parametrize("command, cfg", [
+        ("build", {"space": {"preset": "double-cylinder", "interval": [1]}}),
+        ("build", {"space": {"preset": "double-cylinder", "interval": [0, 1, 5]}}),
+        ("vertex", {"interval": [2]}),
+        ("build", {"space": {"preset": "string-vertex", "N": 4, "interval": [-1, 3, 99]}}),
+        *(("sweep", {"sweep": {"kind": "poisson", "schedule": [8, 16],
+                               "f": {"interval": ends, "modes": {"1": 1.0}},
+                               "g": {"interval": [0, 1], "modes": {"1": 1.0}}}})
+          for ends in ([0], [0, 1, 5])),
+    ], ids=["double-cylinder-one-end", "double-cylinder-three-ends", "vertex-one-end",
+            "string-vertex-three-ends", "poisson-one-end", "poisson-three-ends"])
+    def test_interval_needs_two_ends(self, tmp_path, capsys, command, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        code = run_cli([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: an interval needs two ends")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     # the eight commutes, so only the grid can fail; the vertex (x-y sup 1.25)
     # must not pass a NaN bound
     @pytest.mark.parametrize("space, surface", [

@@ -22,7 +22,12 @@ from fuzzyreg.spaces import (
 )
 from fuzzyreg.transforms import interlace_function
 
-from refs import random_closed_curve
+from refs import (
+    dense_clifford_torus,
+    dense_cylinder_z,
+    dense_row_anchored_eight,
+    random_closed_curve,
+)
 
 IV = (0.0, 1.0)
 
@@ -276,6 +281,57 @@ class TestCliffordTorus:
     def test_size_validation(self):
         with pytest.raises(DomainError):
             build_clifford_torus(1.0, 2.0, 1)
+
+
+class TestBuildsFromDiagonals:
+    """The hand-built coordinates are written from their diagonals and equal
+    the dense constructions of `tests/refs.py` byte for byte, without ever
+    building their dense view on the way."""
+
+    SIZES = [2, 3, 4, 8, 40, 257]
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got._data is None  # no dense view behind the bands
+        assert got.offsets == want.offsets
+        assert got.bands.tobytes() == want.bands.tobytes()
+        assert got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("N", SIZES)
+    @pytest.mark.parametrize("curve, z_offset", [(CurveSpec.circle(1.5), -0.5),
+                                                 (CurveSpec.circle(1.0), 0.0)], ids=["offset", "plain"])
+    def test_cylinder_height(self, N, curve, z_offset):
+        z = build_generalized_cylinder(curve, N, z_offset).coordinates[2]
+        self.assert_same(z, dense_cylinder_z(curve, N, z_offset))
+
+    @pytest.mark.parametrize("N", SIZES)
+    def test_row_anchored_eight(self, N):
+        for got, want in zip(build_circle_to_eight(N, "row-anchored").coordinates,
+                             dense_row_anchored_eight(N), strict=True):
+            self.assert_same(got, want)
+
+    @pytest.mark.parametrize("N", SIZES)
+    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (0.75, 0.3), (1.0, 0.0)])
+    def test_clifford_torus(self, N, a, b):
+        for got, want in zip(build_clifford_torus(a, b, N).coordinates,
+                             dense_clifford_torus(a, b, N), strict=True):
+            self.assert_same(got, want)
+
+    # The dense reference multiplies the zeros off the +-1 diagonals by
+    # a <= 0 (0.5 a 0) and keeps -0.0 there; the build from diagonals
+    # writes +0.0.  The values compare equal.
+    @pytest.mark.parametrize("a", [-1.0, -0.0, 0.0])
+    def test_non_positive_a_writes_positive_zeros(self, a):
+        changed = 0
+        for got, want in zip(build_clifford_torus(a, 2.0, 8).coordinates,
+                             dense_clifford_torus(a, 2.0, 8), strict=True):
+            assert got.offsets == want.offsets
+            assert np.array_equal(got.data, want.data)
+            new, old = got.data.view(float), want.data.view(float)
+            moved = new.view(np.int64) != old.view(np.int64)
+            assert np.all(new[moved] == 0) and not np.any(np.signbit(new[moved]))
+            changed += int(moved.sum())
+        assert changed
 
 
 class TestGraphVertex:

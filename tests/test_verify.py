@@ -10,10 +10,18 @@ from fuzzyreg.errors import DomainError, StructureError
 from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction, mul, poisson_bracket
 from fuzzyreg.interpolate import VertexParams, build_string_vertex
 from fuzzyreg.profiles import AffineProfile, PolyProfile
-from fuzzyreg.regularize import FuzzyMatrix, FuzzySpace, make_grid, regularize_scalar, within_border_norm
+from fuzzyreg.regularize import (
+    FuzzyMatrix,
+    FuzzySpace,
+    commutator,
+    make_grid,
+    regularize_scalar,
+    within_border_norm,
+)
 from fuzzyreg.spaces import (
     CurveSpec,
     build_circle_to_eight,
+    build_clifford_torus,
     build_generalized_cylinder,
     circle_to_eight_functions,
 )
@@ -329,6 +337,44 @@ class TestCommutatorDecay:
         assert rep.values == pytest.approx((0.3810, 0.3159, 0.3005), abs=2e-3)
         assert rep.passed
         assert "row_sum_norm" in rep.extras
+
+    # the hand-built spaces, written from their diagonals: a dense coordinate
+    # at 16384 would take 4.3 GB, and the whole sweep stays under 64 MB
+    HAND_BUILT = {
+        "cylinder": lambda N: build_generalized_cylinder(CurveSpec.circle(1.0), N),
+        "clifford-torus": lambda N: build_clifford_torus(1.0, 1.0, N),
+        "row-anchored-eight": lambda N: build_circle_to_eight(N, "row-anchored"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built_spaces_to_16384_on_bands(self, monkeypatch, name):
+        views = []
+        dense_view = FuzzyMatrix.data
+        monkeypatch.setattr(FuzzyMatrix, "data", property(
+            lambda M: views.append(M.dim) or dense_view.fget(M)))
+        tracemalloc.start()
+        try:
+            rep = check_commutator_decay(self.HAND_BUILT[name], (4096, 8192, 16384))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        assert abs(rep.fitted_order - 1.0) <= 0.05
+        assert views == []
+
+    # one build, one commutator and one border norm at N = 2048, where one
+    # dense coordinate alone would take 67 MB
+    @pytest.mark.parametrize("name", ["clifford-torus", "row-anchored-eight"])
+    def test_one_step_at_2048_stays_under_2_mb(self, name):
+        self.HAND_BUILT[name](8)  # imports and first-call caches are not the step's
+        tracemalloc.start()
+        try:
+            coords = self.HAND_BUILT[name](2048).coordinates
+            within_border_norm(commutator(coords[0], coords[2]), 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
 
 
 class TestMatrixCommutatorSup:
