@@ -27,7 +27,9 @@ Research hooks with no caller yet, kept for open ROADMAP items:
   interpolate.mirror_concat (items 2-4), interpolate.close_caps (item 3), and for item 6
   spaces.interlaced_double_cylinder_function, verify.semiclassical_residual,
   fourier.MatrixFourierFunction.matmul, fourier.MatrixFourierFunction.conjugate_transpose
-Harness-bound, resolved by name by the benchmark tracer (fzbench/tracing.py):
-  verify.check_norm_convergence, verify.matrix_fn_commutator_sup
+Harness-bound, resolved by name by the benchmark tracer (fzbench/tracing.py) or
+called by its workloads (fzbench/workloads.py):
+  verify.check_norm_convergence, verify.matrix_fn_commutator_sup,
+  fourier.FourierFunction.eval, fourier.FourierFunction.to_dict
 Every other public name has a caller in the package (tests/test_api_surface.py).
 """

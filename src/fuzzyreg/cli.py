@@ -313,14 +313,10 @@ def _sweep_report(cfg: dict, delta=None):
         delta = config_value(integer, cfg["delta"], "sweep delta")
     label = cfg.get("label")
     if kind == "commutator-decay":
-        spec = cfg.get("space", {})
-
-        def builder(N):
-            return build_space(spec, n=N)
-
-        return check_commutator_decay(
-            builder, schedule, delta=5 if delta is None else delta, label=label
-        )
+        spec = _section(cfg, "space")  # unlabeled, the report names the preset build_space builds
+        return check_commutator_decay(lambda N: build_space(spec, n=N), schedule,
+                                      delta=5 if delta is None else delta,
+                                      label=label or spec.get("preset", "cylinder"))
     if kind in ("product", "poisson"):
         f = function_from_config(cfg.get("f"))
         g = function_from_config(cfg.get("g"))

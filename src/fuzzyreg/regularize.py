@@ -32,14 +32,15 @@ multiply by `product`.  Regularized matrices are banded, with bandwidth
 writes them, `product` and `lincomb` read and write them, and the
 within-border norms mask the border on them, so a sweep holds
 O(dim * bandwidth) numbers per matrix and a product of bandwidths K and L
-costs O(dim * K * L); a left factor recording at least dim diagonals (an
-eigenvector matrix, or what `diagonalize` conjugated) goes to BLAS, and
-`lincomb` sums such a term on its dense view.  The
-dense view `FuzzyMatrix.data` is built on first read, for the readers that
-need every entry: rendering, matrix I/O, BLAS and the Hermiticity checks.
-Banded matrices written by hand (preset coordinates, a transform's factors)
-go through `FuzzyMatrix.from_diagonals`; only dense sources (matrix files,
-eigenvectors, BLAS products, the graph vertex) are wrapped as dense arrays.
+costs O(dim * K * L).  A matrix's offsets are the diagonals it was built on,
+never read off its values: the schedule, the band kernel and `lincomb`
+record theirs, `FuzzyMatrix.from_diagonals` the ones it is given (every
+hand-built coordinate and transform factor), and dense data all 2 dim - 1
+(matrix files, eigenvectors, BLAS products, dense sums).  So a left factor
+recording at least dim diagonals, dense data among them, goes to BLAS, and
+`lincomb` sums such a term on its dense view.  The dense view
+`FuzzyMatrix.data` is built on first read, for the readers that need every
+entry: rendering, matrix I/O, BLAS and the Hermiticity checks.
 """
 
 from __future__ import annotations
@@ -102,18 +103,19 @@ class FuzzyMatrix:
     """Square complex matrix with its block layout: N blocks of size S.
 
     Stored by diagonals: `offsets` lists, sorted, the flat diagonals (column
-    minus row) that may be nonzero, and `bands[i, k]` holds entry
+    minus row) the matrix was built on, and `bands[i, k]` holds entry
     (i, i + offsets[0] + k).  Cells on other diagonals are zero; cells that
     fall outside the matrix are never read as entries.  `data` is the dense
-    view, built once on first read.  `from_diagonals` writes the bands alone;
-    `FuzzyMatrix(array, N, S)`, for dense sources only, keeps the array as
-    its view, records its nonzero diagonals from one scan of its nonzero
-    entries, and copies them into bands only when they are read.  Both
-    arrays are read-only; take a copy before mutating.  Hermiticity is a
-    property of the data, checked by `is_hermitian`, not a stored flag.
+    view, built once on first read.  Offsets say how a matrix was built,
+    never what it holds: `from_diagonals` records the diagonals it is given,
+    and `FuzzyMatrix(array, N, S)`, for dense sources only, keeps the array
+    as its view and records all 2 dim - 1 diagonals, copying them into
+    bands only when they are read.  Both arrays are read-only; take a copy
+    before mutating.  Hermiticity is a property of the data, checked by
+    `is_hermitian`, not a stored flag.
     """
 
-    __slots__ = ("N", "S", "_data", "_bands", "_offsets")
+    __slots__ = ("N", "S", "offsets", "_data", "_bands")
 
     def __init__(self, data, N: int, S: int = 1):
         arr = np.ascontiguousarray(data, dtype=complex)
@@ -122,20 +124,20 @@ class FuzzyMatrix:
         if arr.shape[0] != N * S:
             raise StructureError(f"dimension {arr.shape[0]} does not match N*S = {N}*{S}")
         arr.setflags(write=False)
-        self.N, self.S = N, S
-        self._data, self._bands, self._offsets = arr, None, None
+        self.N, self.S, self.offsets = N, S, tuple(range(1 - N * S, N * S))
+        self._data, self._bands = arr, None
 
     @classmethod
     def from_diagonals(cls, diagonals: dict, N: int, S: int = 1) -> FuzzyMatrix:
         """The matrix with diagonals[o] on diagonal o (entries (i, i + o), top row
-        first), zero elsewhere.  It records and stores what a scan of its dense
-        array records: the diagonals holding a nonzero entry, else diagonal 0."""
+        first), zero elsewhere.  It records the given diagonals, zero or not,
+        and diagonal 0 when none is given."""
         dim, table = N * S, {}
         for o, values in diagonals.items():
             table[o] = values = np.asarray(values, dtype=complex)
             if abs(o) >= dim or values.shape != (dim - abs(o),):
                 raise StructureError(f"diagonal {o} of shape {values.shape} does not fit dimension {dim}")
-        offsets = tuple(o for o in sorted(table) if table[o].any()) or (0,)
+        offsets = tuple(sorted(table)) or (0,)
         return cls._banded(_stacked(lambda o: table.get(o, 0.0), offsets, dim), offsets, N, S)
 
     @classmethod
@@ -143,7 +145,7 @@ class FuzzyMatrix:
         """The matrix whose diagonals `offsets` are stored in `bands`."""
         M = cls.__new__(cls)
         bands.setflags(write=False)
-        M.N, M.S, M._data, M._bands, M._offsets = N, S, None, bands, offsets
+        M.N, M.S, M.offsets, M._data, M._bands = N, S, offsets, None, bands
         return M
 
     @property
@@ -154,7 +156,7 @@ class FuzzyMatrix:
     def data(self) -> np.ndarray:
         """The dense matrix, scattered from the bands on first read."""
         if self._data is None:
-            cols = _columns(self.dim, self._offsets[0], self._bands.shape[1])
+            cols = _columns(self.dim, self.offsets[0], self._bands.shape[1])
             inside = (cols >= 0) & (cols < self.dim)
             dense = np.zeros((self.dim, self.dim), dtype=complex)
             dense[np.nonzero(inside)[0], cols[inside]] = self._bands[inside]
@@ -165,19 +167,10 @@ class FuzzyMatrix:
     @property
     def bands(self) -> np.ndarray:
         """Row i, column k: entry (i, i + offsets[0] + k)."""
-        if self._bands is None:  # copied from the dense view, recorded diagonals only
+        if self._bands is None:  # copied from the dense view
             self._bands = _stacked(lambda o: np.diagonal(self._data, o), self.offsets, self.dim)
             self._bands.setflags(write=False)
         return self._bands
-
-    @property
-    def offsets(self) -> tuple:
-        """The flat diagonals that may be nonzero, sorted; never empty."""
-        if self._offsets is None:
-            rows, cols = np.nonzero(self._data)
-            found = np.flatnonzero(np.bincount(cols - rows + self.dim - 1)) - (self.dim - 1)
-            self._offsets = tuple(found.tolist()) or (0,)
-        return self._offsets
 
     def is_hermitian(self, tol=1e-12) -> bool:
         return float(np.max(np.abs(self.data - self.data.conj().T))) <= tol
@@ -195,6 +188,19 @@ def _stacked(diagonal, offsets: tuple, dim: int) -> np.ndarray:
 def _columns(dim: int, lo: int, width: int) -> np.ndarray:
     """Column of each band cell: (i, k) holds entry (i, i + lo + k)."""
     return np.arange(dim)[:, None] + (lo + np.arange(width))
+
+
+def diagonal_split(M: FuzzyMatrix) -> tuple:
+    """(main diagonal, largest off-diagonal magnitude) of M, read from the
+    storage it holds: its bands, else its dense view (never copied into bands)."""
+    if M._bands is None:
+        mags = np.abs(M._data)
+        np.fill_diagonal(mags, 0.0)
+        return np.diagonal(M._data), float(mags.max())
+    lo, bands = M.offsets[0], M._bands
+    on = np.arange(lo, lo + bands.shape[1]) == 0  # band cells outside the matrix are 0
+    diag = bands[:, -lo] if on.any() else np.zeros(M.dim)
+    return diag, float(np.max(np.abs(bands[:, ~on]), initial=0.0))
 
 
 def _layout(*Ms) -> tuple:
@@ -313,9 +319,11 @@ def within_border_norm(M: FuzzyMatrix, delta) -> float:
     plain max-row-sum norm.
 
     The rows are summed on the bands to find those that may hold the
-    maximum, and only those are summed again laid out as dense rows: numpy
-    sums a row pairwise, in an order set by where its zeros sit, so the
-    norm is bitwise the one of the dense interior block.
+    maximum, and those of three or more nonzero cells are summed again laid
+    out as dense rows: numpy sums a row pairwise, in an order set by where
+    its zeros sit, so the norm is bitwise the one of the dense interior
+    block.  A row of at most two nonzero cells sums to the same bits in any
+    order, so its band sum stands.
     """
     mags, cols = _interior_abs(M, delta)
     sums = mags.sum(axis=1)
@@ -324,8 +332,10 @@ def within_border_norm(M: FuzzyMatrix, delta) -> float:
         return float(top)
     # two summation orders of w nonnegative terms differ by under 2 w eps of their sum
     near = np.flatnonzero(sums >= top * (1.0 - 4.0 * mags.shape[1] * np.finfo(float).eps))
+    exact = np.count_nonzero(mags[near], axis=1) <= 2
+    best, near = float(sums[near[exact]].max(initial=0.0)), near[~exact]
     n = len(mags)  # the interior block is n x n
-    step, best = max(1, 2**20 // n), 0.0  # at most 2**20 dense cells at a time
+    step = max(1, 2**20 // n)  # at most 2**20 dense cells at a time
     for chunk in (near[s : s + step] for s in range(0, len(near), step)):
         part = mags[chunk]
         nonzero = part > 0.0
@@ -365,11 +375,13 @@ def product(A: FuzzyMatrix, B: FuzzyMatrix) -> FuzzyMatrix:
     256, K = 17 / 33 / 257 / 511: 1.1 / 3.1 / 176 / 390 against 2.3 / 2.3 /
     2.4 / 3.5 ms; dim 1024, K = 129 / 513 / 1025: 216 / 3,994 / 15,815
     against about 145 ms.  BLAS is faster from about dim / 10 diagonals, but
-    sweep bytes rest on the CSR order: regularized coordinates stay here.
+    sweep bytes rest on the CSR order: regularized coordinates stay here,
+    and dense data, which records every diagonal, goes to BLAS.
     """
+    layout = _layout(A, B)  # before numpy meets mismatched operands
     if len(A.offsets) < A.dim:
         return _band_kernel(A, B)
-    return FuzzyMatrix(A.data @ B.data, *_layout(A, B))
+    return FuzzyMatrix(A.data @ B.data, *layout)
 
 
 def commutator(A: FuzzyMatrix, B: FuzzyMatrix) -> FuzzyMatrix:
@@ -386,11 +398,10 @@ def lincomb(*terms) -> FuzzyMatrix:
     read in place, and copied only to start the sum; a narrower one is
     widened with +0 first, so that, as in the dense sum, a -0 it meets
     outside its diagonals turns +0.  When a term records at least dim
-    diagonals (a BLAS-side product, by `product`'s rule) the terms' dense
+    diagonals (dense data, or a band product as wide) the terms' dense
     views are summed instead, since its bands would take twice its dense
-    size (two dense 256 x 256 terms: 0.8 ms against 11.8 ms through bands,
-    after their offset scans); the sum still records the union of
-    diagonals, so a later `product` takes the side it takes on a banded sum.
+    size (two dense 256 x 256 terms: 0.8 ms against 11.8 ms through
+    bands); the sum is dense data and records every diagonal.
     """
     N, S = _layout(*(M for _, M in terms))
     offsets = tuple(sorted({o for _, M in terms for o in M.offsets}))
@@ -411,11 +422,7 @@ def lincomb(*terms) -> FuzzyMatrix:
             acc -= part
         else:
             acc += c * part
-    if not dense:
-        return FuzzyMatrix._banded(acc, offsets, N, S)
-    out = FuzzyMatrix(acc, N, S)
-    out._offsets = offsets
-    return out
+    return FuzzyMatrix(acc, N, S) if dense else FuzzyMatrix._banded(acc, offsets, N, S)
 
 
 @dataclass(frozen=True)
@@ -442,10 +449,6 @@ class FuzzySpace:
     @property
     def dim(self) -> int:
         return self.coordinates[0].dim
-
-    @property
-    def d(self) -> int:
-        return len(self.coordinates)
 
 
 def regularize_space(name: str, generators, grid: DiscretizingGrid) -> FuzzySpace:

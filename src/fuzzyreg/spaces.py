@@ -2,10 +2,11 @@
 
 Covered here: the generalized fuzzy cylinder over a closed curve, immersed
 cylinders (with the circle-to-eight preset), the mirror pair of cylinders,
-the fuzzy Clifford torus, and the graph-vertex band matrix.  Hand-built
-banded coordinates are written in O(N) memory by `FuzzyMatrix.from_diagonals`,
-but for the graph vertex's band matrix: its default x_lower = 0 writes -0.0
-on a diagonal no scan records, and a dense build keeps those bytes.
+the fuzzy Clifford torus, and the graph-vertex band matrix.  Every
+hand-built coordinate is written in O(N) memory by
+`FuzzyMatrix.from_diagonals`, which records the diagonals it is given: the
+graph vertex's five, diagonal 0 among them even where its default
+x_lower = 0 writes only -0.0 there.
 """
 
 from __future__ import annotations
@@ -267,22 +268,20 @@ class GraphVertexSpec:
 
 
 def build_graph_vertex(spec: GraphVertexSpec) -> FuzzySpace:
-    """Assemble the vertex band matrix and its diagonal z partner."""
+    """Write the vertex band matrix from its diagonals -2..2, and its diagonal z partner."""
     D, n0 = spec.dim, spec.n0
-    F = np.zeros((D, D), dtype=complex)
-    k = np.arange(n0 - 1)  # the upper strand
-    F[k, k + 1], F[k + 1, k] = spec.upper_band(), np.conj(spec.upper_band())
     r = complex(spec.r_junction)
-    F[n0 - 1, [n0, n0 + 1]], F[[n0, n0 + 1], n0 - 1] = r, np.conj(r)
-    t = n0 + 2 * np.arange(spec.lower_blocks)  # the first row of each lower block
-    F[t, t], F[t + 1, t + 1] = -spec.lower_diag(), spec.lower_diag()
-    i = np.arange(n0, D - 2)  # both lower strands, block t at rows n0 + 2t and n0 + 2t + 1
-    rb = spec.lower_band()[(i - n0) // 2]
-    F[i, i + 2], F[i + 2, i] = rb, np.conj(rb)
+    main, up1, up2, down1, down2 = (np.zeros(D - abs(o), dtype=complex) for o in (0, 1, 2, -1, -2))
+    main[n0::2], main[n0 + 1 :: 2] = -spec.lower_diag(), spec.lower_diag()  # each lower block
+    up1[: n0 - 1], up1[n0 - 1] = spec.upper_band(), r  # the upper strand, then the junction
+    # the junction, then both lower strands: row n0 + 2t + s reads block t's band
+    up2[n0 - 1], up2[n0:] = r, spec.lower_band()[np.arange(D - 2 - n0) // 2]
+    down1[:n0], down2[n0 - 1 :] = np.conj(up1[:n0]), np.conj(up2[n0 - 1 :])  # written cells only
+    F = FuzzyMatrix.from_diagonals({-2: down2, -1: down1, 0: main, 1: up1, 2: up2}, D)
     if spec.z_values is not None:
         z = np.asarray(spec.z_values, dtype=float)
         if z.size != D:
             raise StructureError("z_values must match the matrix dimension")
     else:  # (n + 1) / D on the upper strand, one height per lower block
         z = np.concatenate([np.arange(n0) + 1.0, n0 + 2 * (np.arange(D - n0) // 2) + 1.5]) / D
-    return FuzzySpace("graph-vertex", (FuzzyMatrix(F, D, 1), FuzzyMatrix.from_diagonals({0: z}, D)))
+    return FuzzySpace("graph-vertex", (F, FuzzyMatrix.from_diagonals({0: z}, D)))

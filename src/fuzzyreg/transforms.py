@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, StructureError, config_value, finite, integer, json_object
 from .fourier import FourierFunction, MatrixFourierFunction
-from .regularize import FuzzyMatrix, FuzzySpace, lincomb, product
+from .regularize import FuzzyMatrix, FuzzySpace, diagonal_split, lincomb, product
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -137,14 +137,13 @@ def _entrywise_step(coords, step):
             terms.append((coeff, part))
         return lincomb(*terms), ()
     src = coords[_coordinate_index(coords, step.get("source"), "reciprocal-diag source")]
-    lo = src.offsets[0]
-    on_diagonal = np.arange(lo, lo + src.bands.shape[1]) == 0  # band cells outside the matrix are 0
-    if np.max(np.abs(src.bands[:, ~on_diagonal]), initial=0.0) > 1e-12:
+    diag, offdiag_max = diagonal_split(src)
+    if offdiag_max > 1e-12:
         raise StructureError("entrywise recipe needs a diagonal source coordinate")
     shift = config_value(finite, step.get("shift", 1.0), "shift")
     scale = config_value(finite, step.get("scale", 1.0), "scale")
     tol = config_value(finite, step.get("singular_tol", 1e-9), "singular_tol")
-    denom = shift + (src.bands[:, -lo] if on_diagonal.any() else np.zeros(src.dim))
+    denom = shift + diag
     singular = np.abs(denom) < tol
     vals = np.divide(scale, denom, out=np.zeros(src.dim, dtype=complex), where=~singular)
     return FuzzyMatrix.from_diagonals({0: vals}, N, S), np.flatnonzero(singular)
@@ -221,12 +220,11 @@ def diagonalize_coordinate(space: FuzzySpace, index: int):
     M = space.coordinates[index]
     if not M.is_hermitian(1e-10):
         raise StructureError(f"coordinate {index} is not Hermitian")
-    A = M.data
-    diag = np.diag(A)
-    offdiag_max = np.max(np.abs(A - np.diag(diag))) if M.dim > 1 else 0.0
+    diag, offdiag_max = diagonal_split(M)
     if offdiag_max == 0.0 and np.all(np.diff(diag.real) >= 0):
         w, residual, out = diag.real, 0.0, space
     else:
+        A = M.data
         if np.max(np.abs(A.imag)) < 1e-12:
             w, V = np.linalg.eigh(A.real)
             V = V.astype(complex)

@@ -9,10 +9,12 @@ and band by band.  `interpolated_angle_function` is the blended angular
 function itself, the quadrature reference for the blend's mode
 coefficients.  `oracle_matrices` holds the matrices the SVG and CSV
 writers are byte-compared on, and `surface_csv_reference` the surface CSV
-formatted cell by cell.  `dense_cylinder_z`, `dense_row_anchored_eight` and
-`dense_clifford_torus` write the hand-built coordinates as dense N x N
-arrays, scanned by `FuzzyMatrix(array)`: the references of the builds from
-diagonals.
+formatted cell by cell.  `dense_cylinder_z`, `dense_row_anchored_eight`,
+`dense_clifford_torus` and `dense_graph_vertex` write the hand-built
+coordinates as dense arrays, each with the diagonals it writes, and `stored_bands` lays such an
+array out on those diagonals: the references of the builds from diagonals.
+`nonzero_diagonals` reads off the diagonals of a dense array that hold a
+nonzero entry.
 """
 
 import json
@@ -222,37 +224,76 @@ def surface_csv_reference(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def nonzero_diagonals(data):
+    """The diagonals (column minus row) of a dense array holding a nonzero entry, sorted."""
+    rows, cols = np.nonzero(data)
+    return tuple(sorted(set((cols - rows).tolist())))
+
+
+def stored_bands(data, offsets):
+    """The bands a matrix recording `offsets` stores for the dense array `data`:
+    row i, column k holds data[i, i + offsets[0] + k] on each recorded diagonal,
+    zero on the diagonals between them and on cells outside the matrix."""
+    dim, lo = len(data), offsets[0]
+    bands = np.zeros((dim, offsets[-1] - lo + 1), dtype=complex)
+    for o in offsets:
+        rows = np.arange(dim - abs(o)) + max(0, -o)
+        bands[rows, o - lo] = data[rows, rows + o]
+    return bands
+
+
 def dense_cylinder_z(curve, N, z_offset=0.0):
-    """The generalized cylinder's z, z_offset + beta n / N for n = 1..N, as a dense diagonal."""
+    """The generalized cylinder's z, z_offset + beta n / N for n = 1..N, as a
+    dense diagonal, and the diagonals it writes."""
     zvals = z_offset + curve.z_beta * (np.arange(1, N + 1) / N)
-    return FuzzyMatrix(np.diag(zvals.astype(complex)), N, 1)
+    return np.diag(zvals.astype(complex)), (0,)
 
 
 def dense_row_anchored_eight(N):
     """(x, y, z) of the row-anchored circle-to-eight, each band written into a
-    dense array entry by entry (band 3 writes nothing below N = 4)."""
+    dense array entry by entry (band 3 writes nothing below N = 4), each with
+    the diagonals it writes."""
     qrow = -1.0 + 2.0 * np.arange(N) / N
     hv = smooth_step()(qrow)
 
     def banded(weights_by_band, factor):
-        out = np.zeros((N, N), dtype=complex)
+        out, written = np.zeros((N, N), dtype=complex), set()
         for band, w in weights_by_band:
             idx = np.arange(N - band)
             out[idx, idx + band] = factor * w[idx]
             out[idx + band, idx] = np.conj(factor) * w[idx]
-        return out
+            if len(idx):
+                written |= {band, -band}
+        return out, tuple(sorted(written))
 
     xm = banded(((1, (1.0 + 0.5 * hv) * 0.5), (3, 0.25 * hv)), 1.0)
     ym = banded(((1, (1.0 - 0.5 * hv) * 0.5), (3, 0.25 * hv)), 1j)
     zvals = (1.0 + qrow) / 2.0
-    return (FuzzyMatrix(xm, N, 1), FuzzyMatrix(ym, N, 1),
-            FuzzyMatrix(np.diag(zvals.astype(complex)), N, 1))
+    return xm, ym, (np.diag(zvals.astype(complex)), (0,))
 
 
 def dense_clifford_torus(a, b, N):
-    """(x1, y1, x2, y2) of the Clifford torus by dense arithmetic on e_1 and e_{-1}."""
+    """(x1, y1, x2, y2) of the Clifford torus by dense arithmetic on e_1 and
+    e_{-1}, each with the diagonals it writes."""
     e1, em1 = toeplitz_basis(1, N).data, toeplitz_basis(-1, N).data
     angles = 2.0 * np.pi * np.arange(1, N + 1) / N
-    return (FuzzyMatrix(0.5 * a * (e1 + em1), N, 1), FuzzyMatrix(0.5j * a * (e1 - em1), N, 1),
-            FuzzyMatrix(np.diag(b * np.cos(angles)).astype(complex), N, 1),
-            FuzzyMatrix(np.diag(b * np.sin(angles)).astype(complex), N, 1))
+    return ((0.5 * a * (e1 + em1), (-1, 1)), (0.5j * a * (e1 - em1), (-1, 1)),
+            (np.diag(b * np.cos(angles)).astype(complex), (0,)),
+            (np.diag(b * np.sin(angles)).astype(complex), (0,)))
+
+
+def dense_graph_vertex(spec):
+    """The graph vertex's band matrix assembled entry by entry into a dense
+    array, and the diagonals -2..2 it writes."""
+    D, n0 = spec.dim, spec.n0
+    F = np.zeros((D, D), dtype=complex)
+    k = np.arange(n0 - 1)  # the upper strand
+    F[k, k + 1], F[k + 1, k] = spec.upper_band(), np.conj(spec.upper_band())
+    r = complex(spec.r_junction)
+    F[n0 - 1, [n0, n0 + 1]], F[[n0, n0 + 1], n0 - 1] = r, np.conj(r)
+    t = n0 + 2 * np.arange(spec.lower_blocks)  # the first row of each lower block
+    F[t, t], F[t + 1, t + 1] = -spec.lower_diag(), spec.lower_diag()
+    i = np.arange(n0, D - 2)  # both lower strands
+    rb = spec.lower_band()[(i - n0) // 2]
+    F[i, i + 2], F[i + 2, i] = rb, np.conj(rb)
+    return F, (-2, -1, 0, 1, 2)

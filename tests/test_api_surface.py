@@ -2,7 +2,11 @@
 package or is declared in the package docstring, and every declared name exists.
 
 A reference is an `ast.Name` or `ast.Attribute` in code outside the name's own
-definition; a mention in a docstring or an import alone does not count.
+definition, and for a method or property an `ast.Attribute` only: a local
+variable that shares a method's name does not call it.  A mention in a
+docstring or an import alone does not count.  Methods are matched by name, not
+by class, so one that shares its name with another class's method (such as
+`FourierFunction.from_dict`) still passes on the other's calls.
 """
 
 import ast
@@ -33,16 +37,25 @@ def public_definitions():
                         yield f"{module}.{node.name}.{sub.name}", sub
 
 
-def names_used(node):
-    """How often each name appears as a Name id or an Attribute attr under node."""
+def names_used(node, kinds):
+    """How often each name appears under node as a Name id or an Attribute attr,
+    counting the node types in `kinds` only."""
     return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+                   if isinstance(n, kinds))
+
+
+CALLS = (ast.Name, ast.Attribute)  # how a function or class is reached
+METHOD_CALLS = (ast.Attribute,)  # how a method or property is reached
 
 
 def test_every_public_name_has_a_caller_or_is_declared():
-    used = sum((names_used(tree) for tree in TREES.values()), Counter())
-    orphans = [name for name, node in public_definitions()
-               if name not in DECLARED and used[node.name] == names_used(node)[node.name]]
+    used = {kinds: sum((names_used(tree, kinds) for tree in TREES.values()), Counter())
+            for kinds in (CALLS, METHOD_CALLS)}
+    orphans = []
+    for name, node in public_definitions():
+        kinds = METHOD_CALLS if name.count(".") == 2 else CALLS
+        if name not in DECLARED and used[kinds][node.name] == names_used(node, kinds)[node.name]:
+            orphans.append(name)
     assert not orphans, "public names with no caller in the package and not declared " \
         "in fuzzyreg.__doc__: " + ", ".join(orphans)
 

@@ -34,9 +34,15 @@ from fuzzyreg.regularize import (
     regularize_matrix,
     within_border_norm,
 )
-from fuzzyreg.spaces import build_circle_to_eight
+from fuzzyreg.spaces import CurveSpec, build_circle_to_eight, build_generalized_cylinder
 from fuzzyreg.transforms import diagonalize_coordinate
-from refs import dense_interior_max_entry, dense_lincomb, dense_within_border_norm
+from refs import (
+    dense_interior_max_entry,
+    dense_lincomb,
+    dense_within_border_norm,
+    nonzero_diagonals,
+    stored_bands,
+)
 
 sparse = pytest.importorskip("scipy.sparse")
 
@@ -84,11 +90,6 @@ def assert_matches_sides(A, B):
     assert_bitwise(commutator(A, B).data, side_product(A, B) - side_product(B, A))
 
 
-def nonzero_diagonals(M):
-    rows, cols = np.nonzero(M.data)
-    return set((cols - rows).tolist())
-
-
 @pytest.mark.parametrize("N", [256, 1024])
 def test_eight_matches_csr(N):
     X, Y, Z = build_circle_to_eight(N).coordinates
@@ -109,7 +110,7 @@ def test_dense_operands_without_recorded_diagonals_match_csr():
     rng = np.random.default_rng(11)
     A, B = (FuzzyMatrix(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)), 6, 1)
             for _ in range(2))
-    assert A.offsets == tuple(range(-5, 6))  # read off its nonzero diagonals
+    assert A.offsets == tuple(range(-5, 6))  # dense data records every diagonal
     assert on_blas_side(A) and on_blas_side(B)
     assert_kernel_matches_csr(A, B)
     assert_bitwise(product(A, B).data, A.data @ B.data)
@@ -131,11 +132,13 @@ def test_mixed_layouts_match_csr_and_multiply_flat():
 
 
 def test_recorded_diagonals_stand_in_for_a_scan():
-    # a matrix whose recorded diagonals are its nonzero ones multiplies as if scanned
+    # a matrix whose recorded diagonals are its nonzero ones multiplies as a
+    # CSR product of its nonzero entries does, onto the sums of those diagonals
     X, Y, _ = build_circle_to_eight(64).coordinates
-    bare = [FuzzyMatrix(M.data, M.N, M.S) for M in (X, Y)]
-    assert_bitwise(commutator(X, Y).data, commutator(*bare).data)
-    assert commutator(X, Y).offsets == commutator(*bare).offsets
+    assert X.offsets == nonzero_diagonals(X.data) and Y.offsets == nonzero_diagonals(Y.data)
+    sums = {a + b for a in nonzero_diagonals(X.data) for b in nonzero_diagonals(Y.data)}
+    assert_bitwise(commutator(X, Y).data, csr_commutator(X, Y))
+    assert commutator(X, Y).offsets == tuple(sorted(o for o in sums if abs(o) < X.dim))
 
 
 def test_the_rule_names_the_side_of_each_operand(monkeypatch):
@@ -191,21 +194,24 @@ def diagonal_tables(draw):
 
 @PROPERTY
 @given(diagonal_tables())
-def test_from_diagonals_records_what_a_dense_scan_records(case):
+def test_from_diagonals_records_the_diagonals_it_is_given(case):
+    # the given diagonals, all-zero ones too, else diagonal 0; dense data
+    # records every diagonal, whatever its values
     N, S, table = case
     dim = N * S
     dense = np.zeros((dim, dim), dtype=complex)
     for o, values in table.items():
         dense[np.arange(len(values)) + max(0, -o), np.arange(len(values)) + max(0, o)] = values
-    got, scanned = FuzzyMatrix.from_diagonals(table, N, S), FuzzyMatrix(dense, N, S)
-    assert got.offsets == scanned.offsets
+    got, whole = FuzzyMatrix.from_diagonals(table, N, S), FuzzyMatrix(dense, N, S)
+    assert got.offsets == (tuple(sorted(table)) or (0,))
+    assert whole.offsets == tuple(range(1 - dim, dim))
     lo, width = got.offsets[0], got.offsets[-1] - got.offsets[0] + 1
     bands = np.zeros((dim, width), dtype=complex)  # entry (i, i + lo + k) of each recorded diagonal
     for i, k in itertools.product(range(dim), range(width)):
         if lo + k in got.offsets and 0 <= i + lo + k < dim:
             bands[i, k] = dense[i, i + lo + k]
     assert_bitwise(got.bands, bands)
-    assert_bitwise(scanned.bands, bands)
+    assert_bitwise(whole.bands, stored_bands(dense, whole.offsets))
     rows, cols = np.indices((dim, dim))
     assert_bitwise(got.data, np.where(np.isin(cols - rows, got.offsets), dense, 0))
     assert np.array_equal(got.data, dense)
@@ -246,7 +252,7 @@ def test_recorded_diagonals_cover_every_nonzero_one(pair, N):
     grid = make_grid(N, IV)
     A, B = (regularize_matrix(F, grid) for F in pair)
     for M in (A, B, product(A, B), commutator(A, B)):
-        assert nonzero_diagonals(M) <= set(M.offsets)
+        assert set(nonzero_diagonals(M.data)) <= set(M.offsets)
         assert list(M.offsets) == sorted(set(M.offsets))
         assert all(abs(c) < M.dim for c in M.offsets)
     assert_kernel_matches_csr(A, B)
@@ -254,13 +260,9 @@ def test_recorded_diagonals_cover_every_nonzero_one(pair, N):
 
 
 def one_sided(rng, dim, offsets):
-    """A random complex dim x dim matrix, nonzero only on the given diagonals."""
-    data = np.zeros((dim, dim), dtype=complex)
-    for o in offsets:
-        n = dim - abs(o)
-        data[np.arange(n) + max(0, -o), np.arange(n) + max(0, o)] = (
-            rng.normal(size=n) + 1j * rng.normal(size=n))
-    return FuzzyMatrix(data, dim, 1)
+    """A random complex dim x dim matrix built on the given diagonals."""
+    return FuzzyMatrix.from_diagonals(
+        {o: rng.normal(size=dim - abs(o)) + 1j * rng.normal(size=dim - abs(o)) for o in offsets}, dim)
 
 
 def banded_families():
@@ -314,11 +316,11 @@ def test_lincomb_reads_terms_in_place_and_keeps_signed_zeros():
 
 
 def test_lincomb_sums_dense_terms_dense():
-    # a term recording at least dim diagonals (a BLAS-side product) makes the
-    # sum dense: no term's bands are read and no band array is built, the
-    # bytes are the dense expression's, -0 cells included, and the sum records
-    # the union of diagonals, so `product` sends it to the side it would
-    # send the banded sum to
+    # a term recording at least dim diagonals (dense data: a BLAS-side
+    # product) makes the sum dense: no term's bands are read and no band array
+    # is built, the bytes are the dense expression's, -0 cells included, and
+    # the sum records every diagonal, the union of the terms', so `product`
+    # sends it to BLAS
     rng = np.random.default_rng(17)
     dim, nz = 9, complex(-0.0, -0.0)
 
@@ -329,7 +331,7 @@ def test_lincomb_sums_dense_terms_dense():
         data[0, 1], data[2, 0] = complex(-0.0, 1.0), complex(1.0, -0.0)
         return FuzzyMatrix(data, dim, 1)
 
-    full, lower = dense(dim - 1), dense(1)  # 17 and 10 of the 17 diagonals
+    full, lower = dense(dim - 1), dense(1)  # nonzero on 17 and 10 of the 17 diagonals
     signed = FuzzyMatrix._banded(np.array([[nz, nz, complex(-0.0, 1.0)]] * dim), (-1, 0, 1), dim, 1)
     zero = FuzzyMatrix._banded(np.zeros((dim, 1), dtype=complex), (0,), dim, 1)
     narrow = one_sided(rng, dim, (3, 4))
@@ -369,7 +371,38 @@ def test_row_sum_norm_takes_the_row_the_dense_sum_makes_largest():
         for k, v in enumerate(values[rng.permutation(9)]):
             if 0 <= i - 4 + k < 64:
                 data[i, i - 4 + k] = v
-    M = FuzzyMatrix(data, 64, 1)
+    M = FuzzyMatrix.from_diagonals({o: np.diagonal(data, o) for o in range(-4, 5)}, 64)
     band_sums, dense_sums = np.abs(M.bands).sum(axis=1), np.abs(data).sum(axis=1)
     assert dense_sums[band_sums == band_sums.max()].max() < dense_sums.max()
     assert within_border_norm(M, 0) == dense_within_border_norm(data, 0)
+
+
+magnitudes = st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 1.0]) | st.floats(-1e3, 1e3)
+
+
+@PROPERTY
+@given(st.integers(2, 12).flatmap(lambda dim: st.tuples(
+    st.just(dim), st.lists(st.integers(1 - dim, dim - 1), min_size=1, max_size=2, unique=True),
+    st.integers(0, (dim - 1) // 2))), st.data())
+def test_rows_of_at_most_two_cells_keep_their_band_sums(case, data):
+    # two diagonals put at most two nonzero cells in a row, whose sum has the
+    # same bits in any order: the band sum is the dense block's row sum
+    dim, offsets, delta = case
+    table = {o: np.array(data.draw(st.lists(magnitudes, min_size=dim - abs(o), max_size=dim - abs(o))))
+             * data.draw(st.sampled_from([1.0, 1j, 0.6 - 0.8j])) for o in offsets}
+    M = FuzzyMatrix.from_diagonals(table, dim)
+    assert within_border_norm(M, delta) == dense_within_border_norm(M.data, delta)
+
+
+def test_cylinder_rows_of_two_cells_lay_out_no_dense_row(monkeypatch):
+    # every interior row of the cylinder's [x, z] holds two cells, and all tie
+    # for the largest sum: none is laid out as a dense row of 16384 cells
+    N = 16384
+    x, _, z = build_generalized_cylinder(CurveSpec.circle(1.0), N).coordinates
+    C = commutator(x, z)
+    zeros, laid_out = np.zeros, []
+    monkeypatch.setattr(np, "zeros", lambda shape, *args, **kw:
+                        laid_out.append(shape) or zeros(shape, *args, **kw))
+    norm = within_border_norm(C, 5)
+    assert laid_out == []
+    assert norm == pytest.approx(1.0 / N, rel=1e-9)

@@ -186,6 +186,19 @@ class TestSweepCommand:
         assert text.strip().endswith("PASS")
         assert "PASS" in capsys.readouterr().out
 
+    # the report names the space by its label, else by the preset built
+    @pytest.mark.parametrize("space, name", [({}, "cylinder"),
+                                             ({"preset": "clifford-torus"}, "clifford-torus")],
+                             ids=["default-preset", "clifford-torus"])
+    def test_unlabeled_decay_sweep_names_its_preset(self, tmp_path, space, name):
+        cfg_path = tmp_path / "decay.json"
+        cfg_path.write_text(json.dumps({"sweep": {"kind": "commutator-decay", "space": space,
+                                                  "schedule": [16, 32, 64]}}), encoding="utf-8")
+        assert run_cli(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "commutator-decay-report.json")["builder"] == name
+        text = (tmp_path / "commutator-decay-report.txt").read_text(encoding="utf-8")
+        assert f"builder:   {name}\n" in text
+
     def test_product_sweep_from_inline_config(self, tmp_path):
         cfg = {
             "sweep": {

@@ -1,6 +1,7 @@
 """Grids, the regularization map, Toeplitz pieces, border norms."""
 
 import gc
+import itertools
 import json
 import weakref
 from pathlib import Path
@@ -29,6 +30,7 @@ from fuzzyreg.regularize import (
     commutator,
     interior_max_entry,
     make_grid,
+    product,
     regularize_matrix,
     regularize_scalar,
     regularize_schedule,
@@ -451,10 +453,14 @@ class TestCommutator:
         assert not C.data.flags.writeable
 
     def test_dimension_mismatch(self):
-        A = FuzzyMatrix(np.eye(4, dtype=complex), 4, 1)
-        B = FuzzyMatrix(np.eye(6, dtype=complex), 6, 1)
-        with pytest.raises(StructureError):
-            commutator(A, B)
+        # dense operands take BLAS: the layouts are checked before numpy multiplies
+        rng = np.random.default_rng(3)
+        for a, b in [(np.eye(4), np.eye(6)), (rng.normal(size=(3, 3)), rng.normal(size=(4, 4)))]:
+            A, B = FuzzyMatrix(a, len(a), 1), FuzzyMatrix(b, len(b), 1)
+            for op, X, Y in itertools.product((product, commutator), (A, B), (A, B)):
+                if X is not Y:
+                    with pytest.raises(StructureError):
+                        op(X, Y)
 
 
 class TestFuzzyMatrix:
@@ -474,4 +480,4 @@ class TestFuzzySpace:
         Q = regularize_scalar(FourierFunction.cosine(IV, 1), g)
         space = FuzzySpace("toy", (Q, FuzzyMatrix(0.5 * (Q.data + Q.data.conj().T), Q.N, Q.S)))
         assert all(c.is_hermitian(1e-12) for c in space.coordinates)
-        assert space.dim == 8 and space.d == 2
+        assert space.dim == 8 and len(space.coordinates) == 2

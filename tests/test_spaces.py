@@ -25,8 +25,10 @@ from fuzzyreg.transforms import interlace_function
 from refs import (
     dense_clifford_torus,
     dense_cylinder_z,
+    dense_graph_vertex,
     dense_row_anchored_eight,
     random_closed_curve,
+    stored_bands,
 )
 
 IV = (0.0, 1.0)
@@ -253,7 +255,7 @@ class TestDoubleCylinder:
 class TestCliffordTorus:
     def test_reference_configuration(self):
         space = build_clifford_torus(1.0, 2.0, 40)
-        assert space.dim == 40 and space.d == 4
+        assert space.dim == 40 and len(space.coordinates) == 4
         assert all(c.is_hermitian(1e-14) for c in space.coordinates)
         x1 = space.coordinates[0].data
         np.testing.assert_allclose(x1, 0.5 * (np.eye(40, k=1) + np.eye(40, k=-1)))
@@ -285,17 +287,18 @@ class TestCliffordTorus:
 
 class TestBuildsFromDiagonals:
     """The hand-built coordinates are written from their diagonals and equal
-    the dense constructions of `tests/refs.py` byte for byte, without ever
-    building their dense view on the way."""
+    the dense constructions of `tests/refs.py` byte for byte, record the
+    diagonals those write, and never build their dense view on the way."""
 
     SIZES = [2, 3, 4, 8, 40, 257]
 
     @staticmethod
     def assert_same(got, want):
+        data, offsets = want
         assert got._data is None  # no dense view behind the bands
-        assert got.offsets == want.offsets
-        assert got.bands.tobytes() == want.bands.tobytes()
-        assert got.data.tobytes() == want.data.tobytes()
+        assert got.offsets == offsets
+        assert got.bands.tobytes() == stored_bands(data, offsets).tobytes()
+        assert got.data.tobytes() == data.tobytes()
 
     @pytest.mark.parametrize("N", SIZES)
     @pytest.mark.parametrize("curve, z_offset", [(CurveSpec.circle(1.5), -0.5),
@@ -318,20 +321,45 @@ class TestBuildsFromDiagonals:
             self.assert_same(got, want)
 
     # The dense reference multiplies the zeros off the +-1 diagonals by
-    # a <= 0 (0.5 a 0) and keeps -0.0 there; the build from diagonals
-    # writes +0.0.  The values compare equal.
+    # a <= 0 (0.5 a 0) and keeps -0.0 there when a has its sign bit set; the
+    # build from diagonals writes +0.0.  The values compare equal, and no
+    # other cell moves: a = +0 gives the dense bytes.
     @pytest.mark.parametrize("a", [-1.0, -0.0, 0.0])
     def test_non_positive_a_writes_positive_zeros(self, a):
         changed = 0
-        for got, want in zip(build_clifford_torus(a, 2.0, 8).coordinates,
-                             dense_clifford_torus(a, 2.0, 8), strict=True):
-            assert got.offsets == want.offsets
-            assert np.array_equal(got.data, want.data)
-            new, old = got.data.view(float), want.data.view(float)
+        for got, (data, offsets) in zip(build_clifford_torus(a, 2.0, 8).coordinates,
+                                        dense_clifford_torus(a, 2.0, 8), strict=True):
+            assert got.offsets == offsets
+            assert np.array_equal(got.data, data)
+            new, old = got.data.view(float), data.view(float)
             moved = new.view(np.int64) != old.view(np.int64)
             assert np.all(new[moved] == 0) and not np.any(np.signbit(new[moved]))
+            rows, cols = np.indices(data.shape)
+            off = np.repeat(~np.isin(cols - rows, offsets), 2, axis=1)  # both parts of each cell
+            assert np.array_equal(moved, off & np.signbit(old))
             changed += int(moved.sum())
-        assert changed
+        assert bool(changed) == bool(np.signbit(a))
+
+    # A zero a still records the +-1 diagonals it is given, and keeps their
+    # signed zeros: y1 = 0.5i a (e_1 - e_-1) holds -0.0 real parts on its -1
+    # diagonal for a = +0.  A scan of the values would record no diagonal there.
+    @pytest.mark.parametrize("a", [-0.0, 0.0])
+    def test_zero_a_keeps_the_signed_zeros_of_its_diagonals(self, a):
+        x1, y1 = build_clifford_torus(a, 2.0, 8).coordinates[:2]
+        for got, (data, _) in zip((x1, y1), dense_clifford_torus(a, 2.0, 8)[:2]):
+            assert got.offsets == (-1, 1) and not np.any(got.data)
+            for o in (-1, 1):
+                assert np.diagonal(got.data, o).tobytes() == np.diagonal(data, o).tobytes()
+        assert np.all(np.signbit(np.diagonal(y1.data, -1).real) != np.signbit(a))
+
+    # the default x_lower = 0 writes -0.0 on the first row of each lower block
+    @pytest.mark.parametrize("dim, n0", [(4, 2), (7, 3), (12, 4), (40, 10), (257, 65)])
+    @pytest.mark.parametrize("bands", [{}, {"x_lower": 0.3, "r_junction": 0.7 - 0.2j},
+                                       {"x_lower": -0.0, "r_upper": 1j, "r_lower": -2.0}],
+                             ids=["default", "complex", "signed-zero"])
+    def test_graph_vertex(self, dim, n0, bands):
+        spec = GraphVertexSpec(dim=dim, n0=n0, **bands)
+        self.assert_same(build_graph_vertex(spec).coordinates[0], dense_graph_vertex(spec))
 
 
 class TestGraphVertex:

@@ -183,13 +183,16 @@ class TestBlockTransform:
     @pytest.mark.parametrize("mode", ["explicit-spline", "derived-lambda"])
     @pytest.mark.parametrize("N", [8, 30, 64, 256])
     def test_banded_unitary_matches_the_dense_construction_bitwise(self, mode, N):
-        # V as the dense identity with U on the blocks n0..N-1, and M re-wrapped
-        # from its dense view: the construction the banded V replaces
+        # V as the dense identity with U on the blocks n0..N-1, multiplied with
+        # M's dense view as CSR products of their nonzero entries: the
+        # construction the banded V replaces
+        sparse = pytest.importorskip("scipy.sparse")
+
         def dense_reference(M, U, n0):
             V = np.eye(M.dim, dtype=complex)
             V[2 * n0 :, 2 * n0 :] = np.kron(np.eye(N - n0), U.matrix)
-            return product(product(FuzzyMatrix(V.conj().T, N, 2), FuzzyMatrix(M.data, N, 2)),
-                           FuzzyMatrix(V, N, 2))
+            left = (sparse.csr_array(V.conj().T) @ sparse.csr_array(M.data)).toarray()
+            return FuzzyMatrix((sparse.csr_array(left) @ sparse.csr_array(V)).toarray(), N, 2)
 
         space = build_string_vertex(VertexParams(N=N, profile=make_profile(mode)))
         U = interlacing_unitary()
@@ -346,7 +349,7 @@ class TestMatrixPolyTransform:
                 }
             ],
         )
-        assert out.d == 4
+        assert len(out.coordinates) == 4
         Z, X = space.coordinates[2].data, space.coordinates[0].data
         np.testing.assert_allclose(out.coordinates[3].data, 0.625 * Z @ Z - X, atol=1e-15)
 
@@ -453,7 +456,7 @@ class TestMatrixPolyTransform:
         diag, record = diagonalize_coordinate(bent, 0)
         assert log[3] == record and record["index"] == 0 and not record["identity"]
         final, _ = matrix_poly_transform(diag, [recip])
-        assert out.d == final.d == 6 and out.generators is None
+        assert len(out.coordinates) == len(final.coordinates) == 6 and out.generators is None
         for got, want in zip(out.coordinates, final.coordinates):
             assert got.data.tobytes() == want.data.tobytes()
 
@@ -506,7 +509,7 @@ class TestTransformedGenerators:
 
     def test_poly_transform_drops_generators(self, vertex):
         out, _ = matrix_poly_transform(vertex, [{"op": "poly", "terms": [{"indices": [0, 0]}]}])
-        assert out.d == 4 and out.generators is None and out.grid is None
+        assert len(out.coordinates) == 4 and out.generators is None and out.grid is None
         with pytest.raises(CapabilityError):
             mirror_concat(out, 3.0)
 

@@ -20,9 +20,11 @@ from fuzzyreg.regularize import (
 )
 from fuzzyreg.spaces import (
     CurveSpec,
+    GraphVertexSpec,
     build_circle_to_eight,
     build_clifford_torus,
     build_generalized_cylinder,
+    build_graph_vertex,
     circle_to_eight_functions,
 )
 from fuzzyreg import verify
@@ -344,6 +346,7 @@ class TestCommutatorDecay:
         "cylinder": lambda N: build_generalized_cylinder(CurveSpec.circle(1.0), N),
         "clifford-torus": lambda N: build_clifford_torus(1.0, 1.0, N),
         "row-anchored-eight": lambda N: build_circle_to_eight(N, "row-anchored"),
+        "graph-vertex": lambda N: build_graph_vertex(GraphVertexSpec(dim=N, n0=64)),
     }
 
     @pytest.mark.parametrize("name", sorted(HAND_BUILT))
@@ -371,6 +374,18 @@ class TestCommutatorDecay:
         try:
             coords = self.HAND_BUILT[name](2048).coordinates
             within_border_norm(commutator(coords[0], coords[2]), 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
+
+    def test_graph_vertex_step_at_2048_stays_under_2_mb(self):
+        # its two coordinates, the band matrix and its height, as above
+        self.HAND_BUILT["graph-vertex"](128)
+        tracemalloc.start()
+        try:
+            F, z = self.HAND_BUILT["graph-vertex"](2048).coordinates
+            within_border_norm(commutator(F, z), 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
