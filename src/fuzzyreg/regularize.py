@@ -306,8 +306,11 @@ def _border_width(M: FuzzyMatrix, delta) -> int:
 
 def _interior_abs(M: FuzzyMatrix, delta):
     """|bands| of the interior rows (delta..dim-delta), zero on every cell
-    outside the interior columns, and each cell's interior column."""
+    outside the interior columns, and each cell's interior column; for dense
+    data (never copied into bands) |interior block| and None."""
     d = _border_width(M, delta)
+    if M._bands is None:
+        return np.abs(M._data[d : M.dim - d, d : M.dim - d]), None
     cols = _columns(M.dim, M.offsets[0], M.bands.shape[1])[d : M.dim - d] - d
     mags = np.abs(M.bands[d : M.dim - d])
     mags[(cols < 0) | (cols >= M.dim - 2 * d)] = 0.0
@@ -323,12 +326,12 @@ def within_border_norm(M: FuzzyMatrix, delta) -> float:
     out as dense rows: numpy sums a row pairwise, in an order set by where
     its zeros sit, so the norm is bitwise the one of the dense interior
     block.  A row of at most two nonzero cells sums to the same bits in any
-    order, so its band sum stands.
+    order, so its band sum stands.  Dense data sums the interior block itself.
     """
     mags, cols = _interior_abs(M, delta)
     sums = mags.sum(axis=1)
     top = sums.max()
-    if not 0.0 < top < np.inf:  # zero, NaN or infinite in any summation order
+    if cols is None or not 0.0 < top < np.inf:  # dense rows; zero, NaN or infinite in any order
         return float(top)
     # two summation orders of w nonnegative terms differ by under 2 w eps of their sum
     near = np.flatnonzero(sums >= top * (1.0 - 4.0 * mags.shape[1] * np.finfo(float).eps))

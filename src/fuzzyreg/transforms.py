@@ -7,10 +7,14 @@ transformation with a fixed phase convention.
 the polynomial and entrywise coordinate steps, `diagonalize` and `interlace`,
 and returns the log the CLI writes to the sidecar.  Poly terms and
 conjugations multiply coordinates only by `regularize.product`.
+`diagonalize` conjugates the coordinates on every CPU the process may run
+on; each conjugation is the same `product` calls on the same operands as in
+a plain loop, so the bytes do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,6 +210,36 @@ def _phase_fix(V: np.ndarray) -> np.ndarray:
     return W
 
 
+def _on_cpus(tasks) -> list:
+    """The results of the argument-less callables `tasks`, in order.
+
+    They run on the calling thread plus one worker thread per further CPU
+    the process may run on (at most one thread per task), each thread taking
+    the next task not yet taken; with one CPU no thread is started.  A
+    task's exception propagates once every thread has stopped, so no thread
+    outlives the call.
+    """
+    results, pending = [None] * len(tasks), iter(range(len(tasks)))
+
+    def drain():
+        for i in pending:  # next() on it is atomic under the GIL: one thread per index
+            results[i] = tasks[i]()
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(len(tasks), cpus) - 1
+    if workers < 1:
+        drain()
+        return results
+    from concurrent.futures import ThreadPoolExecutor  # here, to keep it out of start-up
+
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(drain) for _ in range(workers)]
+        drain()
+        for future in futures:
+            future.result()
+    return results
+
+
 def diagonalize_coordinate(space: FuzzySpace, index: int):
     """Sort one Hermitian coordinate's eigenbasis and conjugate all coordinates;
     return (space, record), the record being the transform log's entry.
@@ -215,6 +249,12 @@ def diagonalize_coordinate(space: FuzzySpace, index: int):
     the eigenvector matrix is kept real, which renders conjugated real
     symmetric coordinates real and purely imaginary ones purely imaginary.
     A conjugated space carries no generators; an identity one is returned as is.
+
+    The eigen-residual check and the conjugations V^H C V run on every CPU
+    the process may run on (`_on_cpus`).  numpy releases the GIL inside BLAS,
+    and each one is the same dense BLAS product of the same operands as in a
+    plain loop, so the coordinates are bitwise those of one CPU.  The
+    residual check raises before the conjugated space is built.
     """
     index = _coordinate_index(space.coordinates, index, "diagonalize index")
     M = space.coordinates[index]
@@ -233,11 +273,16 @@ def diagonalize_coordinate(space: FuzzySpace, index: int):
         order = np.argsort(w, kind="stable")
         w = w[order]
         V = _phase_fix(V[:, order])
-        residual = float(np.max(np.abs(A - (V * w) @ V.conj().T)))
-        if residual > 1e-10 * max(1.0, float(np.max(np.abs(w)))):
-            raise StructureError(f"eigendecomposition residual too large: {residual:.2e}")
         P, Pt = FuzzyMatrix(V, M.N, M.S), FuzzyMatrix(V.conj().T, M.N, M.S)  # once per step
-        out = FuzzySpace(f"diag({space.name})",
-                         tuple(product(product(Pt, c), P) for c in space.coordinates))
+
+        def checked_residual():
+            residual = float(np.max(np.abs(A - (V * w) @ V.conj().T)))
+            if residual > 1e-10 * max(1.0, float(np.max(np.abs(w)))):
+                raise StructureError(f"eigendecomposition residual too large: {residual:.2e}")
+            return residual
+
+        residual, *coords = _on_cpus([checked_residual] + [
+            lambda c=c: product(product(Pt, c), P) for c in space.coordinates])
+        out = FuzzySpace(f"diag({space.name})", tuple(coords))
     return out, {"op": "diagonalize", "index": index, "policy": PHASE_POLICY,
                  "identity": out is space, "residual": residual, "eigenvalues": list(w)}

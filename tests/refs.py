@@ -14,7 +14,9 @@ formatted cell by cell.  `dense_cylinder_z`, `dense_row_anchored_eight`,
 coordinates as dense arrays, each with the diagonals it writes, and `stored_bands` lays such an
 array out on those diagonals: the references of the builds from diagonals.
 `nonzero_diagonals` reads off the diagonals of a dense array that hold a
-nonzero entry.
+nonzero entry.  `serial_conjugation` conjugates a space's coordinates by
+its sorted eigenbasis one after another with plain numpy products: the
+oracle of `diagonalize`'s concurrent conjugation.
 """
 
 import json
@@ -40,7 +42,7 @@ from fuzzyreg.spaces import (
     circle_to_eight_functions,
     interlaced_double_cylinder_function,
 )
-from fuzzyreg.transforms import matrix_poly_transform
+from fuzzyreg.transforms import _phase_fix, matrix_poly_transform
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -297,3 +299,16 @@ def dense_graph_vertex(spec):
     rb = spec.lower_band()[(i - n0) // 2]
     F[i, i + 2], F[i + 2, i] = rb, np.conj(rb)
     return F, (-2, -1, 0, 1, 2)
+
+
+def serial_conjugation(space, index):
+    """V^H C V for each coordinate C of `space`, one after another on the
+    calling thread, where V is coordinate `index`'s eigenbasis built as
+    `diagonalize_coordinate` builds it (real for a real coordinate, cast to
+    complex); each product is the dense BLAS product `product` runs on
+    C-contiguous operands, left factor first."""
+    A = space.coordinates[index].data
+    w, V = np.linalg.eigh(A.real) if np.max(np.abs(A.imag)) < 1e-12 else np.linalg.eigh(A)
+    V = _phase_fix(V.astype(complex)[:, np.argsort(w, kind="stable")])
+    Vh = np.ascontiguousarray(V.conj().T)
+    return [(Vh @ C.data) @ V for C in space.coordinates]

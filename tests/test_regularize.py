@@ -3,6 +3,7 @@
 import gc
 import itertools
 import json
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from fuzzyreg.regularize import (
 )
 from fuzzyreg.spaces import build_circle_to_eight, circle_to_eight_functions
 from fuzzyreg.verify import check_poisson_convergence
+from refs import dense_interior_max_entry, dense_within_border_norm
 
 IV = (0.0, 1.0)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -403,6 +405,53 @@ class TestBorderHelpers:
             with pytest.raises(DomainError, match="too large"):
                 check(M, 3)
         assert within_border_norm(M, 2.0) == 1.0
+
+
+def _same(a, b):
+    """Equal floats, NaN equal to NaN."""
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+class TestDenseInteriorNorms:
+    """Dense data (never copied into bands) is normed on its dense view's
+    interior block, to the bits of the band path and of the dense reference."""
+
+    @staticmethod
+    def cases(dim):
+        rng = np.random.default_rng(dim)
+        data = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        infs, nans = data.copy(), data.copy()
+        cells = rng.integers(0, dim, size=(2, 40))
+        infs.real[cells[0, :20], cells[1, :20]] = np.inf
+        infs.imag[cells[0, 20:], cells[1, 20:]] = -np.inf
+        nans.real[cells[0], cells[1]] = np.nan
+        nans[cells[1], cells[0]] = -np.inf
+        return {"random": data, "inf": infs, "nan": nans, "zeros": np.zeros((dim, dim))}
+
+    @pytest.mark.parametrize("dim", [512, 1024])
+    def test_equal_to_the_band_path_and_the_dense_block(self, dim):
+        for name, data in self.cases(dim).items():
+            dense, banded = FuzzyMatrix(data, dim), FuzzyMatrix(data, dim)
+            banded.bands  # read: the band path
+            for delta in (0, 5):
+                for norm, ref in ((within_border_norm, dense_within_border_norm),
+                                  (interior_max_entry, dense_interior_max_entry)):
+                    got, want = norm(dense, delta), ref(data, delta)
+                    assert _same(got, want) and _same(norm(banded, delta), want), (name, delta)
+            assert dense._bands is None, name
+
+    def test_dense_norms_at_1024_copy_no_bands(self):
+        # the band copy of a dense 1024 x 1024 matrix alone takes 16 MB (2 dim - 1
+        # complex diagonals); the interior block's magnitudes take 8 MB
+        data = self.cases(1024)["random"]
+        M = FuzzyMatrix(data, 1024)
+        tracemalloc.start()
+        try:
+            within_border_norm(M, 5), interior_max_entry(M, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
 
 class TestCommutator:

@@ -1,8 +1,17 @@
 """Structural maps: the block layout, unitaries, recipes, sorting."""
 
+import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from fuzzyreg import transforms
+from fuzzyreg.cli import build_space
 from fuzzyreg.errors import CapabilityError, DomainError, StructureError
 from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction
 from fuzzyreg.interpolate import VertexParams, build_string_vertex, make_profile, mirror_concat
@@ -34,6 +43,7 @@ from fuzzyreg.transforms import (
     interlacing_unitary,
     matrix_poly_transform,
 )
+from refs import CONFIGS, serial_conjugation
 
 IV = (0.0, 1.0)
 
@@ -497,6 +507,153 @@ class TestDiagonalize:
         for c in out.coordinates:
             assert c.is_hermitian(1e-10)
         assert report["residual"] < 1e-10
+
+
+# the CI `blas-side` recipe up to its diagonalize step (its later products take
+# the BLAS side of `product`)
+BLAS_SIDE = [{"op": "interlace"},
+             {"op": "poly", "terms": [{"coeff": 0.5, "indices": [0, 1]}, {"coeff": 0.5, "indices": [1, 0]}]},
+             {"op": "diagonalize", "index": 0}]
+
+
+def _before_diagonalize(name):
+    """(space, index) of a recipe's diagonalize step, its earlier steps run."""
+    if name.startswith("clifford-"):
+        recipe = json.loads((CONFIGS / "clifford_projection.json").read_text())
+        space = build_space(recipe["space"], n=int(name.split("-")[1]))
+        steps = recipe["transforms"]
+    elif name.startswith("interlaced-vertex-"):
+        space = build_string_vertex(VertexParams(N=int(name.split("-")[2])))
+        steps = [{"op": "interlace"}, {"op": "diagonalize", "index": 0}]
+    else:
+        space, steps = build_string_vertex(VertexParams(N=30)), BLAS_SIDE
+    space, _ = matrix_poly_transform(space, steps[:-1])
+    return space, steps[-1]["index"]
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPUs the process may run on to 0..k-1, for this test only."""
+    def set_cpus(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+    return set_cpus
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started during the test, recorded as they start."""
+    started, start = [], threading.Thread.start
+
+    def recorded(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    return started
+
+
+class TestConcurrentConjugation:
+    """`diagonalize` conjugates on the calling thread plus a worker per
+    further CPU, bitwise as the serial loop of `refs.serial_conjugation`."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("name", [
+        "clifford-40", "clifford-256", "interlaced-vertex-8", "interlaced-vertex-30", "blas-side"])
+    def test_bitwise_the_serial_loop(self, cpus, name, k):
+        space, index = _before_diagonalize(name)
+        A = space.coordinates[index].data
+        assert (np.max(np.abs(A.imag)) < 1e-12) == name.startswith("clifford-")  # real V, complex V
+        cpus(k)
+        out, record = diagonalize_coordinate(space, index)
+        want = serial_conjugation(space, index)
+        assert not record["identity"] and len(out.coordinates) == len(want)
+        for got, ref in zip(out.coordinates, want):
+            assert got.data.tobytes() == ref.tobytes()
+
+    def test_one_matrix_twice_in_a_space(self, cpus, thread_starts):
+        # y's dense view is first built on two threads at once
+        x, y, _ = build_generalized_cylinder(CurveSpec.circle(), 40).coordinates
+        assert y._data is None
+        space = FuzzySpace("shared", (y, y, x))
+        cpus(2)
+        out, _ = diagonalize_coordinate(space, 2)
+        assert len(thread_starts) == 1
+        for got, ref in zip(out.coordinates, serial_conjugation(space, 2)):
+            assert got.data.tobytes() == ref.tobytes()
+
+    def test_one_cpu_starts_no_thread(self, cpus, thread_starts):
+        space, index = _before_diagonalize("clifford-40")
+        cpus(1)
+        diagonalize_coordinate(space, index)
+        assert thread_starts == []
+
+    def test_more_cpus_than_coordinates_keep_their_order(self, cpus, thread_starts):
+        before = set(threading.enumerate())
+        space, index = _before_diagonalize("interlaced-vertex-8")
+        space = FuzzySpace("three", space.coordinates[:3])
+        cpus(4)
+        out, _ = diagonalize_coordinate(space, index)
+        # at most one worker per further task (the residual and 3 conjugations); the
+        # pool starts none while a started one is idle
+        assert 1 <= len(thread_starts) <= 3
+        for got, ref in zip(out.coordinates, serial_conjugation(space, index), strict=True):
+            assert got.data.tobytes() == ref.tobytes()
+        assert set(threading.enumerate()) == before
+
+    def test_a_worker_exception_propagates_unchanged(self, cpus, monkeypatch):
+        before = set(threading.enumerate())
+        space, index = _before_diagonalize("clifford-40")
+        boom, raised = RuntimeError("worker product"), threading.Event()
+        product_ = transforms.product
+
+        def failing(A, B):
+            if threading.current_thread() is not threading.main_thread():
+                raised.set()
+                raise boom
+            raised.wait(10)  # until a worker has taken a task and raised
+            return product_(A, B)
+
+        monkeypatch.setattr(transforms, "product", failing)
+        cpus(2)
+        with pytest.raises(RuntimeError) as info:
+            diagonalize_coordinate(space, index)
+        assert info.value is boom
+        assert set(threading.enumerate()) == before
+
+    def test_residual_check_raises_before_the_space_is_built(self, cpus, monkeypatch):
+        before = set(threading.enumerate())
+        space, index = _before_diagonalize("clifford-40")
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0] + 1.0, eigh(a)[1]))
+        monkeypatch.setattr(transforms, "FuzzySpace", None)  # calling it would raise TypeError
+        cpus(2)
+        with pytest.raises(StructureError, match="eigendecomposition residual too large"):
+            diagonalize_coordinate(space, index)
+        assert set(threading.enumerate()) == before
+
+    def test_every_task_runs_once_under_frequent_switches(self, cpus):
+        # more threads than cores, switching every microsecond: an index handed
+        # to two threads would run its task twice, and a lost one not at all
+        runs = []
+        cpus(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = transforms._on_cpus([lambda i=i: runs.append(i) or -i for i in range(3000)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(runs) == list(range(3000))
+        assert results == [-i for i in range(3000)]
+
+    def test_importing_the_cli_loads_no_thread_pool(self):
+        # the pool's module is imported only where a conjugation starts threads
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, fuzzyreg.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 class TestTransformedGenerators:
