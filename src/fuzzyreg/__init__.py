@@ -9,9 +9,8 @@ Nothing is re-exported; import from the modules.  The supported API, by module:
     profiles.SplineProfile, profiles.CallableProfile, profiles.profile_from_dict
   fourier.FourierFunction, fourier.MatrixFourierFunction, fourier.mul, fourier.poisson_bracket
   regularize.make_grid, regularize.FuzzyMatrix, regularize.FuzzyMatrix.from_diagonals,
-    regularize.FuzzySpace, regularize.toeplitz_basis,
-    regularize.regularize_scalar, regularize.regularize_matrix, regularize.regularize_schedule,
-    regularize.regularize_space,
+    regularize.FuzzySpace, regularize.regularize_scalar, regularize.regularize_matrix,
+    regularize.regularize_schedule, regularize.regularize_space,
     regularize.product, regularize.commutator, regularize.lincomb, regularize.within_border_norm
   spaces.CurveSpec, spaces.build_generalized_cylinder, spaces.build_immersed_cylinder,
     spaces.build_circle_to_eight, spaces.DoubleCylinderSpec, spaces.build_double_cylinder,

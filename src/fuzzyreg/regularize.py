@@ -9,9 +9,11 @@ so e^{i phi} lands on the first superdiagonal.  Matrix-valued functions go to
 N*S x N*S matrices with the block entry (a, b) of band m-n placed at the flat
 index (n*S + a, m*S + b).
 
-Grids q(n, m) are affine in (n, m): q(n,m) = c0 + cn*n + cm*m, 0-based, with
-q(0,0) = q1 and the formula reaching q2 at (N, N) (one step past the last
-stored index, so the stored diagonal values fill [q1, q2) from the left).
+Grids q(n, m) are 0-based, with q(0,0) = q1 and the formula reaching q2 at
+(N, N) (one step past the last stored index, so the stored diagonal values
+fill [q1, q2) from the left).  The `symmetric` and `left` rules are affine,
+q(n,m) = c0 + cn*n + cm*m; `row-anchored` is q1 + span*min(n, m)/N, the row
+of a band's upper entry.
 `regularize_schedule` regularizes functions on a schedule of grids and
 evaluates each function's coefficients on one q vector per schedule: the
 distinct arguments of the bands of all its entries on every grid (q(n, m)
@@ -57,7 +59,9 @@ from .profiles import shared_evaluation
 
 @dataclass(frozen=True)
 class DiscretizingGrid:
-    """Affine assignment (n, m) -> q used by the regularization map."""
+    """Assignment (n, m) -> q used by the regularization map: c0 + cn*n + cm*m,
+    or on the row-anchored rule q1 + span*min(n, m)/N, whose cn and cm only
+    state its betas."""
 
     N: int
     interval: tuple
@@ -67,6 +71,9 @@ class DiscretizingGrid:
     cm: float
 
     def q(self, n, m):
+        if self.rule == "row-anchored":
+            q1, q2 = self.interval
+            return q1 + (q2 - q1) * np.minimum(n, m) / self.N
         return self.c0 + self.cn * np.asarray(n) + self.cm * np.asarray(m)
 
     @property
@@ -85,6 +92,7 @@ def make_grid(N: int, interval, rule: str = "symmetric") -> DiscretizingGrid:
     Rules:
       symmetric  q(n,m) = q1 + (q2-q1)(n+m)/(2N)   (beta_left = beta_right = (q2-q1)/2)
       left       q(n,m) = q1 + (q2-q1) n/N         (beta_left = q2-q1, beta_right = 0)
+      row-anchored  q(n,m) = q1 + (q2-q1) min(n,m)/N  (betas as for left)
     """
     N = int(N)
     if N < 2:
@@ -94,7 +102,7 @@ def make_grid(N: int, interval, rule: str = "symmetric") -> DiscretizingGrid:
     if rule == "symmetric":
         step = span / (2.0 * N)
         return DiscretizingGrid(N, (q1, q2), rule, q1, step, step)
-    if rule == "left":
+    if rule in ("left", "row-anchored"):
         return DiscretizingGrid(N, (q1, q2), rule, q1, span / N, 0.0)
     raise DomainError(f"unknown grid rule {rule!r}")
 
@@ -284,13 +292,6 @@ def _gathered(values, grid: DiscretizingGrid, at) -> FuzzyMatrix:
                 rows = slice(max(0, -band) * S + a, (N - max(0, band)) * S, S)
                 bands[rows, band * S + b - a - offsets[0]] = vals
     return FuzzyMatrix._banded(bands, offsets, N, S)
-
-
-def toeplitz_basis(a: int, N: int) -> FuzzyMatrix:
-    """e_a = sum_n |n><n+a|, the regularization of e^{i a phi} (ones on the
-    a-th diagonal; a=0 is the identity)."""
-    f = FourierFunction((0.0, 1.0), {int(a): 1.0})
-    return regularize_scalar(f, make_grid(N, f.interval))
 
 
 def _border_width(M: FuzzyMatrix, delta) -> int:

@@ -2,16 +2,19 @@
 
 Covered here: the generalized fuzzy cylinder over a closed curve, immersed
 cylinders (with the circle-to-eight preset), the mirror pair of cylinders,
-the fuzzy Clifford torus, and the graph-vertex band matrix.  Every
-hand-built coordinate is written in O(N) memory by
-`FuzzyMatrix.from_diagonals`, which records the diagonals it is given: the
-graph vertex's five, diagonal 0 among them even where its default
-x_lower = 0 writes only -0.0 there.
+the fuzzy Clifford torus, and the graph-vertex band matrix.  The cylinders
+and the eight on every grid rule regularize their generators through
+`regularize_space`.  Two presets are still written from their diagonals by
+`FuzzyMatrix.from_diagonals`, in O(N) memory: the Clifford torus, whose
+bytes the benchmark's sha256 references hold until they are regenerated
+with its generators, and the graph vertex, which is a band matrix and not
+a regularization (its five diagonals are recorded, diagonal 0 among them
+even where its default x_lower = 0 writes only -0.0 there).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +31,6 @@ from .regularize import (
     FuzzyMatrix,
     FuzzySpace,
     make_grid,
-    regularize_scalar,
     regularize_space,
 )
 
@@ -42,6 +44,7 @@ class CurveSpec:
     z_beta: float = 1.0
 
     def __post_init__(self):
+        _check_same_interval(self.x_series, self.y_series)  # they share one grid
         for f in (self.x_series, self.y_series):
             if not _is_q_independent(f):
                 raise DomainError("curve series must be q-independent")
@@ -56,28 +59,22 @@ class CurveSpec:
 
 
 def _is_q_independent(f: FourierFunction, tol=1e-13) -> bool:
-    lo, hi = f.interval
-    probe = np.array([lo, 0.5 * (lo + hi), hi])
-    for c in f.coeffs.values():
-        v = c(probe)
-        if np.max(np.abs(v - v[0])) > tol:
-            return False
-    return True
+    """Whether every coefficient is constant to tol on the 17 evenly spaced q
+    that `MatrixFourierFunction.is_hermitian` probes."""
+    probe = np.linspace(f.interval[0], f.interval[1], 17)
+    return all(np.max(np.abs(v - v[0])) <= tol for v in (c(probe) for c in f.coeffs.values()))
 
 
 def build_generalized_cylinder(curve: CurveSpec, N: int, z_offset: float = 0.0) -> FuzzySpace:
-    """Toeplitz x, y (the regularized curve series) over a strictly
-    increasing diagonal z.
+    """The immersed cylinder of (x(phi), y(phi), z_offset + beta*q) under its
+    own name: Toeplitz x, y over the diagonal z_offset + beta*q(n, n),
+    n = 0..N-1, on the symmetric grid.
 
-    z carries the values z_offset + beta*n/N for n = 1..N; only differences
-    of z enter any commutator, so the offset is conventional (a z_offset of
-    -beta centers the height range on zero up to one step).
+    Only differences of z enter any commutator, so the offset is conventional.
     """
-    N = int(N)
-    xhat, yhat = (regularize_scalar(f, make_grid(N, f.interval))
-                  for f in (curve.x_series, curve.y_series))
-    zvals = z_offset + curve.z_beta * (np.arange(1, N + 1) / N)
-    return FuzzySpace("generalized-cylinder", (xhat, yhat, FuzzyMatrix.from_diagonals({0: zvals}, N)))
+    space = build_immersed_cylinder(curve.x_series, curve.y_series,
+                                    AffineProfile(z_offset, curve.z_beta), N)
+    return replace(space, name="generalized-cylinder")
 
 
 def build_immersed_cylinder(
@@ -125,28 +122,20 @@ def build_circle_to_eight(N: int, convention: str = "symmetric") -> FuzzySpace:
     """The circle-to-eight space on [-1, 1].
 
     convention="symmetric" regularizes the series on the symmetric grid.
-    convention="row-anchored" evaluates every band profile at the row of the
-    band's upper entry (q = -1 + 2n/N), reproducing the displayed matrices
-    with their +i upper orientation for y.
+    convention="row-anchored" regularizes them on the row-anchored grid,
+    every band at the row of its upper entry (q = -1 + 2n/N), with y(q, -phi)
+    for y, whose upper band is oriented +i as in the displayed matrices; only
+    the modes below N are kept, so band 3 enters from N = 4 on.
     """
     x, y, z = circle_to_eight_functions()
     if convention == "symmetric":
         return build_immersed_cylinder(x, y, z, N)
     if convention != "row-anchored":
         raise DomainError(f"unknown convention {convention!r}")
-    N = make_grid(N, (-1.0, 1.0)).N  # refuses N < 2 as every other preset does
-    qrow = -1.0 + 2.0 * np.arange(N) / N
-    hv = smooth_step()(qrow)
-
-    def banded(weights_by_band, factor):  # band 3 fits from N = 4 on
-        return FuzzyMatrix.from_diagonals(
-            {o: f * w[: N - band] for band, w in weights_by_band if band < N
-             for o, f in ((band, factor), (-band, np.conj(factor)))}, N)
-
-    xm = banded(((1, (1.0 + 0.5 * hv) * 0.5), (3, 0.25 * hv)), 1.0)
-    ym = banded(((1, (1.0 - 0.5 * hv) * 0.5), (3, 0.25 * hv)), 1j)
-    zm = FuzzyMatrix.from_diagonals({0: (1.0 + qrow) / 2.0}, N)
-    return FuzzySpace("circle-to-eight", (xm, ym, zm))
+    x, y = (FourierFunction(f.interval, {s * n: c for n, c in f.coeffs.items() if abs(n) < N})
+            for f, s in ((x, 1), (y, -1)))
+    space = build_immersed_cylinder(x, y, z, N, "row-anchored")
+    return replace(space, name="circle-to-eight")
 
 
 @dataclass(frozen=True)

@@ -240,9 +240,13 @@ def semiclassical_residual(f, g, rule="symmetric", N=64, delta=None) -> float:
     exact first-order term -(i/N) Q(beta_l f_phi g_q - beta_r f_q g_phi)
     (equal to -(i beta/N) Q({f, g}) on symmetric grids).  Second-order small
     for smooth coefficient profiles.  The four matrices come from one
-    `regularize_schedule` call on the one grid."""
+    `regularize_schedule` call on the one grid.  The row-anchored rule is
+    refused: its beta_l and beta_r swap between the two triangles."""
     delta = f.cutoff + g.cutoff if delta is None else int(delta)
     grid = make_grid(int(N), f.interval, rule)
+    if grid.rule == "row-anchored":
+        raise DomainError("the semiclassical residual splits beta_l from beta_r, "
+                          "which swap between the triangles of the row-anchored grid")
     corr = mul(f.d_phi(), g.d_q()) * grid.beta_left - mul(f.d_q(), g.d_phi()) * grid.beta_right
     fns = [MatrixFourierFunction.from_scalar(h) for h in (f, g, mul(f, g), corr)]
     Qf, Qg, Qfg, Qcorr = next(regularize_schedule(fns, [grid]))

@@ -10,9 +10,10 @@ function itself, the quadrature reference for the blend's mode
 coefficients.  `oracle_matrices` holds the matrices the SVG and CSV
 writers are byte-compared on, and `surface_csv_reference` the surface CSV
 formatted cell by cell.  `dense_cylinder_z`, `dense_row_anchored_eight`,
-`dense_clifford_torus` and `dense_graph_vertex` write the hand-built
-coordinates as dense arrays, each with the diagonals it writes, and `stored_bands` lays such an
-array out on those diagonals: the references of the builds from diagonals.
+`dense_clifford_torus` and `dense_graph_vertex` write coordinates as dense
+arrays, each with the diagonals it writes, and `stored_bands` lays such an
+array out on those diagonals: the references of the builds on bands.
+`shift_basis` is the regularization of a single mode e^{i a phi}.
 `nonzero_diagonals` reads off the diagonals of a dense array that hold a
 nonzero entry.  `serial_conjugation` conjugates a space's coordinates by
 its sorted eigenbasis one after another with plain numpy products: the
@@ -33,7 +34,6 @@ from fuzzyreg.regularize import (
     make_grid,
     regularize_matrix,
     regularize_scalar,
-    toeplitz_basis,
 )
 from fuzzyreg.spaces import (
     CurveSpec,
@@ -245,9 +245,12 @@ def stored_bands(data, offsets):
 
 
 def dense_cylinder_z(curve, N, z_offset=0.0):
-    """The generalized cylinder's z, z_offset + beta n / N for n = 1..N, as a
-    dense diagonal, and the diagonals it writes."""
-    zvals = z_offset + curve.z_beta * (np.arange(1, N + 1) / N)
+    """The generalized cylinder's z, z_offset + beta q(n, n) for n = 0..N-1 on
+    the symmetric grid, as a dense diagonal, and the diagonals it writes."""
+    q1, q2 = curve.x_series.interval
+    step = (q2 - q1) / (2.0 * N)
+    n = np.arange(N)
+    zvals = z_offset + curve.z_beta * (q1 + step * n + step * n)
     return np.diag(zvals.astype(complex)), (0,)
 
 
@@ -274,10 +277,16 @@ def dense_row_anchored_eight(N):
     return xm, ym, (np.diag(zvals.astype(complex)), (0,))
 
 
+def shift_basis(a, N):
+    """e_a = sum_n |n><n+a|, the regularization of e^{i a phi} on [0, 1] (ones
+    on the a-th diagonal; a = 0 is the identity)."""
+    return regularize_scalar(FourierFunction((0.0, 1.0), {a: 1.0}), make_grid(N, (0.0, 1.0)))
+
+
 def dense_clifford_torus(a, b, N):
     """(x1, y1, x2, y2) of the Clifford torus by dense arithmetic on e_1 and
     e_{-1}, each with the diagonals it writes."""
-    e1, em1 = toeplitz_basis(1, N).data, toeplitz_basis(-1, N).data
+    e1, em1 = shift_basis(1, N).data, shift_basis(-1, N).data
     angles = 2.0 * np.pi * np.arange(1, N + 1) / N
     return ((0.5 * a * (e1 + em1), (-1, 1)), (0.5j * a * (e1 - em1), (-1, 1)),
             (np.diag(b * np.cos(angles)).astype(complex), (0,)),

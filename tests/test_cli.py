@@ -4,6 +4,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fuzzyreg.cli import run_cli
@@ -257,6 +258,42 @@ class TestSurfaceCommand:
         assert len(lines) == 1 + 17 * 16
         meta = read_json(tmp_path / "immersed-cylinder-surface.meta.json")
         assert meta["rows"] == 17 * 16
+
+    def test_cylinder_surface_is_the_circle_over_its_height(self, tmp_path):
+        cfg = tmp_path / "cylinder.json"
+        cfg.write_text(json.dumps({"space": {"preset": "cylinder", "radius": 1.5, "z_offset": -0.5,
+                                             "z_beta": 2.0}, "surface": {"grid": [5, 8]}}),
+                       encoding="utf-8")
+        assert run_cli(["surface", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "generalized-cylinder-surface.csv").read_text(
+            encoding="utf-8").splitlines()
+        assert lines[0] == "sheet,q,phi,x1,x2,x3,offdiag"
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert rows.shape == (5 * 8, 7)
+        np.testing.assert_allclose(rows[:, 3] ** 2 + rows[:, 4] ** 2, 1.5**2, rtol=1e-9)
+        np.testing.assert_allclose(rows[:, 5], -0.5 + 2.0 * rows[:, 1], rtol=1e-9, atol=1e-9)
+
+    def test_row_anchored_eight_surface_export(self, tmp_path):
+        cfg = tmp_path / "eight.json"
+        cfg.write_text(json.dumps({"space": {"preset": "circle-to-eight",
+                                             "convention": "row-anchored"}}), encoding="utf-8")
+        assert run_cli(["surface", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "circle-to-eight-surface.csv").read_text(
+            encoding="utf-8").splitlines()
+        assert len(lines) == 1 + 33 * 32
+        assert read_json(tmp_path / "circle-to-eight-surface.meta.json")["rows"] == 33 * 32
+
+    # the torus and the graph vertex are written from their diagonals
+    @pytest.mark.parametrize("space", [{"preset": "clifford-torus"},
+                                       {"preset": "graph-vertex", "n0": 4}],
+                             ids=["clifford-torus", "graph-vertex"])
+    def test_presets_without_generators_are_refused(self, tmp_path, capsys, space):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"space": space}), encoding="utf-8")
+        assert run_cli(["surface", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == ("error: surface export needs a preset that "
+                                           "carries coordinate functions\n")
+        assert not (tmp_path / "out").exists()
 
 
 # a product sweep whose f has one cubic-spline mode with the given knots
@@ -545,8 +582,8 @@ class TestFailureModes:
         assert capsys.readouterr().err == f"error: grid size must be at least 2, got {N}\n"
         assert not (tmp_path / "out").exists()
 
-    # JSON parsing accepts NaN and Infinity; presets that regularize nothing
-    # would otherwise write them into the coordinates
+    # JSON parsing accepts NaN and Infinity; the config check refuses them by
+    # key before a preset writes them into its coordinates
     @pytest.mark.parametrize("text", [
         '{"space": {"preset": "clifford-torus", "a": NaN}}',
         '{"space": {"preset": "cylinder", "z_beta": Infinity}}',

@@ -35,12 +35,11 @@ from fuzzyreg.regularize import (
     regularize_matrix,
     regularize_scalar,
     regularize_schedule,
-    toeplitz_basis,
     within_border_norm,
 )
 from fuzzyreg.spaces import build_circle_to_eight, circle_to_eight_functions
 from fuzzyreg.verify import check_poisson_convergence
-from refs import dense_interior_max_entry, dense_within_border_norm
+from refs import dense_interior_max_entry, dense_within_border_norm, shift_basis
 
 IV = (0.0, 1.0)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -62,6 +61,15 @@ class TestMakeGrid:
         assert g.q(4, 2) == pytest.approx(0.4)
         assert g.beta_left == pytest.approx(1.0)
         assert g.beta_right == pytest.approx(0.0)
+
+    def test_row_anchored_rule_values(self):
+        g = make_grid(10, (-1.0, 1.0), "row-anchored")
+        n = np.arange(10)
+        assert g.q(4, 9) == g.q(9, 4) == g.q(4, 4) == -1.0 + 2.0 * 4 / 10
+        assert np.array_equal(g.q(n, n), -1.0 + 2.0 * n / 10)
+        assert np.array_equal(g.q(n, n + 3), g.q(n + 3, n))
+        assert g.beta_left == pytest.approx(2.0)
+        assert g.beta_right == 0.0
 
     def test_affine_in_the_column_index(self):
         g = make_grid(12, (-1.0, 3.0), "symmetric")
@@ -354,25 +362,25 @@ class TestSchedule:
 
 class TestToeplitzBasis:
     def test_zero_offset_is_identity(self):
-        np.testing.assert_array_equal(toeplitz_basis(0, 5).data, np.eye(5))
+        np.testing.assert_array_equal(shift_basis(0, 5).data, np.eye(5))
 
     def test_shift_composition_inside_border(self):
         N = 8
-        prod = toeplitz_basis(1, N).data @ toeplitz_basis(1, N).data
-        diff = FuzzyMatrix(prod - toeplitz_basis(2, N).data, N, 1)
+        prod = shift_basis(1, N).data @ shift_basis(1, N).data
+        diff = FuzzyMatrix(prod - shift_basis(2, N).data, N, 1)
         assert within_border_norm(diff, 1) == 0.0
 
     def test_extreme_offset_has_a_single_entry(self):
         N = 6
-        T = toeplitz_basis(N - 1, N)
+        T = shift_basis(N - 1, N)
         expect = np.zeros((N, N))
         expect[0, N - 1] = 1.0
         np.testing.assert_array_equal(T.data, expect)
-        np.testing.assert_array_equal(toeplitz_basis(-(N - 1), N).data, expect.T)
+        np.testing.assert_array_equal(shift_basis(-(N - 1), N).data, expect.T)
 
     def test_offset_out_of_range(self):
         with pytest.raises(DomainError):
-            toeplitz_basis(6, 6)
+            shift_basis(6, 6)
 
 
 class TestBorderHelpers:
@@ -385,7 +393,7 @@ class TestBorderHelpers:
         I8 = FuzzyMatrix(np.eye(8, dtype=complex), 8, 1)
         assert within_border_norm(I8, 0) == 1.0
         assert within_border_norm(I8, 2) == 1.0
-        assert within_border_norm(toeplitz_basis(1, 10), 0) == 1.0
+        assert within_border_norm(shift_basis(1, 10), 0) == 1.0
         Q = regularize_scalar(FourierFunction.cosine(IV, 1), make_grid(16, IV))
         assert within_border_norm(Q, 1) == pytest.approx(1.0)
 
@@ -462,7 +470,7 @@ class TestCommutator:
 
     def test_toeplitz_pair_commutes_inside_border(self):
         N = 12
-        C = commutator(toeplitz_basis(1, N), toeplitz_basis(2, N))
+        C = commutator(shift_basis(1, N), shift_basis(2, N))
         assert within_border_norm(C, 2) == 0.0
 
     def test_height_commutator_carries_the_angle_derivative(self):

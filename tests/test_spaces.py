@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from fuzzyreg.cli import build_space
 from fuzzyreg.errors import DomainError, StructureError
 from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction
-from fuzzyreg.profiles import AffineProfile, smooth_step
+from fuzzyreg.profiles import AffineProfile, ConstantProfile, PolyProfile, smooth_step
 from fuzzyreg.regularize import commutator, make_grid, regularize_scalar, within_border_norm
 from fuzzyreg.spaces import (
     CurveSpec,
@@ -45,6 +46,16 @@ class TestCurveSpec:
         with pytest.raises(DomainError):
             CurveSpec(f, FourierFunction.sine(IV, 1))
 
+    def test_height_dependence_between_the_ends_and_midpoint_rejected(self):
+        # 1 + q (q - 1/2)(q - 1) takes the value 1 at q = 0, 1/2 and 1
+        f = FourierFunction.cosine(IV, 1, ConstantProfile(1.0) + PolyProfile([0.0, 0.5, -1.5, 1.0]))
+        with pytest.raises(DomainError, match="q-independent"):
+            CurveSpec(f, FourierFunction.sine(IV, 1))
+
+    def test_series_on_different_intervals_rejected(self):
+        with pytest.raises(DomainError, match="interval mismatch"):
+            CurveSpec(FourierFunction.cosine(IV, 1), FourierFunction.sine((0.0, 2.0), 1))
+
     def test_closed_curves_must_be_real(self):
         f = FourierFunction(IV, {1: 1.0})
         with pytest.raises(StructureError):
@@ -57,14 +68,15 @@ class TestGeneralizedCylinder:
         xh, yh, zh = space.coordinates
         np.testing.assert_allclose(xh.data, 0.5 * (np.eye(10, k=1) + np.eye(10, k=-1)))
         np.testing.assert_allclose(yh.data, -0.5j * np.eye(10, k=1) + 0.5j * np.eye(10, k=-1))
-        np.testing.assert_allclose(np.diag(zh.data).real, np.arange(1, 11) / 10.0)
+        np.testing.assert_allclose(np.diag(zh.data).real, np.arange(10) / 10.0)
 
     def test_point_curve_leaves_only_the_height(self):
         zero = FourierFunction(IV, {})
         space = build_generalized_cylinder(CurveSpec(zero, zero), 8)
         assert np.all(space.coordinates[0].data == 0.0)
         assert np.all(space.coordinates[1].data == 0.0)
-        assert np.all(np.diag(space.coordinates[2].data) != 0.0)
+        z = np.diag(space.coordinates[2].data)
+        assert z[0] == 0.0 and np.all(z[1:] != 0.0)  # z = q(n, n) = n/8
 
     def test_xy_commutator_vanishes_inside_the_band_border(self):
         rng = np.random.default_rng(31)
@@ -89,6 +101,15 @@ class TestGeneralizedCylinder:
             commutator(zh, xh).data, -(curve.z_beta / 16) * rhs.data
         )
 
+    def test_carries_its_generators(self):
+        curve = CurveSpec.circle(1.5)
+        space = build_generalized_cylinder(curve, 8, -0.5)
+        assert space.grid == make_grid(8, IV) and len(space.generators) == 3
+        x, y, z = (F.entries[0][0] for F in space.generators)
+        assert x is curve.x_series and y is curve.y_series
+        q = np.linspace(0.0, 1.0, 5)
+        assert np.array_equal(z.eval(q, 0.0), -0.5 + 1.0 * q + 0j)
+
     def test_bandwidth_must_stay_below_n(self):
         rng = np.random.default_rng(32)
         curve = random_closed_curve(rng, cutoff=5)
@@ -109,8 +130,9 @@ class TestImmersedCylinder:
         imm = build_immersed_cylinder(
             curve.x_series, curve.y_series, AffineProfile(0.0, 1.0), 12
         )
-        assert np.array_equal(imm.coordinates[0].data, toep.coordinates[0].data)
-        assert np.array_equal(imm.coordinates[1].data, toep.coordinates[1].data)
+        for got, want in zip(toep.coordinates, imm.coordinates, strict=True):
+            assert got.offsets == want.offsets
+            assert got.data.tobytes() == want.data.tobytes()
 
     def test_height_profile_rides_the_diagonal(self):
         curve = CurveSpec.circle()
@@ -184,6 +206,21 @@ class TestCircleToEight:
             assert Y[n, n + 3] == pytest.approx(0.25j * h, abs=1e-15)
         np.testing.assert_allclose(np.diag(Z).real, np.arange(N) / N, atol=1e-15)
         assert all(c.is_hermitian(1e-14) for c in space.coordinates)
+
+    def test_row_anchored_grid_regularizes_the_generators(self):
+        # the immersed preset's y is the series itself, whose upper band is -i
+        N = 16
+        eight = build_space({"preset": "circle-to-eight", "convention": "row-anchored"}, n=N)
+        imm = build_space({"preset": "immersed-circle-to-eight", "grid": "row-anchored"}, n=N)
+        assert eight.grid == imm.grid == make_grid(N, (-1.0, 1.0), "row-anchored")
+        for k in (0, 2):
+            assert eight.coordinates[k].data.tobytes() == imm.coordinates[k].data.tobytes()
+        assert np.array_equal(eight.coordinates[1].data, -imm.coordinates[1].data)
+
+    def test_row_anchored_keeps_the_modes_below_n(self):
+        for N, modes in ((2, [-1, 1]), (3, [-1, 1]), (4, [-3, -1, 1, 3])):
+            space = build_circle_to_eight(N, "row-anchored")
+            assert [F.entries[0][0].modes() for F in space.generators] == [modes, modes, [0]]
 
     def test_unknown_convention(self):
         with pytest.raises(DomainError):
@@ -286,9 +323,10 @@ class TestCliffordTorus:
 
 
 class TestBuildsFromDiagonals:
-    """The hand-built coordinates are written from their diagonals and equal
-    the dense constructions of `tests/refs.py` byte for byte, record the
-    diagonals those write, and never build their dense view on the way."""
+    """The coordinates built on bands, regularized or written from their
+    diagonals, equal the dense constructions of `tests/refs.py` byte for
+    byte, record the diagonals those write, and never build their dense view
+    on the way."""
 
     SIZES = [2, 3, 4, 8, 40, 257]
 

@@ -9,7 +9,14 @@ from fuzzyreg.errors import CapabilityError, DomainError
 from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction
 from fuzzyreg.interpolate import VertexParams, build_string_vertex, make_profile
 from fuzzyreg.profiles import AffineProfile
-from fuzzyreg.spaces import DoubleCylinderSpec, circle_to_eight_functions
+from fuzzyreg.spaces import (
+    CurveSpec,
+    DoubleCylinderSpec,
+    build_circle_to_eight,
+    build_generalized_cylinder,
+    build_immersed_cylinder,
+    circle_to_eight_functions,
+)
 from fuzzyreg.surface import check_commutation, export_classical_surface, surface_csv
 from fuzzyreg.verify import matrix_fn_commutator_sup
 
@@ -175,6 +182,19 @@ class TestBatchedExport:
                   for f in (x, y, FourierFunction.from_profile(x.interval, z))]
         want, _ = per_sample_rows(coords, (17, 16))
         _, rows = export_classical_surface(coords, grid=(17, 16))
+        assert rows == want
+
+    # the cylinder and the eight regularize their generators on every grid rule
+    @pytest.mark.parametrize("build", [
+        lambda: build_generalized_cylinder(CurveSpec.circle(1.5), 16, -0.5),
+        lambda: build_circle_to_eight(16, "symmetric"),
+        lambda: build_immersed_cylinder(*circle_to_eight_functions(), 16, "left"),
+        lambda: build_circle_to_eight(16, "row-anchored"),
+    ], ids=["cylinder", "eight-symmetric", "eight-left", "eight-row-anchored"])
+    def test_presets_export_from_their_generators(self, build):
+        coords = build().generators
+        want, _ = per_sample_rows(coords, (9, 8))
+        _, rows = export_classical_surface(coords, grid=(9, 8))
         assert rows == want
 
 

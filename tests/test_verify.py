@@ -250,6 +250,16 @@ class TestPoissonConvergence:
         assert big.values == pytest.approx(tuple(5.0 * v for v in base.values), rel=1e-12)
 
 
+    def test_eight_on_the_row_anchored_grid_passes(self):
+        # q(n, m) = q1 + span min(n, m)/N is not affine, yet the bracket is
+        # carried at first order: each step's ratio is at most 0.584
+        x, y, _ = circle_to_eight_functions()
+        rep = check_poisson_convergence(x, y, rule="row-anchored", Ns=(64, 128, 256, 512))
+        assert rep.passed
+        assert rep.values[0] == pytest.approx(0.1437, abs=1e-4)
+        assert rep.values[-1] == pytest.approx(0.02502, abs=1e-5)
+        assert rep.fitted_order == pytest.approx(0.84, abs=0.01)
+
     def test_eight_to_16384_on_bands(self, monkeypatch):
         # one dense 16384 x 16384 complex matrix is 4.3 GB; the bands of the
         # whole sweep fit in a few MB, and no dense view is ever built
@@ -298,6 +308,11 @@ class TestSemiclassicalResidual:
         R = semiclassical_residual(f, g, "symmetric", N=N, delta=delta)
         assert R <= r + corr_norm / N + 1e-12
 
+    def test_row_anchored_rule_is_refused(self):
+        x, y, _ = circle_to_eight_functions()
+        with pytest.raises(DomainError, match="swap between the triangles"):
+            semiclassical_residual(x, y, rule="row-anchored")
+
     def test_eight_matches_the_dense_formula(self):
         x, y, _ = circle_to_eight_functions()
         N = 256
@@ -340,8 +355,8 @@ class TestCommutatorDecay:
         assert rep.passed
         assert "row_sum_norm" in rep.extras
 
-    # the hand-built spaces, written from their diagonals: a dense coordinate
-    # at 16384 would take 4.3 GB, and the whole sweep stays under 64 MB
+    # spaces built on bands, regularized or written from their diagonals: a
+    # dense coordinate at 16384 would take 4.3 GB, and the sweep stays under 64 MB
     HAND_BUILT = {
         "cylinder": lambda N: build_generalized_cylinder(CurveSpec.circle(1.0), N),
         "clifford-torus": lambda N: build_clifford_torus(1.0, 1.0, N),
