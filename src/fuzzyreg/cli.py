@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -412,7 +413,8 @@ _COMMANDS = {
 }
 
 
-def _make_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:  # built on first use, kept for the process
     parser = argparse.ArgumentParser(
         prog="fuzzyreg",
         description="Regularize surfaces into finite matrices and inspect them.",
@@ -429,7 +431,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv=None) -> int:
-    args = _make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (FuzzyRegError, OSError) as exc:

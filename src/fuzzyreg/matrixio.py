@@ -1,16 +1,16 @@
 """Matrix dumps: CSV triplets and a compact binary format.
 
 CSV: one ASCII line per entry, `row,col,re,im` with %.17g floats, lossless for
-every f64 but the sign and payload of NaN (`'%.17g' % -nan` is `nan`), built by
-one join over an array of four pieces per entry and read by numpy's C parser,
-which refuses blank lines and comments.  Each distinct bit pattern of a part
-is formatted once, with its separator, and `distinct` finds them on runs: a
-regularized coordinate is banded, so its row-major entries are long runs of
-zeros, and sorting the run heads instead of every entry is what keeps the
-text writers (this one and `render`) fast.  Binary: 16-byte header (magic
+every f64 but the sign and payload of NaN (`'%.17g' % -nan` is `nan`), read by
+numpy's C parser, which refuses blank lines and comments.  A regularized
+coordinate is banded, so the dump is written row by row: row i is one join,
+with `i,` as the separator, over a copy of a template row of `j,0,0` lines,
+on which only the entries whose parts are not both +0.0 bit for bit (so
+-0.0 and NaN too) are written, each distinct part formatted once.  A row
+with no such zero is laid out by slices.  Binary: 16-byte header (magic
 b"FZMB", uint32 dim, uint32 S, uint32 reserved, little-endian) followed by
-the row-major complex128 entries, interleaved re/im float64.  Both formats
-are byte-deterministic for a given matrix.
+the row-major complex128 entries, interleaved re/im float64.  A dump of
+either format with no entry is refused; both are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -26,48 +26,34 @@ MAGIC = b"FZMB"
 _HEADER = struct.Struct("<4sIII")
 
 
-def distinct(x: np.ndarray) -> tuple:
-    """`np.unique(x, return_inverse=True)`, found on the runs of equal
-    neighbours in x's row-major order: one comparison pass marks where each
-    run starts, `np.unique` sorts only the run heads, and `np.repeat` spreads
-    their inverse over each run.  The inverse is np.unique's, in x's shape.
-    So are the values, bit for bit, but where equal floats differ in their
-    bits (-0.0 and 0.0, NaNs of other signs or payloads): np.unique's
-    unstable sort lets any one of them stand for the class, and so does this.
-
-    It wins where x holds few runs: a part of the eight at N = 256 (65,536
-    entries, 2,033 runs, 509 distinct) takes 0.15 ms against 3-5 ms.  With
-    no runs it is slower: 0.45 against 0.39 ms on the 15,328 q values of an
-    eight sweep, so `regularize_schedule` keeps np.unique, and 2.2 against
-    1.8 ms on a part of a 256 x 256 `diagonalize` output.
-    """
-    flat = np.ravel(x)
-    if not flat.size:
-        return np.unique(x, return_inverse=True)
-    heads = np.empty(flat.size, dtype=bool)
-    heads[0] = True
-    np.not_equal(flat[1:], flat[:-1], out=heads[1:])
-    values, index = np.unique(flat[heads], return_inverse=True)
-    lengths = np.diff(np.flatnonzero(heads), append=flat.size)
-    return values, np.repeat(index, lengths).reshape(np.shape(x))
-
-
-def _g17(x: np.ndarray, end: str) -> np.ndarray:
-    """`"%.17g" + end` of each entry in x's shape, formatted once per distinct bit pattern (-0.0 and 0.0 stay apart)."""
-    bits, index = distinct(np.ascontiguousarray(x).view(np.int64))
+def _g17(bits: np.ndarray, end: str) -> list:
+    """`"%.17g" + end` of each float64 bit pattern, formatted once per distinct pattern."""
+    values, index = np.unique(bits, return_inverse=True)
     form = "%.17g" + end
-    text = np.array([form % v for v in bits.view(np.float64).tolist()], dtype=object)
-    return text[index]
+    text = np.array([form % v for v in values.view(np.float64).tolist()], dtype=object)
+    return text[index].tolist()
 
 
 def matrix_to_csv(M: FuzzyMatrix) -> str:
-    idx = np.array([f"{k}," for k in range(M.dim)], dtype=object)
-    pieces = np.empty((M.dim, M.dim, 4), dtype=object)
-    pieces[..., 0] = idx[:, None]
-    pieces[..., 1] = idx
-    pieces[..., 2] = _g17(M.data.real, ",")
-    pieces[..., 3] = _g17(M.data.imag, "\n")
-    return "row,col,re,im\n" + "".join(pieces.ravel().tolist())
+    dim = M.dim
+    parts = np.ascontiguousarray(M.data, complex).view(np.int64).reshape(dim, dim, 2)
+    rows, cols = np.nonzero(parts[..., 0] | parts[..., 1])  # the cells not written "0,0"
+    re, im = _g17(parts[rows, cols, 0], ","), _g17(parts[rows, cols, 1], "\n")
+    idx = [f"{k}," for k in range(dim)]
+    template = [f"{k},0,0\n" for k in range(dim)]
+    full = [piece for j in idx for piece in (None, j, None, None)]
+    out = ["row,col,re,im\n"]
+    starts = np.searchsorted(rows, np.arange(dim + 1)).tolist()
+    for i, a, b in zip(range(dim), starts, starts[1:]):
+        if b - a == dim:  # no "0,0" cell: lay the row's pieces out by slices
+            full[0::4], full[2::4], full[3::4] = [idx[i]] * dim, re[a:b], im[a:b]
+            out.append("".join(full))
+            continue
+        row = template.copy()
+        for k, j in enumerate(cols[a:b].tolist(), start=a):
+            row[j] = idx[j] + re[k] + im[k]
+        out += (idx[i], idx[i].join(row))
+    return "".join(out)
 
 
 def matrix_from_csv(text: str) -> FuzzyMatrix:
@@ -115,6 +101,8 @@ def matrix_from_bytes(blob: bytes) -> FuzzyMatrix:
     magic, dim, S, _ = _HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise StructureError(f"bad magic {magic!r}")
+    if dim == 0:
+        raise StructureError("empty matrix dump")
     expected = _HEADER.size + dim * dim * 16
     if len(blob) != expected:
         raise StructureError(f"dump length {len(blob)} != expected {expected}")

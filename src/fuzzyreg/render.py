@@ -2,12 +2,11 @@
 
 One circle per entry, area proportional to the entry magnitude (radius to
 its square root), scaled so the largest entry fills a cell.  Entries below
-the threshold appear as minimal points.  The circles are one join over a
-(dim, dim, 3) object array of pieces, `cx` by column, `cy` by row and the
-radius by entry, each distinct piece formatted once.  The distinct radii
-come from `matrixio.distinct`, which sorts only the heads of the runs of
-equal radii: a banded matrix's rows are mostly runs of the minimal radius.
-Output bytes depend only on the matrix, threshold, and cell size.
+the threshold appear as minimal points.  As the `matrixio` CSV dump, the
+circles are written row by row, each row one join with its `cy` as the
+separator over a copy of a template row of minimal dots, on which only the
+dots drawn to size are written.  Output bytes depend only on the matrix,
+threshold, and cell size.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .matrixio import distinct
 from .regularize import FuzzyMatrix
 
 _MIN_RADIUS_FRACTION = 0.04
@@ -39,26 +37,29 @@ def render_dot_matrix(M: FuzzyMatrix, threshold: float = 0.1, cell: float = 10.0
     if not 0 < cell < np.inf:
         raise DomainError(f"cell size must be positive and finite, got {cell}")
     dim = M.dim
-    side = dim * cell
     mags = np.abs(M.data)
     vmax = float(mags.max()) if mags.size else 0.0
     rmin = _MIN_RADIUS_FRACTION * cell
-    radius = np.full(mags.shape, rmin)
-    if vmax > 0.0:
-        big = mags >= threshold
-        radius[big] = np.maximum(0.5 * cell * np.sqrt(mags[big] / vmax), rmin)
-    values, index = distinct(radius)
+    # the dots drawn to size, at or above the threshold: the rest are drawn at rmin
+    rows, cols = np.nonzero((mags >= threshold) & (vmax > 0.0))
+    radius = np.maximum(0.5 * cell * np.sqrt(mags[rows, cols] / vmax), rmin)
+    values, index = np.unique(radius, return_inverse=True)
+    tails = [f'" r="{_fmt(v)}" fill="black"/>\n' for v in values.tolist()]
+    tails = np.array(tails, dtype=object)[index].tolist()
     pos = [_fmt((k + 0.5) * cell) for k in range(dim)]
-    pieces = np.empty((dim, dim, 3), dtype=object)
-    pieces[..., 0] = np.array([f'<circle cx="{cx}" cy="' for cx in pos], dtype=object)
-    pieces[..., 1] = np.array(pos, dtype=object)[:, None]
-    tails = np.array([f'" r="{_fmt(v)}" fill="black"/>\n' for v in values], dtype=object)
-    pieces[..., 2] = tails[index]
-    head = (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(side)}" height="{_fmt(side)}" '
-        f'viewBox="0 0 {_fmt(side)} {_fmt(side)}">\n'
-        f'<rect width="{_fmt(side)}" height="{_fmt(side)}" fill="white"/>\n'
-    )
-    return head + "".join(pieces.ravel().tolist()) + "</svg>\n"
+    heads = [f'<circle cx="{cx}" cy="' for cx in pos]
+    after = heads[1:] + [""]  # what follows each column's tail in a row
+    minimal = f'" r="{_fmt(rmin)}" fill="black"/>\n'
+    template = heads[:1] + [minimal + h for h in after]
+    size = _fmt(dim * cell)
+    out = ['<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" '
+           f'version="1.1" width="{size}" height="{size}" viewBox="0 0 {size} {size}">\n'
+           f'<rect width="{size}" height="{size}" fill="white"/>\n']
+    starts = np.searchsorted(rows, np.arange(dim + 1)).tolist()
+    for i, a, b in zip(range(dim), starts, starts[1:]):
+        row = template.copy()
+        for k, j in enumerate(cols[a:b].tolist(), start=a):
+            row[j + 1] = tails[k] + after[j]
+        out.append(pos[i].join(row))
+    out.append("</svg>\n")
+    return "".join(out)

@@ -201,12 +201,12 @@ PHASE_POLICY = "real-anchor-v1"
 def _phase_fix(V: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude component is real positive."""
     W = np.array(V)
-    for j in range(W.shape[1]):
-        col = W[:, j]
-        k = int(np.argmax(np.abs(col)))
-        pivot = col[k]
-        if pivot != 0:
-            W[:, j] = col * (np.conj(pivot) / abs(pivot))
+    pivots = W[np.argmax(np.abs(W), axis=0), np.arange(W.shape[1])]
+    turn = pivots != 0  # a column with a zero pivot is left as it is
+    # divided by hypot, as abs() of one complex scalar is: np.abs may round apart
+    scale = np.divide(pivots.conj(), np.hypot(pivots.real, pivots.imag),
+                      out=np.ones_like(pivots), where=turn)
+    np.multiply(W, scale, out=W, where=turn)
     return W
 
 

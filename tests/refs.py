@@ -9,15 +9,18 @@ and band by band.  `interpolated_angle_function` is the blended angular
 function itself, the quadrature reference for the blend's mode
 coefficients.  `oracle_matrices` holds the matrices the SVG and CSV
 writers are byte-compared on, and `surface_csv_reference` the surface CSV
-formatted cell by cell.  `dense_cylinder_z`, `dense_row_anchored_eight`,
-`dense_clifford_torus` and `dense_graph_vertex` write coordinates as dense
-arrays, each with the diagonals it writes, and `stored_bands` lays such an
+formatted cell by cell.  `csv_object_join` and `svg_object_join` are the
+text writers as one join over an object array of every entry's pieces,
+the oracles of the template-row writers.  `dense_cylinder_z`,
+`dense_row_anchored_eight`, `dense_clifford_torus` and `dense_graph_vertex`
+write coordinates as dense arrays, each with the diagonals it writes, and `stored_bands` lays such an
 array out on those diagonals: the references of the builds on bands.
 `shift_basis` is the regularization of a single mode e^{i a phi}.
 `nonzero_diagonals` reads off the diagonals of a dense array that hold a
 nonzero entry.  `serial_conjugation` conjugates a space's coordinates by
-its sorted eigenbasis one after another with plain numpy products: the
-oracle of `diagonalize`'s concurrent conjugation.
+its sorted eigenbasis one after another with plain numpy products, the
+eigenbasis phase-fixed column by column by `phase_fix_loop`: the oracle of
+`diagonalize`'s concurrent conjugation and vectorized phase fix.
 """
 
 import json
@@ -42,7 +45,7 @@ from fuzzyreg.spaces import (
     circle_to_eight_functions,
     interlaced_double_cylinder_function,
 )
-from fuzzyreg.transforms import _phase_fix, matrix_poly_transform
+from fuzzyreg.transforms import matrix_poly_transform
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -226,6 +229,71 @@ def surface_csv_reference(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def _object_g17(x, end):
+    """`"%.17g" + end` of each entry of a float64 array in its shape,
+    formatted once per distinct bit pattern (-0.0 and 0.0 stay apart)."""
+    bits, index = np.unique(np.ascontiguousarray(x).view(np.int64), return_inverse=True)
+    text = np.array([("%.17g" + end) % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[index]
+
+
+def csv_object_join(M):
+    """The CSV dump as one join over a (dim, dim, 4) object array holding
+    the row, column, re and im piece of each entry."""
+    idx = np.array([f"{k}," for k in range(M.dim)], dtype=object)
+    pieces = np.empty((M.dim, M.dim, 4), dtype=object)
+    pieces[..., 0] = idx[:, None]
+    pieces[..., 1] = idx
+    pieces[..., 2] = _object_g17(M.data.real, ",")
+    pieces[..., 3] = _object_g17(M.data.imag, "\n")
+    return "row,col,re,im\n" + "".join(pieces.ravel().tolist())
+
+
+def svg_object_join(M, threshold=0.1, cell=10.0):
+    """The SVG dot render as one join over a (dim, dim, 3) object array
+    holding the cx head, the cy and the radius tail of each circle."""
+
+    def fmt(x):
+        return f"{x:.4f}".rstrip("0").rstrip(".")
+
+    dim, side = M.dim, M.dim * cell
+    mags = np.abs(M.data)
+    vmax = float(mags.max())
+    rmin = 0.04 * cell
+    radius = np.full(mags.shape, rmin)
+    if vmax > 0.0:
+        big = mags >= threshold
+        radius[big] = np.maximum(0.5 * cell * np.sqrt(mags[big] / vmax), rmin)
+    values, index = np.unique(radius, return_inverse=True)
+    pos = [fmt((k + 0.5) * cell) for k in range(dim)]
+    pieces = np.empty((dim, dim, 3), dtype=object)
+    pieces[..., 0] = np.array([f'<circle cx="{cx}" cy="' for cx in pos], dtype=object)
+    pieces[..., 1] = np.array(pos, dtype=object)[:, None]
+    tails = np.array([f'" r="{fmt(v)}" fill="black"/>\n' for v in values], dtype=object)
+    pieces[..., 2] = tails[index]
+    head = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{fmt(side)}" height="{fmt(side)}" '
+        f'viewBox="0 0 {fmt(side)} {fmt(side)}">\n'
+        f'<rect width="{fmt(side)}" height="{fmt(side)}" fill="white"/>\n'
+    )
+    return head + "".join(pieces.ravel().tolist()) + "</svg>\n"
+
+
+def phase_fix_loop(V):
+    """Each column of V turned, one column at a time, so its largest-magnitude
+    component is real positive; a column with a zero pivot is kept."""
+    W = np.array(V)
+    for j in range(W.shape[1]):
+        col = W[:, j]
+        k = int(np.argmax(np.abs(col)))
+        pivot = col[k]
+        if pivot != 0:
+            W[:, j] = col * (np.conj(pivot) / abs(pivot))
+    return W
+
+
 def nonzero_diagonals(data):
     """The diagonals (column minus row) of a dense array holding a nonzero entry, sorted."""
     rows, cols = np.nonzero(data)
@@ -314,10 +382,11 @@ def serial_conjugation(space, index):
     """V^H C V for each coordinate C of `space`, one after another on the
     calling thread, where V is coordinate `index`'s eigenbasis built as
     `diagonalize_coordinate` builds it (real for a real coordinate, cast to
-    complex); each product is the dense BLAS product `product` runs on
-    C-contiguous operands, left factor first."""
+    complex, its phases fixed by `phase_fix_loop`); each product is the
+    dense BLAS product `product` runs on C-contiguous operands, left factor
+    first."""
     A = space.coordinates[index].data
     w, V = np.linalg.eigh(A.real) if np.max(np.abs(A.imag)) < 1e-12 else np.linalg.eigh(A)
-    V = _phase_fix(V.astype(complex)[:, np.argsort(w, kind="stable")])
+    V = phase_fix_loop(V.astype(complex)[:, np.argsort(w, kind="stable")])
     Vh = np.ascontiguousarray(V.conj().T)
     return [(Vh @ C.data) @ V for C in space.coordinates]

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuzzyreg.cli import run_cli
+from fuzzyreg.cli import _parser, run_cli
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -334,6 +334,18 @@ class TestFailureModes:
         assert err.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # the parser is built once per process; a usage error leaves it as it was
+        parser = _parser()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as err:
+                run_cli(["render", "m.fzmb", "--n", "8", "--out", str(tmp_path / "bad")])
+            assert err.value.code == 2
+            assert run_cli(["build", "--n", "4", "--out", str(tmp_path / "good")]) == 0
+        assert _parser() is parser
+        assert not (tmp_path / "bad").exists()
+        assert capsys.readouterr().err.count("error: unrecognized arguments: --n 8") == 2
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--config", "{tmp}/nope.json", "--out", "{tmp}"],

@@ -11,7 +11,6 @@ from fuzzyreg.cli import run_cli
 from fuzzyreg.errors import DomainError, StructureError
 from fuzzyreg.matrixio import (
     MAGIC,
-    distinct,
     matrix_from_bytes,
     matrix_from_csv,
     matrix_to_bytes,
@@ -107,6 +106,20 @@ def test_binary_layout_consistency_checked():
         matrix_from_bytes(raw)
 
 
+def test_empty_binary_dump_rejected(tmp_path, capsys):
+    # refused as its CSV counterpart, a header with no entry, is
+    raw = struct.pack("<4sIII", MAGIC, 0, 1, 0)
+    with pytest.raises(StructureError, match="empty matrix dump"):
+        matrix_from_bytes(raw)
+    path = tmp_path / "m.fzmb"
+    path.write_bytes(raw)
+    with pytest.raises(StructureError, match="empty matrix dump"):
+        read_matrix(path)
+    assert run_cli(["render", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "empty matrix dump" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "m.svg").exists()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "bin"])
 def test_write_and_read_back(tmp_path, fmt):
     rng = np.random.default_rng(46)
@@ -143,59 +156,6 @@ def test_bytes_are_the_header_and_the_interleaved_parts(name, M):
     interleaved[..., 0] = M.data.real
     interleaved[..., 1] = M.data.imag
     assert matrix_to_bytes(M) == struct.pack("<4sIII", MAGIC, M.dim, M.S, 0) + interleaved.tobytes()
-
-
-def assert_like_unique(x):
-    """distinct(x) against np.unique(x, return_inverse=True): the inverse
-    exactly, the values bitwise, but where a class of equal floats holds
-    several bit patterns (-0.0 and 0.0, NaNs): there np.unique's unstable
-    sort picks any one of them, so each side must pick one of the class."""
-    want_values, want_index = np.unique(x, return_inverse=True)
-    values, index = distinct(x)
-    assert index.dtype == want_index.dtype and index.shape == want_index.shape
-    assert np.array_equal(index, want_index)
-    assert values.dtype == want_values.dtype and values.shape == want_values.shape
-    bits, want_bits, cells = (np.ascontiguousarray(a).view(np.int64).ravel()
-                              for a in (values, want_values, x))
-    for k in range(len(values)):
-        members = set(cells[index.ravel() == k].tolist())
-        if len(members) == 1:
-            assert bits[k] == want_bits[k]
-        else:
-            assert x.dtype == np.float64 and {bits[k], want_bits[k]} <= members
-
-
-def runs(draw_value):
-    """A flat array built from (value, run length) pairs, so that runs occur."""
-    return st.lists(st.tuples(draw_value, st.integers(1, 12)), max_size=30).map(
-        lambda pairs: np.repeat([v for v, _ in pairs], [n for _, n in pairs]).astype(np.float64))
-
-
-_ANY_F64 = st.floats(width=64) | st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0])
-
-
-@given(runs(_ANY_F64), st.integers(1, 3))
-@example(np.array([]), 1)
-@example(np.array([2.5]), 1)
-@example(np.full(40, -0.0), 1)
-@example(np.tile([0.0, -0.0], 20), 2)
-@example(np.tile([1.0, 2.0], 21), 3)
-@example(np.array([np.nan, 1.0, -np.nan, np.nan, np.nan, 1.0]), 2)
-def test_distinct_is_np_unique_with_its_inverse(x, rows):
-    for shaped in (x, x.reshape(rows, -1) if x.size % rows == 0 else x[None, :]):
-        assert_like_unique(shaped)
-        assert_like_unique(shaped.view(np.int64))  # the bit patterns `_g17` formats
-
-
-def test_distinct_of_an_empty_matrix_and_of_nans():
-    for x in (np.zeros((0, 0)), np.zeros((0, 0), dtype=np.int64)):
-        values, index = distinct(x)
-        assert values.shape == (0,) and index.shape == (0, 0)
-        assert_like_unique(x)
-    x = np.array([[np.nan, 1.0, np.nan], [np.nan, -np.nan, 1.0]])
-    values, index = distinct(x)
-    assert len(values) == 2 and np.isnan(values[1])
-    assert np.array_equal(index, [[1, 0, 1], [1, 1, 0]])
 
 
 def test_write_matrix_rejects_unknown_format(tmp_path):

@@ -43,7 +43,7 @@ from fuzzyreg.transforms import (
     interlacing_unitary,
     matrix_poly_transform,
 )
-from refs import CONFIGS, serial_conjugation
+from refs import CONFIGS, phase_fix_loop, serial_conjugation
 
 IV = (0.0, 1.0)
 
@@ -507,6 +507,19 @@ class TestDiagonalize:
         for c in out.coordinates:
             assert c.is_hermitian(1e-10)
         assert report["residual"] < 1e-10
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_phase_fix_is_bitwise_the_column_loop(real):
+    rng = np.random.default_rng(16)
+    for n in (1, 2, 7, 40, 129):
+        A = rng.normal(size=(n, n)) + (0 if real else 1j) * rng.normal(size=(n, n))
+        _, V = np.linalg.eigh(A + A.conj().T)
+        V = V.astype(complex)[:, rng.permutation(n)]
+        for W in (V, 1e-300 * V, np.where(np.arange(n) == n // 2, 0.0, V)):  # tiny, a zero column
+            assert transforms._phase_fix(W).tobytes() == phase_fix_loop(W).tobytes()
+    pivots = transforms._phase_fix(V)[np.argmax(np.abs(V), axis=0), np.arange(n)]
+    assert np.all(pivots.real > 0) and np.max(np.abs(pivots.imag)) < 1e-15
 
 
 # the CI `blas-side` recipe up to its diagonalize step (its later products take
