@@ -10,16 +10,20 @@ Nothing is re-exported; import from the modules.  The supported API, by module:
   fourier.FourierFunction, fourier.MatrixFourierFunction, fourier.mul, fourier.poisson_bracket
   regularize.make_grid, regularize.FuzzyMatrix, regularize.FuzzyMatrix.from_diagonals,
     regularize.FuzzySpace, regularize.regularize_scalar, regularize.regularize_matrix,
-    regularize.regularize_schedule, regularize.regularize_space,
+    regularize.regularize_schedule, regularize.regularize_space, regularize.check_regularizable,
     regularize.product, regularize.commutator, regularize.lincomb, regularize.within_border_norm
   spaces.CurveSpec, spaces.build_generalized_cylinder, spaces.build_immersed_cylinder,
     spaces.build_circle_to_eight, spaces.DoubleCylinderSpec, spaces.build_double_cylinder,
     spaces.build_clifford_torus, spaces.GraphVertexSpec, spaces.build_graph_vertex
+  the (name, generators, grid) each builder of a smooth preset regularizes:
+    spaces.generalized_cylinder_generators, spaces.immersed_cylinder_generators,
+    spaces.circle_to_eight_generators, spaces.double_cylinder_generators,
+    interpolate.string_vertex_generators
   interpolate.VertexParams, interpolate.make_profile, interpolate.build_string_vertex
   transforms.interlace, transforms.block_transform, transforms.matrix_poly_transform,
     transforms.diagonalize_coordinate
   verify.check_product_convergence, verify.check_poisson_convergence,
-    verify.check_commutator_decay, verify.sample_on_grid
+    verify.check_commutator_decay, verify.sample_on_grid, verify.sample_on_grids
   surface.export_classical_surface, matrixio.write_matrix, matrixio.read_matrix,
     render.render_dot_matrix, cli.run_cli, cli.main, errors.FuzzyRegError
 Research hooks with no caller yet, kept for open ROADMAP items:

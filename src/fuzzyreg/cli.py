@@ -23,21 +23,21 @@ from . import matrixio
 from .errors import (DomainError, FuzzyRegError, StructureError, config_value, finite,
                      integer, json_object)
 from .fourier import FourierFunction
-from .interpolate import VertexParams, build_string_vertex, make_profile
+from .interpolate import VertexParams, build_string_vertex, make_profile, string_vertex_generators
 from .profiles import AffineProfile, ComplexProfile, as_profile, profile_from_dict
-from .regularize import FuzzySpace
+from .regularize import FuzzySpace, check_regularizable, regularize_space
 from .render import render_dot_matrix
 from .spaces import (
     CurveSpec,
     DoubleCylinderSpec,
     GraphVertexSpec,
-    build_circle_to_eight,
     build_clifford_torus,
-    build_double_cylinder,
-    build_generalized_cylinder,
     build_graph_vertex,
-    build_immersed_cylinder,
     circle_to_eight_functions,
+    circle_to_eight_generators,
+    double_cylinder_generators,
+    generalized_cylinder_generators,
+    immersed_cylinder_generators,
 )
 from .surface import export_classical_surface, surface_csv
 from .transforms import matrix_poly_transform
@@ -142,6 +142,15 @@ def vertex_params_from_config(cfg: dict, n=None, delta=None) -> VertexParams:
 
 def build_space(spec: dict, n=None) -> FuzzySpace:
     """Build one of the preset spaces from a JSON space section."""
+    preset = _preset(spec, n)
+    return preset if isinstance(preset, FuzzySpace) else regularize_space(*preset)
+
+
+def _preset(spec: dict, n=None):
+    """One preset from a JSON space section: (name, generators, grid) for a preset
+    that carries coordinate functions, which `build_space` regularizes and
+    `cmd_surface` samples as they are; the built space for the two written from
+    their diagonals, the Clifford torus and the graph vertex."""
 
     spec = config_value(json_object, spec, "space")
 
@@ -153,27 +162,24 @@ def build_space(spec: dict, n=None) -> FuzzySpace:
     if n is None and size_key in spec:
         n = value(size_key, None, integer)
     if kind == "string-vertex":
-        return build_string_vertex(vertex_params_from_config(spec, n=n))
+        return string_vertex_generators(vertex_params_from_config(spec, n=n))
     N = 16 if n is None else int(n)
     if kind == "cylinder":
         curve = CurveSpec.circle(value("radius", 1.0))
         if "z_beta" in spec:
             curve = dataclasses.replace(curve, z_beta=value("z_beta", None))
-        return build_generalized_cylinder(curve, N, value("z_offset", 0.0))
+        return generalized_cylinder_generators(curve, N, value("z_offset", 0.0))
     if kind == "circle-to-eight":
-        return build_circle_to_eight(N, spec.get("convention", "symmetric"))
+        return circle_to_eight_generators(N, spec.get("convention", "symmetric"))
     if kind == "immersed-circle-to-eight":
         x, y, z = circle_to_eight_functions()
-        return build_immersed_cylinder(x, y, z, N, spec.get("grid", "symmetric"))
+        return immersed_cylinder_generators(x, y, z, N, spec.get("grid", "symmetric"))
     if kind == "double-cylinder":
         interval = value("interval", (-1.0, 3.0), _floats)
         x0 = value("x0", [0.7, 0.3], _profile_arg)
         r = value("r", 1.0, _profile_arg)
-        pair = build_double_cylinder(DoubleCylinderSpec(interval, x0, r), N)
         member = value("member", 1, integer)
-        if member not in (1, 2):
-            raise DomainError("double-cylinder member must be 1 or 2")
-        return pair[member - 1]
+        return double_cylinder_generators(DoubleCylinderSpec(interval, x0, r), N, member)
     if kind == "clifford-torus":
         return build_clifford_torus(value("a", 1.0), value("b", 1.0), N)
     if kind == "graph-vertex":
@@ -361,21 +367,25 @@ def cmd_render(args) -> int:
 
 
 def cmd_surface(args) -> int:
+    """Export the classical surface of a preset's generators, which are never
+    regularized here; a size they could not be regularized at is still refused."""
     cfg = load_config(args.config)
-    space = build_space(cfg.get("space", {}), n=args.n)
-    if space.generators is None:
+    preset = _preset(cfg.get("space", {}), n=args.n)
+    if isinstance(preset, FuzzySpace):
         raise DomainError(
             "surface export needs a preset that carries coordinate functions"
         )
+    space_name, generators, space_grid = preset
+    check_regularizable(generators, [space_grid])
     scfg = _section(cfg, "surface")
     grid = config_value(_integers, scfg.get("grid", (33, 32)), "surface grid")
     bound = config_value(float, scfg.get("bound", 1e-2), "surface bound")
-    header, rows = export_classical_surface(space.generators, grid=grid, bound=bound)
-    name = f"{space.name}-surface.csv"
+    header, rows = export_classical_surface(generators, grid=grid, bound=bound)
+    name = f"{space_name}-surface.csv"
     path = _write_text(args.out, name, surface_csv(header, rows))
-    _write_sidecar(args.out, space.name + "-surface", {
+    _write_sidecar(args.out, space_name + "-surface", {
         "kind": "surface",
-        "name": space.name,
+        "name": space_name,
         "grid": list(grid),
         "bound": bound,
         "rows": len(rows),

@@ -213,15 +213,14 @@ def _slot_tables(p: VertexParams):
     return (t1x, t2x), (t1y, t2y)
 
 
-def build_string_vertex(p: VertexParams) -> FuzzySpace:
-    """Assemble and regularize the interpolated vertex as a 2N x 2N space.
+def string_vertex_generators(p: VertexParams) -> tuple:
+    """("string-vertex", (X, Y, Z), grid): the interpolated vertex's 2 x 2 matrix
+    functions and its symmetric grid, which `build_string_vertex` regularizes.
 
     x and y live on the off-diagonal blocks; the (1,0) block is the conjugate
     mirror of the (0,1) block, so the matrix functions are Hermitian pointwise.
     z is diagonal: theta1-weighted doubled coordinate (second sheet offset by
-    span/N) blended with the plain coordinate.  Below the window the
-    regularization reproduces the one-string series entry for entry; above it,
-    the interlaced pair.
+    span/N) blended with the plain coordinate.
     """
     grid = make_grid(p.N, p.interval, "symmetric")  # refuses N < 2 before any division by N
     (t1x, t2x), (t1y, t2y) = _slot_tables(p)
@@ -263,7 +262,16 @@ def build_string_vertex(p: VertexParams) -> FuzzySpace:
         ]
     )
 
-    return regularize_space("string-vertex", (X, Y, Z), grid)
+    return "string-vertex", (X, Y, Z), grid
+
+
+def build_string_vertex(p: VertexParams) -> FuzzySpace:
+    """Assemble and regularize the interpolated vertex as a 2N x 2N space.
+
+    Below the window the regularization reproduces the one-string series
+    entry for entry; above it, the interlaced pair.
+    """
+    return regularize_space(*string_vertex_generators(p))
 
 
 def mirror_concat(space: FuzzySpace, q_E: float) -> FuzzySpace:

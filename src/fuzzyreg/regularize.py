@@ -236,6 +236,16 @@ def regularize_matrix(F: MatrixFourierFunction, grid: DiscretizingGrid) -> Fuzzy
     return M
 
 
+def check_regularizable(functions, grids):
+    """Refuse functions that a grid cannot regularize: an interval other than the
+    grid's, or a cutoff not below its N."""
+    for grid in grids:
+        for F in functions:
+            _check_same_interval(F, grid)
+            if F.cutoff >= grid.N:
+                raise DomainError(f"cutoff {F.cutoff} must stay below N = {grid.N}")
+
+
 def regularize_schedule(functions, grids) -> Iterator[tuple]:
     """Yield, grid by grid, the tuple of the regularizations of `functions`
     (MatrixFourierFunctions) on that grid; every pair is checked first.
@@ -250,11 +260,7 @@ def regularize_schedule(functions, grids) -> Iterator[tuple]:
     and the last grid's without the values.
     """
     functions, grids = tuple(functions), tuple(grids)
-    for grid in grids:
-        for F in functions:
-            _check_same_interval(F, grid)
-            if F.cutoff >= grid.N:
-                raise DomainError(f"cutoff {F.cutoff} must stay below N = {grid.N}")
+    check_regularizable(functions, grids)
     keys = [tuple(sorted({band for row in F.entries for entry in row for band in entry.coeffs}))
             for F in functions]
     qs, at = {}, {}  # band set -> its q vector, and per grid {band: indices into it}

@@ -4,17 +4,20 @@ Covered here: the generalized fuzzy cylinder over a closed curve, immersed
 cylinders (with the circle-to-eight preset), the mirror pair of cylinders,
 the fuzzy Clifford torus, and the graph-vertex band matrix.  The cylinders
 and the eight on every grid rule regularize their generators through
-`regularize_space`.  Two presets are still written from their diagonals by
-`FuzzyMatrix.from_diagonals`, in O(N) memory: the Clifford torus, whose
-bytes the benchmark's sha256 references hold until they are regenerated
-with its generators, and the graph vertex, which is a band matrix and not
-a regularization (its five diagonals are recorded, diagonal 0 among them
-even where its default x_lower = 0 writes only -0.0 there).
+`regularize_space`, from the (name, generators, grid) of a `*_generators`
+function, which a caller that reads the generators alone (the CLI's surface
+export) takes without regularizing them.  Two presets are still written
+from their diagonals by `FuzzyMatrix.from_diagonals`, in O(N) memory: the
+Clifford torus, whose bytes the benchmark's sha256 references hold until
+they are regenerated with its generators, and the graph vertex, which is a
+band matrix and not a regularization (its five diagonals are recorded,
+diagonal 0 among them even where its default x_lower = 0 writes only -0.0
+there).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,6 +68,14 @@ def _is_q_independent(f: FourierFunction, tol=1e-13) -> bool:
     return all(np.max(np.abs(v - v[0])) <= tol for v in (c(probe) for c in f.coeffs.values()))
 
 
+def generalized_cylinder_generators(curve: CurveSpec, N: int, z_offset: float = 0.0) -> tuple:
+    """The immersed cylinder's generators of (x(phi), y(phi), z_offset + beta*q),
+    named "generalized-cylinder"."""
+    _, generators, grid = immersed_cylinder_generators(
+        curve.x_series, curve.y_series, AffineProfile(z_offset, curve.z_beta), N)
+    return "generalized-cylinder", generators, grid
+
+
 def build_generalized_cylinder(curve: CurveSpec, N: int, z_offset: float = 0.0) -> FuzzySpace:
     """The immersed cylinder of (x(phi), y(phi), z_offset + beta*q) under its
     own name: Toeplitz x, y over the diagonal z_offset + beta*q(n, n),
@@ -72,9 +83,17 @@ def build_generalized_cylinder(curve: CurveSpec, N: int, z_offset: float = 0.0) 
 
     Only differences of z enter any commutator, so the offset is conventional.
     """
-    space = build_immersed_cylinder(curve.x_series, curve.y_series,
-                                    AffineProfile(z_offset, curve.z_beta), N)
-    return replace(space, name="generalized-cylinder")
+    return regularize_space(*generalized_cylinder_generators(curve, N, z_offset))
+
+
+def immersed_cylinder_generators(x: FourierFunction, y: FourierFunction, z: Profile, N: int,
+                                 rule: str = "symmetric") -> tuple:
+    """("immersed-cylinder", (x, y, z) as 1 x 1 matrix functions, grid) for real
+    series x, y and a height profile z."""
+    _check_same_interval(x, y)
+    z = FourierFunction.from_profile(x.interval, as_profile(z))
+    generators = tuple(MatrixFourierFunction.from_scalar(f) for f in (x, y, z))
+    return "immersed-cylinder", generators, make_grid(N, x.interval, rule)
 
 
 def build_immersed_cylinder(
@@ -85,10 +104,7 @@ def build_immersed_cylinder(
     rule: str = "symmetric",
 ) -> FuzzySpace:
     """Regularize a surface given by real series x, y and a height profile z."""
-    _check_same_interval(x, y)
-    z = FourierFunction.from_profile(x.interval, as_profile(z))
-    generators = tuple(MatrixFourierFunction.from_scalar(f) for f in (x, y, z))
-    return regularize_space("immersed-cylinder", generators, make_grid(N, x.interval, rule))
+    return regularize_space(*immersed_cylinder_generators(x, y, z, N, rule))
 
 
 def circle_to_eight_functions(
@@ -118,6 +134,21 @@ def circle_to_eight_functions(
     return x, y, z
 
 
+def circle_to_eight_generators(N: int, convention: str = "symmetric") -> tuple:
+    """(name, generators, grid) of the circle-to-eight space on [-1, 1]: named
+    "immersed-cylinder" on the symmetric convention, "circle-to-eight" on the
+    row-anchored one (see `build_circle_to_eight`)."""
+    x, y, z = circle_to_eight_functions()
+    if convention == "symmetric":
+        return immersed_cylinder_generators(x, y, z, N)
+    if convention != "row-anchored":
+        raise DomainError(f"unknown convention {convention!r}")
+    x, y = (FourierFunction(f.interval, {s * n: c for n, c in f.coeffs.items() if abs(n) < N})
+            for f, s in ((x, 1), (y, -1)))
+    _, generators, grid = immersed_cylinder_generators(x, y, z, N, "row-anchored")
+    return "circle-to-eight", generators, grid
+
+
 def build_circle_to_eight(N: int, convention: str = "symmetric") -> FuzzySpace:
     """The circle-to-eight space on [-1, 1].
 
@@ -127,15 +158,7 @@ def build_circle_to_eight(N: int, convention: str = "symmetric") -> FuzzySpace:
     for y, whose upper band is oriented +i as in the displayed matrices; only
     the modes below N are kept, so band 3 enters from N = 4 on.
     """
-    x, y, z = circle_to_eight_functions()
-    if convention == "symmetric":
-        return build_immersed_cylinder(x, y, z, N)
-    if convention != "row-anchored":
-        raise DomainError(f"unknown convention {convention!r}")
-    x, y = (FourierFunction(f.interval, {s * n: c for n, c in f.coeffs.items() if abs(n) < N})
-            for f, s in ((x, 1), (y, -1)))
-    space = build_immersed_cylinder(x, y, z, N, "row-anchored")
-    return replace(space, name="circle-to-eight")
+    return regularize_space(*circle_to_eight_generators(N, convention))
 
 
 @dataclass(frozen=True)
@@ -161,18 +184,20 @@ class DoubleCylinderSpec:
         return x, FourierFunction.sine(self.interval, 1, r)
 
 
+def double_cylinder_generators(spec: DoubleCylinderSpec, N: int, member: int) -> tuple:
+    """("cylinder-<member>", (x, y, z), grid) of member 1 or 2 of the pair, with
+    height z = q, on the symmetric grid."""
+    grid = make_grid(N, spec.interval, "symmetric")
+    if member not in (1, 2):
+        raise DomainError("double-cylinder member must be 1 or 2")
+    zfn = FourierFunction.from_profile(spec.interval, AffineProfile(0.0, 1.0))
+    functions = (*spec.functions(member), zfn)
+    return f"cylinder-{member}", tuple(map(MatrixFourierFunction.from_scalar, functions)), grid
+
+
 def build_double_cylinder(spec: DoubleCylinderSpec, N: int):
     """Two fuzzy cylinders with the same height z = q; returns a pair."""
-    grid = make_grid(N, spec.interval, "symmetric")
-    zfn = FourierFunction.from_profile(spec.interval, AffineProfile(0.0, 1.0))
-    return tuple(
-        regularize_space(
-            f"cylinder-{i}",
-            tuple(MatrixFourierFunction.from_scalar(f) for f in (*spec.functions(i), zfn)),
-            grid,
-        )
-        for i in (1, 2)
-    )
+    return tuple(regularize_space(*double_cylinder_generators(spec, N, i)) for i in (1, 2))
 
 
 def interlaced_double_cylinder_function(spec: DoubleCylinderSpec) -> tuple:

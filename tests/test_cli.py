@@ -295,6 +295,23 @@ class TestSurfaceCommand:
                                            "carries coordinate functions\n")
         assert not (tmp_path / "out").exists()
 
+    # the generators are not regularized, and the preset's refusals stand: a size
+    # below the eight's cutoff, a member outside the pair, an overflowing profile
+    @pytest.mark.parametrize("space, error", [
+        ({"preset": "circle-to-eight", "n": 2}, "cutoff 3 must stay below N = 2"),
+        ({"preset": "immersed-circle-to-eight", "n": 3}, "cutoff 3 must stay below N = 3"),
+        ({"preset": "double-cylinder", "member": 3}, "double-cylinder member must be 1 or 2"),
+        ({"preset": "double-cylinder", "x0": {"kind": "poly", "coeffs": [0.0, 1e308]}},
+         "coefficient of band 0 is not finite on the grid"),
+    ], ids=["eight-n2", "immersed-eight-n3", "member-3", "overflow"])
+    def test_preset_refusals_stand(self, tmp_path, capsys, space, error):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"space": space}), encoding="utf-8")
+        with np.errstate(over="ignore"):
+            assert run_cli(["surface", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
 
 # a product sweep whose f has one cubic-spline mode with the given knots
 SPLINE_SWEEP = ('{"sweep": {"kind": "product", "schedule": [8, 16], '

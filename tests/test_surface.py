@@ -1,6 +1,7 @@
 """Classical surface export."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from fuzzyreg.errors import CapabilityError, DomainError
 from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction
 from fuzzyreg.interpolate import VertexParams, build_string_vertex, make_profile
-from fuzzyreg.profiles import AffineProfile
+from fuzzyreg.profiles import AffineProfile, ComplexProfile
 from fuzzyreg.spaces import (
     CurveSpec,
     DoubleCylinderSpec,
@@ -75,18 +76,25 @@ class TestExport:
         X, Y, Z = diagonal_coords()
         assert check_commutation((X, Y, Z), bound=1e-2) <= 1e-12
 
-    def test_check_commutation_evaluates_each_coordinate_once(self, monkeypatch):
-        calls = []
-        real_eval = MatrixFourierFunction.eval
+    # one coefficient pass: the probe alone, and the export with its probe grid
+    @pytest.mark.parametrize("run", [
+        lambda coords: check_commutation(coords, bound=1e-2),
+        lambda coords: export_classical_surface(coords, grid=(5, 4)),
+    ], ids=["probe", "export"])
+    def test_each_coefficient_is_evaluated_once(self, monkeypatch, run):
+        calls = Counter()
+        real_call = ComplexProfile.__call__
 
-        def counted(self, q, phi):
-            calls.append(self)
-            return real_eval(self, q, phi)
+        def counted(self, q):
+            calls[id(self)] += 1
+            return real_call(self, q)
 
-        monkeypatch.setattr(MatrixFourierFunction, "eval", counted)
-        X, Y, Z = diagonal_coords()
-        check_commutation((X, Y, Z), bound=1e-2)
-        assert len(calls) == 3
+        monkeypatch.setattr(ComplexProfile, "__call__", counted)
+        coords = diagonal_coords()
+        run(coords)
+        # once per table slot: a cosine stores one coefficient at both of its modes
+        assert calls == Counter(id(c) for F in coords for row in F.entries for e in row
+                                for c in e.coeffs.values())
 
     def test_check_commutation_is_the_worst_pairwise_sup(self):
         gens = build_string_vertex(VertexParams(N=8)).generators

@@ -8,7 +8,8 @@ import pytest
 
 from fuzzyreg.errors import DomainError, StructureError
 from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction, mul, poisson_bracket
-from fuzzyreg.interpolate import VertexParams, build_string_vertex
+from fuzzyreg.interpolate import (VertexParams, build_string_vertex, make_profile,
+                                  string_vertex_generators)
 from fuzzyreg.profiles import AffineProfile, PolyProfile
 from fuzzyreg.regularize import (
     FuzzyMatrix,
@@ -26,6 +27,7 @@ from fuzzyreg.spaces import (
     build_generalized_cylinder,
     build_graph_vertex,
     circle_to_eight_functions,
+    circle_to_eight_generators,
 )
 from fuzzyreg import verify
 from fuzzyreg.verify import (
@@ -493,3 +495,122 @@ class TestPointwiseCommutatorSup:
         want = svd_sup(FV * scale, GV)
         assert want == pytest.approx(svd_sup(FV, GV) * scale, rel=1e-12)
         assert pointwise_commutator_sup(FV * scale, GV) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def unpruned_sup(FV, GV):
+    """The probe over every sample: the scaled Gram `eigvalsh` of each one."""
+    C = np.einsum("...ij,...jk->...ik", FV, GV) - np.einsum("...ij,...jk->...ik", GV, FV)
+    scale = np.max(np.abs(C), axis=(-2, -1))
+    C = C / np.where(scale > 0, scale, 1.0)[..., None, None]
+    lam = np.linalg.eigvalsh(np.einsum("...ji,...jk->...ik", C.conj(), C))[..., -1]
+    return float(np.max(scale * np.sqrt(np.maximum(lam, 0.0))))
+
+
+def vertex_generators(mode):
+    return string_vertex_generators(VertexParams(N=30, profile=make_profile(mode)))[1]
+
+
+class TestPrunedCommutatorSup:
+    """The probe runs `eigvalsh` on the samples with ||C||_F >= max ||C||_F / sqrt(S)
+    only, and its sup is the float the probe over every sample gives."""
+
+    @pytest.mark.parametrize("mode", ["explicit-spline", "derived-lambda"])
+    def test_vertex_pairs_keep_their_bits_on_fewer_samples(self, monkeypatch, mode):
+        values = verify.sample_on_grid(vertex_generators(mode), (48, 48))[2]
+        batches = []
+        real = np.linalg.eigvalsh
+
+        def counted(a):
+            batches.append(a.shape[0])
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        for i, j in [(0, 1), (0, 2), (1, 2)]:
+            want = unpruned_sup(values[i], values[j])
+            batches.clear()
+            assert pointwise_commutator_sup(values[i], values[j]) == want
+            assert batches and batches[0] < 48 * 48
+
+    @pytest.mark.parametrize("S", [1, 2, 3, 4])
+    def test_random_stacks_keep_their_bits(self, S):
+        rng = np.random.default_rng(100 + S)
+        for shape in [(), (1,), (7,), (6, 5), (3, 4, 2), (37, 29)]:  # 1,073: three blocks
+            FV, GV = (rng.normal(size=shape + (S, S)) + 1j * rng.normal(size=shape + (S, S))
+                      for _ in range(2))
+            FV[..., 0, :] *= 10.0 ** rng.integers(-3, 4, size=shape + (1,))  # spread the norms
+            for F, G in [(FV, GV), (FV + np.conj(np.swapaxes(FV, -1, -2)), GV.real),
+                         (FV * 1e-200, GV), (FV * 1e150, GV), (FV.real, GV.real)]:
+                assert pointwise_commutator_sup(F, G) == unpruned_sup(F, G)
+
+    @pytest.mark.parametrize("S", [1, 2, 3])
+    def test_all_zero_stacks_read_zero(self, S):
+        zero = np.zeros((6, 5, S, S), dtype=complex)
+        _, GV = random_stacks(30 + S, S)
+        assert pointwise_commutator_sup(zero, GV) == pointwise_commutator_sup(zero, zero) == 0.0
+        assert pointwise_commutator_sup(zero[0, 0], zero[0, 0]) == 0.0
+
+    # a NaN or an infinity keeps every sample: the sup reads NaN as it did over every
+    # sample, and at S = 3 LAPACK refuses the NaN Gram matrix as it did
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("S", [1, 2, 3])
+    def test_nonfinite_stacks_keep_their_result(self, S, bad):
+        FV, GV = random_stacks(40 + S, S)
+        FV[2, 3, 0, 0] = bad
+        with np.errstate(invalid="ignore"):
+            if S == 3:
+                with pytest.raises(np.linalg.LinAlgError):
+                    unpruned_sup(FV, GV)
+                with pytest.raises(np.linalg.LinAlgError):
+                    pointwise_commutator_sup(FV, GV)
+            else:
+                assert np.isnan(unpruned_sup(FV, GV))
+                assert np.isnan(pointwise_commutator_sup(FV, GV))
+
+
+def eval_on_grid(F, shape):
+    """F on the (nq, nphi) grid by one `MatrixFourierFunction.eval` on its mesh."""
+    qs = np.linspace(F.interval[0], F.interval[1], shape[0])
+    phis = np.linspace(0.0, 2.0 * np.pi, shape[1], endpoint=False)
+    return qs, phis, F.eval(qs[:, None], phis[None, :])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestSampleOnGrids:
+    """One coefficient pass over several grids against one evaluation per grid."""
+
+    GENERATORS = {
+        "vertex-explicit-spline": lambda: vertex_generators("explicit-spline"),
+        "vertex-derived-lambda": lambda: vertex_generators("derived-lambda"),
+        "eight": lambda: circle_to_eight_generators(16)[1],
+        "eight-row-anchored": lambda: circle_to_eight_generators(16, "row-anchored")[1],
+    }
+
+    @pytest.mark.parametrize("shapes", [
+        [(33, 32), (48, 48)], [(1, 1)], [(1, 1), (48, 48)], [(5, 1), (1, 7), (2, 2)],
+    ], ids=["export-and-probe", "1x1", "1x1-and-probe", "thin"])
+    @pytest.mark.parametrize("case", list(GENERATORS))
+    def test_bitwise_the_per_grid_samples(self, case, shapes):
+        gens = self.GENERATORS[case]()
+        got = verify.sample_on_grids(gens, shapes)
+        assert len(got) == len(shapes)
+        for (qs, phis, values), shape in zip(got, shapes):
+            one_qs, one_phis, one_values = verify.sample_on_grid(gens, shape)
+            assert same_bits(qs, one_qs) and same_bits(phis, one_phis)
+            for F, v, w in zip(gens, values, one_values):
+                ref_qs, ref_phis, ref = eval_on_grid(F, shape)
+                assert same_bits(qs, ref_qs) and same_bits(phis, ref_phis)
+                assert same_bits(v, ref) and same_bits(w, ref)
+
+    def test_every_grid_is_checked_before_sampling(self):
+        gens = self.GENERATORS["eight"]()
+        with pytest.raises(DomainError, match="at least one sample"):
+            verify.sample_on_grids(gens, [(4, 4), (0, 3)])
+
+    def test_a_nonfinite_coefficient_is_refused(self):
+        f = FourierFunction(IV, {2: PolyProfile([0.0, 1e308, 1e308])})
+        F = MatrixFourierFunction.from_scalar(f)
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="band 2 is not finite"):
+            verify.sample_on_grids([F], [(3, 3)])
