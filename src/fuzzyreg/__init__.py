@@ -23,7 +23,7 @@ Nothing is re-exported; import from the modules.  The supported API, by module:
   transforms.interlace, transforms.block_transform, transforms.matrix_poly_transform,
     transforms.diagonalize_coordinate
   verify.check_product_convergence, verify.check_poisson_convergence,
-    verify.check_commutator_decay, verify.sample_on_grid, verify.sample_on_grids
+    verify.check_commutator_decay, verify.sample_on_grids
   surface.export_classical_surface, matrixio.write_matrix, matrixio.read_matrix,
     render.render_dot_matrix, cli.run_cli, cli.main, errors.FuzzyRegError
 Research hooks with no caller yet, kept for open ROADMAP items:

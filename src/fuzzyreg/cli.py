@@ -380,15 +380,15 @@ def cmd_surface(args) -> int:
     scfg = _section(cfg, "surface")
     grid = config_value(_integers, scfg.get("grid", (33, 32)), "surface grid")
     bound = config_value(float, scfg.get("bound", 1e-2), "surface bound")
-    header, rows = export_classical_surface(generators, grid=grid, bound=bound)
+    header, table = export_classical_surface(generators, grid=grid, bound=bound)
     name = f"{space_name}-surface.csv"
-    path = _write_text(args.out, name, surface_csv(header, rows))
+    path = _write_text(args.out, name, surface_csv(header, table))
     _write_sidecar(args.out, space_name + "-surface", {
         "kind": "surface",
         "name": space_name,
         "grid": list(grid),
         "bound": bound,
-        "rows": len(rows),
+        "rows": len(table),
         "artifacts": [name],
     })
     print(path)

@@ -6,8 +6,9 @@ numpy's C parser, which refuses blank lines and comments.  A regularized
 coordinate is banded, so the dump is written row by row: row i is one join,
 with `i,` as the separator, over a copy of a template row of `j,0,0` lines,
 on which only the entries whose parts are not both +0.0 bit for bit (so
--0.0 and NaN too) are written, each distinct part formatted once.  A row
-with no such zero is laid out by slices.  Binary: 16-byte header (magic
+-0.0 and NaN too) are written, each distinct part formatted once by
+`format_distinct`, which formats the surface CSV's columns too.  A row with
+no such zero is laid out by slices.  Binary: 16-byte header (magic
 b"FZMB", uint32 dim, uint32 S, uint32 reserved, little-endian) followed by
 the row-major complex128 entries, interleaved re/im float64.  A dump of
 either format with no entry is refused; both are byte-deterministic.
@@ -26,19 +27,22 @@ MAGIC = b"FZMB"
 _HEADER = struct.Struct("<4sIII")
 
 
-def _g17(bits: np.ndarray, end: str) -> list:
-    """`"%.17g" + end` of each float64 bit pattern, formatted once per distinct pattern."""
-    values, index = np.unique(bits, return_inverse=True)
-    form = "%.17g" + end
-    text = np.array([form % v for v in values.view(np.float64).tolist()], dtype=object)
-    return text[index].tolist()
+def format_distinct(values: np.ndarray, form: str, end: str) -> np.ndarray:
+    """`form % v + end` of each float64 v of a 1-D array, as an object array: each distinct
+    bit pattern is formatted once, all in one %-format (a float key would merge -0.0 with
+    0.0, which format apart)."""
+    keys, where = np.unique(values.view(np.int64), return_inverse=True)
+    text = (form + end + "\0") * len(keys) % tuple(keys.view(np.float64).tolist())
+    return np.array(text.split("\0")[:-1], dtype=object)[where]
 
 
 def matrix_to_csv(M: FuzzyMatrix) -> str:
     dim = M.dim
-    parts = np.ascontiguousarray(M.data, complex).view(np.int64).reshape(dim, dim, 2)
-    rows, cols = np.nonzero(parts[..., 0] | parts[..., 1])  # the cells not written "0,0"
-    re, im = _g17(parts[rows, cols, 0], ","), _g17(parts[rows, cols, 1], "\n")
+    parts = np.ascontiguousarray(M.data, complex).view(np.float64).reshape(dim, dim, 2)
+    bits = parts.view(np.int64)
+    rows, cols = np.nonzero(bits[..., 0] | bits[..., 1])  # the cells not written "0,0"
+    re = format_distinct(parts[rows, cols, 0], "%.17g", ",").tolist()
+    im = format_distinct(parts[rows, cols, 1], "%.17g", "\n").tolist()
     idx = [f"{k}," for k in range(dim)]
     template = [f"{k},0,0\n" for k in range(dim)]
     full = [piece for j in idx for piece in (None, j, None, None)]

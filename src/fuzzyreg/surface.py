@@ -5,10 +5,11 @@ diagonalizes the sheet structure pointwise, and emits one CSV row per sheet
 and sample with the coordinate values plus a diagonality figure of merit.
 It reads the generator functions only, never a regularized matrix (the CLI
 builds a preset's generators without regularizing them).  The work is done on
-whole sample arrays: one coefficient pass (`verify.sample_on_grids`) evaluates
-each coefficient once on the q values of both the export grid and the 48 x 48
-probe grid, and every sample that needs an eigenbasis goes into one batched
-`eigh`.
+whole sample arrays, from sampler to text: one coefficient pass
+(`verify.sample_on_grids`) evaluates each coefficient once on the q values of
+both the export grid and the 48 x 48 probe grid into one (d, nq, nphi, S, S)
+array per grid, every sample that needs an eigenbasis goes into one batched
+`eigh`, and the export returns its rows as one float64 table.
 
 Only makes sense when the coordinate functions commute to good accuracy as
 matrix functions; the export refuses otherwise.  The probe takes each sample's
@@ -17,7 +18,8 @@ its largest |entry|, on the samples whose ||[F, G]||_F is within sqrt(S) of the
 largest, since only those can hold the sup (`verify.pointwise_commutator_sup`).
 The probe's samples are dropped before the export's `eigh`.  The CSV holds the
 sheet as an integer and the other cells to 10 significant digits; each column
-formats each of its distinct float64 bit patterns once.
+formats each of its distinct float64 bit patterns once, through the formatter
+the matrix CSV dump uses (`matrixio.format_distinct`).
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import CapabilityError, DomainError
-from .fourier import MatrixFourierFunction, same_interval
-from .verify import pointwise_commutator_sup, sample_on_grid, sample_on_grids
+from .fourier import MatrixFourierFunction
+from .matrixio import format_distinct
+from .verify import pointwise_commutator_sup, sample_on_grids
 
 _DIAG_TOL = 1e-12
 _PROBE_GRID = (48, 48)
@@ -45,7 +48,7 @@ def check_commutation(coords: Sequence[MatrixFourierFunction], bound: float, *, 
     if len(coords) < 2:
         return 0.0
     if values is None:
-        values = sample_on_grid(coords, _PROBE_GRID)[2]
+        values = sample_on_grids(coords, [_PROBE_GRID])[0][2]
     sups = {(i, j): pointwise_commutator_sup(values[i], values[j])
             for i, j in itertools.combinations(range(len(coords)), 2)}
     (i, j), worst = max(sups.items(), key=lambda item: item[1])
@@ -82,28 +85,22 @@ def export_classical_surface(coords: Sequence[MatrixFourierFunction],
                              bound: float = 1e-2):
     """Rows (sheet, q, phi, x_1..x_d, offdiag) for the diagonalized sheets.
 
-    Returns (header, rows) where rows is a list of float tuples.  The first
-    coordinate with genuine sheet structure picks the eigenbasis at each
-    sample; samples where it is already diagonal keep their index order, so
-    sheet k then reads entry (k, k) directly.  The export grid and the
-    commutation probe's grid are sampled in one coefficient pass.
+    Returns (header, table), where table is a float64 array with one row per sheet and
+    sample, sample by sample in (q, phi) order.  The coordinates must share their block
+    size and interval.  The first coordinate with genuine sheet structure picks the
+    eigenbasis at each sample; samples where it is already diagonal keep their index order,
+    so sheet k then reads entry (k, k) directly.  The export grid and the commutation
+    probe's grid are sampled in one coefficient pass.
     """
-    coords = tuple(coords)
-    if not coords:
-        raise DomainError("need at least one coordinate function")
-    S = coords[0].S
-    for c in coords[1:]:
-        if c.S != S or not same_interval(coords[0], c):
-            raise DomainError("coordinate functions must share block size and interval")
     (qs, phis, values), (_, _, probe) = sample_on_grids(coords, (grid, _PROBE_GRID))
     check_commutation(coords, bound, values=probe)
     del probe  # not held through the eigh below
-    values = np.stack(values)  # (d, nq, nphi, S, S)
+    S = values.shape[-1]
     A = values[_pick_resolving(values)]
     resolve = np.max(_offdiag_abs(A), axis=(-2, -1)) > _DIAG_TOL
     V = np.broadcast_to(np.eye(S), A.shape).astype(complex)
     V[resolve] = np.linalg.eigh(A[resolve])[1]
-    del A  # a view: it would hold the stacked samples through the rotation
+    del A  # a view: it would hold the samples through the rotation
     # the matrix axes first and the samples last and contiguous, where einsum loops over
     # samples; each entry is the same sum over (a, b) as on the (..., S, S) layout
     Vh, values, V = (np.ascontiguousarray(np.moveaxis(x, (-2, -1), (at, at + 1)))
@@ -113,23 +110,16 @@ def export_classical_surface(coords: Sequence[MatrixFourierFunction],
     diag = np.real(np.einsum("...ss->...s", rotated))  # (d, nq, nphi, S)
     columns = np.broadcast_arrays(np.arange(S), qs[:, None, None], phis[:, None], *diag,
                                   offmax[..., None])
-    header = ["sheet", "q", "phi"] + [f"x{k + 1}" for k in range(len(coords))] + ["offdiag"]
-    return header, [tuple(r) for r in np.stack(columns, -1).reshape(-1, len(header)).tolist()]
+    header = ["sheet", "q", "phi"] + [f"x{k + 1}" for k in range(len(diag))] + ["offdiag"]
+    return header, np.stack(columns, -1).reshape(-1, len(header))
 
 
-def surface_csv(header, rows) -> str:
-    """The header line, then one line per row: the sheet as %d, the other cells as
-    %.10g.  Each column formats its distinct cells once, in one %-format, keyed by
-    float64 bit pattern (a float key would merge -0.0 with 0.0, which format apart),
-    each with the separator that follows it; the text is then one join over
-    references to those cells, with no string made per row."""
-    width = len(header)
-    table = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width)
-    columns = []
-    for k, column in enumerate(table.reshape(-1, width).T):
-        keys, where = np.unique(column.view(np.int64), return_inverse=True)
-        last = k == width - 1
-        fmt = ("%d" if k == 0 else "%.10g") + ("\n" if last else ",\n")
-        cells = (fmt * len(keys) % tuple(keys.view(float).tolist())).splitlines(keepends=last)
-        columns.append(np.array(cells, dtype=object)[where])
+def surface_csv(header, table) -> str:
+    """The header line, then one line per row of the float64 table: the sheet as %d, the
+    other cells as %.10g.  Each column's distinct cells are formatted once
+    (`matrixio.format_distinct`), each with the separator that follows it; the text is
+    then one join over references to those cells, with no string made per row."""
+    last = len(header) - 1
+    columns = [format_distinct(column, "%d" if k == 0 else "%.10g", "\n" if k == last else ",")
+               for k, column in enumerate(table.T)]
     return ",".join(header) + "\n" + "".join(np.stack(columns, axis=1).ravel().tolist())

@@ -5,6 +5,10 @@ records one scalar per size, and judges decay against documented thresholds
 (0.6 per doubling for first-order quantities, 5% slack for monotonicity).
 Reports serialize to JSON-ready dicts and a plain text table, and carry an
 exit code for the CLI.
+
+`sample_on_grids` samples matrix functions of one block size into one
+(d, nq, nphi, S, S) array per (q, phi) grid, for the pointwise commutator sup
+and the surface export.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ import numpy as np
 from .errors import DomainError, StructureError
 from .fourier import (
     MatrixFourierFunction,
-    _check_same_interval,
     mul,
     poisson_bracket,
+    same_interval,
 )
 from .profiles import shared_evaluation
 from .regularize import (
@@ -281,7 +285,8 @@ def check_commutator_decay(space_builder, Ns, delta=5, label=None) -> SweepRepor
 
 def sample_on_grids(functions, shapes) -> list:
     """[(qs, phis, values)] for each shape = (nq, nphi): the grid over the functions' shared
-    interval, where each matrix function's values form one (nq, nphi, S, S) array.
+    interval, where values holds every function's samples in one (d, nq, nphi, S, S) array.
+    The d >= 1 functions must share their block size S and their interval.
 
     One coefficient pass serves every grid: each coefficient is evaluated once, inside one
     `shared_evaluation`, on the q values of all the grids in a row, and its modes are then
@@ -292,34 +297,32 @@ def sample_on_grids(functions, shapes) -> list:
         if len(shape) != 2 or min(shape) < 1:
             raise DomainError(f"surface grid must be (nq, nphi) with at least one sample "
                               f"per axis, got {shape}")
+    if not functions:
+        raise DomainError("need at least one function to sample")
+    first = functions[0]
     for F in functions[1:]:
-        _check_same_interval(functions[0], F)
-    q1, q2 = functions[0].interval
+        if F.S != first.S or not same_interval(first, F):
+            raise DomainError(f"functions sampled together must share block size and interval: "
+                              f"S = {first.S} on {first.interval}, S = {F.S} on {F.interval}")
+    q1, q2 = first.interval
     axes = [(np.linspace(q1, q2, nq), np.linspace(0.0, 2.0 * np.pi, nphi, endpoint=False))
             for nq, nphi in shapes]
     q = np.concatenate([qs for qs, _ in axes])
     ends = np.cumsum([len(qs) for qs, _ in axes]).tolist()
     parts = [slice(end - len(qs), end) for (qs, _), end in zip(axes, ends)]  # each grid's q
-    samples = [(qs, phis, []) for qs, phis in axes]
+    samples = [(qs, phis, np.zeros((len(functions), len(qs), len(phis), first.S, first.S), complex))
+               for qs, phis in axes]
     with shared_evaluation():
-        for F in functions:
-            out = [np.zeros((len(qs), len(phis), F.S, F.S), dtype=complex) for qs, phis in axes]
+        for k, F in enumerate(functions):
             for a, row in enumerate(F.entries):
                 for b, entry in enumerate(row):
                     for n, c in entry.coeffs.items():
                         cq = c(q)
                         if not np.all(np.isfinite(cq)):
                             raise DomainError(f"coefficient of band {n} is not finite on the grid")
-                        for values, (_, phis), part in zip(out, axes, parts):
-                            values[..., a, b] += cq[part, None] * np.exp(1j * n * phis)
-            for (_, _, values), v in zip(samples, out):
-                values.append(v)
+                        for (_, phis, values), part in zip(samples, parts):
+                            values[k, ..., a, b] += cq[part, None] * np.exp(1j * n * phis)
     return samples
-
-
-def sample_on_grid(functions, shape):
-    """(qs, phis, values) on one grid: the one-grid case of `sample_on_grids`."""
-    return sample_on_grids(functions, [shape])[0]
 
 
 def pointwise_commutator_sup(FV: np.ndarray, GV: np.ndarray) -> float:
@@ -355,4 +358,4 @@ def pointwise_commutator_sup(FV: np.ndarray, GV: np.ndarray) -> float:
 
 def matrix_fn_commutator_sup(F: MatrixFourierFunction, G: MatrixFourierFunction, samples=64) -> float:
     """Sup of the pointwise commutator's operator norm over a (q, phi) grid."""
-    return pointwise_commutator_sup(*sample_on_grid((F, G), (samples, samples))[2])
+    return pointwise_commutator_sup(*sample_on_grids((F, G), [(samples, samples)])[0][2])

@@ -456,6 +456,15 @@ class TestMatrixCommutatorSup:
         with pytest.raises(DomainError):
             matrix_fn_commutator_sup(F, far)
 
+    # an S = 2 function's samples must not be read as S = 1 ones (the sup read 0.0)
+    def test_mixed_block_sizes_are_refused(self):
+        q = FourierFunction(IV, {0: AffineProfile(0.0, 1.0)})
+        one = FourierFunction(IV, {0: 1.0})
+        F = MatrixFourierFunction.from_scalar(q)
+        G = MatrixFourierFunction(IV, [[None, one], [one, None]])
+        with pytest.raises(DomainError, match="share block size"):
+            matrix_fn_commutator_sup(F, G)
+
 
 def svd_sup(FV, GV):
     """The probe's reference: the largest singular value over every sample."""
@@ -516,7 +525,7 @@ class TestPrunedCommutatorSup:
 
     @pytest.mark.parametrize("mode", ["explicit-spline", "derived-lambda"])
     def test_vertex_pairs_keep_their_bits_on_fewer_samples(self, monkeypatch, mode):
-        values = verify.sample_on_grid(vertex_generators(mode), (48, 48))[2]
+        values = verify.sample_on_grids(vertex_generators(mode), [(48, 48)])[0][2]
         batches = []
         real = np.linalg.eigvalsh
 
@@ -597,17 +606,20 @@ class TestSampleOnGrids:
         got = verify.sample_on_grids(gens, shapes)
         assert len(got) == len(shapes)
         for (qs, phis, values), shape in zip(got, shapes):
-            one_qs, one_phis, one_values = verify.sample_on_grid(gens, shape)
-            assert same_bits(qs, one_qs) and same_bits(phis, one_phis)
-            for F, v, w in zip(gens, values, one_values):
+            assert values.shape == (len(gens),) + tuple(shape) + (gens[0].S, gens[0].S)
+            for F, v in zip(gens, values):
                 ref_qs, ref_phis, ref = eval_on_grid(F, shape)
                 assert same_bits(qs, ref_qs) and same_bits(phis, ref_phis)
-                assert same_bits(v, ref) and same_bits(w, ref)
+                assert same_bits(v, ref)
 
     def test_every_grid_is_checked_before_sampling(self):
         gens = self.GENERATORS["eight"]()
         with pytest.raises(DomainError, match="at least one sample"):
             verify.sample_on_grids(gens, [(4, 4), (0, 3)])
+
+    def test_no_function_is_refused(self):
+        with pytest.raises(DomainError, match="at least one function"):
+            verify.sample_on_grids([], [(3, 3)])
 
     def test_a_nonfinite_coefficient_is_refused(self):
         f = FourierFunction(IV, {2: PolyProfile([0.0, 1e308, 1e308])})
