@@ -25,7 +25,8 @@ Nothing is re-exported; import from the modules.  The supported API, by module:
   verify.check_product_convergence, verify.check_poisson_convergence,
     verify.check_commutator_decay, verify.sample_on_grids
   surface.export_classical_surface, matrixio.write_matrix, matrixio.read_matrix,
-    render.render_dot_matrix, cli.run_cli, cli.main, errors.FuzzyRegError
+    render.dot_matrix_rows, render.render_dot_matrix (their join), cli.run_cli, cli.main,
+    errors.FuzzyRegError
 Research hooks with no caller yet, kept for open ROADMAP items:
   interpolate.mirror_concat (items 2-4), interpolate.close_caps (item 3), and for item 6
   spaces.interlaced_double_cylinder_function, verify.semiclassical_residual,

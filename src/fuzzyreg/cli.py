@@ -26,7 +26,7 @@ from .fourier import FourierFunction
 from .interpolate import VertexParams, build_string_vertex, make_profile, string_vertex_generators
 from .profiles import AffineProfile, ComplexProfile, as_profile, profile_from_dict
 from .regularize import FuzzySpace, check_regularizable, regularize_space
-from .render import render_dot_matrix
+from .render import dot_matrix_rows
 from .spaces import (
     CurveSpec,
     DoubleCylinderSpec,
@@ -200,18 +200,21 @@ def _preset(spec: dict, n=None):
     raise DomainError(f"unknown space preset {kind!r}")
 
 
-def _write_text(out_dir, name, text) -> str:
-    """Write one UTF-8, LF-terminated artifact into out_dir; return its path."""
+def _write_text(out_dir, name, pieces) -> str:
+    """Write one UTF-8, LF-terminated artifact into out_dir, its str pieces in
+    order as they come, so that the rows of `dot_matrix_rows` are never held
+    whole; return its path.  That function checks its arguments when called,
+    before this one runs, so a refused render makes no directory and no file."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
     return path
 
 
 def _write_sidecar(out_dir, stem, meta) -> str:
     text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
-    return _write_text(out_dir, stem + ".meta.json", text)
+    return _write_text(out_dir, stem + ".meta.json", [text])
 
 
 def write_space_artifacts(space: FuzzySpace, out_dir, fmt="bin",
@@ -233,7 +236,7 @@ def write_space_artifacts(space: FuzzySpace, out_dir, fmt="bin",
         thr = 0.1 if threshold is None else float(threshold)
         for k, M in enumerate(space.coordinates):
             name = f"{space.name}-x{k + 1}.svg"
-            _write_text(out_dir, name, render_dot_matrix(M, threshold=thr))
+            _write_text(out_dir, name, dot_matrix_rows(M, threshold=thr))
             written.append(name)
     meta = {
         "kind": "space",
@@ -337,9 +340,9 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     report = _sweep_report(_section(cfg, "sweep"), delta=args.delta)
     stem = report.criterion
-    _write_text(args.out, f"{stem}-report.json", report.to_json() + "\n")
+    _write_text(args.out, f"{stem}-report.json", [report.to_json(), "\n"])
     text = report.to_text()
-    _write_text(args.out, f"{stem}-report.txt", text + "\n")
+    _write_text(args.out, f"{stem}-report.txt", [text, "\n"])
     print(text)
     return report.exit_code
 
@@ -354,7 +357,7 @@ def cmd_render(args) -> int:
     cell = config_value(float, rcfg.get("cell", 10.0), "render cell")
     stem = os.path.splitext(os.path.basename(args.matrix))[0]
     name = stem + ".svg"
-    path = _write_text(args.out, name, render_dot_matrix(M, threshold=threshold, cell=cell))
+    path = _write_text(args.out, name, dot_matrix_rows(M, threshold=threshold, cell=cell))
     _write_sidecar(args.out, stem + "-render", {
         "kind": "render",
         "source": os.path.basename(args.matrix),
@@ -382,7 +385,7 @@ def cmd_surface(args) -> int:
     bound = config_value(float, scfg.get("bound", 1e-2), "surface bound")
     header, table = export_classical_surface(generators, grid=grid, bound=bound)
     name = f"{space_name}-surface.csv"
-    path = _write_text(args.out, name, surface_csv(header, table))
+    path = _write_text(args.out, name, [surface_csv(header, table)])
     _write_sidecar(args.out, space_name + "-surface", {
         "kind": "surface",
         "name": space_name,

@@ -41,8 +41,11 @@ hand-built coordinate and transform factor), and dense data all 2 dim - 1
 (matrix files, eigenvectors, BLAS products, dense sums).  So a left factor
 recording at least dim diagonals, dense data among them, goes to BLAS, and
 `lincomb` sums such a term on its dense view.  The dense view
-`FuzzyMatrix.data` is built on first read, for the readers that need every
-entry: rendering, matrix I/O, BLAS and the Hermiticity checks.
+`FuzzyMatrix.data` is built on first read and kept, for the readers that
+need every entry: rendering, matrix I/O and the Hermiticity checks.  The
+BLAS side of `product` reads it too, but does not keep it on a banded
+operand: the view is scattered for the call, so a banded coordinate
+conjugated by dense eigenvectors holds no dense copy afterwards.
 """
 
 from __future__ import annotations
@@ -162,14 +165,10 @@ class FuzzyMatrix:
 
     @property
     def data(self) -> np.ndarray:
-        """The dense matrix, scattered from the bands on first read."""
+        """The dense matrix, scattered from the bands on first read and kept."""
         if self._data is None:
-            cols = _columns(self.dim, self.offsets[0], self._bands.shape[1])
-            inside = (cols >= 0) & (cols < self.dim)
-            dense = np.zeros((self.dim, self.dim), dtype=complex)
-            dense[np.nonzero(inside)[0], cols[inside]] = self._bands[inside]
-            dense.setflags(write=False)
-            self._data = dense
+            self._data = _dense(self)
+            self._data.setflags(write=False)
         return self._data
 
     @property
@@ -182,6 +181,18 @@ class FuzzyMatrix:
 
     def is_hermitian(self, tol=1e-12) -> bool:
         return float(np.max(np.abs(self.data - self.data.conj().T))) <= tol
+
+
+def _dense(M: FuzzyMatrix) -> np.ndarray:
+    """The dense view of M: the one it keeps, else a new one scattered from its
+    bands, which M does not keep."""
+    if M._data is not None:
+        return M._data
+    cols = _columns(M.dim, M.offsets[0], M._bands.shape[1])
+    inside = (cols >= 0) & (cols < M.dim)
+    dense = np.zeros((M.dim, M.dim), dtype=complex)
+    dense[np.nonzero(inside)[0], cols[inside]] = M._bands[inside]
+    return dense
 
 
 def _stacked(diagonal, offsets: tuple, dim: int) -> np.ndarray:
@@ -380,7 +391,8 @@ def _band_kernel(A: FuzzyMatrix, B: FuzzyMatrix) -> FuzzyMatrix:
 def product(A: FuzzyMatrix, B: FuzzyMatrix) -> FuzzyMatrix:
     """AB by the band kernel, which sums in a CSR product's order (complex
     products ar br - ai bi, ar bi + ai br) and equals one bit for bit; or
-    `A.data @ B.data` when A records at least dim of the 2 dim - 1 diagonals.
+    `A.data @ B.data` when A records at least dim of the 2 dim - 1 diagonals,
+    with the dense view of a banded operand built for the call and not kept.
     Kernel against BLAS, K diagonals on both factors, one BLAS thread: dim
     256, K = 17 / 33 / 257 / 511: 1.1 / 3.1 / 176 / 390 against 2.3 / 2.3 /
     2.4 / 3.5 ms; dim 1024, K = 129 / 513 / 1025: 216 / 3,994 / 15,815
@@ -391,7 +403,7 @@ def product(A: FuzzyMatrix, B: FuzzyMatrix) -> FuzzyMatrix:
     layout = _layout(A, B)  # before numpy meets mismatched operands
     if len(A.offsets) < A.dim:
         return _band_kernel(A, B)
-    return FuzzyMatrix(A.data @ B.data, *layout)
+    return FuzzyMatrix(_dense(A) @ _dense(B), *layout)
 
 
 def commutator(A: FuzzyMatrix, B: FuzzyMatrix) -> FuzzyMatrix:

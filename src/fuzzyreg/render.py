@@ -5,11 +5,16 @@ its square root), scaled so the largest entry fills a cell.  Entries below
 the threshold appear as minimal points.  As the `matrixio` CSV dump, the
 circles are written row by row, each row one join with its `cy` as the
 separator over a copy of a template row of minimal dots, on which only the
-dots drawn to size are written.  Output bytes depend only on the matrix,
+dots drawn to size are written.  `dot_matrix_rows` checks its arguments and
+does all array work when called, then yields the SVG one row at a time, so
+the CLI streams the rows into the file and never holds the whole text;
+`render_dot_matrix` is their join.  Output bytes depend only on the matrix,
 threshold, and cell size.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -24,11 +29,13 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}".rstrip("0").rstrip(".")
 
 
-def render_dot_matrix(M: FuzzyMatrix, threshold: float = 0.1, cell: float = 10.0) -> str:
-    """Render |entries| of M as an SVG dot diagram.
+def dot_matrix_rows(M: FuzzyMatrix, threshold: float = 0.1, cell: float = 10.0) -> Iterator[str]:
+    """The SVG dot diagram of |entries| of M as an iterator of its pieces: the
+    header, one piece per matrix row, and the closing tag.
 
     threshold >= 0: entries with magnitude below it are drawn as small fixed
-    dots; the rest get radius (cell/2) * sqrt(|entry| / max|entry|).
+    dots; the rest get radius (cell/2) * sqrt(|entry| / max|entry|).  Bad
+    arguments raise here, before the first piece is asked for.
     """
     threshold = float(threshold)
     if not threshold >= 0:
@@ -52,14 +59,24 @@ def render_dot_matrix(M: FuzzyMatrix, threshold: float = 0.1, cell: float = 10.0
     minimal = f'" r="{_fmt(rmin)}" fill="black"/>\n'
     template = heads[:1] + [minimal + h for h in after]
     size = _fmt(dim * cell)
-    out = ['<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" '
-           f'version="1.1" width="{size}" height="{size}" viewBox="0 0 {size} {size}">\n'
-           f'<rect width="{size}" height="{size}" fill="white"/>\n']
+    header = ('<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" '
+              f'version="1.1" width="{size}" height="{size}" viewBox="0 0 {size} {size}">\n'
+              f'<rect width="{size}" height="{size}" fill="white"/>\n')
     starts = np.searchsorted(rows, np.arange(dim + 1)).tolist()
-    for i, a, b in zip(range(dim), starts, starts[1:]):
-        row = template.copy()
-        for k, j in enumerate(cols[a:b].tolist(), start=a):
-            row[j + 1] = tails[k] + after[j]
-        out.append(pos[i].join(row))
-    out.append("</svg>\n")
-    return "".join(out)
+
+    def pieces():
+        yield header
+        for i, a, b in zip(range(dim), starts, starts[1:]):
+            row = template.copy()
+            for k, j in enumerate(cols[a:b].tolist(), start=a):
+                row[j + 1] = tails[k] + after[j]
+            yield pos[i].join(row)
+        yield "</svg>\n"
+
+    return pieces()
+
+
+def render_dot_matrix(M: FuzzyMatrix, threshold: float = 0.1, cell: float = 10.0) -> str:
+    """Render |entries| of M as an SVG dot diagram: the pieces of
+    `dot_matrix_rows`, joined into one str."""
+    return "".join(dot_matrix_rows(M, threshold, cell))

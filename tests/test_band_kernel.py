@@ -169,6 +169,31 @@ def test_diagonalized_coordinates_multiply_by_blas_in_time():
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("left", ["dense", "banded-wide"])
+def test_blas_side_keeps_no_dense_view_of_a_banded_operand(left):
+    # the eigenvectors of a diagonalize step times a banded coordinate: the
+    # dense view of each banded operand is scattered for the call only
+    rng = np.random.default_rng(11)
+    dim = 64
+    B = build_circle_to_eight(dim).coordinates[1]
+    values = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    if left == "dense":
+        A = FuzzyMatrix(values, dim, 1)
+    else:  # every diagonal recorded, stored as bands
+        A = FuzzyMatrix.from_diagonals({o: np.diagonal(values, o) for o in range(1 - dim, dim)}, dim)
+    assert on_blas_side(A) and not on_blas_side(B)
+    got = product(A, B)
+    assert B._data is None
+    assert (A._data is None) is (left != "dense")
+    assert_bitwise(got.data, A.data @ B.data)
+
+
+def test_diagonalize_keeps_no_dense_view_of_the_other_coordinates():
+    eight = build_circle_to_eight(64)
+    diagonalize_coordinate(eight, 0)
+    assert [M._data is None for M in eight.coordinates] == [False, True, True]
+
+
 def test_zero_operand():
     Z = FuzzyMatrix(np.zeros((4, 4)), 4, 1)
     A = FuzzyMatrix(np.eye(4), 4, 1)

@@ -2,12 +2,15 @@
 
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fuzzyreg.cli import _parser, run_cli
+from fuzzyreg.cli import _parser, build_space, load_config, run_cli, write_space_artifacts
+from fuzzyreg.render import render_dot_matrix
+from fuzzyreg.transforms import matrix_poly_transform
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -242,6 +245,44 @@ class TestRenderCommand:
         assert run_cli(["render", matrix, "--out", str(d2)]) == 0
         name = "generalized-cylinder-x2.svg"
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+class TestStreamedRenders:
+    """`build --format svg` and `render` stream the rows of `dot_matrix_rows`
+    into the file; both write the bytes of `render_dot_matrix`'s str."""
+
+    @pytest.mark.parametrize("command, config, stem", [
+        ("build", "eight_surface.json", "immersed-cylinder-x1"),
+        ("transform", "clifford_projection.json", "diag(clifford-torus*)-x1"),
+    ], ids=["banded-eight", "dense-clifford-diagonalize"])
+    def test_streamed_svg_is_the_joined_render(self, tmp_path, command, config, stem):
+        cfg = str(CONFIGS / config)
+        built, rendered = tmp_path / "built", tmp_path / "rendered"
+        assert run_cli([command, "--config", cfg, "--n", "256", "--format", "svg",
+                        "--out", str(built)]) == 0
+        assert run_cli(["render", str(built / f"{stem}.fzmb"), "--out", str(rendered)]) == 0
+        job = load_config(cfg)
+        space = build_space(job["space"], n=256)
+        if command == "transform":
+            space = matrix_poly_transform(space, job["transforms"])[0]
+        want = render_dot_matrix(space.coordinates[0]).encode()
+        assert len(want) > 2**20
+        assert (built / f"{stem}.svg").read_bytes() == want
+        assert (rendered / f"{stem}.svg").read_bytes() == want
+
+    def test_svg_build_never_holds_a_whole_render(self, tmp_path):
+        # three 3.3 MB renders: 9.9 MB of peak when each was joined into one
+        # str and written whole, 5.0 MB streamed (the dense views of the
+        # coordinates, 1 MB each, stay with the space)
+        space = build_space({"preset": "immersed-circle-to-eight"}, n=256)
+        tracemalloc.start()
+        try:
+            write_space_artifacts(space, tmp_path, fmt="svg")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "immersed-cylinder-x1.svg").stat().st_size > 3 * 2**20
+        assert peak < 7.5 * 2**20
 
 
 class TestSurfaceCommand:
@@ -552,6 +593,19 @@ class TestFailureModes:
                         "--threshold", "nan", "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
+
+    # the render's checks run before its file is opened, as for the threshold
+    @pytest.mark.parametrize("cell", [0, float("nan"), float("inf")], ids=["zero", "nan", "inf"])
+    def test_bad_render_cell_from_config(self, tmp_path, capsys, cell):
+        assert run_cli(["build", "--n", "4", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"render": {"cell": cell}}), encoding="utf-8")
+        code = run_cli(["render", str(tmp_path / "generalized-cylinder-x1.fzmb"),
+                        "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: cell size must be positive and finite")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, cfg", [
