@@ -7,7 +7,8 @@ semiclassical behavior of the result.
 Nothing is re-exported; import from the modules.  The supported API, by module:
   profiles.Profile, profiles.ComplexProfile, profiles.AffineProfile, profiles.PolyProfile,
     profiles.SplineProfile, profiles.CallableProfile, profiles.profile_from_dict
-  fourier.FourierFunction, fourier.MatrixFourierFunction, fourier.mul, fourier.poisson_bracket
+  fourier.FourierFunction, fourier.MatrixFourierFunction, fourier.mul, fourier.poisson_bracket,
+    fourier.coefficient_values (the one coefficient evaluator)
   regularize.make_grid, regularize.FuzzyMatrix, regularize.FuzzyMatrix.from_diagonals,
     regularize.FuzzySpace, regularize.regularize_scalar, regularize.regularize_matrix,
     regularize.regularize_schedule, regularize.regularize_space, regularize.check_regularizable,

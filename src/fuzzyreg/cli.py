@@ -33,11 +33,9 @@ from .spaces import (
     GraphVertexSpec,
     build_clifford_torus,
     build_graph_vertex,
-    circle_to_eight_functions,
     circle_to_eight_generators,
     double_cylinder_generators,
     generalized_cylinder_generators,
-    immersed_cylinder_generators,
 )
 from .surface import export_classical_surface, surface_csv
 from .transforms import matrix_poly_transform
@@ -169,11 +167,9 @@ def _preset(spec: dict, n=None):
         if "z_beta" in spec:
             curve = dataclasses.replace(curve, z_beta=value("z_beta", None))
         return generalized_cylinder_generators(curve, N, value("z_offset", 0.0))
-    if kind == "circle-to-eight":
-        return circle_to_eight_generators(N, spec.get("convention", "symmetric"))
-    if kind == "immersed-circle-to-eight":
-        x, y, z = circle_to_eight_functions()
-        return immersed_cylinder_generators(x, y, z, N, spec.get("grid", "symmetric"))
+    if kind in ("circle-to-eight", "immersed-circle-to-eight"):  # one space, two spellings
+        rule_key = "convention" if kind == "circle-to-eight" else "grid"
+        return circle_to_eight_generators(N, spec.get(rule_key, "symmetric"))
     if kind == "double-cylinder":
         interval = value("interval", (-1.0, 3.0), _floats)
         x0 = value("x0", [0.7, 0.3], _profile_arg)

@@ -5,13 +5,16 @@ whose coefficients are `ComplexProfile`s of q.  Products, phi-derivatives,
 q-derivatives and Poisson brackets act on the coefficient tables exactly.
 
 `MatrixFourierFunction` is an SxS grid of such series sharing one interval.
+
+`coefficient_values` is the one evaluator of coefficients: the regularization,
+the surface sampler, `eval` and the Hermiticity probe all read its tables.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, FuzzyRegError
 from .profiles import ComplexProfile, shared_evaluation
 
 _INTERVAL_TOL = 1e-12
@@ -79,9 +82,6 @@ class FourierFunction:
     def modes(self):
         return sorted(self.coeffs)
 
-    def coeff(self, n) -> ComplexProfile:
-        return self.coeffs.get(n, ComplexProfile.from_const(0.0))
-
     def eval(self, q, phi):
         """sum_n f_n(q) e^{i n phi}: the S = 1 case of `MatrixFourierFunction.eval`."""
         return MatrixFourierFunction.from_scalar(self).eval(q, phi)[..., 0, 0]
@@ -143,8 +143,14 @@ class FourierFunction:
 
     @classmethod
     def from_dict(cls, d):
-        table = {int(entry["n"]): ComplexProfile.from_dict(entry) for entry in d["coeffs"]}
-        return cls(tuple(d["interval"]), table)
+        """Inverse of `to_dict`.  Malformed input raises DomainError."""
+        try:
+            table = {int(entry["n"]): ComplexProfile.from_dict(entry) for entry in d["coeffs"]}
+            return cls(tuple(d["interval"]), table)
+        except FuzzyRegError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DomainError(f"malformed serialized Fourier function: {type(exc).__name__} {exc}") from exc
 
     def __repr__(self):
         return f"FourierFunction({self.interval}, modes={self.modes()})"
@@ -165,6 +171,17 @@ def mul(f: FourierFunction, g: FourierFunction) -> FourierFunction:
 def poisson_bracket(f: FourierFunction, g: FourierFunction) -> FourierFunction:
     """{f,g} = d_phi(f) d_q(g) - d_q(f) d_phi(g)  (so {q, phi} = -1)."""
     return mul(f.d_phi(), g.d_q()) - mul(f.d_q(), g.d_phi())
+
+
+def coefficient_values(functions, qs) -> list:
+    """[{(a, b, n): F_{ab,n}(q)}] for each MatrixFourierFunction F and its own q array,
+    inside one `shared_evaluation` (a shared node runs once per q object).  Entries go
+    row-major, each entry's modes in its `coeffs` order.  Values are not checked for
+    finiteness: each reader refuses a non-finite value where it reaches it."""
+    with shared_evaluation():
+        return [{(a, b, n): np.asarray(c(q), complex) for a, row in enumerate(F.entries)
+                 for b, entry in enumerate(row) for n, c in entry.coeffs.items()}
+                for F, q in zip(functions, qs)]
 
 
 class MatrixFourierFunction:
@@ -213,16 +230,13 @@ class MatrixFourierFunction:
         return qa
 
     def eval(self, q, phi):
-        """S x S complex array of direct sums over modes (extra leading axes for array q, phi).
-        The coefficients are evaluated inside one `shared_evaluation`."""
+        """S x S complex array of direct sums over modes (extra leading axes for array q, phi),
+        from one `coefficient_values` table."""
         qa = self._check_q(q)
         pa = np.asarray(phi, dtype=float)
         out = np.zeros(np.broadcast(qa, pa).shape + (self.S, self.S), dtype=complex)
-        with shared_evaluation():
-            for a, row in enumerate(self.entries):
-                for b, e in enumerate(row):
-                    for n, c in e.coeffs.items():
-                        out[..., a, b] += c(qa) * np.exp(1j * n * pa)
+        for (a, b, n), value in coefficient_values([self], [qa])[0].items():
+            out[..., a, b] += value * np.exp(1j * n * pa)
         return out
 
     def conjugate_transpose(self) -> "MatrixFourierFunction":
@@ -232,20 +246,12 @@ class MatrixFourierFunction:
         return MatrixFourierFunction(self.interval, rows)
 
     def is_hermitian(self) -> bool:
-        """Coefficient-level check F_{ab,n} = conj(F_{ba,-n}) to 1e-12 on 17
-        evenly spaced q, evaluated inside one `shared_evaluation`."""
+        """Coefficient-level check F_{ab,n} = conj(F_{ba,-n}) (0 if missing) to 1e-12 on 17
+        evenly spaced q, from one `coefficient_values` table; a NaN fails it."""
         qa = np.linspace(self.interval[0], self.interval[1], 17)
-        with shared_evaluation():
-            for a in range(self.S):
-                for b in range(self.S):
-                    e = self.entries[a][b]
-                    other = self.entries[b][a]
-                    for n in set(e.coeffs) | {-m for m in other.coeffs}:
-                        lhs = e.coeff(n)(qa)
-                        rhs = np.conj(other.coeff(-n)(qa))
-                        if np.max(np.abs(lhs - rhs)) > 1e-12:
-                            return False
-        return True
+        table = coefficient_values([self], [qa])[0]
+        return all(np.max(np.abs(value - np.conj(table.get((b, a, -n), 0.0)))) <= 1e-12
+                   for (a, b, n), value in table.items())
 
     def matmul(self, other: "MatrixFourierFunction") -> "MatrixFourierFunction":
         _check_same_interval(self, other)

@@ -16,9 +16,8 @@ load as one node with one derivative node.  Inside `shared_evaluation` a
 spline, spline derivative, composed or `Shared` node runs once per q array,
 and nothing it computed outlives the block; the cheap nodes (sums,
 products, scalings, constants, polynomials) are walked as a tree.
-`regularize.regularize_schedule` opens the block once per schedule of
-grids (`regularize_matrix` is its one-grid case),
-`fourier.MatrixFourierFunction` once per evaluation, and
+`fourier.coefficient_values` opens the block once per call (one schedule of
+grids, one set of surface grids, one `eval` or Hermiticity probe), and
 `ComplexProfile.__call__` once per call when no block is open.  `Shared`
 wraps a callable that is no profile: the string vertex's blend family (one
 call for every mode), a complex callable (`ComplexProfile.from_callable`)

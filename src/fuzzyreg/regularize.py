@@ -23,8 +23,9 @@ not from the 2N - 1 anti-diagonals, since on the vertex's (-1, 3) q(n, m) is
 not bitwise a function of n + m (40 of its 59 anti-diagonals hold several
 floats at N = 30).  Coefficient trees share nodes (a bracket's modes all
 read the same spline nodes, and the vertex's x01 and x10 one blend family),
-and the shared nodes are evaluated once per q vector.  `regularize_matrix`
-is its one-function, one-grid case.
+and the shared nodes are evaluated once per q vector: every coefficient of
+the schedule comes from one `fourier.coefficient_values` call.
+`regularize_matrix` is its one-function, one-grid case.
 
 This module is the only one that writes a regularized coordinate or
 multiplies two: spaces that carry generator functions take their
@@ -56,8 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .fourier import FourierFunction, MatrixFourierFunction, _check_same_interval, checked_interval
-from .profiles import shared_evaluation
+from .fourier import (FourierFunction, MatrixFourierFunction, _check_same_interval, checked_interval,
+                      coefficient_values)
 
 
 @dataclass(frozen=True)
@@ -261,14 +262,14 @@ def regularize_schedule(functions, grids) -> Iterator[tuple]:
     """Yield, grid by grid, the tuple of the regularizations of `functions`
     (MatrixFourierFunctions) on that grid; every pair is checked first.
 
-    Each function's coefficients are evaluated once, inside one
-    `profiles.shared_evaluation`, on the distinct q(n, m) of its own bands on
-    every grid.  Functions with the same bands share that vector; others get
-    their own (on the symmetric rule a pair's odd bands and its bracket's
-    even bands meet at no q, and one vector would double every walk).  A
-    grid's matrices are gathered by the `np.unique` inverse only when it is
-    reached, so a caller that drops them first holds one grid's at a time,
-    and the last grid's without the values.
+    Each function's coefficients are evaluated once, in one
+    `fourier.coefficient_values` call for all of them, on the distinct q(n, m)
+    of its own bands on every grid.  Functions with the same bands share that
+    vector; others get their own (on the symmetric rule a pair's odd bands and
+    its bracket's even bands meet at no q, and one vector would double every
+    walk).  A grid's matrices are gathered by the `np.unique` inverse only when
+    it is reached, so a caller that drops them first holds one grid's at a
+    time, and the last grid's without the values.
     """
     functions, grids = tuple(functions), tuple(grids)
     check_regularizable(functions, grids)
@@ -281,33 +282,30 @@ def regularize_schedule(functions, grids) -> Iterator[tuple]:
         qs[key], where = np.unique(np.concatenate(pieces or [[]]), return_inverse=True)
         split = iter(np.split(where, np.cumsum([len(q) for q in pieces])[:-1]))
         at[key] = [dict(zip(key, split)) for _ in grids]  # zip stops at key, taking len(key)
-    with shared_evaluation():
-        values = [[[{band: np.asarray(c(qs[key]), complex) for band, c in entry.coeffs.items()}
-                    for entry in row] for row in F.entries] for F, key in zip(functions, keys)]
+    values = coefficient_values(functions, [qs[key] for key in keys])
     for g, grid in enumerate(grids):
-        matrices = tuple(_gathered(vals, grid, at[key][g]) for vals, key in zip(values, keys))
+        matrices = tuple(_gathered(table, F.S, grid, at[key][g])
+                         for table, F, key in zip(values, functions, keys))
         if g == len(grids) - 1:  # the caller's work on the last grid runs without them
             del values, at
         yield matrices
         del matrices  # before the next grid's are gathered
 
 
-def _gathered(values, grid: DiscretizingGrid, at) -> FuzzyMatrix:
-    """The matrix on `grid` whose entry (a, b), band n, reads values[a][b][n]
-    at the indices at[n]; its arrays are not held by the schedule's frame."""
-    N, S = grid.N, len(values)
-    offsets = tuple(sorted({band * S + b - a for a, row in enumerate(values)
-                            for b, entry in enumerate(row) for band in entry})) or (0,)
+def _gathered(table, S, grid: DiscretizingGrid, at) -> FuzzyMatrix:
+    """The N*S x N*S matrix on `grid` whose entry (a, b), band n, reads
+    table[(a, b, n)] at the indices at[n]; its arrays are not held by the
+    schedule's frame."""
+    N = grid.N
+    offsets = tuple(sorted({band * S + b - a for a, b, band in table})) or (0,)
     bands = np.zeros((N * S, offsets[-1] - offsets[0] + 1), dtype=complex)
-    for a, row in enumerate(values):
-        for b, entry in enumerate(row):
-            for band in sorted(entry):
-                vals = entry[band][at[band]]
-                if not np.all(np.isfinite(vals)):
-                    raise DomainError(f"coefficient of band {band} is not finite on the grid")
-                # block rows max(0, -band) .. N - max(0, band) - 1, entry row a of each
-                rows = slice(max(0, -band) * S + a, (N - max(0, band)) * S, S)
-                bands[rows, band * S + b - a - offsets[0]] = vals
+    for (a, b, band), values in table.items():
+        vals = values[at[band]]
+        if not np.all(np.isfinite(vals)):
+            raise DomainError(f"coefficient of band {band} is not finite on the grid")
+        # block rows max(0, -band) .. N - max(0, band) - 1, entry row a of each
+        rows = slice(max(0, -band) * S + a, (N - max(0, band)) * S, S)
+        bands[rows, band * S + b - a - offsets[0]] = vals
     return FuzzyMatrix._banded(bands, offsets, N, S)
 
 

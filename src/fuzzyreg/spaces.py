@@ -134,31 +134,31 @@ def circle_to_eight_functions(
     return x, y, z
 
 
-def circle_to_eight_generators(N: int, convention: str = "symmetric") -> tuple:
-    """(name, generators, grid) of the circle-to-eight space on [-1, 1]: named
-    "immersed-cylinder" on the symmetric convention, "circle-to-eight" on the
-    row-anchored one (see `build_circle_to_eight`)."""
+def circle_to_eight_generators(N: int, rule: str = "symmetric") -> tuple:
+    """(name, generators, grid) of the circle-to-eight space on [-1, 1], the one
+    builder for every grid rule: the immersed cylinder of
+    `circle_to_eight_functions`, named "immersed-cylinder", on the symmetric and
+    left rules, and "circle-to-eight" on the row-anchored one (see
+    `build_circle_to_eight`)."""
     x, y, z = circle_to_eight_functions()
-    if convention == "symmetric":
-        return immersed_cylinder_generators(x, y, z, N)
-    if convention != "row-anchored":
-        raise DomainError(f"unknown convention {convention!r}")
+    if rule != "row-anchored":
+        return immersed_cylinder_generators(x, y, z, N, rule)
     x, y = (FourierFunction(f.interval, {s * n: c for n, c in f.coeffs.items() if abs(n) < N})
             for f, s in ((x, 1), (y, -1)))
-    _, generators, grid = immersed_cylinder_generators(x, y, z, N, "row-anchored")
+    _, generators, grid = immersed_cylinder_generators(x, y, z, N, rule)
     return "circle-to-eight", generators, grid
 
 
-def build_circle_to_eight(N: int, convention: str = "symmetric") -> FuzzySpace:
+def build_circle_to_eight(N: int, rule: str = "symmetric") -> FuzzySpace:
     """The circle-to-eight space on [-1, 1].
 
-    convention="symmetric" regularizes the series on the symmetric grid.
-    convention="row-anchored" regularizes them on the row-anchored grid,
-    every band at the row of its upper entry (q = -1 + 2n/N), with y(q, -phi)
-    for y, whose upper band is oriented +i as in the displayed matrices; only
-    the modes below N are kept, so band 3 enters from N = 4 on.
+    The symmetric and left rules regularize the series on their grid.  The
+    row-anchored rule regularizes them on the row-anchored grid, every band at
+    the row of its upper entry (q = -1 + 2n/N), with y(q, -phi) for y, whose
+    upper band is oriented +i as in the displayed matrices; only the modes
+    below N are kept, so band 3 enters from N = 4 on.
     """
-    return regularize_space(*circle_to_eight_generators(N, convention))
+    return regularize_space(*circle_to_eight_generators(N, rule))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ exit code for the CLI.
 
 `sample_on_grids` samples matrix functions of one block size into one
 (d, nq, nphi, S, S) array per (q, phi) grid, for the pointwise commutator sup
-and the surface export.
+and the surface export, from one `fourier.coefficient_values` table per
+function.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ import numpy as np
 from .errors import DomainError, StructureError
 from .fourier import (
     MatrixFourierFunction,
+    coefficient_values,
     mul,
     poisson_bracket,
     same_interval,
 )
-from .profiles import shared_evaluation
 from .regularize import (
     FuzzyMatrix,
     commutator,
@@ -186,9 +187,7 @@ def check_norm_convergence(builder, Ns, delta, label=None) -> SweepReport:
             raise StructureError("norm sweep builder must return a FuzzyMatrix")
         values.append(within_border_norm(M, delta))
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
-    tail = diffs[-3:]
-    settled = all(b <= a * MONOTONE_SLACK + _ZERO for a, b in zip(tail, tail[1:]))
-    verdicts = [True] * (len(values) - 1) + [settled]
+    verdicts = [True] * (len(values) - 1) + [all(_monotone_verdicts(diffs[-3:]))]
     # norms settle rather than decay, so no decay order is fitted
     return _report(_builder_id(builder, label), "norm-convergence", Ns, values, delta, verdicts,
                    fitted_order=None, extras={"diffs": tuple(diffs)})
@@ -288,9 +287,9 @@ def sample_on_grids(functions, shapes) -> list:
     interval, where values holds every function's samples in one (d, nq, nphi, S, S) array.
     The d >= 1 functions must share their block size S and their interval.
 
-    One coefficient pass serves every grid: each coefficient is evaluated once, inside one
-    `shared_evaluation`, on the q values of all the grids in a row, and its modes are then
-    summed grid by grid, bit for bit what `MatrixFourierFunction.eval` gives on each grid.
+    One coefficient pass serves every grid: each coefficient is evaluated once, in one
+    `coefficient_values` call, on the q values of all the grids in a row, and its modes are
+    then summed grid by grid, bit for bit what `MatrixFourierFunction.eval` gives on each grid.
     A coefficient that is not finite there is refused, as the regularization refuses it.
     """
     for shape in shapes:
@@ -312,16 +311,12 @@ def sample_on_grids(functions, shapes) -> list:
     parts = [slice(end - len(qs), end) for (qs, _), end in zip(axes, ends)]  # each grid's q
     samples = [(qs, phis, np.zeros((len(functions), len(qs), len(phis), first.S, first.S), complex))
                for qs, phis in axes]
-    with shared_evaluation():
-        for k, F in enumerate(functions):
-            for a, row in enumerate(F.entries):
-                for b, entry in enumerate(row):
-                    for n, c in entry.coeffs.items():
-                        cq = c(q)
-                        if not np.all(np.isfinite(cq)):
-                            raise DomainError(f"coefficient of band {n} is not finite on the grid")
-                        for (_, phis, values), part in zip(samples, parts):
-                            values[k, ..., a, b] += cq[part, None] * np.exp(1j * n * phis)
+    for k, table in enumerate(coefficient_values(functions, [q] * len(functions))):
+        for (a, b, n), cq in table.items():
+            if not np.all(np.isfinite(cq)):
+                raise DomainError(f"coefficient of band {n} is not finite on the grid")
+            for (_, phis, values), part in zip(samples, parts):
+                values[k, ..., a, b] += cq[part, None] * np.exp(1j * n * phis)
     return samples
 
 

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from fuzzyreg.errors import CapabilityError, DomainError
-from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction, mul, poisson_bracket
+from fuzzyreg.fourier import (
+    FourierFunction,
+    MatrixFourierFunction,
+    coefficient_values,
+    mul,
+    poisson_bracket,
+)
 from fuzzyreg.interpolate import VertexParams, build_string_vertex
 from fuzzyreg.profiles import (
     AffineProfile,
@@ -53,16 +59,16 @@ class TestEvaluation:
         rng = np.random.default_rng(11)
         f = random_table(rng)
         qs, phis = grid_samples(IV)
-        direct = sum(f.coeff(n)(qs) * np.exp(1j * n * phis) for n in f.modes())
+        direct = sum(f.coeffs[n](qs) * np.exp(1j * n * phis) for n in f.modes())
         np.testing.assert_allclose(f.eval(qs, phis), direct, atol=1e-14)
 
     def test_cosine_and_sine_shortcuts(self):
         c = FourierFunction.cosine(IV, 2, 0.8)
         s = FourierFunction.sine(IV, 3)
-        assert c.coeff(2)(0.5) == pytest.approx(0.4)
-        assert c.coeff(-2)(0.5) == pytest.approx(0.4)
-        assert s.coeff(3)(0.5) == pytest.approx(-0.5j)
-        assert s.coeff(-3)(0.5) == pytest.approx(0.5j)
+        assert c.coeffs[2](0.5) == pytest.approx(0.4)
+        assert c.coeffs[-2](0.5) == pytest.approx(0.4)
+        assert s.coeffs[3](0.5) == pytest.approx(-0.5j)
+        assert s.coeffs[-3](0.5) == pytest.approx(0.5j)
         qs, phis = grid_samples(IV)
         np.testing.assert_allclose(c.eval(qs, phis), 0.8 * np.cos(2 * phis) + 0 * qs, atol=1e-14)
         np.testing.assert_allclose(s.eval(qs, phis), np.sin(3 * phis) + 0 * qs, atol=1e-14)
@@ -98,7 +104,7 @@ class TestCalculus:
         s = FourierFunction.sine(IV, 1)
         c = FourierFunction.cosine(IV, 1)
         for n in (-1, 1):
-            assert s.d_phi().coeff(n)(0.3) == pytest.approx(c.coeff(n)(0.3))
+            assert s.d_phi().coeffs[n](0.3) == pytest.approx(c.coeffs[n](0.3))
 
     def test_d_phi_against_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -133,8 +139,10 @@ class TestCalculus:
         lhs = mul(f, g).d_phi()
         rhs = mul(f.d_phi(), g) + mul(f, g.d_phi())
         qs = np.linspace(0, 1, 9)
+        zero = ComplexProfile.from_const(0.0)  # a mode one side lacks
         for n in set(lhs.modes()) | set(rhs.modes()):
-            np.testing.assert_allclose(lhs.coeff(n)(qs), rhs.coeff(n)(qs), atol=1e-13)
+            np.testing.assert_allclose(lhs.coeffs.get(n, zero)(qs), rhs.coeffs.get(n, zero)(qs),
+                                       atol=1e-13)
 
 
 class TestProducts:
@@ -142,9 +150,9 @@ class TestProducts:
         f = FourierFunction.cosine(IV, 1)
         p = mul(f, f)
         assert sorted(p.modes()) == [-2, 0, 2]
-        assert p.coeff(-2)(0.1) == pytest.approx(0.25)
-        assert p.coeff(0)(0.1) == pytest.approx(0.5)
-        assert p.coeff(2)(0.1) == pytest.approx(0.25)
+        assert p.coeffs[-2](0.1) == pytest.approx(0.25)
+        assert p.coeffs[0](0.1) == pytest.approx(0.5)
+        assert p.coeffs[2](0.1) == pytest.approx(0.25)
         phis = np.linspace(0, 2 * np.pi, 32, endpoint=False)
         np.testing.assert_allclose(
             p.eval(np.full_like(phis, 0.5), phis), np.cos(phis) ** 2, atol=1e-14
@@ -174,7 +182,7 @@ class TestPoissonBracket:
         e1 = FourierFunction(IV, {1: 1.0})
         pb = poisson_bracket(qfn, e1)
         assert sorted(pb.modes()) == [1]
-        assert pb.coeff(1)(0.4) == pytest.approx(-1j)
+        assert pb.coeffs[1](0.4) == pytest.approx(-1j)
 
     def test_bracket_with_itself_vanishes(self):
         rng = np.random.default_rng(9)
@@ -215,7 +223,7 @@ class TestStructuralOps:
         qs, phis = grid_samples(IV)
         np.testing.assert_allclose(fc.eval(qs, phis), np.conj(f.eval(qs, phis)), atol=1e-14)
         for n in f.modes():
-            np.testing.assert_allclose(fc.coeff(-n)(0.3), np.conj(f.coeff(n)(0.3)))
+            np.testing.assert_allclose(fc.coeffs[-n](0.3), np.conj(f.coeffs[n](0.3)))
 
     def test_dict_round_trip(self):
         rng = np.random.default_rng(16)
@@ -223,6 +231,26 @@ class TestStructuralOps:
         clone = FourierFunction.from_dict(f.to_dict())
         qs, phis = grid_samples(IV)
         np.testing.assert_allclose(clone.eval(qs, phis), f.eval(qs, phis), atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [
+        {"interval": [0.0, 1.0]},
+        {"interval": [0.0, 1.0], "coeffs": [dict(n="x", **ComplexProfile.from_const(1.0).to_dict())]},
+        {"interval": [0.0, 1.0], "coeffs": 5},
+        {"interval": [0.0, 1.0], "coeffs": [5]},
+        {"coeffs": []},
+    ], ids=["missing-coeffs", "mode-not-an-integer", "coeffs-not-a-list", "entry-not-an-object",
+            "missing-interval"])
+    def test_malformed_dict_raises_domain_error(self, bad):
+        with pytest.raises(DomainError, match="^malformed serialized Fourier function"):
+            FourierFunction.from_dict(bad)
+
+    def test_a_nan_coefficient_is_neither_real_valued_nor_hermitian(self):
+        nan = ComplexProfile(CallableProfile(lambda q: np.full(np.shape(q), np.nan)))
+        f = FourierFunction(IV, {1: nan, -1: 0.5})
+        assert not f.is_real_valued()
+        assert not MatrixFourierFunction.from_scalar(f).is_hermitian()
+        assert not FourierFunction(IV, {0: nan}).is_real_valued()
+        assert not MatrixFourierFunction(IV, [[None, f], [f.conjugate(), None]]).is_hermitian()
 
 
 class TestMatrixFourierFunction:
@@ -283,3 +311,29 @@ class TestMatrixFourierFunction:
         np.testing.assert_allclose((M * 2.0).eval(qs, phis), 2.0 * M.eval(qs, phis))
         np.testing.assert_allclose((M + M).eval(qs, phis), 2.0 * M.eval(qs, phis))
         np.testing.assert_allclose((M - M).eval(qs, phis), 0.0)
+
+
+class TestCoefficientValues:
+    def test_a_shared_node_common_to_two_functions_runs_once(self):
+        calls = []
+
+        def blend(q):
+            calls.append(len(q))
+            return np.cos(q) + 0.5j * q
+
+        c = ComplexProfile.from_callable(blend)
+        F = MatrixFourierFunction.from_scalar(FourierFunction(IV, {0: c, 1: c * 2.0}))
+        G = MatrixFourierFunction.diagonal([FourierFunction(IV, {2: c}),
+                                            FourierFunction(IV, {-1: c.conjugate()})])
+        q = np.linspace(0.0, 1.0, 7)
+        tf, tg = coefficient_values([F, G], [q, q])
+        assert calls == [7]
+        # entries row-major, each entry's modes in its coeffs order
+        assert list(tf) == [(0, 0, 0), (0, 0, 1)]
+        assert list(tg) == [(0, 0, 2), (1, 1, -1)]
+        np.testing.assert_array_equal(tf[(0, 0, 1)], 2.0 * blend(q))
+        np.testing.assert_array_equal(tg[(1, 1, -1)], np.conj(blend(q)))
+        # the node is matched by the q object: an equal copy is another array
+        calls.clear()
+        coefficient_values([F, G], [q, q.copy()])
+        assert calls == [7, 7]

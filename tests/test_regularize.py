@@ -150,7 +150,7 @@ class TestRegularizeMatrix:
         for n in range(5):
             m = n + 1
             assert M.data[2 * n + 0, 2 * m + 1] == pytest.approx(
-                f.coeff(1)(g.q(n, m))
+                f.coeffs[1](g.q(n, m))
             )
             assert M.data[2 * n + 1, 2 * m + 0] == pytest.approx(0.0)
 

@@ -208,14 +208,24 @@ class TestCircleToEight:
         assert all(c.is_hermitian(1e-14) for c in space.coordinates)
 
     def test_row_anchored_grid_regularizes_the_generators(self):
-        # the immersed preset's y is the series itself, whose upper band is -i
+        # both preset spellings build the circle-to-eight space: y(q, -phi), whose
+        # upper band is +i, with the modes below N
+        self.assert_both_spellings_agree("row-anchored", "circle-to-eight")
+
+    @pytest.mark.parametrize("rule", ["symmetric", "left"])
+    def test_both_spellings_agree_on_the_other_rules(self, rule):
+        self.assert_both_spellings_agree(rule, "immersed-cylinder")
+
+    def assert_both_spellings_agree(self, rule, name):
         N = 16
-        eight = build_space({"preset": "circle-to-eight", "convention": "row-anchored"}, n=N)
-        imm = build_space({"preset": "immersed-circle-to-eight", "grid": "row-anchored"}, n=N)
-        assert eight.grid == imm.grid == make_grid(N, (-1.0, 1.0), "row-anchored")
-        for k in (0, 2):
-            assert eight.coordinates[k].data.tobytes() == imm.coordinates[k].data.tobytes()
-        assert np.array_equal(eight.coordinates[1].data, -imm.coordinates[1].data)
+        eight = build_space({"preset": "circle-to-eight", "convention": rule}, n=N)
+        imm = build_space({"preset": "immersed-circle-to-eight", "grid": rule}, n=N)
+        assert eight.name == imm.name == name
+        assert eight.grid == imm.grid == make_grid(N, (-1.0, 1.0), rule)
+        assert len(eight.coordinates) == len(imm.coordinates) == 3
+        for A, B in zip(eight.coordinates, imm.coordinates):
+            assert A.offsets == B.offsets
+            assert A.data.tobytes() == B.data.tobytes()
 
     def test_row_anchored_keeps_the_modes_below_n(self):
         for N, modes in ((2, [-1, 1]), (3, [-1, 1]), (4, [-3, -1, 1, 3])):
