@@ -35,6 +35,7 @@ Research hooks with no caller yet, kept for open ROADMAP items:
 Harness-bound, resolved by name by the benchmark tracer (fzbench/tracing.py) or
 called by its workloads (fzbench/workloads.py):
   verify.check_norm_convergence, verify.matrix_fn_commutator_sup,
-  fourier.FourierFunction.eval, fourier.FourierFunction.to_dict
+  fourier.FourierFunction.eval, fourier.FourierFunction.to_dict,
+  fourier.FourierFunction.is_real_valued
 Every other public name has a caller in the package (tests/test_api_surface.py).
 """

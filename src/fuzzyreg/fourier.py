@@ -175,13 +175,23 @@ def poisson_bracket(f: FourierFunction, g: FourierFunction) -> FourierFunction:
 
 def coefficient_values(functions, qs) -> list:
     """[{(a, b, n): F_{ab,n}(q)}] for each MatrixFourierFunction F and its own q array,
-    inside one `shared_evaluation` (a shared node runs once per q object).  Entries go
-    row-major, each entry's modes in its `coeffs` order.  Values are not checked for
-    finiteness: each reader refuses a non-finite value where it reaches it."""
-    with shared_evaluation():
-        return [{(a, b, n): np.asarray(c(q), complex) for a, row in enumerate(F.entries)
-                 for b, entry in enumerate(row) for n, c in entry.coeffs.items()}
-                for F, q in zip(functions, qs)]
+    inside one `shared_evaluation` planned on every coefficient's parts and its q: a
+    shared node runs once per q object, and so does each distinct sum, product or
+    scaling that several slots or nodes read.  Entries go row-major, each entry's modes
+    in its `coeffs` order, one `ComplexProfile.__call__` per slot.  Values are not
+    checked for finiteness: each reader refuses a non-finite value where it reaches it."""
+    slots = [[((a, b, n), c) for a, row in enumerate(F.entries) for b, entry in enumerate(row)
+              for n, c in entry.coeffs.items()] for F in functions]
+    with shared_evaluation([(q, [p for _, c in table for p in (c.re, c.im)])
+                            for table, q in zip(slots, qs)]):
+        return [{key: np.asarray(c(q), complex) for key, c in table} for table, q in zip(slots, qs)]
+
+
+def is_hermitian_table(table) -> bool:
+    """Whether a `coefficient_values` table has F_{ab,n} = conj(F_{ba,-n}) (0 if
+    missing) to 1e-12 at every q; a NaN fails it."""
+    return all(np.max(np.abs(value - np.conj(table.get((b, a, -n), 0.0)))) <= 1e-12
+               for (a, b, n), value in table.items())
 
 
 class MatrixFourierFunction:
@@ -249,9 +259,7 @@ class MatrixFourierFunction:
         """Coefficient-level check F_{ab,n} = conj(F_{ba,-n}) (0 if missing) to 1e-12 on 17
         evenly spaced q, from one `coefficient_values` table; a NaN fails it."""
         qa = np.linspace(self.interval[0], self.interval[1], 17)
-        table = coefficient_values([self], [qa])[0]
-        return all(np.max(np.abs(value - np.conj(table.get((b, a, -n), 0.0)))) <= 1e-12
-                   for (a, b, n), value in table.items())
+        return is_hermitian_table(coefficient_values([self], [qa])[0])
 
     def matmul(self, other: "MatrixFourierFunction") -> "MatrixFourierFunction":
         _check_same_interval(self, other)

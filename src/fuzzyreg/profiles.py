@@ -14,14 +14,19 @@ Coefficient trees share nodes (a product of Fourier functions puts each
 factor's coefficients into several modes), and equal serialized splines
 load as one node with one derivative node.  Inside `shared_evaluation` a
 spline, spline derivative, composed or `Shared` node runs once per q array,
-and nothing it computed outlives the block; the cheap nodes (sums,
-products, scalings, constants, polynomials) are walked as a tree.
-`fourier.coefficient_values` opens the block once per call (one schedule of
-grids, one set of surface grids, one `eval` or Hermiticity probe), and
-`ComplexProfile.__call__` once per call when no block is open.  `Shared`
-wraps a callable that is no profile: the string vertex's blend family (one
-call for every mode), a complex callable (`ComplexProfile.from_callable`)
-and the fold of a mirror pivot.
+and nothing it computed outlives the block.  A block opened on the forests
+it will read (the parts of each coefficient, with the q array they are read
+on) also plans them: sums, products and scalings are matched by structure
+(kind, float bit patterns, so -0.0 never stands for 0.0, and children), and
+each distinct one that is read more than once, or reads one that is, runs
+once per q array through the plan, its value dropped after its last
+reader; the rest, constants and polynomials among them, are plain calls.
+`fourier.coefficient_values` opens a planned block once per call (one
+schedule of grids, one set of surface grids, one `eval` or Hermiticity
+probe), and `ComplexProfile.__call__` a bare one when no block is open.
+`Shared` wraps a callable that is no profile: the string vertex's blend
+family (one call for every mode), a complex callable
+(`ComplexProfile.from_callable`) and the fold of a mirror pivot.
 
 All profiles accept scalars or numpy arrays and return numpy arrays of the
 broadcast shape.
@@ -30,6 +35,7 @@ broadcast shape.
 from __future__ import annotations
 
 import functools
+import struct
 import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -46,16 +52,22 @@ def _asfloat(q):
 # (id(node), id(q)) -> (node, q, value) inside `shared_evaluation`, else None; one per
 # thread.  Holding node and q keeps their ids from being reused while the memo lives.
 _memo = ContextVar("fuzzyreg_profile_memo", default=None)
+# the `_Plan` of the open `shared_evaluation`, else None
+_plan = ContextVar("fuzzyreg_profile_plan", default=None)
 
 
 @contextmanager
-def shared_evaluation():
-    """Run each `_once_per_q` node once per q array in this block.  Nodes and arrays
-    match by identity, so q must not change in place inside; nothing outlives it."""
-    token = _memo.set({})
+def shared_evaluation(forests=()):
+    """Run each `_once_per_q` node once per q array in this block, and plan the
+    `forests`: pairs (q, roots) of the parts `ComplexProfile.__call__` will read
+    on q, a root listed once for each read (see `_Plan`).  Nodes and arrays
+    match by identity, so q must not change in place inside; nothing outlives
+    the block."""
+    token, plan = _memo.set({}), _plan.set(_Plan(forests))
     try:
         yield
     finally:
+        _plan.reset(plan)
         _memo.reset(token)
 
 
@@ -371,6 +383,116 @@ class ScaledProfile(Profile):
         return {"kind": "scaled", "factor": self.factor, "base": self.base.to_dict()}
 
 
+_STRUCTURED = {SumProfile, ProductProfile, ScaledProfile}
+_bits = struct.Struct("<d").pack
+
+
+class _Plan:
+    """The sums, products and scalings of a block's forests, numbered by structure.
+
+    A structured node's number stands for its kind, the bits of its factor and
+    its children: structured ones by number, constants by their bits, other
+    nodes by identity; children are numbered first.  Per q array, each
+    structure reached from the roots read on q counts its readers: each read
+    of it as a root, and each child slot it fills in a distinct structure
+    reached.  A structure with more than one reader, or reading one that is
+    planned, is planned on q: the first read runs it once through the plan,
+    its value is kept for the readers left and dropped after the last.  The
+    rest of the forest, and every node on a q the plan was not given, is
+    called plainly, as outside the block.
+    """
+
+    __slots__ = ("number", "nodes", "kids", "groups")
+
+    def __init__(self, forests):
+        # structured node -> number; per number one node and its structured children
+        self.number, self.nodes, self.kids, keys, tallies = {}, [], [], {}, {}
+        for q, roots in forests:
+            tally = tallies.setdefault(id(q), (q, {}))[1]
+            for root in roots:
+                if type(root) in _STRUCTURED:
+                    n = self.number.get(root)
+                    if n is None:
+                        n = self._numbered(root, keys)
+                    tally[n] = tally.get(n, 0) + 1
+        self.groups = {}  # id(q) -> (q, {planned number: readers left}, {number: value})
+        for key, (q, tally) in tallies.items():
+            stack = list(tally)  # the roots; each structure reached is pushed once
+            while stack:
+                for c in self.kids[stack.pop()]:
+                    if c in tally:
+                        tally[c] += 1
+                    else:
+                        tally[c] = 1
+                        stack.append(c)
+            readers = {}
+            for n in sorted(tally):  # children first
+                if tally[n] > 1 or not readers.keys().isdisjoint(self.kids[n]):
+                    readers[n] = tally[n]
+            if readers:
+                self.groups[key] = (q, readers, {})
+
+    def _numbered(self, node, keys) -> int:
+        """The number of node, not yet numbered; its structured children are numbered first."""
+        kind = type(node)
+        if kind is SumProfile:
+            key, children = [kind], node.terms
+        elif kind is ProductProfile:
+            key, children = [kind], (node.left, node.right)
+        else:
+            key, children = [kind, _bits(node.factor)], (node.base,)
+        kids = []
+        for c in children:
+            t = type(c)
+            if t in _STRUCTURED:
+                m = self.number.get(c)
+                if m is None:
+                    m = self._numbered(c, keys)
+                kids.append(m)
+                key.append(m)
+            else:
+                key.append(_bits(c.value) if t is ConstantProfile else c)
+        n = self.number[node] = keys.setdefault(tuple(key), len(keys))
+        if n == len(self.nodes):
+            self.nodes.append(node)
+            self.kids.append(kids)
+        return n
+
+    def part(self, node, q):
+        """node(q) for a part read as a root on q: through the plan if it is planned there."""
+        group = self.groups.get(id(q))
+        return node(q) if group is None else self._read(node, _asfloat(q), group)
+
+    def _read(self, node, qa, group):
+        n = self.number.get(node)
+        if n is not None and n in group[1]:
+            return self._value(n, qa, group)
+        return node(qa)
+
+    def _value(self, n, qa, group):
+        _, readers, values = group
+        value = values.pop(n, None)
+        if value is None:
+            value = self._computed(n, qa, group)
+        readers[n] -= 1
+        if readers[n] > 0:
+            values[n] = value
+        return value
+
+    def _computed(self, n, qa, group):
+        """Structure n's value on qa: its node's `__call__`, its children read through the plan."""
+        node = self.nodes[n]
+        kind = type(node)
+        if kind is SumProfile:
+            out = np.zeros(qa.shape)
+            for t in node.terms:
+                out = out + self._read(t, qa, group)
+            return out
+        if kind is ProductProfile:
+            return self._read(node.left, qa, group) * self._read(node.right, qa, group)
+        return node.factor * self._read(node.base, qa, group)
+
+
 @functools.cache
 def _fold(pivot: float) -> Shared:
     """Reflect the arguments above pivot back below it: one node per pivot, so
@@ -522,10 +644,11 @@ class ComplexProfile:
         return cls.from_const(value)
 
     def __call__(self, q):
-        """re(q) + 1j im(q), inside a `shared_evaluation` of its own when none is
-        open, so the nodes both parts read (a `from_callable` pair's fn) run once."""
-        if _memo.get() is not None:
-            return self.re(q) + 1j * self.im(q)
+        """re(q) + 1j im(q), the parts read through the plan of the open
+        `shared_evaluation`, else inside a bare one of its own, so the nodes both
+        parts read (a `from_callable` pair's fn) run once."""
+        if (plan := _plan.get()) is not None:
+            return plan.part(self.re, q) + 1j * plan.part(self.im, q)
         with shared_evaluation():
             qa = _asfloat(q)  # one array for both parts, so the memo matches it
             return self.re(qa) + 1j * self.im(qa)

@@ -34,8 +34,12 @@ multiply by `product`.  Regularized matrices are banded, with bandwidth
 (cutoff+1)*S, and a `FuzzyMatrix` stores its diagonals: `regularize_matrix`
 writes them, `product` and `lincomb` read and write them, and the
 within-border norms mask the border on them, so a sweep holds
-O(dim * bandwidth) numbers per matrix and a product of bandwidths K and L
-costs O(dim * K * L).  A matrix's offsets are the diagonals it was built on,
+O(dim * bandwidth) numbers per matrix.  A band product costs O(dim * K * L)
+for the K diagonals the left factor records and the L band columns the
+kernel reads on the right: every s-th, s the gcd of the gaps between the
+right factor's offsets, which are just its recorded diagonals when these
+are evenly spaced (the eight's f and g record 4 of their 7 band columns,
+their product 7 of 13).  A matrix's offsets are the diagonals it was built on,
 never read off its values: the schedule, the band kernel and `lincomb`
 record theirs, `FuzzyMatrix.from_diagonals` the ones it is given (every
 hand-built coordinate and transform factor), and dense data all 2 dim - 1
@@ -51,6 +55,7 @@ conjugated by dense eigenvectors holds no dense copy afterwards.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -284,25 +289,27 @@ def regularize_schedule(functions, grids) -> Iterator[tuple]:
         at[key] = [dict(zip(key, split)) for _ in grids]  # zip stops at key, taking len(key)
     values = coefficient_values(functions, [qs[key] for key in keys])
     for g, grid in enumerate(grids):
-        matrices = tuple(_gathered(table, F.S, grid, at[key][g])
-                         for table, F, key in zip(values, functions, keys))
+        matrices = tuple(_gathered(k, table, F.S, grid, at[key][g])
+                         for k, (table, F, key) in enumerate(zip(values, functions, keys)))
         if g == len(grids) - 1:  # the caller's work on the last grid runs without them
             del values, at
         yield matrices
         del matrices  # before the next grid's are gathered
 
 
-def _gathered(table, S, grid: DiscretizingGrid, at) -> FuzzyMatrix:
+def _gathered(k, table, S, grid: DiscretizingGrid, at) -> FuzzyMatrix:
     """The N*S x N*S matrix on `grid` whose entry (a, b), band n, reads
     table[(a, b, n)] at the indices at[n]; its arrays are not held by the
-    schedule's frame."""
+    schedule's frame.  A value not finite there is refused, naming function
+    k of the schedule, the entry and the band."""
     N = grid.N
     offsets = tuple(sorted({band * S + b - a for a, b, band in table})) or (0,)
     bands = np.zeros((N * S, offsets[-1] - offsets[0] + 1), dtype=complex)
     for (a, b, band), values in table.items():
         vals = values[at[band]]
         if not np.all(np.isfinite(vals)):
-            raise DomainError(f"coefficient of band {band} is not finite on the grid")
+            raise DomainError(f"coefficient of function {k}, entry ({a}, {b}), band {band} "
+                              "is not finite on the grid")
         # block rows max(0, -band) .. N - max(0, band) - 1, entry row a of each
         rows = slice(max(0, -band) * S + a, (N - max(0, band)) * S, S)
         bands[rows, band * S + b - a - offsets[0]] = vals
@@ -370,17 +377,19 @@ def interior_max_entry(M: FuzzyMatrix, delta) -> float:
 
 
 def _band_kernel(A: FuzzyMatrix, B: FuzzyMatrix) -> FuzzyMatrix:
-    """AB, multiplied diagonal by diagonal onto the diagonals it may have nonzero."""
+    """AB, multiplied diagonal by diagonal onto the diagonals it may have nonzero,
+    reading B every s-th band column, s the gcd of the gaps between its offsets."""
     N, S = _layout(A, B)
     dim, offs_a, bands_a = A.dim, A.offsets, A.bands
-    rows_b = B.bands  # rows_b[j, t] = B[j, j + B.offsets[0] + t]
-    br, bi, width = rows_b.real, rows_b.imag, rows_b.shape[1]
+    width, s = B.bands.shape[1], math.gcd(*(o - B.offsets[0] for o in B.offsets)) or 1
+    rows_b = B.bands[:, ::s]  # rows_b[j, t] = B[j, j + B.offsets[0] + s t]
+    br, bi = rows_b.real, rows_b.imag
     out = np.zeros((dim, offs_a[-1] - offs_a[0] + width), dtype=complex)
     for a in offs_a:  # increasing, the order CSR sums in
         i, j, k = slice(max(0, -a), dim - max(0, a)), slice(max(0, a), dim - max(0, -a)), a - offs_a[0]
         da = bands_a[i, k, None]
-        out.real[i, k : k + width] += da.real * br[j] - da.imag * bi[j]
-        out.imag[i, k : k + width] += da.real * bi[j] + da.imag * br[j]
+        out.real[i, k : k + width : s] += da.real * br[j] - da.imag * bi[j]
+        out.imag[i, k : k + width : s] += da.real * bi[j] + da.imag * br[j]
     offsets = tuple(sorted({a + b for a in offs_a for b in B.offsets if abs(a + b) < dim})) or (0,)
     lo = offs_a[0] + B.offsets[0]
     return FuzzyMatrix._banded(out[:, offsets[0] - lo : offsets[-1] - lo + 1], offsets, N, S)
@@ -397,6 +406,12 @@ def product(A: FuzzyMatrix, B: FuzzyMatrix) -> FuzzyMatrix:
     against about 145 ms.  BLAS is faster from about dim / 10 diagonals, but
     sweep bytes rest on the CSR order: regularized coordinates stay here,
     and dense data, which records every diagonal, goes to BLAS.
+
+    The kernel reads B every s-th band column, s the gcd of the gaps between
+    B's offsets.  A column it skips would add a +-0 term to a sum that starts
+    at +0, so finite operands give the same bits.  A non-finite entry of A
+    meets only the columns read: structural zeros are skipped, as in CSR, so
+    inf * 0 = NaN arises only on a diagonal on B's stride, recorded or not.
     """
     layout = _layout(A, B)  # before numpy meets mismatched operands
     if len(A.offsets) < A.dim:

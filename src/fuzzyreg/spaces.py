@@ -22,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .fourier import FourierFunction, MatrixFourierFunction, _check_same_interval
+from .fourier import (
+    FourierFunction,
+    MatrixFourierFunction,
+    _check_same_interval,
+    coefficient_values,
+    is_hermitian_table,
+)
 from .profiles import (
     AffineProfile,
     ConstantProfile,
@@ -47,11 +53,15 @@ class CurveSpec:
     z_beta: float = 1.0
 
     def __post_init__(self):
+        """Refuse series that depend on q, then series that are not real-valued,
+        both read from one `coefficient_values` table of each series on the 17
+        evenly spaced q that `MatrixFourierFunction.is_hermitian` probes."""
         _check_same_interval(self.x_series, self.y_series)  # they share one grid
-        for f in (self.x_series, self.y_series):
-            if not _is_q_independent(f):
-                raise DomainError("curve series must be q-independent")
-        if not (self.x_series.is_real_valued() and self.y_series.is_real_valued()):
+        series = [MatrixFourierFunction.from_scalar(f) for f in (self.x_series, self.y_series)]
+        tables = coefficient_values(series, [np.linspace(*F.interval, 17) for F in series])
+        if not all(np.max(np.abs(v - v[0])) <= 1e-13 for t in tables for v in t.values()):
+            raise DomainError("curve series must be q-independent")
+        if not all(is_hermitian_table(t) for t in tables):
             raise StructureError("closed curves need real-valued x and y series")
 
     @classmethod
@@ -59,13 +69,6 @@ class CurveSpec:
         x = FourierFunction.cosine(interval, 1, radius)
         y = FourierFunction.sine(interval, 1, radius)
         return cls(x, y)
-
-
-def _is_q_independent(f: FourierFunction, tol=1e-13) -> bool:
-    """Whether every coefficient is constant to tol on the 17 evenly spaced q
-    that `MatrixFourierFunction.is_hermitian` probes."""
-    probe = np.linspace(f.interval[0], f.interval[1], 17)
-    return all(np.max(np.abs(v - v[0])) <= tol for v in (c(probe) for c in f.coeffs.values()))
 
 
 def generalized_cylinder_generators(curve: CurveSpec, N: int, z_offset: float = 0.0) -> tuple:

@@ -290,7 +290,8 @@ def sample_on_grids(functions, shapes) -> list:
     One coefficient pass serves every grid: each coefficient is evaluated once, in one
     `coefficient_values` call, on the q values of all the grids in a row, and its modes are
     then summed grid by grid, bit for bit what `MatrixFourierFunction.eval` gives on each grid.
-    A coefficient that is not finite there is refused, as the regularization refuses it.
+    A coefficient that is not finite there is refused, as the regularization refuses it,
+    naming function k of `functions`, the entry (a, b) and the band n.
     """
     for shape in shapes:
         if len(shape) != 2 or min(shape) < 1:
@@ -314,7 +315,8 @@ def sample_on_grids(functions, shapes) -> list:
     for k, table in enumerate(coefficient_values(functions, [q] * len(functions))):
         for (a, b, n), cq in table.items():
             if not np.all(np.isfinite(cq)):
-                raise DomainError(f"coefficient of band {n} is not finite on the grid")
+                raise DomainError(f"coefficient of function {k}, entry ({a}, {b}), band {n} "
+                                  "is not finite on the grid")
             for (_, phis, values), part in zip(samples, parts):
                 values[k, ..., a, b] += cq[part, None] * np.exp(1j * n * phis)
     return samples

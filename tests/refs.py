@@ -21,6 +21,10 @@ nonzero entry.  `serial_conjugation` conjugates a space's coordinates by
 its sorted eigenbasis one after another with plain numpy products, the
 eigenbasis phase-fixed column by column by `phase_fix_loop`: the oracle of
 `diagonalize`'s concurrent conjugation and vectorized phase fix.
+`walked_values` evaluates coefficients by a plain recursive walk of their
+trees, the oracle of `fourier.coefficient_values`, and
+`contiguous_band_kernel` multiplies every band column of the right factor,
+the oracle of `regularize.product` on its band side.
 """
 
 import json
@@ -34,6 +38,7 @@ from fuzzyreg.interpolate import VertexParams, _table_values, build_string_verte
 from fuzzyreg.profiles import ComplexProfile, smooth_step
 from fuzzyreg.regularize import (
     FuzzyMatrix,
+    _layout,
     make_grid,
     regularize_matrix,
     regularize_scalar,
@@ -390,3 +395,30 @@ def serial_conjugation(space, index):
     V = phase_fix_loop(V.astype(complex)[:, np.argsort(w, kind="stable")])
     Vh = np.ascontiguousarray(V.conj().T)
     return [(Vh @ C.data) @ V for C in space.coordinates]
+
+
+def walked_values(functions, qs):
+    """[{(a, b, n): F_{ab,n}(q)}] as `coefficient_values` lays it out, each
+    coefficient re(q) + 1j im(q) with its parts called outside any
+    `shared_evaluation`: every node of a tree runs wherever it is reached."""
+    return [{(a, b, n): np.asarray(c.re(q) + 1j * c.im(q), complex)
+             for a, row in enumerate(F.entries) for b, entry in enumerate(row)
+             for n, c in entry.coeffs.items()} for F, q in zip(functions, qs)]
+
+
+def contiguous_band_kernel(A, B):
+    """AB diagonal by diagonal, each diagonal of A against every band column
+    B stores between its outer offsets, recorded or not, in increasing
+    order of A's offsets: the band kernel before it read B by its stride."""
+    N, S = _layout(A, B)
+    dim, offs_a, bands_a = A.dim, A.offsets, A.bands
+    br, bi, width = B.bands.real, B.bands.imag, B.bands.shape[1]
+    out = np.zeros((dim, offs_a[-1] - offs_a[0] + width), dtype=complex)
+    for a in offs_a:
+        i, j, k = slice(max(0, -a), dim - max(0, a)), slice(max(0, a), dim - max(0, -a)), a - offs_a[0]
+        da = bands_a[i, k, None]
+        out.real[i, k : k + width] += da.real * br[j] - da.imag * bi[j]
+        out.imag[i, k : k + width] += da.real * bi[j] + da.imag * br[j]
+    offsets = tuple(sorted({a + b for a in offs_a for b in B.offsets if abs(a + b) < dim})) or (0,)
+    lo = offs_a[0] + B.offsets[0]
+    return FuzzyMatrix._banded(out[:, offsets[0] - lo : offsets[-1] - lo + 1], offsets, N, S)

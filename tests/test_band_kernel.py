@@ -34,9 +34,16 @@ from fuzzyreg.regularize import (
     regularize_matrix,
     within_border_norm,
 )
-from fuzzyreg.spaces import CurveSpec, build_circle_to_eight, build_generalized_cylinder
+from fuzzyreg.spaces import (
+    CurveSpec,
+    GraphVertexSpec,
+    build_circle_to_eight,
+    build_generalized_cylinder,
+    build_graph_vertex,
+)
 from fuzzyreg.transforms import diagonalize_coordinate
 from refs import (
+    contiguous_band_kernel,
     dense_interior_max_entry,
     dense_lincomb,
     dense_within_border_norm,
@@ -311,6 +318,60 @@ def test_one_sided_products_match_csr(name):
     A, B, C = FAMILIES[name]
     for X, Y in itertools.permutations((A, B, C), 2):
         assert_matches_csr(X, Y)
+
+
+def signed_one_sided(rng, dim, offsets):
+    """`one_sided` with a third of its real and of its imaginary parts -0.0."""
+    M = one_sided(rng, dim, offsets)
+    table = {}
+    for o in offsets:
+        values = M.data.diagonal(o).copy()
+        for part in (values.real, values.imag):
+            part[rng.random(len(values)) < 1 / 3] = -0.0
+        table[o] = values
+    return FuzzyMatrix.from_diagonals(table, dim)
+
+
+def strided_pairs():
+    """name -> (A, B): right factors whose offsets step by gcd 1, 2 and 3,
+    single-offset factors on either side, the vertex's X Y and X Z, and the
+    graph vertex, whose diagonal 0 holds -0.0, against itself and a factor
+    of stride 2."""
+    rng = np.random.default_rng(17)
+    X, Y, Z = build_string_vertex(VertexParams(N=15)).coordinates
+    G = build_graph_vertex(GraphVertexSpec(dim=40, n0=10)).coordinates[0]
+    pairs = {
+        "gcd-1": ((-2, 1), (0, 1, 3)),
+        "gcd-2": ((-1, 2), (-3, -1, 3)),
+        "gcd-3": ((0, 1), (-3, 0, 6)),
+        "single-left": ((2,), (-4, -2, 2)),
+        "single-right": ((-1, 0, 4), (3,)),
+        "single-both": ((-5,), (2,)),
+    }
+    out = {name: (signed_one_sided(rng, 11, a), signed_one_sided(rng, 11, b))
+           for name, (a, b) in pairs.items()}
+    out.update({"vertex-XY": (X, Y), "vertex-XZ": (X, Z), "graph-vertex": (G, G),
+                "graph-vertex-stride-2": (G, signed_one_sided(rng, 40, (-4, -2, 2, 4)))})
+    return out
+
+
+STRIDED = strided_pairs()
+
+
+@pytest.mark.parametrize("name", sorted(STRIDED))
+def test_product_reads_by_stride_bitwise(name):
+    # the kernel skips the band columns between B's strides: their terms are
+    # +-0 added to sums that start at +0, so every bit stays as it was
+    for A, B in (STRIDED[name], STRIDED[name][::-1]):
+        got, want = product(A, B), contiguous_band_kernel(A, B)
+        assert got.offsets == want.offsets
+        assert_bitwise(got.bands, want.bands)
+        assert_bitwise(got.data, want.data)
+
+
+def test_graph_vertex_keeps_its_negative_zero_diagonal():
+    G = build_graph_vertex(GraphVertexSpec(dim=40, n0=10)).coordinates[0]
+    assert np.signbit(G.data.diagonal().real).any()
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))

@@ -343,7 +343,7 @@ class TestSurfaceCommand:
         ({"preset": "immersed-circle-to-eight", "n": 3}, "cutoff 3 must stay below N = 3"),
         ({"preset": "double-cylinder", "member": 3}, "double-cylinder member must be 1 or 2"),
         ({"preset": "double-cylinder", "x0": {"kind": "poly", "coeffs": [0.0, 1e308]}},
-         "coefficient of band 0 is not finite on the grid"),
+         "coefficient of function 0, entry (0, 0), band 0 is not finite on the grid"),
     ], ids=["eight-n2", "immersed-eight-n3", "member-3", "overflow"])
     def test_preset_refusals_stand(self, tmp_path, capsys, space, error):
         cfg = tmp_path / "cfg.json"

@@ -1,8 +1,10 @@
 """Property tests: serialized profile trees round-trip exactly, derivative
 trees built by the profile algebra evaluate like the node-by-node chain rule,
 the Poisson bracket is antisymmetric and obeys the Leibniz rule, the
-regularization Q is linear, the z-ordering is inverted exactly, and the
-vertex blend is exact at both ends of its transition window."""
+regularization Q is linear, the z-ordering is inverted exactly, the
+vertex blend is exact at both ends of its transition window, and the
+planned coefficient evaluator gives the plain walk's bits on forests with
+shared, structurally equal and signed-zero subtrees."""
 
 import json
 
@@ -10,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzyreg.fourier import FourierFunction, mul, poisson_bracket
+from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction, coefficient_values, mul, poisson_bracket
 from fuzzyreg.interpolate import interp_fourier_coeff, make_profile
 from fuzzyreg.profiles import (
     AffineProfile,
@@ -27,6 +29,7 @@ from fuzzyreg.profiles import (
     profile_from_dict,
 )
 from fuzzyreg.regularize import make_grid, regularize_scalar
+from refs import walked_values
 
 IV = (-2.0, 2.0)
 QS = np.linspace(-2.0, 2.0, 17)
@@ -188,3 +191,63 @@ def test_blend_is_exact_at_both_window_ends(t1, t2, q2, width, m, mode):
     got = interp_fourier_coeff(t1, t2, profile, m, ends)
     want = [_slot_value(t1, m, profile.q2), _slot_value(t2, m, profile.q3)]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+signed_zeros = st.sampled_from([0.0, -0.0])
+
+
+def _rebuilt(p):
+    """A structured node equal to p in kind, factor and children, but another object."""
+    if isinstance(p, SumProfile):
+        return SumProfile(p.terms)
+    if isinstance(p, ProductProfile):
+        return ProductProfile(p.left, p.right)
+    if isinstance(p, ScaledProfile):
+        return ScaledProfile(p.factor, p.base)
+    return profile_from_dict(p.to_dict())
+
+
+@st.composite
+def shared_forests(draw):
+    """A 2 x 2 matrix function whose coefficient parts are drawn from one pool:
+    random trees and +-0.0 constants, then sums, products and scalings (by
+    reals or +-0.0) of earlier members, and rebuilt or serialized copies of
+    them.  A member read by several nodes or parts is a shared subtree; a
+    copy is a structurally equal one; +0.0 and -0.0 must never stand for
+    each other."""
+    pool = draw(st.lists(trees, min_size=1, max_size=3)) + [ConstantProfile(0.0), ConstantProfile(-0.0)]
+    for _ in range(draw(st.integers(2, 12))):
+        member = st.sampled_from(list(pool))
+        kind = draw(st.sampled_from(["sum", "product", "scaled", "copy"]))
+        if kind == "sum":
+            pool.append(SumProfile(draw(st.lists(member, min_size=1, max_size=3))))
+        elif kind == "product":
+            pool.append(ProductProfile(draw(member), draw(member)))
+        elif kind == "scaled":
+            pool.append(ScaledProfile(draw(reals | signed_zeros), draw(member)))
+        else:
+            pool.append(_rebuilt(draw(member)))
+    parts = st.sampled_from(pool[-8:] + pool[:2])
+
+    def entry():
+        modes = draw(st.dictionaries(st.integers(-2, 2), st.tuples(parts, parts), min_size=1, max_size=3))
+        return FourierFunction(IV, {n: ComplexProfile(re, im) for n, (re, im) in modes.items()})
+
+    return MatrixFourierFunction(IV, [[entry(), entry()], [entry(), entry()]])
+
+
+def _assert_walked_bitwise(functions, qs):
+    got, want = coefficient_values(functions, qs), walked_values(functions, qs)
+    for tg, tw in zip(got, want, strict=True):
+        assert list(tg) == list(tw)
+        for key, value in tw.items():
+            assert np.array_equal(tg[key].view(np.int64), value.view(np.int64)), key
+
+
+@PROPERTY
+@given(shared_forests(), shared_forests())
+def test_planned_values_equal_the_walk_bitwise(F, G):
+    # on one q array the two functions' forests are planned together; on two,
+    # apart, and an equal copy of q is another array
+    _assert_walked_bitwise([F, G, F], [QS, QS, QS])
+    _assert_walked_bitwise([F, G], [QS, QS.copy()])

@@ -356,7 +356,29 @@ class TestSchedule:
                                     [make_grid(4, IV), make_grid(8, IV)])
         (first,) = next(sizes)
         assert np.all(np.isfinite(first.bands))
-        with pytest.raises(DomainError, match=r"^coefficient of band 1 is not finite on the grid$"):
+        with pytest.raises(DomainError, match=r"^coefficient of function 0, entry \(0, 0\), band 1 "
+                                              r"is not finite on the grid$"):
+            next(sizes)
+
+    def test_a_value_not_finite_names_its_function_and_entry(self):
+        # entry (0, 1) of the second of two S = 2 functions
+        one = FourierFunction(IV, {0: 1.0})
+        F = MatrixFourierFunction(IV, [[one, FourierFunction(IV, {-1: 0.5, 1: float("nan")})],
+                                       [None, one]])
+        sizes = regularize_schedule([MatrixFourierFunction.diagonal([one, one]), F], [make_grid(8, IV)])
+        with pytest.raises(DomainError, match=r"^coefficient of function 1, entry \(0, 1\), band 1 "
+                                              r"is not finite on the grid$"):
+            next(sizes)
+
+    def test_a_sweep_target_not_finite_is_named(self):
+        # f and g of the eight's sweep are finite; only the target, function 2, is not
+        x, y, _ = circle_to_eight_functions()
+        nan = ComplexProfile(CallableProfile(lambda q: np.where(q > 0.0, np.nan, q)))
+        target = poisson_bracket(x, y) + FourierFunction(x.interval, {4: nan})
+        fns = [MatrixFourierFunction.from_scalar(h) for h in (x, y, target)]
+        sizes = regularize_schedule(fns, [make_grid(n, x.interval) for n in (16, 32)])
+        with pytest.raises(DomainError, match=r"^coefficient of function 2, entry \(0, 0\), band 4 "
+                                              r"is not finite on the grid$"):
             next(sizes)
 
 

@@ -6,7 +6,7 @@ import pytest
 from fuzzyreg.cli import build_space
 from fuzzyreg.errors import DomainError, StructureError
 from fuzzyreg.fourier import FourierFunction, MatrixFourierFunction
-from fuzzyreg.profiles import AffineProfile, ConstantProfile, PolyProfile, smooth_step
+from fuzzyreg.profiles import AffineProfile, ComplexProfile, ConstantProfile, PolyProfile, smooth_step
 from fuzzyreg.regularize import commutator, make_grid, regularize_scalar, within_border_norm
 from fuzzyreg.spaces import (
     CurveSpec,
@@ -60,6 +60,20 @@ class TestCurveSpec:
         f = FourierFunction(IV, {1: 1.0})
         with pytest.raises(StructureError):
             CurveSpec(f, FourierFunction.sine(IV, 1))
+
+    def test_q_dependence_is_refused_before_a_complex_series(self):
+        f = FourierFunction(IV, {1: AffineProfile(1.0, 1.0)})  # neither constant nor real
+        with pytest.raises(DomainError, match="^curve series must be q-independent$"):
+            CurveSpec(FourierFunction.cosine(IV, 1), f)
+
+    def test_both_checks_read_one_table(self, monkeypatch):
+        # one ComplexProfile.__call__ per slot of the two series' tables
+        x = FourierFunction.cosine(IV, 1, 1.5) + FourierFunction.sine(IV, 2, 0.5)
+        y = FourierFunction.sine(IV, 1, 1.5)
+        call, calls = ComplexProfile.__call__, []
+        monkeypatch.setattr(ComplexProfile, "__call__", lambda c, q: calls.append(len(q)) or call(c, q))
+        CurveSpec(x, y)
+        assert calls == [17] * (len(x.coeffs) + len(y.coeffs)) == [17] * 6
 
 
 class TestGeneralizedCylinder:

@@ -626,3 +626,11 @@ class TestSampleOnGrids:
         F = MatrixFourierFunction.from_scalar(f)
         with np.errstate(over="ignore"), pytest.raises(DomainError, match="band 2 is not finite"):
             verify.sample_on_grids([F], [(3, 3)])
+
+    def test_a_nonfinite_entry_is_named_by_function_entry_and_band(self):
+        one = FourierFunction(IV, {0: 1.0})
+        F = MatrixFourierFunction(IV, [[one, FourierFunction(IV, {-1: 0.5, 1: float("nan")})],
+                                       [None, one]])
+        with pytest.raises(DomainError, match=r"^coefficient of function 1, entry \(0, 1\), band 1 "
+                                              r"is not finite on the grid$"):
+            verify.sample_on_grids([MatrixFourierFunction.diagonal([one, one]), F], [(3, 3)])
