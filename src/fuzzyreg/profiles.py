@@ -52,7 +52,7 @@ def _asfloat(q):
 # (id(node), id(q)) -> (node, q, value) inside `shared_evaluation`, else None; one per
 # thread.  Holding node and q keeps their ids from being reused while the memo lives.
 _memo = ContextVar("fuzzyreg_profile_memo", default=None)
-# the `_Plan` of the open `shared_evaluation`, else None
+# the `_Plan` of the open `shared_evaluation` if it planned any node, else None
 _plan = ContextVar("fuzzyreg_profile_plan", default=None)
 
 
@@ -60,14 +60,15 @@ _plan = ContextVar("fuzzyreg_profile_plan", default=None)
 def shared_evaluation(forests=()):
     """Run each `_once_per_q` node once per q array in this block, and plan the
     `forests`: pairs (q, roots) of the parts `ComplexProfile.__call__` will read
-    on q, a root listed once for each read (see `_Plan`).  Nodes and arrays
-    match by identity, so q must not change in place inside; nothing outlives
-    the block."""
-    token, plan = _memo.set({}), _plan.set(_Plan(forests))
+    on q, a root listed once for each read (see `_Plan`); a block with nothing
+    to plan holds no plan.  Nodes and arrays match by identity, so q must not
+    change in place inside; nothing outlives the block."""
+    plan = _Plan(forests) if forests else None
+    token, planned = _memo.set({}), _plan.set(plan if plan and plan.groups else None)
     try:
         yield
     finally:
-        _plan.reset(plan)
+        _plan.reset(planned)
         _memo.reset(token)
 
 
@@ -339,6 +340,7 @@ class SumProfile(Profile):
         self.terms = tuple(terms)
 
     def __call__(self, q):
+        """The terms added in order to zeros; `_Plan._computed` mirrors this, bit for bit."""
         qa = _asfloat(q)
         out = np.zeros(qa.shape)
         for t in self.terms:
@@ -358,6 +360,7 @@ class ProductProfile(Profile):
         self.right = right
 
     def __call__(self, q):
+        """left(q) * right(q); `_Plan._computed` mirrors this, bit for bit."""
         qa = _asfloat(q)
         return self.left(qa) * self.right(qa)
 
@@ -374,6 +377,7 @@ class ScaledProfile(Profile):
         self.base = base
 
     def __call__(self, q):
+        """factor * base(q); `_Plan._computed` mirrors this, bit for bit."""
         return self.factor * self.base(_asfloat(q))
 
     def derivative(self):
@@ -385,6 +389,12 @@ class ScaledProfile(Profile):
 
 _STRUCTURED = {SumProfile, ProductProfile, ScaledProfile}
 _bits = struct.Struct("<d").pack
+
+
+def _children(node) -> tuple:
+    """The children of a sum, product or scaling, in the order its `__call__` reads them."""
+    kind = type(node)
+    return node.terms if kind is SumProfile else (node.left, node.right) if kind is ProductProfile else (node.base,)
 
 
 class _Plan:
@@ -399,22 +409,33 @@ class _Plan:
     planned, is planned on q: the first read runs it once through the plan,
     its value is kept for the readers left and dropped after the last.  The
     rest of the forest, and every node on a q the plan was not given, is
-    called plainly, as outside the block.
+    called plainly, as outside the block.  So is a root with no structured
+    child (a conjugate part -1 * leaf) unless a deeper tree reaches the same
+    node: it is not numbered, since merging it with an equal one would save
+    one array operation per extra read, and numbering it costs about as much
+    on every call.
     """
 
     __slots__ = ("number", "nodes", "kids", "groups")
 
     def __init__(self, forests):
         # structured node -> number; per number one node and its structured children
-        self.number, self.nodes, self.kids, keys, tallies = {}, [], [], {}, {}
+        self.number, self.nodes, self.kids, keys, tallies, shallow = {}, [], [], {}, {}, []
         for q, roots in forests:
             tally = tallies.setdefault(id(q), (q, {}))[1]
             for root in roots:
-                if type(root) in _STRUCTURED:
-                    n = self.number.get(root)
-                    if n is None:
-                        n = self._numbered(root, keys)
-                    tally[n] = tally.get(n, 0) + 1
+                if type(root) not in _STRUCTURED:
+                    continue
+                if _STRUCTURED.isdisjoint(map(type, _children(root))):
+                    shallow.append((tally, root))
+                    continue
+                n = self.number.get(root)
+                if n is None:
+                    n = self._numbered(root, keys)
+                tally[n] = tally.get(n, 0) + 1
+        for tally, root in shallow:  # read through the plan only if a deeper tree numbered it
+            if (n := self.number.get(root)) is not None:
+                tally[n] = tally.get(n, 0) + 1
         self.groups = {}  # id(q) -> (q, {planned number: readers left}, {number: value})
         for key, (q, tally) in tallies.items():
             stack = list(tally)  # the roots; each structure reached is pushed once
@@ -435,14 +456,8 @@ class _Plan:
     def _numbered(self, node, keys) -> int:
         """The number of node, not yet numbered; its structured children are numbered first."""
         kind = type(node)
-        if kind is SumProfile:
-            key, children = [kind], node.terms
-        elif kind is ProductProfile:
-            key, children = [kind], (node.left, node.right)
-        else:
-            key, children = [kind, _bits(node.factor)], (node.base,)
-        kids = []
-        for c in children:
+        key, kids = [kind, _bits(node.factor)] if kind is ScaledProfile else [kind], []
+        for c in _children(node):
             t = type(c)
             if t in _STRUCTURED:
                 m = self.number.get(c)
@@ -461,13 +476,13 @@ class _Plan:
     def part(self, node, q):
         """node(q) for a part read as a root on q: through the plan if it is planned there."""
         group = self.groups.get(id(q))
-        return node(q) if group is None else self._read(node, _asfloat(q), group)
+        if group is None or (n := self.number.get(node)) not in group[1]:
+            return node(q)
+        return self._value(n, _asfloat(q), group)
 
     def _read(self, node, qa, group):
         n = self.number.get(node)
-        if n is not None and n in group[1]:
-            return self._value(n, qa, group)
-        return node(qa)
+        return node(qa) if n not in group[1] else self._value(n, qa, group)
 
     def _value(self, n, qa, group):
         _, readers, values = group
@@ -480,7 +495,8 @@ class _Plan:
         return value
 
     def _computed(self, n, qa, group):
-        """Structure n's value on qa: its node's `__call__`, its children read through the plan."""
+        """Structure n's value on qa by the operations of its node's `__call__`, in
+        their order, its children read through the plan."""
         node = self.nodes[n]
         kind = type(node)
         if kind is SumProfile:
@@ -645,13 +661,15 @@ class ComplexProfile:
 
     def __call__(self, q):
         """re(q) + 1j im(q), the parts read through the plan of the open
-        `shared_evaluation`, else inside a bare one of its own, so the nodes both
-        parts read (a `from_callable` pair's fn) run once."""
-        if (plan := _plan.get()) is not None:
-            return plan.part(self.re, q) + 1j * plan.part(self.im, q)
-        with shared_evaluation():
-            qa = _asfloat(q)  # one array for both parts, so the memo matches it
-            return self.re(qa) + 1j * self.im(qa)
+        `shared_evaluation` if it has one; with no block open, inside a bare one
+        of its own, so the nodes both parts read (a `from_callable` pair's fn) run once."""
+        if _memo.get() is None:
+            with shared_evaluation():
+                qa = _asfloat(q)  # one array for both parts, so the memo matches it
+                return self.re(qa) + 1j * self.im(qa)
+        if (plan := _plan.get()) is None:
+            return self.re(q) + 1j * self.im(q)
+        return plan.part(self.re, q) + 1j * plan.part(self.im, q)
 
     def derivative(self) -> "ComplexProfile":
         return ComplexProfile(self.re.derivative(), self.im.derivative())

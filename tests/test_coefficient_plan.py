@@ -100,7 +100,7 @@ def test_vertex_schedule_tables_equal_the_walk_bitwise(monkeypatch, case):
     assert_tables_bitwise(tables, walked_values(fns, qs))
 
 
-def test_signed_zeros_are_distinct_structures():
+def test_signed_zeros_are_distinct_structures(monkeypatch):
     # x * (+0) and x * (-0), 0 x and -0 x differ in the sign of their zeros: merged,
     # one would take the other's bits
     x = AffineProfile(-1.0, 2.0)
@@ -110,8 +110,13 @@ def test_signed_zeros_are_distinct_structures():
     F = MatrixFourierFunction.from_scalar(FourierFunction(
         (0.0, 1.0), {n: ComplexProfile(p, parts[-1 - n]) for n, p in enumerate(parts)}))
     q = np.linspace(0.0, 1.0, 9)
+    walked = walked_values([F], [q])
+    runs = counted_structured_runs(monkeypatch)
     (table,) = coefficient_values([F], [q])
-    assert_tables_bitwise([table], walked_values([F], [q]))
+    assert_tables_bitwise([table], walked)
+    # the four roots with no structured child are numbered by their sums, and
+    # their reads as roots are counted too: each of the 8 runs once
+    assert sorted(runs) == list(range(8))
     signs = [np.signbit(table[(0, 0, n)].real).any() for n in range(4, 8)]
     assert signs == [True, False, True, False]  # x < 0 below q = 1/2
 
