@@ -20,7 +20,8 @@ on) also plans them: sums, products and scalings are matched by structure
 (kind, float bit patterns, so -0.0 never stands for 0.0, and children), and
 each distinct one that is read more than once, or reads one that is, runs
 once per q array through the plan, its value dropped after its last
-reader; the rest, constants and polynomials among them, are plain calls.
+reader; the rest, constants and polynomials among them, are plain calls,
+and so is a root with no structured child unless a deeper tree reaches it.
 `fourier.coefficient_values` opens a planned block once per call (one
 schedule of grids, one set of surface grids, one `eval` or Hermiticity
 probe), and `ComplexProfile.__call__` a bare one when no block is open.
